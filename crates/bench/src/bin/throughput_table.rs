@@ -13,9 +13,9 @@
 //!
 //! Run: `cargo run --release -p bq-bench --bin throughput_table`
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use bq_bench::facade::{blocking_pairs_throughput, blocking_timed_pairs_throughput, ALL_FACADES};
+use bq_bench::facade::{blocking_pairs_throughput, ALL_FACADES};
 use bq_bench::meta::{append_trajectory, run_meta, smoke_mode, write_bench_json};
 use bq_bench::payload::{
     payload_pairs_bytering, payload_pairs_grant, payload_pairs_move, PAYLOAD_BYTES,
@@ -23,7 +23,7 @@ use bq_bench::payload::{
 use bq_bench::registry::{QueueKind, ALL_KINDS};
 use bq_bench::shm_procs::shm_fork_pairs_throughput;
 use bq_bench::workload::{pairs_throughput, print_batch_win_table};
-use bq_core::{ConcurrentQueue, OptimalQueue};
+use bq_core::{ConcurrentQueue, OptimalQueue, TimeLimit};
 use serde::Serialize;
 
 /// One machine-readable measurement for `BENCH_throughput_table.json`.
@@ -158,8 +158,9 @@ fn main() {
 
     println!("\n=== E16: timed waits — deadline-carrying pairs vs untimed (DESIGN.md §13) ===");
     println!(
-        "same blocking façade and data path; every op now carries a deadline\n\
-         that never fires. the deadline resolves lazily at the FIRST PARK,\n\
+        "same blocking façade, data path and wait loop (one function, run\n\
+         under TimeLimit::Forever and under a 600 s timeout that never\n\
+         fires). the timeout is pinned to the clock lazily at the FIRST PARK,\n\
          so the uncontended row must show ~zero overhead (claim: <= 5%);\n\
          contended rows add one clock read per park. best of 3 runs\n"
     );
@@ -186,8 +187,12 @@ fn main() {
         ("contended (C=4)", 4, 2),
         ("contended (C=4)", 4, 4),
     ] {
-        let untimed = best(&|| blocking_pairs_throughput(cap, threads, timed_ops));
-        let timed = best(&|| blocking_timed_pairs_throughput(cap, threads, timed_ops));
+        // Far beyond any bench round's runtime: the timeout exists to be
+        // carried, not to fire.
+        let patience = TimeLimit::Timeout(Duration::from_secs(600));
+        let untimed =
+            best(&|| blocking_pairs_throughput(cap, threads, timed_ops, TimeLimit::Forever));
+        let timed = best(&|| blocking_pairs_throughput(cap, threads, timed_ops, patience));
         let overhead_pct = (untimed.mops() / timed.mops() - 1.0) * 100.0;
         println!(
             "{:<22} {:>9} {:>12.3} {:>12.3} {:>9.1}%",
@@ -238,7 +243,7 @@ fn main() {
         if obs_on { "on" } else { "off" },
         if obs_on { "" } else { "--features obs" },
     );
-    let e17 = best(&|| blocking_pairs_throughput(1024, 1, timed_ops));
+    let e17 = best(&|| blocking_pairs_throughput(1024, 1, timed_ops, TimeLimit::Forever));
     println!("{:<22} {:>12} {:>12}", "lane", "Mops", "ns/op");
     println!(
         "{:<22} {:>12.3} {:>12.1}",

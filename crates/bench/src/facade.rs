@@ -16,7 +16,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use bq_core::{AsyncQueue, BlockingQueue, OptimalQueue, RecvTimeoutError};
+use bq_core::{AsyncQueue, BlockingQueue, OptimalQueue, RecvTimeoutError, TimeLimit};
 
 use crate::workload::WorkloadResult;
 
@@ -52,57 +52,29 @@ impl FacadeKind {
     /// `threads` to exercise parking.
     pub fn pairs(self, c: usize, threads: usize, ops_per_thread: u64) -> WorkloadResult {
         match self {
-            FacadeKind::Blocking => blocking_pairs_throughput(c, threads, ops_per_thread),
+            FacadeKind::Blocking => {
+                blocking_pairs_throughput(c, threads, ops_per_thread, TimeLimit::Forever)
+            }
             FacadeKind::Async => async_pairs_throughput(c, threads, ops_per_thread),
         }
     }
 }
 
-/// Pairs workload over the blocking façade. See [`FacadeKind::pairs`].
-pub fn blocking_pairs_throughput(c: usize, threads: usize, ops_per_thread: u64) -> WorkloadResult {
-    let q: BlockingQueue<u64, OptimalQueue> =
-        BlockingQueue::new(OptimalQueue::with_capacity_and_threads(c, threads + 1));
-    let mut h = q.register();
-    for i in 0..(c / 2) as u64 {
-        q.try_send(&mut h, 1 + i).expect("pre-fill failed");
-    }
-    let token_base = AtomicU64::new(1_000_000);
-    let start = Instant::now();
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            let q = &q;
-            let token_base = &token_base;
-            s.spawn(move || {
-                let mut h = q.register();
-                for _ in 0..ops_per_thread {
-                    let v = token_base.fetch_add(1, Ordering::Relaxed);
-                    q.send(&mut h, v).expect("queue not closed");
-                    q.recv(&mut h).expect("queue not closed");
-                }
-            });
-        }
-    });
-    WorkloadResult {
-        ops: 2 * threads as u64 * ops_per_thread,
-        secs: start.elapsed().as_secs_f64(),
-    }
-}
-
-/// Timed-pairs workload (experiment **E16**): identical to
-/// [`blocking_pairs_throughput`], except every operation carries a
-/// deadline (`send_timeout`/`recv_timeout`) generous enough never to
-/// fire. The deadline resolves lazily at the *first park*, so on an
-/// uncontended run a timed pair never reads the clock at all — which is
-/// exactly the ≤5%-overhead claim E16 measures against the untimed
-/// twin. Under contention the timed path adds one clock read per park.
-pub fn blocking_timed_pairs_throughput(
+/// Pairs workload over the blocking façade (see [`FacadeKind::pairs`]),
+/// every operation under `limit`. With [`TimeLimit::Forever`] it is the
+/// E12/E17 workload; experiment **E16** runs it a second time under a
+/// timeout generous enough never to fire and compares the two. Timed
+/// and untimed are the same wait loop, and a timeout is pinned to the
+/// clock lazily at the *first park*, so on an uncontended run a timed
+/// pair never reads the clock at all — the ≤5%-overhead claim E16
+/// measures. Under contention the timed path adds one clock read per
+/// park.
+pub fn blocking_pairs_throughput(
     c: usize,
     threads: usize,
     ops_per_thread: u64,
+    limit: TimeLimit,
 ) -> WorkloadResult {
-    // Far beyond any bench round's runtime: the deadline exists to be
-    // carried, not to fire.
-    const PATIENCE: Duration = Duration::from_secs(600);
     let q: BlockingQueue<u64, OptimalQueue> =
         BlockingQueue::new(OptimalQueue::with_capacity_and_threads(c, threads + 1));
     let mut h = q.register();
@@ -119,10 +91,10 @@ pub fn blocking_timed_pairs_throughput(
                 let mut h = q.register();
                 for _ in 0..ops_per_thread {
                     let v = token_base.fetch_add(1, Ordering::Relaxed);
-                    q.send_timeout(&mut h, v, PATIENCE)
-                        .expect("patient send never times out");
-                    q.recv_timeout(&mut h, PATIENCE)
-                        .expect("patient recv never times out");
+                    q.send_within(&mut h, v, limit)
+                        .expect("open queue, limit never fires");
+                    q.recv_within(&mut h, limit)
+                        .expect("open queue, limit never fires");
                 }
             });
         }
@@ -144,7 +116,7 @@ pub fn timed_recv_dropped_wake_round(timeout: Duration) -> Duration {
         BlockingQueue::new(OptimalQueue::with_capacity_and_threads(2, 1));
     let mut h = q.register();
     let start = Instant::now();
-    match q.recv_timeout(&mut h, timeout) {
+    match q.recv_within(&mut h, timeout) {
         Err(RecvTimeoutError::Timeout) => start.elapsed(),
         Ok(v) => panic!("received {v} from an empty queue nobody sends to"),
         Err(RecvTimeoutError::Closed) => panic!("queue was never closed"),
@@ -212,7 +184,7 @@ mod tests {
     fn timed_pairs_complete_without_firing_deadlines() {
         // Contended enough to park (C = 2, 2 threads): the deadlines are
         // carried through real parks and still never fire.
-        let r = blocking_timed_pairs_throughput(2, 2, 200);
+        let r = blocking_pairs_throughput(2, 2, 200, Duration::from_secs(600).into());
         assert_eq!(r.ops, 800);
         assert!(r.mops() > 0.0);
     }

@@ -5,34 +5,25 @@
 //! [`AsyncQueue`] is the third client layer of the waiter subsystem
 //! (DESIGN.md §9): it wraps the *same* [`BlockingQueue`] state — the
 //! lock-free data path plus one [`EventCount`] per direction — and adds
-//! hand-rolled futures whose wakers register against the eventcount's
-//! wake generations. Because both façades share the two eventcount
-//! instances, blocking threads and async tasks can wait on **one queue
-//! at the same time**: a thread's `send` wakes a task's pending `recv`
-//! and vice versa ([`blocking`](AsyncQueue::blocking) exposes the sync
-//! view). No executor dependency exists; any executor works, and the
+//! one hand-rolled future, [`WaitFuture`]. What the future waits *for* is
+//! one of the blocking façade's four operation values ([`WaitOp`]), so
+//! every method here is a constructor. *How* it waits is the task half
+//! of the eventcount protocol (the lost-wake argument is in
+//! [`crate::event`]): try, register the waker against a generation
+//! snapshot, re-try, return `Pending` — **no timed polling anywhere**.
+//! Because both façades share the two eventcount instances, blocking
+//! threads and async tasks can wait on **one queue at the same time**: a
+//! thread's `send` wakes a task's pending `recv` and vice versa
+//! ([`blocking`](AsyncQueue::blocking) exposes the sync view). No
+//! executor dependency exists; any executor works, and the
 //! dependency-free `pollster` shim's `block_on` is enough to drive it.
 //!
-//! ## Poll protocol
-//!
-//! Every future polls the same way (the async mirror of the eventcount's
-//! thread protocol):
-//!
-//! 1. **try** the non-blocking operation — if it completes, done;
-//! 2. snapshot the wake **generation** and **register** the task's waker
-//!    against it (the registration counts as an announced waiter; a
-//!    stale snapshot means a wake was just published, so re-try from 1);
-//! 3. **re-try** the operation — this closes the race with a notifier
-//!    that read `waiters == 0` before the registration;
-//! 4. return `Pending`.
-//!
-//! Linearization of the wake hand-off: the registration takes effect
-//! under the eventcount's gate lock, and every notifier bumps the
-//! generation under the same lock before draining wakers. A transition
-//! that completes before step 3's retry is observed by the retry; one
-//! that completes after it finds the waker registered (step 2 happened
-//! under the lock) and wakes the task. There is no window in between —
-//! hence no lost wakeup and **no timed polling anywhere**.
+//! A future built with a [`TimeLimit`] adds one step: when a poll would
+//! return `Pending` and the limit has passed, it resolves through the
+//! operation's `expired` instead; otherwise it arms a `timerwheel` entry
+//! that re-polls it at the deadline. Under
+//! [`Forever`](TimeLimit::Forever) that step is inert — no clock read,
+//! no timer.
 //!
 //! ## Cancellation safety
 //!
@@ -46,15 +37,16 @@
 //! asserts all three properties under stress.
 
 use std::future::Future;
+use std::marker::PhantomData;
 use std::pin::Pin;
 use std::task::{Context, Poll, Waker};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::blocking::{
-    BlockingQueue, RecvTimeoutError, SendError, SendTimeoutError, TryRecvError, TrySendError,
+    BlockingQueue, FromOutcome, RecvManyOp, RecvOp, SendAllOp, SendError, SendOp, WaitOp,
 };
 use crate::boxed::{BoxedHandle, PointerCapable};
-use crate::event::{EventCount, WaiterId};
+use crate::event::{EventCount, TimeLimit, WaiterId};
 
 /// Async bounded queue over any pointer-capable token queue.
 ///
@@ -81,12 +73,6 @@ impl<T: Send, Q: PointerCapable> AsyncQueue<T, Q> {
         }
     }
 
-    /// Build the async façade over an existing blocking façade, keeping
-    /// its state (useful to adopt a queue already shared with threads).
-    pub fn from_blocking(sync: BlockingQueue<T, Q>) -> Self {
-        AsyncQueue { sync }
-    }
-
     /// The blocking view of the **same queue**: same data path, same two
     /// eventcounts. Threads using this view and tasks using the async
     /// methods wake each other.
@@ -94,148 +80,59 @@ impl<T: Send, Q: PointerCapable> AsyncQueue<T, Q> {
         &self.sync
     }
 
-    /// Obtain a per-thread/per-task handle. Handles must not be shared
-    /// between concurrently running tasks (each future borrows one
-    /// exclusively while in flight).
-    pub fn register(&self) -> BoxedHandle<Q> {
-        self.sync.register()
-    }
-
-    /// Borrow the underlying token queue (read-only introspection; see
-    /// [`BlockingQueue::inner_queue`]).
-    pub fn inner_queue(&self) -> &Q {
-        self.sync.inner_queue()
-    }
-
-    /// Close the queue: pending and future `send`s fail (value returned),
-    /// receivers drain then observe `None`/empty. Wakes every parked
-    /// thread and task. Idempotent.
-    pub fn close(&self) {
-        self.sync.close();
-    }
-
-    /// Has [`close`](Self::close) been called?
-    pub fn is_closed(&self) -> bool {
-        self.sync.is_closed()
-    }
-
-    /// Non-blocking enqueue (no future involved).
-    pub fn try_send(&self, h: &mut BoxedHandle<Q>, value: T) -> Result<(), TrySendError<T>> {
-        self.sync.try_send(h, value)
-    }
-
-    /// Non-blocking dequeue (no future involved).
-    pub fn try_recv(&self, h: &mut BoxedHandle<Q>) -> Result<T, TryRecvError> {
-        self.sync.try_recv(h)
+    /// The one constructor behind every waiting method: `op` under
+    /// `limit`, resolving to the caller's result type `R`.
+    fn wait<'a, Op: WaitOp<T, Q>, R: FromOutcome<Op::Out>>(
+        &'a self,
+        h: &'a mut BoxedHandle<Q>,
+        op: Op,
+        limit: TimeLimit,
+    ) -> WaitFuture<'a, T, Q, Op, R> {
+        WaitFuture {
+            queue: &self.sync,
+            handle: h,
+            op,
+            wait: WaitState {
+                reg: None,
+                limit,
+                timer: None,
+            },
+            _resolves_to: PhantomData,
+        }
     }
 
     /// Enqueue, resolving when the value is accepted; `Err(SendError)`
     /// returns the value if the queue closes first.
-    pub fn send<'a>(&'a self, h: &'a mut BoxedHandle<Q>, value: T) -> SendFuture<'a, T, Q> {
-        SendFuture {
-            queue: self,
-            handle: h,
-            item: Some(value),
-            wait: WaitState::new(),
-        }
+    pub fn send<'a>(
+        &'a self,
+        h: &'a mut BoxedHandle<Q>,
+        value: T,
+    ) -> WaitFuture<'a, T, Q, SendOp<T>, Result<(), SendError<T>>> {
+        self.wait(h, SendOp(Some(value)), TimeLimit::Forever)
     }
 
     /// Dequeue, resolving to `Some(v)` when an element arrives, or
     /// `None` once the queue is closed and drained.
-    pub fn recv<'a>(&'a self, h: &'a mut BoxedHandle<Q>) -> RecvFuture<'a, T, Q> {
-        RecvFuture {
-            queue: self,
-            handle: h,
-            wait: WaitState::new(),
-        }
-    }
-
-    /// [`send`](Self::send) with an absolute deadline: resolves to
-    /// [`SendTimeoutError::Timeout`] (value handed back) if the queue is
-    /// still full at `deadline`. The timer seam (`timerwheel`) only arms
-    /// when the future actually goes pending, so a send that completes
-    /// on its first poll never reads the clock; a `close()` racing the
-    /// deadline is pinned to `Closed`, as in the blocking façade.
-    pub fn send_deadline<'a>(
+    pub fn recv<'a>(
         &'a self,
         h: &'a mut BoxedHandle<Q>,
-        value: T,
-        deadline: Instant,
-    ) -> SendDeadlineFuture<'a, T, Q> {
-        SendDeadlineFuture {
-            queue: self,
-            handle: h,
-            item: Some(value),
-            wait: WaitState::new(),
-            timed: TimedState::new(TimeLimit::Deadline(deadline)),
-        }
-    }
-
-    /// [`send_deadline`](Self::send_deadline) with a relative timeout,
-    /// resolved to a deadline lazily at the first pending poll.
-    pub fn send_timeout<'a>(
-        &'a self,
-        h: &'a mut BoxedHandle<Q>,
-        value: T,
-        timeout: Duration,
-    ) -> SendDeadlineFuture<'a, T, Q> {
-        SendDeadlineFuture {
-            queue: self,
-            handle: h,
-            item: Some(value),
-            wait: WaitState::new(),
-            timed: TimedState::new(TimeLimit::Timeout(timeout)),
-        }
-    }
-
-    /// [`recv`](Self::recv) with an absolute deadline: resolves to
-    /// [`RecvTimeoutError::Timeout`] if the queue is still empty at
-    /// `deadline`; `Closed` keeps drain semantics and wins the
-    /// close-vs-timeout race (see [`send_deadline`](Self::send_deadline)).
-    pub fn recv_deadline<'a>(
-        &'a self,
-        h: &'a mut BoxedHandle<Q>,
-        deadline: Instant,
-    ) -> RecvDeadlineFuture<'a, T, Q> {
-        RecvDeadlineFuture {
-            queue: self,
-            handle: h,
-            wait: WaitState::new(),
-            timed: TimedState::new(TimeLimit::Deadline(deadline)),
-        }
-    }
-
-    /// [`recv_deadline`](Self::recv_deadline) with a relative timeout
-    /// (lazy deadline resolution).
-    pub fn recv_timeout<'a>(
-        &'a self,
-        h: &'a mut BoxedHandle<Q>,
-        timeout: Duration,
-    ) -> RecvDeadlineFuture<'a, T, Q> {
-        RecvDeadlineFuture {
-            queue: self,
-            handle: h,
-            wait: WaitState::new(),
-            timed: TimedState::new(TimeLimit::Timeout(timeout)),
-        }
+    ) -> WaitFuture<'a, T, Q, RecvOp, Option<T>> {
+        self.wait(h, RecvOp, TimeLimit::Forever)
     }
 
     /// Batch enqueue, resolving once **every** item is accepted; on
-    /// close, resolves to the unsent suffix. Unlike the blocking
-    /// `send_all`, retries move rejected items in and out of their boxes
-    /// (simple ownership beats the re-box amortization here: a cancelled
-    /// future must be able to drop the suffix as plain values).
+    /// close, resolves to the unsent suffix. A future dropped while
+    /// pending drops its unsent suffix with it; accepted items stay
+    /// queued.
+    // The return type names the operation and what it resolves to; an
+    // alias would only hide both.
+    #[allow(clippy::type_complexity)]
     pub fn send_all<'a>(
         &'a self,
         h: &'a mut BoxedHandle<Q>,
         items: Vec<T>,
-    ) -> SendAllFuture<'a, T, Q> {
-        SendAllFuture {
-            queue: self,
-            handle: h,
-            items: Some(items),
-            wait: WaitState::new(),
-        }
+    ) -> WaitFuture<'a, T, Q, SendAllOp<T, Q>, Result<(), SendError<Vec<T>>>> {
+        self.wait(h, SendAllOp::new(items), TimeLimit::Forever)
     }
 
     /// Batch dequeue, resolving to 1..=`max` values — or an empty vector
@@ -244,55 +141,87 @@ impl<T: Send, Q: PointerCapable> AsyncQueue<T, Q> {
         &'a self,
         h: &'a mut BoxedHandle<Q>,
         max: usize,
-    ) -> RecvManyFuture<'a, T, Q> {
-        assert!(max > 0, "recv_many needs a positive batch bound");
-        RecvManyFuture {
-            queue: self,
-            handle: h,
-            max,
-            out: Vec::new(),
-            wait: WaitState::new(),
-        }
+    ) -> WaitFuture<'a, T, Q, RecvManyOp, Vec<T>> {
+        self.wait(h, RecvManyOp::new(max), TimeLimit::Forever)
     }
 
-    /// Capacity of the underlying queue.
-    pub fn capacity(&self) -> usize {
-        self.sync.capacity()
+    /// [`send`](Self::send) under a [`TimeLimit`] (an `Instant` or a
+    /// `Duration` converts): resolves to
+    /// [`SendTimeoutError::Timeout`](crate::SendTimeoutError::Timeout),
+    /// value handed back, if the queue is still full when the limit
+    /// passes. The timer seam (`timerwheel`) only arms when the future
+    /// actually goes pending, so a send that completes on its first poll
+    /// never reads the clock; a `close()` racing the limit is pinned to
+    /// `Closed`, as in [`BlockingQueue::send_within`].
+    pub fn send_within<'a>(
+        &'a self,
+        h: &'a mut BoxedHandle<Q>,
+        value: T,
+        limit: impl Into<TimeLimit>,
+    ) -> WaitFuture<'a, T, Q, SendOp<T>> {
+        self.wait(h, SendOp(Some(value)), limit.into())
     }
 
-    /// Approximate length.
-    pub fn len(&self) -> usize {
-        self.sync.len()
+    /// [`recv`](Self::recv) under a [`TimeLimit`]; see
+    /// [`BlockingQueue::recv_within`] for the outcomes.
+    pub fn recv_within<'a>(
+        &'a self,
+        h: &'a mut BoxedHandle<Q>,
+        limit: impl Into<TimeLimit>,
+    ) -> WaitFuture<'a, T, Q, RecvOp> {
+        self.wait(h, RecvOp, limit.into())
     }
 
-    /// Approximate emptiness.
-    pub fn is_empty(&self) -> bool {
-        self.sync.is_empty()
+    /// [`send_all`](Self::send_all) under a [`TimeLimit`]; see
+    /// [`BlockingQueue::send_all_within`] for the outcomes.
+    pub fn send_all_within<'a>(
+        &'a self,
+        h: &'a mut BoxedHandle<Q>,
+        items: Vec<T>,
+        limit: impl Into<TimeLimit>,
+    ) -> WaitFuture<'a, T, Q, SendAllOp<T, Q>> {
+        self.wait(h, SendAllOp::new(items), limit.into())
     }
 
-    /// Observability snapshot (DESIGN.md §14). The async façade drives
-    /// the *same* two eventcounts as the blocking one, so this is
-    /// exactly [`BlockingQueue::metrics`]: task registrations appear as
-    /// `not_full.task_parks` / `not_empty.task_parks`. Empty with `obs`
-    /// off.
-    pub fn metrics(&self) -> crate::obs::MetricsSnapshot {
-        self.sync.metrics()
+    /// [`recv_many`](Self::recv_many) under a [`TimeLimit`]; see
+    /// [`BlockingQueue::recv_many_within`] for the outcomes.
+    pub fn recv_many_within<'a>(
+        &'a self,
+        h: &'a mut BoxedHandle<Q>,
+        max: usize,
+        limit: impl Into<TimeLimit>,
+    ) -> WaitFuture<'a, T, Q, RecvManyOp> {
+        self.wait(h, RecvManyOp::new(max), limit.into())
     }
 }
 
-/// Per-future wait state: at most one live waker registration.
+/// Everything that does not wait — `register`, the `try_*` family,
+/// `close`, `len`, `metrics`, … — is the blocking view's, unchanged.
+/// (Handles must not be shared between concurrently running tasks: each
+/// future borrows one exclusively while in flight.)
+impl<T: Send, Q: PointerCapable> std::ops::Deref for AsyncQueue<T, Q> {
+    type Target = BlockingQueue<T, Q>;
+
+    fn deref(&self) -> &BlockingQueue<T, Q> {
+        &self.sync
+    }
+}
+
+/// Per-future wait state — everything a future must release when it
+/// completes or is dropped: at most one live waker registration, and at
+/// most one armed `timerwheel` entry for its [`TimeLimit`]. Under
+/// [`Forever`](TimeLimit::Forever) there is no deadline, so the timer
+/// half never reads the clock and never arms anything.
 struct WaitState {
     reg: Option<WaiterId>,
+    limit: TimeLimit,
+    timer: Option<timerwheel::TimerKey>,
 }
 
 impl WaitState {
-    fn new() -> Self {
-        WaitState { reg: None }
-    }
-
-    /// One poll of the eventcount protocol described in the module docs.
-    /// `attempt` returns `Some(r)` when the operation completed (with
-    /// success *or* a terminal closed result).
+    /// One poll of the task half of the eventcount protocol. `attempt`
+    /// returns `Some(r)` when the operation completed (with success *or*
+    /// a terminal closed result).
     fn poll_with<R>(
         &mut self,
         ec: &EventCount,
@@ -306,413 +235,122 @@ impl WaitState {
         if let Some(id) = self.reg.take() {
             ec.deregister(id);
         }
-        if let Some(r) = attempt() {
-            return Poll::Ready(r);
-        }
         loop {
-            let gen = ec.generation();
-            match ec.register(gen, waker) {
-                Some(id) => {
-                    // Announced. Re-attempt to close the race with a
-                    // notifier that read `waiters == 0` before our
-                    // registration landed.
-                    if let Some(r) = attempt() {
-                        ec.deregister(id);
-                        return Poll::Ready(r);
-                    }
-                    self.reg = Some(id);
-                    return Poll::Pending;
-                }
-                // A wake was published between the snapshot and the gate
-                // lock: whatever it announced may satisfy us — re-try
-                // instead of sleeping through it.
-                None => {
-                    if let Some(r) = attempt() {
-                        return Poll::Ready(r);
-                    }
-                }
+            if let Some(r) = attempt() {
+                return Poll::Ready(r);
             }
+            let gen = ec.generation();
+            // `None`: a wake was published between the snapshot and the
+            // gate lock. Whatever it announced may satisfy us — re-try
+            // instead of sleeping through it.
+            let Some(id) = ec.register(gen, waker) else {
+                continue;
+            };
+            // Announced. Re-attempt to close the race with a notifier
+            // that read `waiters == 0` before our registration landed.
+            if let Some(r) = attempt() {
+                ec.deregister(id);
+                return Poll::Ready(r);
+            }
+            self.reg = Some(id);
+            return Poll::Pending;
         }
     }
 
-    /// Cancellation half: drop any live registration.
-    fn cancel(&mut self, ec: &EventCount) {
-        if let Some(id) = self.reg.take() {
-            ec.deregister(id);
-        }
-    }
-}
-
-/// How long a timed future may stay pending. `Timeout` resolves to a
-/// deadline lazily at the first pending poll, so a future that resolves
-/// on its first poll never reads the clock.
-#[derive(Debug, Clone, Copy)]
-enum TimeLimit {
-    Deadline(Instant),
-    Timeout(Duration),
-}
-
-/// Timer half of a deadline future: the resolved deadline plus the armed
-/// `timerwheel` entry (if any). The timer is (re)armed with the current
-/// poll's waker each time the future goes pending — tasks can migrate
-/// between polls — and disarmed on completion and on drop.
-struct TimedState {
-    limit: TimeLimit,
-    deadline: Option<Instant>,
-    timer: Option<timerwheel::TimerKey>,
-}
-
-impl TimedState {
-    fn new(limit: TimeLimit) -> Self {
-        TimedState {
-            limit,
-            deadline: None,
-            timer: None,
-        }
-    }
-
-    /// Resolve (lazily) and return the deadline. First call reads the
-    /// clock for a relative limit; later calls are a field read.
-    fn deadline(&mut self) -> Instant {
-        *self.deadline.get_or_insert_with(|| match self.limit {
-            TimeLimit::Deadline(d) => d,
-            TimeLimit::Timeout(t) => Instant::now() + t,
-        })
-    }
-
-    /// Did the deadline pass? Only meaningful after a pending poll
-    /// resolved it via [`deadline`](Self::deadline).
+    /// Did the limit pass? Called only on a poll that would go pending,
+    /// which is where a relative timeout gets pinned to the clock.
     fn expired(&mut self) -> bool {
-        Instant::now() >= self.deadline()
+        self.limit.deadline().is_some_and(|at| Instant::now() >= at)
     }
 
-    /// (Re)arm the timer to fire `waker` at the deadline.
+    /// Going pending: (re)arm the timer to fire `waker` at the deadline —
+    /// with the current poll's waker, since tasks can migrate between
+    /// polls.
     fn arm(&mut self, waker: &Waker) {
         if let Some(k) = self.timer.take() {
             timerwheel::cancel(k);
         }
-        let deadline = self.deadline();
-        self.timer = Some(timerwheel::schedule_at(deadline, waker.clone()));
+        if let Some(at) = self.limit.deadline() {
+            self.timer = Some(timerwheel::schedule_at(at, waker.clone()));
+        }
     }
 
-    /// Disarm the timer (completion or cancellation).
-    fn disarm(&mut self) {
+    /// Completion or cancellation: drop the registration and the timer.
+    fn release(&mut self, ec: &EventCount) {
+        if let Some(id) = self.reg.take() {
+            ec.deregister(id);
+        }
         if let Some(k) = self.timer.take() {
             timerwheel::cancel(k);
         }
     }
 }
 
-/// Future returned by [`AsyncQueue::send_deadline`] /
-/// [`AsyncQueue::send_timeout`].
-pub struct SendDeadlineFuture<'a, T: Send, Q: PointerCapable> {
-    queue: &'a AsyncQueue<T, Q>,
+/// The one future of the async façade: `Op` (one of the four [`WaitOp`]
+/// values) waiting on its eventcount under a [`TimeLimit`], resolving to
+/// `R` — the operation's own result for the `*_within` methods, its
+/// narrower untimed form for the others.
+///
+/// Dropping it while pending cancels the wait: the waker registration
+/// and any armed timer are released here, and whatever the operation
+/// still owns (an unsent value, an unsent batch suffix) drops with it.
+pub struct WaitFuture<
+    'a,
+    T: Send,
+    Q: PointerCapable,
+    Op: WaitOp<T, Q>,
+    R = <Op as WaitOp<T, Q>>::Out,
+> {
+    queue: &'a BlockingQueue<T, Q>,
     handle: &'a mut BoxedHandle<Q>,
-    item: Option<T>,
+    op: Op,
     wait: WaitState,
-    timed: TimedState,
+    _resolves_to: PhantomData<fn() -> R>,
 }
 
-impl<T: Send, Q: PointerCapable> Unpin for SendDeadlineFuture<'_, T, Q> {}
+// The future never hands out pins into its own storage, so it is a plain
+// state machine — safe to consider Unpin regardless of `T`.
+impl<T: Send, Q: PointerCapable, Op: WaitOp<T, Q>, R> Unpin for WaitFuture<'_, T, Q, Op, R> {}
 
-impl<T: Send, Q: PointerCapable> Future for SendDeadlineFuture<'_, T, Q> {
-    type Output = Result<(), SendTimeoutError<T>>;
+impl<T: Send, Q: PointerCapable, Op: WaitOp<T, Q>, R: FromOutcome<Op::Out>> Future
+    for WaitFuture<'_, T, Q, Op, R>
+{
+    type Output = R;
 
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let SendDeadlineFuture {
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<R> {
+        let WaitFuture {
             queue,
             handle,
-            item,
+            op,
             wait,
-            timed,
+            ..
         } = self.get_mut();
-        let ec = queue.sync.not_full_event();
-        let polled = wait.poll_with(ec, cx.waker(), || {
-            let v = item
-                .take()
-                .expect("timed send future polled after completion");
-            match queue.sync.try_send(handle, v) {
-                Ok(()) => Some(Ok(())),
-                Err(TrySendError::Closed(v)) => Some(Err(SendTimeoutError::Closed(v))),
-                Err(TrySendError::Full(v)) => {
-                    *item = Some(v);
-                    None
-                }
-            }
-        });
-        match polled {
-            Poll::Ready(r) => {
-                timed.disarm();
-                Poll::Ready(r)
-            }
-            Poll::Pending if timed.expired() => {
-                // The attempt inside poll_with just ran and failed, so
-                // the value is ours to hand back. Pin close-vs-timeout
-                // by re-reading the flag.
-                wait.cancel(ec);
-                timed.disarm();
-                let v = item.take().expect("item present on timeout");
-                Poll::Ready(Err(if queue.sync.is_closed() {
-                    SendTimeoutError::Closed(v)
-                } else {
-                    SendTimeoutError::Timeout(v)
-                }))
-            }
+        let ec = Op::event(queue);
+        let out = match wait.poll_with(ec, cx.waker(), || op.attempt(queue, handle)) {
+            Poll::Ready(out) => out,
+            // The attempt inside poll_with just ran and failed, so the
+            // operation still owns whatever it has to hand back.
+            Poll::Pending if wait.expired() => op.expired(queue, handle),
             Poll::Pending => {
-                timed.arm(cx.waker());
-                Poll::Pending
+                wait.arm(cx.waker());
+                return Poll::Pending;
             }
-        }
+        };
+        wait.release(ec);
+        Poll::Ready(R::from_outcome(out))
     }
 }
 
-impl<T: Send, Q: PointerCapable> Drop for SendDeadlineFuture<'_, T, Q> {
+impl<T: Send, Q: PointerCapable, Op: WaitOp<T, Q>, R> Drop for WaitFuture<'_, T, Q, Op, R> {
     fn drop(&mut self) {
-        self.wait.cancel(self.queue.sync.not_full_event());
-        self.timed.disarm();
-        // `self.item` (if the send never completed) drops with the future.
-    }
-}
-
-/// Future returned by [`AsyncQueue::recv_deadline`] /
-/// [`AsyncQueue::recv_timeout`].
-pub struct RecvDeadlineFuture<'a, T: Send, Q: PointerCapable> {
-    queue: &'a AsyncQueue<T, Q>,
-    handle: &'a mut BoxedHandle<Q>,
-    wait: WaitState,
-    timed: TimedState,
-}
-
-impl<T: Send, Q: PointerCapable> Unpin for RecvDeadlineFuture<'_, T, Q> {}
-
-impl<T: Send, Q: PointerCapable> Future for RecvDeadlineFuture<'_, T, Q> {
-    type Output = Result<T, RecvTimeoutError>;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let RecvDeadlineFuture {
-            queue,
-            handle,
-            wait,
-            timed,
-        } = self.get_mut();
-        let ec = queue.sync.not_empty_event();
-        let polled = wait.poll_with(ec, cx.waker(), || match queue.sync.try_recv(handle) {
-            Ok(v) => Some(Ok(v)),
-            // Closed: final drain check after observing the flag.
-            Err(TryRecvError::Closed) => Some(
-                queue
-                    .sync
-                    .try_recv(handle)
-                    .map_err(|_| RecvTimeoutError::Closed),
-            ),
-            Err(TryRecvError::Empty) => None,
-        });
-        match polled {
-            Poll::Ready(r) => {
-                timed.disarm();
-                Poll::Ready(r)
-            }
-            Poll::Pending if timed.expired() => {
-                wait.cancel(ec);
-                timed.disarm();
-                // Close-vs-timeout pin: one more flag check (with drain)
-                // before blaming the clock.
-                Poll::Ready(if queue.sync.is_closed() {
-                    queue
-                        .sync
-                        .try_recv(handle)
-                        .map_err(|_| RecvTimeoutError::Closed)
-                } else {
-                    Err(RecvTimeoutError::Timeout)
-                })
-            }
-            Poll::Pending => {
-                timed.arm(cx.waker());
-                Poll::Pending
-            }
-        }
-    }
-}
-
-impl<T: Send, Q: PointerCapable> Drop for RecvDeadlineFuture<'_, T, Q> {
-    fn drop(&mut self) {
-        self.wait.cancel(self.queue.sync.not_empty_event());
-        self.timed.disarm();
-    }
-}
-
-/// Future returned by [`AsyncQueue::send`].
-pub struct SendFuture<'a, T: Send, Q: PointerCapable> {
-    queue: &'a AsyncQueue<T, Q>,
-    handle: &'a mut BoxedHandle<Q>,
-    item: Option<T>,
-    wait: WaitState,
-}
-
-// The futures never hand out pins into their own storage, so they are
-// plain state machines — safe to consider Unpin regardless of `T`.
-impl<T: Send, Q: PointerCapable> Unpin for SendFuture<'_, T, Q> {}
-
-impl<T: Send, Q: PointerCapable> Future for SendFuture<'_, T, Q> {
-    type Output = Result<(), SendError<T>>;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let SendFuture {
-            queue,
-            handle,
-            item,
-            wait,
-        } = self.get_mut();
-        wait.poll_with(queue.sync.not_full_event(), cx.waker(), || {
-            let v = item.take().expect("send future polled after completion");
-            match queue.sync.try_send(handle, v) {
-                Ok(()) => Some(Ok(())),
-                Err(TrySendError::Closed(v)) => Some(Err(SendError(v))),
-                Err(TrySendError::Full(v)) => {
-                    *item = Some(v);
-                    None
-                }
-            }
-        })
-    }
-}
-
-impl<T: Send, Q: PointerCapable> Drop for SendFuture<'_, T, Q> {
-    fn drop(&mut self) {
-        self.wait.cancel(self.queue.sync.not_full_event());
-        // `self.item` (if the send never completed) drops with the future.
-    }
-}
-
-/// Future returned by [`AsyncQueue::recv`].
-pub struct RecvFuture<'a, T: Send, Q: PointerCapable> {
-    queue: &'a AsyncQueue<T, Q>,
-    handle: &'a mut BoxedHandle<Q>,
-    wait: WaitState,
-}
-
-impl<T: Send, Q: PointerCapable> Unpin for RecvFuture<'_, T, Q> {}
-
-impl<T: Send, Q: PointerCapable> Future for RecvFuture<'_, T, Q> {
-    type Output = Option<T>;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let RecvFuture {
-            queue,
-            handle,
-            wait,
-        } = self.get_mut();
-        wait.poll_with(queue.sync.not_empty_event(), cx.waker(), || {
-            match queue.sync.try_recv(handle) {
-                Ok(v) => Some(Some(v)),
-                // Closed: final drain check after observing the flag
-                // (same reasoning as the blocking recv).
-                Err(TryRecvError::Closed) => Some(queue.sync.try_recv(handle).ok()),
-                Err(TryRecvError::Empty) => None,
-            }
-        })
-    }
-}
-
-impl<T: Send, Q: PointerCapable> Drop for RecvFuture<'_, T, Q> {
-    fn drop(&mut self) {
-        self.wait.cancel(self.queue.sync.not_empty_event());
-    }
-}
-
-/// Future returned by [`AsyncQueue::send_all`].
-pub struct SendAllFuture<'a, T: Send, Q: PointerCapable> {
-    queue: &'a AsyncQueue<T, Q>,
-    handle: &'a mut BoxedHandle<Q>,
-    /// Remaining (not yet accepted) items; `None` after completion.
-    items: Option<Vec<T>>,
-    wait: WaitState,
-}
-
-impl<T: Send, Q: PointerCapable> Unpin for SendAllFuture<'_, T, Q> {}
-
-impl<T: Send, Q: PointerCapable> Future for SendAllFuture<'_, T, Q> {
-    type Output = Result<(), SendError<Vec<T>>>;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let SendAllFuture {
-            queue,
-            handle,
-            items,
-            wait,
-        } = self.get_mut();
-        wait.poll_with(queue.sync.not_full_event(), cx.waker(), || {
-            let batch = items
-                .take()
-                .expect("send_all future polled after completion");
-            if queue.sync.is_closed() {
-                return Some(Err(SendError(batch)));
-            }
-            let rejected = queue.sync.try_send_many(handle, batch);
-            if rejected.is_empty() {
-                Some(Ok(()))
-            } else {
-                *items = Some(rejected);
-                None
-            }
-        })
-    }
-}
-
-impl<T: Send, Q: PointerCapable> Drop for SendAllFuture<'_, T, Q> {
-    fn drop(&mut self) {
-        self.wait.cancel(self.queue.sync.not_full_event());
-        // Unsent items drop with the future; accepted ones stay queued.
-    }
-}
-
-/// Future returned by [`AsyncQueue::recv_many`].
-pub struct RecvManyFuture<'a, T: Send, Q: PointerCapable> {
-    queue: &'a AsyncQueue<T, Q>,
-    handle: &'a mut BoxedHandle<Q>,
-    max: usize,
-    out: Vec<T>,
-    wait: WaitState,
-}
-
-impl<T: Send, Q: PointerCapable> Unpin for RecvManyFuture<'_, T, Q> {}
-
-impl<T: Send, Q: PointerCapable> Future for RecvManyFuture<'_, T, Q> {
-    type Output = Vec<T>;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let RecvManyFuture {
-            queue,
-            handle,
-            max,
-            out,
-            wait,
-        } = self.get_mut();
-        wait.poll_with(queue.sync.not_empty_event(), cx.waker(), || {
-            if queue.sync.try_recv_many(handle, *max, out) > 0 {
-                return Some(std::mem::take(out));
-            }
-            if queue.sync.is_closed() {
-                // Final drain check; an empty result means closed+drained.
-                queue.sync.try_recv_many(handle, *max, out);
-                return Some(std::mem::take(out));
-            }
-            None
-        })
-    }
-}
-
-impl<T: Send, Q: PointerCapable> Drop for RecvManyFuture<'_, T, Q> {
-    fn drop(&mut self) {
-        self.wait.cancel(self.queue.sync.not_empty_event());
-        // NB: a cancelled recv_many that already buffered a partial batch
-        // cannot happen — elements are only taken in the resolving poll.
+        self.wait.release(Op::event(self.queue));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::blocking::{RecvTimeoutError, SendTimeoutError};
     use crate::optimal::OptimalQueue;
     use crate::sharded::ShardedQueue;
     use pollster::block_on;
@@ -851,11 +489,11 @@ mod tests {
         let q = make(4, 1);
         let mut h = q.register();
         block_on(async {
-            q.send_timeout(&mut h, 7, std::time::Duration::from_secs(30))
+            q.send_within(&mut h, 7, std::time::Duration::from_secs(30))
                 .await
                 .unwrap();
             assert_eq!(
-                q.recv_deadline(&mut h, Instant::now() + std::time::Duration::from_secs(30))
+                q.recv_within(&mut h, Instant::now() + std::time::Duration::from_secs(30))
                     .await,
                 Ok(7)
             );
@@ -870,7 +508,7 @@ mod tests {
         q.try_send(&mut h, 1).unwrap();
         let start = Instant::now();
         let err =
-            block_on(q.send_timeout(&mut h, 2, std::time::Duration::from_millis(30))).unwrap_err();
+            block_on(q.send_within(&mut h, 2, std::time::Duration::from_millis(30))).unwrap_err();
         assert_eq!(err, SendTimeoutError::Timeout(2));
         assert!(start.elapsed() >= std::time::Duration::from_millis(30));
         assert_eq!(q.blocking().not_full_event().registered_wakers(), 0);
@@ -881,11 +519,11 @@ mod tests {
         let q = make(4, 1);
         let mut h = q.register();
         assert_eq!(
-            block_on(q.recv_timeout(&mut h, std::time::Duration::from_millis(30))),
+            block_on(q.recv_within(&mut h, std::time::Duration::from_millis(30))),
             Err(RecvTimeoutError::Timeout)
         );
         assert_eq!(
-            block_on(q.recv_deadline(&mut h, Instant::now())),
+            block_on(q.recv_within(&mut h, Instant::now())),
             Err(RecvTimeoutError::Timeout),
             "already-expired deadline resolves on the first poll"
         );
@@ -903,7 +541,7 @@ mod tests {
         });
         let mut h = q.register();
         assert_eq!(
-            block_on(q.recv_deadline(&mut h, Instant::now() + std::time::Duration::from_secs(30))),
+            block_on(q.recv_within(&mut h, Instant::now() + std::time::Duration::from_secs(30))),
             Ok(42)
         );
         producer.join().unwrap();
@@ -918,12 +556,12 @@ mod tests {
         let past = Instant::now() - std::time::Duration::from_millis(1);
         block_on(async {
             assert_eq!(
-                q.send_deadline(&mut h, 9, past).await,
+                q.send_within(&mut h, 9, past).await,
                 Err(SendTimeoutError::Closed(9))
             );
-            assert_eq!(q.recv_deadline(&mut h, past).await, Ok(1), "drain first");
+            assert_eq!(q.recv_within(&mut h, past).await, Ok(1), "drain first");
             assert_eq!(
-                q.recv_deadline(&mut h, past).await,
+                q.recv_within(&mut h, past).await,
                 Err(RecvTimeoutError::Closed)
             );
         });

@@ -19,14 +19,18 @@
 //! eventcount's announce → snapshot → re-attempt → park-if-unchanged
 //! protocol; see the [`crate::event`] module docs for the full argument.
 //! This file contains **no parking machinery of its own**: every wait is
-//! an [`EventCount::wait_until`] call whose attempt closure is the
-//! non-blocking operation, and every successful transition publishes a
-//! wake to the opposite direction via [`EventCount::wake_all`]. The
-//! async façade ([`crate::AsyncQueue`]) drives futures off the *same two
-//! eventcount instances*, so blocking threads and async tasks can wait
-//! on one queue simultaneously. Waits are untimed, the uncontended wake
-//! fast path is one atomic load, and blocking throughput has no built-in
-//! millisecond floor.
+//! one [`EventCount::wait`] call, and every successful transition
+//! publishes a wake to the opposite direction via
+//! [`EventCount::wake_all`]. What is waited *for* is a value: the four
+//! operations ([`SendOp`], [`RecvOp`], [`SendAllOp`], [`RecvManyOp`])
+//! each say how to try once and what to report when a [`TimeLimit`]
+//! passes ([`WaitOp`]). The untimed methods are the
+//! [`Forever`](TimeLimit::Forever) call of the `*_within` ones, and the
+//! async façade ([`crate::AsyncQueue`]) polls the *same four values*
+//! against the *same two eventcount instances*, so blocking threads and
+//! async tasks can wait on one queue simultaneously. No wait polls on a
+//! timer, the uncontended wake fast path is one atomic load, and
+//! blocking throughput has no built-in millisecond floor.
 //!
 //! ## Shutdown: `close()` with drain semantics
 //!
@@ -38,14 +42,14 @@
 //! its element — it is never lost: it remains in the queue for later
 //! receivers (or the destructor's drain). Conservation is unaffected.
 
+use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
-use std::time::{Duration, Instant};
 
 use crate::simx::SimAtomicBool;
 
 use crate::boxed::{BoxedHandle, BoxedQueue, PointerCapable};
-use crate::event::EventCount;
+use crate::event::{EventCount, TimeLimit};
 
 /// Error returned by a blocking/async `send` on a closed queue: carries
 /// the unsent value(s) back to the caller.
@@ -81,8 +85,8 @@ pub enum TryRecvError {
     Closed,
 }
 
-/// Error returned by a deadline/timeout `send`: the value comes back in
-/// both cases, and the two failure causes stay distinguishable — a
+/// Error returned by a `send` under a [`TimeLimit`]: the value comes back
+/// in both cases, and the two failure causes stay distinguishable — a
 /// `Timeout` may be retried, a `Closed` never succeeds again.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SendTimeoutError<T> {
@@ -119,7 +123,7 @@ impl<T> std::fmt::Display for SendTimeoutError<T> {
 
 impl<T: std::fmt::Debug> std::error::Error for SendTimeoutError<T> {}
 
-/// Error returned by a deadline/timeout `recv`.
+/// Error returned by a `recv` under a [`TimeLimit`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecvTimeoutError {
     /// The deadline passed with the queue still empty and open. As with
@@ -142,21 +146,256 @@ impl std::fmt::Display for RecvTimeoutError {
 
 impl std::error::Error for RecvTimeoutError {}
 
-/// How long a timed operation may wait. `Deadline` is absolute;
-/// `Timeout` resolves to a deadline lazily at the first park, so an
-/// operation that never waits never reads the clock.
-#[derive(Debug, Clone, Copy)]
-enum Wait {
-    Deadline(Instant),
-    Timeout(Duration),
+/// One waiting operation as a value. Both façades drive the same
+/// implementation — [`BlockingQueue`] inside [`EventCount::wait`],
+/// [`WaitFuture`](crate::WaitFuture) inside its poll — so every
+/// {operation} × {limit} × {thread, task} cell is one of the four types
+/// below plus one loop. Only the façades build them.
+pub trait WaitOp<T: Send, Q: PointerCapable> {
+    /// What the operation resolves to under a [`TimeLimit`]; the untimed
+    /// methods map it onto their narrower types ([`FromOutcome`]).
+    type Out;
+
+    /// The eventcount this operation parks on.
+    fn event(q: &BlockingQueue<T, Q>) -> &EventCount;
+
+    /// One non-blocking try. `Some` ends the wait — the operation
+    /// completed, or the queue is closed; `None` means full/empty: park.
+    fn attempt(&mut self, q: &BlockingQueue<T, Q>, h: &mut BoxedHandle<Q>) -> Option<Self::Out>;
+
+    /// The outcome once the closed flag has been observed: senders get
+    /// back what was not sent; receivers make one more dequeue *after*
+    /// the flag, which catches an element deposited between the failed
+    /// dequeue and the flag read (drain semantics).
+    fn closed(&mut self, q: &BlockingQueue<T, Q>, h: &mut BoxedHandle<Q>) -> Self::Out;
+
+    /// The outcome when the limit passed on an open queue.
+    fn timed_out(&mut self) -> Self::Out;
+
+    /// The limit passed and the attempt made after it still failed. This
+    /// is the **close-vs-timeout pin**, written once: a queue closed
+    /// before the limit reports `Closed` even when that last attempt
+    /// raced the flag; only an open queue blames the clock.
+    fn expired(&mut self, q: &BlockingQueue<T, Q>, h: &mut BoxedHandle<Q>) -> Self::Out {
+        if q.is_closed() {
+            self.closed(q, h)
+        } else {
+            self.timed_out()
+        }
+    }
 }
 
-impl Wait {
-    fn until<R>(self, ec: &EventCount, attempt: impl FnMut() -> Option<R>) -> Option<R> {
-        match self {
-            Wait::Deadline(d) => ec.wait_until_deadline(d, attempt),
-            Wait::Timeout(t) => ec.wait_until_timeout(t, attempt),
+/// A result type that a [`WaitOp::Out`] maps onto: itself (the `*_within`
+/// methods), or the narrower type of the untimed method. The map is
+/// total — a wait under [`TimeLimit::Forever`] never expires, so its
+/// `Timeout` arm is dead, but needs no panic.
+pub trait FromOutcome<O> {
+    /// Map the operation's outcome onto this type.
+    fn from_outcome(out: O) -> Self;
+}
+
+impl<O> FromOutcome<O> for O {
+    fn from_outcome(out: O) -> O {
+        out
+    }
+}
+
+impl<V> FromOutcome<Result<(), SendTimeoutError<V>>> for Result<(), SendError<V>> {
+    fn from_outcome(out: Result<(), SendTimeoutError<V>>) -> Self {
+        out.map_err(|e| SendError(e.into_inner()))
+    }
+}
+
+impl<T> FromOutcome<Result<T, RecvTimeoutError>> for Option<T> {
+    fn from_outcome(out: Result<T, RecvTimeoutError>) -> Self {
+        out.ok()
+    }
+}
+
+impl<T> FromOutcome<Result<Vec<T>, RecvTimeoutError>> for Vec<T> {
+    fn from_outcome(out: Result<Vec<T>, RecvTimeoutError>) -> Self {
+        out.unwrap_or_default()
+    }
+}
+
+/// `send`: the value waiting for a slot. Each attempt takes it out and a
+/// `Full` refusal puts it back, so whatever ends the wait — an error
+/// return, a cancelled future's drop — still owns it.
+pub struct SendOp<T>(pub(crate) Option<T>);
+
+impl<T> SendOp<T> {
+    fn value(&mut self) -> T {
+        self.0
+            .take()
+            .expect("the value is present until the send ends")
+    }
+}
+
+impl<T: Send, Q: PointerCapable> WaitOp<T, Q> for SendOp<T> {
+    type Out = Result<(), SendTimeoutError<T>>;
+
+    fn event(q: &BlockingQueue<T, Q>) -> &EventCount {
+        &q.not_full
+    }
+
+    fn attempt(&mut self, q: &BlockingQueue<T, Q>, h: &mut BoxedHandle<Q>) -> Option<Self::Out> {
+        match q.try_send(h, self.value()) {
+            Ok(()) => Some(Ok(())),
+            Err(TrySendError::Closed(v)) => Some(Err(SendTimeoutError::Closed(v))),
+            Err(TrySendError::Full(v)) => {
+                self.0 = Some(v);
+                None
+            }
         }
+    }
+
+    fn closed(&mut self, _q: &BlockingQueue<T, Q>, _h: &mut BoxedHandle<Q>) -> Self::Out {
+        Err(SendTimeoutError::Closed(self.value()))
+    }
+
+    fn timed_out(&mut self) -> Self::Out {
+        Err(SendTimeoutError::Timeout(self.value()))
+    }
+}
+
+/// `recv`: stateless — an element is taken only by the attempt that ends
+/// the wait, so an abandoned `recv` can never hold one.
+pub struct RecvOp;
+
+impl<T: Send, Q: PointerCapable> WaitOp<T, Q> for RecvOp {
+    type Out = Result<T, RecvTimeoutError>;
+
+    fn event(q: &BlockingQueue<T, Q>) -> &EventCount {
+        &q.not_empty
+    }
+
+    fn attempt(&mut self, q: &BlockingQueue<T, Q>, h: &mut BoxedHandle<Q>) -> Option<Self::Out> {
+        match q.try_recv(h) {
+            Ok(v) => Some(Ok(v)),
+            Err(TryRecvError::Closed) => Some(self.closed(q, h)),
+            Err(TryRecvError::Empty) => None,
+        }
+    }
+
+    fn closed(&mut self, q: &BlockingQueue<T, Q>, h: &mut BoxedHandle<Q>) -> Self::Out {
+        q.try_recv(h).map_err(|_| RecvTimeoutError::Closed)
+    }
+
+    fn timed_out(&mut self) -> Self::Out {
+        Err(RecvTimeoutError::Timeout)
+    }
+}
+
+/// `send_all`: the batch, boxed **once** into its token run (a parked
+/// batch retries on the run instead of round-tripping every pending item
+/// through `Box` on each wake), and how far the queue has taken it.
+/// `tokens[sent..]` is the unsent suffix and belongs to this value:
+/// handed back on close or expiry, dropped with it when the wait is
+/// abandoned (a cancelled future, a panic unwinding through the wait) —
+/// each element exactly once either way. Accepted items stay queued.
+pub struct SendAllOp<T: Send, Q: PointerCapable> {
+    tokens: Vec<u64>,
+    sent: usize,
+    _owns: PhantomData<(T, fn() -> Q)>,
+}
+
+impl<T: Send, Q: PointerCapable> SendAllOp<T, Q> {
+    pub(crate) fn new(items: Vec<T>) -> Self {
+        let box_token = BoxedQueue::<T, Q>::box_token;
+        SendAllOp {
+            tokens: items.into_iter().map(box_token).collect(),
+            sent: 0,
+            _owns: PhantomData,
+        }
+    }
+
+    /// Move the unsent suffix out as values. It is disowned *first*:
+    /// should anything below unwind, the remainder leaks rather than
+    /// being freed a second time by [`Drop`].
+    pub(crate) fn take_unsent(&mut self) -> Vec<T> {
+        let from = std::mem::replace(&mut self.sent, self.tokens.len());
+        let unbox_token = |&t| BoxedQueue::<T, Q>::unbox_token(t);
+        self.tokens[from..].iter().map(unbox_token).collect()
+    }
+}
+
+impl<T: Send, Q: PointerCapable> Drop for SendAllOp<T, Q> {
+    fn drop(&mut self) {
+        drop(self.take_unsent());
+    }
+}
+
+impl<T: Send, Q: PointerCapable> WaitOp<T, Q> for SendAllOp<T, Q> {
+    type Out = Result<(), SendTimeoutError<Vec<T>>>;
+
+    fn event(q: &BlockingQueue<T, Q>) -> &EventCount {
+        &q.not_full
+    }
+
+    fn attempt(&mut self, q: &BlockingQueue<T, Q>, h: &mut BoxedHandle<Q>) -> Option<Self::Out> {
+        if q.is_closed() {
+            return Some(self.closed(q, h));
+        }
+        // While the inner queue runs, nobody can say which tokens of the
+        // run it has taken, so the run is disowned for the call: a panic
+        // unwinding out of it (the queue is then poisoned) leaks the
+        // in-flight run rather than let `Drop` free boxes that receivers
+        // will still drain.
+        let from = std::mem::replace(&mut self.sent, self.tokens.len());
+        let n = q.contain(|| q.inner.enqueue_tokens(h, &self.tokens[from..]));
+        self.sent = from + n;
+        if n > 0 {
+            q.not_empty.wake_all();
+        }
+        (self.sent == self.tokens.len()).then_some(Ok(()))
+    }
+
+    fn closed(&mut self, _q: &BlockingQueue<T, Q>, _h: &mut BoxedHandle<Q>) -> Self::Out {
+        Err(SendTimeoutError::Closed(self.take_unsent()))
+    }
+
+    fn timed_out(&mut self) -> Self::Out {
+        Err(SendTimeoutError::Timeout(self.take_unsent()))
+    }
+}
+
+/// `recv_many`: the batch bound. Elements are taken only by the attempt
+/// that ends the wait; a miss pushes nothing and allocates nothing.
+pub struct RecvManyOp(usize);
+
+impl RecvManyOp {
+    pub(crate) fn new(max: usize) -> Self {
+        assert!(max > 0, "recv_many needs a positive batch bound");
+        RecvManyOp(max)
+    }
+}
+
+impl<T: Send, Q: PointerCapable> WaitOp<T, Q> for RecvManyOp {
+    type Out = Result<Vec<T>, RecvTimeoutError>;
+
+    fn event(q: &BlockingQueue<T, Q>) -> &EventCount {
+        &q.not_empty
+    }
+
+    fn attempt(&mut self, q: &BlockingQueue<T, Q>, h: &mut BoxedHandle<Q>) -> Option<Self::Out> {
+        let mut out = Vec::new();
+        if q.try_recv_many(h, self.0, &mut out) > 0 {
+            return Some(Ok(out));
+        }
+        q.is_closed().then(|| self.closed(q, h))
+    }
+
+    fn closed(&mut self, q: &BlockingQueue<T, Q>, h: &mut BoxedHandle<Q>) -> Self::Out {
+        let mut out = Vec::new();
+        if q.try_recv_many(h, self.0, &mut out) > 0 {
+            Ok(out)
+        } else {
+            Err(RecvTimeoutError::Closed)
+        }
+    }
+
+    fn timed_out(&mut self) -> Self::Out {
+        Err(RecvTimeoutError::Timeout)
     }
 }
 
@@ -271,20 +510,41 @@ impl<T: Send, Q: PointerCapable> BlockingQueue<T, Q> {
         }
     }
 
+    /// Drive `op` to completion on the calling thread: the one place a
+    /// blocking method waits. `R` is the caller's result type.
+    fn wait<Op: WaitOp<T, Q>, R: FromOutcome<Op::Out>>(
+        &self,
+        h: &mut BoxedHandle<Q>,
+        mut op: Op,
+        limit: TimeLimit,
+    ) -> R {
+        R::from_outcome(match Op::event(self).wait(limit, || op.attempt(self, h)) {
+            Some(out) => out,
+            None => op.expired(self, h),
+        })
+    }
+
     /// Enqueue, waiting while the queue is full. Fails only when the
     /// queue is (or becomes) closed, returning the value.
     pub fn send(&self, h: &mut BoxedHandle<Q>, value: T) -> Result<(), SendError<T>> {
-        let mut item = Some(value);
-        self.not_full.wait_until(
-            || match self.try_send(h, item.take().expect("item present")) {
-                Ok(()) => Some(Ok(())),
-                Err(TrySendError::Closed(v)) => Some(Err(SendError(v))),
-                Err(TrySendError::Full(v)) => {
-                    item = Some(v);
-                    None
-                }
-            },
-        )
+        self.wait(h, SendOp(Some(value)), TimeLimit::Forever)
+    }
+
+    /// [`send`](Self::send) under a [`TimeLimit`]: pass an `Instant`
+    /// (absolute deadline) or a `Duration` (timeout, counted from the
+    /// first park). When the limit passes with the queue still full the
+    /// value comes back as [`SendTimeoutError::Timeout`]. The fast path
+    /// never reads the clock — the limit only matters once a park
+    /// actually happens (E16 measures this) — and a `close()` racing the
+    /// limit is pinned: if the queue was closed first, the error is
+    /// `Closed`, never `Timeout`.
+    pub fn send_within(
+        &self,
+        h: &mut BoxedHandle<Q>,
+        value: T,
+        limit: impl Into<TimeLimit>,
+    ) -> Result<(), SendTimeoutError<T>> {
+        self.wait(h, SendOp(Some(value)), limit.into())
     }
 
     /// Non-blocking dequeue.
@@ -306,62 +566,53 @@ impl<T: Send, Q: PointerCapable> BlockingQueue<T, Q> {
     /// once the queue is closed **and** observed empty after the closed
     /// flag (drain semantics: every accepted element is delivered first).
     pub fn recv(&self, h: &mut BoxedHandle<Q>) -> Option<T> {
-        self.not_empty.wait_until(|| match self.try_recv(h) {
-            Ok(v) => Some(Some(v)),
-            // Closed: one final drain check *after* observing the flag
-            // catches elements deposited between the failed dequeue and
-            // the flag read.
-            Err(TryRecvError::Closed) => Some(self.try_recv(h).ok()),
-            Err(TryRecvError::Empty) => None,
-        })
+        self.wait(h, RecvOp, TimeLimit::Forever)
     }
 
-    /// Non-blocking batch enqueue: accepts a prefix (through the inner
-    /// queue's batch path) and returns the rejected suffix — everything,
-    /// untouched, when the queue is closed (check
-    /// [`is_closed`](Self::is_closed) to tell the cases apart).
+    /// [`recv`](Self::recv) under a [`TimeLimit`] (see
+    /// [`send_within`](Self::send_within); the clock is read only if the
+    /// queue stays empty long enough to park). `Closed` keeps drain
+    /// semantics, and close-vs-timeout is pinned the same way as for
+    /// sends: closed-and-drained before the limit reports
+    /// [`RecvTimeoutError::Closed`], never `Timeout`.
+    pub fn recv_within(
+        &self,
+        h: &mut BoxedHandle<Q>,
+        limit: impl Into<TimeLimit>,
+    ) -> Result<T, RecvTimeoutError> {
+        self.wait(h, RecvOp, limit.into())
+    }
+
+    /// Non-blocking batch enqueue — one attempt of [`send_all`](Self::send_all):
+    /// accepts a prefix (through the inner queue's batch path) and
+    /// returns the rejected suffix — everything, untouched, when the
+    /// queue is closed (check [`is_closed`](Self::is_closed) to tell the
+    /// cases apart).
     pub fn try_send_many(&self, h: &mut BoxedHandle<Q>, items: Vec<T>) -> Vec<T> {
-        if self.is_closed() {
-            return items;
+        let mut op = SendAllOp::new(items);
+        match op.attempt(self, h) {
+            Some(Err(closed)) => closed.into_inner(),
+            _ => op.take_unsent(),
         }
-        let total = items.len();
-        let rejected = self.contain(|| self.inner.enqueue_many(h, items));
-        if rejected.len() < total {
-            self.not_empty.wake_all();
-        }
-        rejected
     }
 
     /// Batch enqueue, waiting until **every** item is accepted. On close,
     /// returns the unsent suffix (already-accepted items stay in the
     /// queue for receivers to drain).
     pub fn send_all(&self, h: &mut BoxedHandle<Q>, items: Vec<T>) -> Result<(), SendError<Vec<T>>> {
-        // Box once and retry on the token run: a parked batch would
-        // otherwise round-trip every pending item through Box on each
-        // wake. (If a retry panics, the unsent suffix leaks its boxes —
-        // a memory leak only, and the inner enqueue does not panic on
-        // tokens produced by `box_token`.)
-        let tokens: Vec<u64> = items
-            .into_iter()
-            .map(BoxedQueue::<T, Q>::box_token)
-            .collect();
-        let mut sent = 0usize;
-        self.not_full.wait_until(|| {
-            if self.is_closed() {
-                let unsent = tokens[sent..]
-                    .iter()
-                    .map(|&t| BoxedQueue::<T, Q>::unbox_token(t))
-                    .collect();
-                sent = tokens.len(); // the suffix's ownership moved out
-                return Some(Err(SendError(unsent)));
-            }
-            let n = self.contain(|| self.inner.enqueue_tokens(h, &tokens[sent..]));
-            if n > 0 {
-                self.not_empty.wake_all();
-            }
-            sent += n;
-            (sent == tokens.len()).then_some(Ok(()))
-        })
+        self.wait(h, SendAllOp::new(items), TimeLimit::Forever)
+    }
+
+    /// [`send_all`](Self::send_all) under a [`TimeLimit`]: when it passes,
+    /// the unsent suffix comes back as `Timeout(suffix)`; the accepted
+    /// prefix stays in the queue (conservation, as with close).
+    pub fn send_all_within(
+        &self,
+        h: &mut BoxedHandle<Q>,
+        items: Vec<T>,
+        limit: impl Into<TimeLimit>,
+    ) -> Result<(), SendTimeoutError<Vec<T>>> {
+        self.wait(h, SendAllOp::new(items), limit.into())
     }
 
     /// Non-blocking batch dequeue into `out`; returns the count taken.
@@ -378,263 +629,19 @@ impl<T: Send, Q: PointerCapable> BlockingQueue<T, Q> {
     /// and fully drained (for `max > 0` that is the only way it can be
     /// empty).
     pub fn recv_many(&self, h: &mut BoxedHandle<Q>, max: usize) -> Vec<T> {
-        assert!(max > 0, "recv_many needs a positive batch bound");
-        // One buffer across park/retry cycles; failed attempts push
-        // nothing into it and allocate nothing.
-        let mut out = Vec::new();
-        self.not_empty.wait_until(|| {
-            if self.try_recv_many(h, max, &mut out) > 0 {
-                return Some(());
-            }
-            if self.is_closed() {
-                // Final drain check after observing the flag, as in recv.
-                self.try_recv_many(h, max, &mut out);
-                return Some(());
-            }
-            None
-        });
-        out
+        self.wait(h, RecvManyOp::new(max), TimeLimit::Forever)
     }
 
-    /// [`send`](Self::send) with an absolute deadline: waits for space at
-    /// most until `deadline`, then hands the value back as
-    /// [`SendTimeoutError::Timeout`]. The fast path never reads the
-    /// clock — the deadline only matters once a park actually happens —
-    /// and a `close()` racing the deadline is pinned: if the queue was
-    /// closed first, the error is `Closed`, never `Timeout`.
-    pub fn send_deadline(
-        &self,
-        h: &mut BoxedHandle<Q>,
-        value: T,
-        deadline: Instant,
-    ) -> Result<(), SendTimeoutError<T>> {
-        self.send_limited(h, value, Wait::Deadline(deadline))
-    }
-
-    /// [`send_deadline`](Self::send_deadline) with a relative timeout.
-    /// The timeout resolves to a deadline lazily at the first park, so an
-    /// uncontended send never reads the clock (E16 measures this).
-    pub fn send_timeout(
-        &self,
-        h: &mut BoxedHandle<Q>,
-        value: T,
-        timeout: Duration,
-    ) -> Result<(), SendTimeoutError<T>> {
-        self.send_limited(h, value, Wait::Timeout(timeout))
-    }
-
-    fn send_limited(
-        &self,
-        h: &mut BoxedHandle<Q>,
-        value: T,
-        wait: Wait,
-    ) -> Result<(), SendTimeoutError<T>> {
-        let mut item = Some(value);
-        let res = wait.until(&self.not_full, || {
-            match self.try_send(h, item.take().expect("item present")) {
-                Ok(()) => Some(Ok(())),
-                Err(TrySendError::Closed(v)) => Some(Err(SendTimeoutError::Closed(v))),
-                Err(TrySendError::Full(v)) => {
-                    item = Some(v);
-                    None
-                }
-            }
-        });
-        match res {
-            Some(r) => r,
-            None => {
-                // Deadline fired; the eventcount already ran one final
-                // attempt, so `item` is still ours. Pin close-vs-timeout:
-                // a queue closed before the deadline reports Closed even
-                // if the last attempt raced the flag.
-                let v = item.take().expect("item present on timeout");
-                if self.is_closed() {
-                    Err(SendTimeoutError::Closed(v))
-                } else {
-                    Err(SendTimeoutError::Timeout(v))
-                }
-            }
-        }
-    }
-
-    /// [`recv`](Self::recv) with an absolute deadline. `Closed` still has
-    /// drain semantics (every accepted element is delivered before the
-    /// closed state is reported), and close-vs-timeout is pinned the same
-    /// way as for sends: closed-and-drained before the deadline reports
-    /// [`RecvTimeoutError::Closed`], never `Timeout`.
-    pub fn recv_deadline(
-        &self,
-        h: &mut BoxedHandle<Q>,
-        deadline: Instant,
-    ) -> Result<T, RecvTimeoutError> {
-        self.recv_limited(h, Wait::Deadline(deadline))
-    }
-
-    /// [`recv_deadline`](Self::recv_deadline) with a relative timeout
-    /// (clock read only if the queue is actually empty long enough to
-    /// park).
-    pub fn recv_timeout(
-        &self,
-        h: &mut BoxedHandle<Q>,
-        timeout: Duration,
-    ) -> Result<T, RecvTimeoutError> {
-        self.recv_limited(h, Wait::Timeout(timeout))
-    }
-
-    fn recv_limited(&self, h: &mut BoxedHandle<Q>, wait: Wait) -> Result<T, RecvTimeoutError> {
-        let res = wait.until(&self.not_empty, || match self.try_recv(h) {
-            Ok(v) => Some(Ok(v)),
-            Err(TryRecvError::Closed) => {
-                // Final drain check after observing the flag, as in recv.
-                Some(self.try_recv(h).map_err(|_| RecvTimeoutError::Closed))
-            }
-            Err(TryRecvError::Empty) => None,
-        });
-        match res {
-            Some(r) => r,
-            // Timed out with the queue open as of the last attempt; the
-            // close-vs-timeout pin re-checks the flag (with one more
-            // drain pass) before blaming the clock.
-            None => {
-                if self.is_closed() {
-                    self.try_recv(h).map_err(|_| RecvTimeoutError::Closed)
-                } else {
-                    Err(RecvTimeoutError::Timeout)
-                }
-            }
-        }
-    }
-
-    /// [`send_all`](Self::send_all) with an absolute deadline: on timeout
-    /// the unsent suffix comes back as `Timeout(suffix)`; the accepted
-    /// prefix stays in the queue (conservation, as with close).
-    pub fn send_all_deadline(
-        &self,
-        h: &mut BoxedHandle<Q>,
-        items: Vec<T>,
-        deadline: Instant,
-    ) -> Result<(), SendTimeoutError<Vec<T>>> {
-        self.send_all_limited(h, items, Wait::Deadline(deadline))
-    }
-
-    /// [`send_all_deadline`](Self::send_all_deadline) with a relative
-    /// timeout (lazy deadline resolution, like
-    /// [`send_timeout`](Self::send_timeout)).
-    pub fn send_all_timeout(
-        &self,
-        h: &mut BoxedHandle<Q>,
-        items: Vec<T>,
-        timeout: Duration,
-    ) -> Result<(), SendTimeoutError<Vec<T>>> {
-        self.send_all_limited(h, items, Wait::Timeout(timeout))
-    }
-
-    fn send_all_limited(
-        &self,
-        h: &mut BoxedHandle<Q>,
-        items: Vec<T>,
-        wait: Wait,
-    ) -> Result<(), SendTimeoutError<Vec<T>>> {
-        // Box once, retry on the token run — same pattern as send_all.
-        let tokens: Vec<u64> = items
-            .into_iter()
-            .map(BoxedQueue::<T, Q>::box_token)
-            .collect();
-        let mut sent = 0usize;
-        let res = wait.until(&self.not_full, || {
-            if self.is_closed() {
-                let unsent = tokens[sent..]
-                    .iter()
-                    .map(|&t| BoxedQueue::<T, Q>::unbox_token(t))
-                    .collect();
-                sent = tokens.len(); // the suffix's ownership moved out
-                return Some(Err(SendTimeoutError::Closed(unsent)));
-            }
-            let n = self.contain(|| self.inner.enqueue_tokens(h, &tokens[sent..]));
-            if n > 0 {
-                self.not_empty.wake_all();
-            }
-            sent += n;
-            (sent == tokens.len()).then_some(Ok(()))
-        });
-        match res {
-            Some(r) => r,
-            None => {
-                let unsent: Vec<T> = tokens[sent..]
-                    .iter()
-                    .map(|&t| BoxedQueue::<T, Q>::unbox_token(t))
-                    .collect();
-                if self.is_closed() {
-                    Err(SendTimeoutError::Closed(unsent))
-                } else {
-                    Err(SendTimeoutError::Timeout(unsent))
-                }
-            }
-        }
-    }
-
-    /// [`recv_many`](Self::recv_many) with an absolute deadline: `Ok` is
-    /// always non-empty; `Timeout` means the deadline passed with nothing
+    /// [`recv_many`](Self::recv_many) under a [`TimeLimit`]: `Ok` is
+    /// always non-empty; `Timeout` means the limit passed with nothing
     /// to take, `Closed` means closed and fully drained.
-    pub fn recv_many_deadline(
+    pub fn recv_many_within(
         &self,
         h: &mut BoxedHandle<Q>,
         max: usize,
-        deadline: Instant,
+        limit: impl Into<TimeLimit>,
     ) -> Result<Vec<T>, RecvTimeoutError> {
-        self.recv_many_limited(h, max, Wait::Deadline(deadline))
-    }
-
-    /// [`recv_many_deadline`](Self::recv_many_deadline) with a relative
-    /// timeout.
-    pub fn recv_many_timeout(
-        &self,
-        h: &mut BoxedHandle<Q>,
-        max: usize,
-        timeout: Duration,
-    ) -> Result<Vec<T>, RecvTimeoutError> {
-        self.recv_many_limited(h, max, Wait::Timeout(timeout))
-    }
-
-    fn recv_many_limited(
-        &self,
-        h: &mut BoxedHandle<Q>,
-        max: usize,
-        wait: Wait,
-    ) -> Result<Vec<T>, RecvTimeoutError> {
-        assert!(max > 0, "recv_many needs a positive batch bound");
-        let mut out = Vec::new();
-        let res = wait.until(&self.not_empty, || {
-            if self.try_recv_many(h, max, &mut out) > 0 {
-                return Some(Ok(()));
-            }
-            if self.is_closed() {
-                // Final drain check after observing the flag.
-                if self.try_recv_many(h, max, &mut out) > 0 {
-                    return Some(Ok(()));
-                }
-                return Some(Err(RecvTimeoutError::Closed));
-            }
-            None
-        });
-        match res {
-            Some(Ok(())) => Ok(out),
-            Some(Err(e)) => Err(e),
-            None => {
-                if !out.is_empty() {
-                    return Ok(out);
-                }
-                if self.is_closed() {
-                    if self.try_recv_many(h, max, &mut out) > 0 {
-                        Ok(out)
-                    } else {
-                        Err(RecvTimeoutError::Closed)
-                    }
-                } else {
-                    Err(RecvTimeoutError::Timeout)
-                }
-            }
-        }
+        self.wait(h, RecvManyOp::new(max), limit.into())
     }
 
     /// Capacity of the underlying queue.
@@ -910,7 +917,7 @@ mod tests {
         q.try_send(&mut h, 1).unwrap();
         let start = std::time::Instant::now();
         let err = q
-            .send_timeout(&mut h, 2, Duration::from_millis(30))
+            .send_within(&mut h, 2, Duration::from_millis(30))
             .unwrap_err();
         assert_eq!(err, SendTimeoutError::Timeout(2), "value handed back");
         assert!(err.is_timeout());
@@ -933,12 +940,12 @@ mod tests {
         let mut h = q.register();
         let start = std::time::Instant::now();
         assert_eq!(
-            q.recv_timeout(&mut h, Duration::from_millis(30)),
+            q.recv_within(&mut h, Duration::from_millis(30)),
             Err(RecvTimeoutError::Timeout)
         );
         assert!(start.elapsed() >= Duration::from_millis(30));
         assert_eq!(
-            q.recv_deadline(&mut h, std::time::Instant::now()),
+            q.recv_within(&mut h, std::time::Instant::now()),
             Err(RecvTimeoutError::Timeout),
             "already-expired deadline returns immediately"
         );
@@ -953,14 +960,14 @@ mod tests {
         let q2 = Arc::clone(&q);
         let sender = std::thread::spawn(move || {
             let mut h2 = q2.register();
-            q2.send_deadline(
+            q2.send_within(
                 &mut h2,
                 2,
                 std::time::Instant::now() + Duration::from_secs(30),
             )
         });
         std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(q.recv_timeout(&mut h, Duration::from_secs(30)), Ok(1));
+        assert_eq!(q.recv_within(&mut h, Duration::from_secs(30)), Ok(1));
         sender.join().unwrap().unwrap();
         assert_eq!(q.recv(&mut h), Some(2));
     }
@@ -976,24 +983,24 @@ mod tests {
         q.close();
         let past = std::time::Instant::now() - Duration::from_millis(1);
         assert_eq!(
-            q.send_deadline(&mut h, 9, past),
+            q.send_within(&mut h, 9, past),
             Err(SendTimeoutError::Closed(9)),
             "closed beats timeout for senders"
         );
         // Drain semantics survive the timed path: the accepted element
         // is delivered before Closed is reported.
-        assert_eq!(q.recv_deadline(&mut h, past), Ok(1));
+        assert_eq!(q.recv_within(&mut h, past), Ok(1));
         assert_eq!(
-            q.recv_deadline(&mut h, past),
+            q.recv_within(&mut h, past),
             Err(RecvTimeoutError::Closed),
             "closed-and-drained beats timeout for receivers"
         );
         assert_eq!(
-            q.recv_many_timeout(&mut h, 4, Duration::ZERO),
+            q.recv_many_within(&mut h, 4, Duration::ZERO),
             Err(RecvTimeoutError::Closed)
         );
         assert_eq!(
-            q.send_all_timeout(&mut h, vec![7, 8], Duration::ZERO),
+            q.send_all_within(&mut h, vec![7, 8], Duration::ZERO),
             Err(SendTimeoutError::Closed(vec![7, 8]))
         );
     }
@@ -1007,7 +1014,7 @@ mod tests {
         let q2 = Arc::clone(&q);
         let receiver = std::thread::spawn(move || {
             let mut h = q2.register();
-            q2.recv_deadline(&mut h, std::time::Instant::now() + Duration::from_secs(60))
+            q2.recv_within(&mut h, std::time::Instant::now() + Duration::from_secs(60))
         });
         while q.not_empty_event().waiter_count() == 0 {
             std::thread::yield_now();
@@ -1026,7 +1033,7 @@ mod tests {
         let q = make(2, 1);
         let mut h = q.register();
         let err = q
-            .send_all_timeout(&mut h, vec![1, 2, 3, 4, 5], Duration::from_millis(30))
+            .send_all_within(&mut h, vec![1, 2, 3, 4, 5], Duration::from_millis(30))
             .unwrap_err();
         assert_eq!(
             err,
@@ -1035,7 +1042,7 @@ mod tests {
         );
         // Conservation: prefix + suffix = everything.
         assert_eq!(
-            q.recv_many_timeout(&mut h, 8, Duration::ZERO),
+            q.recv_many_within(&mut h, 8, Duration::ZERO),
             Ok(vec![1, 2])
         );
     }
@@ -1051,7 +1058,7 @@ mod tests {
         });
         let mut h = q.register();
         assert_eq!(
-            q.recv_many_deadline(
+            q.recv_many_within(
                 &mut h,
                 4,
                 std::time::Instant::now() + Duration::from_secs(30)
@@ -1060,7 +1067,7 @@ mod tests {
         );
         producer.join().unwrap();
         assert_eq!(
-            q.recv_many_timeout(&mut h, 4, Duration::from_millis(10)),
+            q.recv_many_within(&mut h, 4, Duration::from_millis(10)),
             Err(RecvTimeoutError::Timeout)
         );
     }
@@ -1131,13 +1138,118 @@ mod tests {
         assert_eq!(q.try_send(&mut h, 3), Err(TrySendError::Closed(3)));
         assert_eq!(q.send(&mut h, 4), Err(SendError(4)));
         assert_eq!(
-            q.send_timeout(&mut h, 5, Duration::ZERO),
+            q.send_within(&mut h, 5, Duration::ZERO),
             Err(SendTimeoutError::Closed(5))
         );
         // Accepted elements still drain (the fault hit before any state
         // transition of the inner ring).
         assert_eq!(q.recv(&mut h), Some(1));
         assert_eq!(q.recv(&mut h), None);
+    }
+
+    /// Every way a `send_all` can end, over a capacity-2 queue and five
+    /// drop-counting values (so the batch parks after two): each value is
+    /// dropped exactly once across {received, returned suffix, cancelled
+    /// suffix}, and never twice. The one exception is pinned too: a panic
+    /// unwinding out of the *inner queue* leaves the in-flight run's
+    /// ownership unknowable (a prefix of it may already be queued), so
+    /// that run alone is leaked rather than risk a double free.
+    #[test]
+    fn send_all_drops_every_value_exactly_once() {
+        use std::future::Future;
+        use std::sync::atomic::AtomicUsize;
+        use std::task::{Context, Waker};
+
+        struct Counted(usize, Arc<[AtomicUsize; 5]>);
+        impl Drop for Counted {
+            fn drop(&mut self) {
+                self.1[self.0].fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        fn parked(ec: &EventCount) {
+            while ec.waiter_count() == 0 {
+                std::thread::yield_now();
+            }
+        }
+        fn optimal(t: usize) -> OptimalQueue {
+            OptimalQueue::with_capacity_and_threads(2, t)
+        }
+
+        // A case ends the wait its own way and drains the accepted
+        // prefix; when it returns, queue, results and futures are gone.
+        type Case = fn(Vec<Counted>);
+        let cases: [(&str, Case, [usize; 5]); 4] = [
+            (
+                "blocking close() mid-batch",
+                |items| {
+                    let q: BlockingQueue<Counted, _> = BlockingQueue::new(optimal(2));
+                    std::thread::scope(|s| {
+                        let sender = s.spawn(|| q.send_all(&mut q.register(), items));
+                        parked(q.not_full_event());
+                        q.close();
+                        let unsent = sender.join().unwrap().unwrap_err().0;
+                        assert_eq!(unsent.len(), 3, "suffix handed back");
+                    });
+                    assert_eq!(q.recv_many(&mut q.register(), 8).len(), 2);
+                },
+                [1; 5],
+            ),
+            (
+                "send_all_within timing out",
+                |items| {
+                    let q: BlockingQueue<Counted, _> = BlockingQueue::new(optimal(1));
+                    let mut h = q.register();
+                    match q.send_all_within(&mut h, items, Duration::from_millis(20)) {
+                        Err(SendTimeoutError::Timeout(unsent)) => assert_eq!(unsent.len(), 3),
+                        _ => panic!("a full open queue times the batch out"),
+                    }
+                    assert_eq!(q.recv_many(&mut h, 8).len(), 2);
+                },
+                [1; 5],
+            ),
+            (
+                "async send_all polled to Pending, then dropped",
+                |items| {
+                    let drops = Arc::clone(&items[0].1);
+                    let q: crate::AsyncQueue<Counted, _> = crate::AsyncQueue::new(optimal(1));
+                    let mut h = q.register();
+                    let mut fut = q.send_all(&mut h, items);
+                    let mut cx = Context::from_waker(Waker::noop());
+                    assert!(std::pin::Pin::new(&mut fut).poll(&mut cx).is_pending());
+                    drop(fut);
+                    let suffix: Vec<usize> = drops[2..]
+                        .iter()
+                        .map(|d| d.load(Ordering::SeqCst))
+                        .collect();
+                    assert_eq!(suffix, [1, 1, 1], "cancelling drops the unsent suffix");
+                    assert_eq!(q.not_full_event().registered_wakers(), 0);
+                    assert_eq!(q.blocking().recv_many(&mut h, 8).len(), 2);
+                },
+                [1; 5],
+            ),
+            (
+                "injected enqueue panic on the parked retry",
+                |items| {
+                    let q: BlockingQueue<Counted, _> = BlockingQueue::new(PanicSwitchQueue::new(2));
+                    std::thread::scope(|s| {
+                        let sender = s.spawn(|| q.send_all(&mut q.register(), items));
+                        parked(q.not_full_event());
+                        q.inner_queue().panic_next.store(true, Ordering::SeqCst);
+                        q.not_full_event().wake_all(); // content-free wake: retry
+                        assert!(sender.join().is_err(), "the panic is re-thrown");
+                    });
+                    assert!(q.is_poisoned());
+                    assert_eq!(q.recv_many(&mut q.register(), 8).len(), 2, "prefix drains");
+                },
+                [1, 1, 0, 0, 0],
+            ),
+        ];
+        for (name, run, expected) in cases {
+            let drops = Arc::new(std::array::from_fn(|_| AtomicUsize::new(0)));
+            run((0..5).map(|id| Counted(id, Arc::clone(&drops))).collect());
+            let seen: Vec<usize> = drops.iter().map(|d| d.load(Ordering::SeqCst)).collect();
+            assert_eq!(seen, expected, "{name}");
+        }
     }
 
     /// DESIGN.md §14: the façade snapshot stitches the data path's
@@ -1151,15 +1263,15 @@ mod tests {
         q.try_send(&mut h, 2).unwrap();
         assert_eq!(q.try_send(&mut h, 3), Err(TrySendError::Full(3)));
         assert_eq!(
-            q.recv_timeout(&mut h, Duration::from_millis(5)).ok(),
+            q.recv_within(&mut h, Duration::from_millis(5)).ok(),
             Some(1)
         );
         assert_eq!(
-            q.recv_many_timeout(&mut h, 4, Duration::from_millis(5)),
+            q.recv_many_within(&mut h, 4, Duration::from_millis(5)),
             Ok(vec![2])
         );
         assert_eq!(
-            q.recv_timeout(&mut h, Duration::from_millis(5)),
+            q.recv_within(&mut h, Duration::from_millis(5)),
             Err(RecvTimeoutError::Timeout)
         );
         // The handle is still live: fold its data-path deltas in first

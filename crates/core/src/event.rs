@@ -1,13 +1,9 @@
 //! The **waiter subsystem**: a reusable eventcount that parks OS threads
-//! *and* async tasks on the same wake generations.
-//!
-//! [`BlockingQueue`](crate::BlockingQueue) originally inlined this
-//! machinery as a private `ParkSide`. The announce → snapshot →
-//! re-attempt → park protocol it implements is not queue-specific, and
-//! the async façade ([`AsyncQueue`](crate::AsyncQueue)) needs the same
-//! lost-wake guarantees for [`core::task::Waker`]s — so the protocol now
-//! lives here as a standalone [`EventCount`], and both façades are thin
-//! clients of one instance per wait direction.
+//! *and* async tasks on the same wake generations. The announce →
+//! snapshot → re-attempt → park protocol is not queue-specific, so it
+//! lives here once: [`BlockingQueue`](crate::BlockingQueue) and
+//! [`AsyncQueue`](crate::AsyncQueue) are thin clients of one
+//! [`EventCount`] per wait direction.
 //!
 //! ## The protocol
 //!
@@ -34,9 +30,14 @@
 //! before sleeping (and skips the park) or is woken from, because the
 //! bump happens under the lock the thread holds until the moment it
 //! sleeps; a task is in the waker list by then, so the drain calls its
-//! waker and the executor re-polls it. Either way no wake is lost, waits
-//! are untimed, and the uncontended notifier fast path is one atomic
-//! load (`waiters == 0`).
+//! waker and the executor re-polls it. Either way no wake is lost, no
+//! wait polls on a timer, and the uncontended notifier fast path is one
+//! atomic load (`waiters == 0`).
+//!
+//! A wait may carry a [`TimeLimit`]. It is a *parameter* of the one
+//! thread loop ([`EventCount::wait`]), not a second loop: the limit
+//! decides only which condvar wait the park step is, and a waiter whose
+//! deadline fires makes one final attempt before reporting expiry.
 //!
 //! Wakes are deliberately **broadcast** (notify-all + drain-all-wakers):
 //! a woken waiter that no longer wants the event — e.g. a cancelled
@@ -195,158 +196,79 @@ impl EventCount {
         }
     }
 
-    /// Thread-parking waiter half: run `attempt` until it returns
-    /// `Some(r)`, parking between failed attempts with the announce →
-    /// snapshot → re-attempt → park-if-unchanged protocol.
-    pub fn wait_until<R>(&self, mut attempt: impl FnMut() -> Option<R>) -> R {
+    /// Thread-parking waiter half, the **one wait loop**: run `attempt`
+    /// until it returns `Some(r)` or `limit` passes, parking between
+    /// failed attempts with the announce → snapshot → re-attempt →
+    /// park-if-unchanged protocol. Returns `None` on expiry — after one
+    /// final attempt, so a transition racing the deadline is still
+    /// taken, never dropped on the floor.
+    ///
+    /// The limit decides one step only: which condvar wait the park is.
+    /// Every instrumented access around it is the same with and without
+    /// a deadline, and a relative [`Timeout`](TimeLimit::Timeout) is
+    /// pinned to the clock at the **first park**, so an operation that
+    /// succeeds without waiting never reads it (the E16 property).
+    pub fn wait<R>(
+        &self,
+        mut limit: TimeLimit,
+        mut attempt: impl FnMut() -> Option<R>,
+    ) -> Option<R> {
         if let Some(r) = attempt() {
-            return r;
+            return Some(r);
         }
         let mut timer = ParkTimer::new();
         let mut parked = false;
-        loop {
+        let result = loop {
             self.waiters.fetch_add(1, Ordering::SeqCst);
             let gen = self.generation.load(Ordering::SeqCst);
             // Re-attempt after announcing: closes the race with a
             // notifier that read `waiters` before our increment.
             if let Some(r) = attempt() {
                 self.waiters.fetch_sub(1, Ordering::SeqCst);
-                if parked {
-                    self.obs.park_ns.record(timer.elapsed_ns());
-                }
-                return r;
+                break Some(r);
             }
             if parked {
                 // We were woken (or skipped a park on a stale generation)
                 // and the condition is still false.
                 self.obs.spurious_wakes.hit();
             }
-            {
-                let mut guard = self.gate.lock();
-                if self.generation.load(Ordering::SeqCst) == gen {
-                    self.obs.thread_parks.hit();
-                    timer.arm();
-                    parked = true;
-                    self.cond.wait(&mut guard);
-                }
-            }
-            self.waiters.fetch_sub(1, Ordering::SeqCst);
-        }
-    }
-
-    /// Timed park primitive: announce, re-check the generation against
-    /// the caller's snapshot `gen` under the gate lock, and sleep until a
-    /// wake or `deadline` — a condvar `wait_timeout` under the existing
-    /// gate lock, no timed polling. Returns `true` when a wake may have
-    /// been published (generation moved, a notify landed, or a spurious
-    /// wakeup — re-check your condition), `false` when the deadline
-    /// fired. A deadline at or before now returns `false` without
-    /// sleeping.
-    ///
-    /// The clock is read only here, when a park actually happens — never
-    /// on an operation's success path. Callers must **re-attempt their
-    /// operation after any return**, including `false`: the announce in
-    /// this call comes after the caller's last attempt, so a transition
-    /// landing in that window produces no wake, and only the re-attempt
-    /// observes it. The canonical loop that closes the window by
-    /// attempting *between* announce and park is
-    /// [`wait_until_deadline`](Self::wait_until_deadline).
-    pub fn park_deadline(&self, gen: u64, deadline: Instant) -> bool {
-        self.waiters.fetch_add(1, Ordering::SeqCst);
-        let woke = {
-            let mut guard = self.gate.lock();
-            if self.generation.load(Ordering::SeqCst) != gen {
-                true
-            } else {
-                self.obs.thread_parks.hit();
-                self.cond.wait_deadline(&mut guard, deadline)
-            }
-        };
-        self.waiters.fetch_sub(1, Ordering::SeqCst);
-        if !woke {
-            self.obs.timeout_expiries.hit();
-        }
-        woke
-    }
-
-    /// Timed [`wait_until`](Self::wait_until): run `attempt` until it
-    /// returns `Some(r)` or `deadline` passes. Returns `None` on
-    /// timeout — after one final attempt, so a transition racing the
-    /// timeout is still taken. Same announce → snapshot → re-attempt →
-    /// park-if-unchanged protocol; the park is a condvar `wait_timeout`
-    /// under the gate lock.
-    pub fn wait_until_deadline<R>(
-        &self,
-        deadline: Instant,
-        attempt: impl FnMut() -> Option<R>,
-    ) -> Option<R> {
-        self.wait_until_limited(Limit::At(deadline), attempt)
-    }
-
-    /// Relative-timeout variant of
-    /// [`wait_until_deadline`](Self::wait_until_deadline). The deadline
-    /// is computed lazily at the **first park** (`Instant::now() +
-    /// timeout`), so an operation that succeeds without waiting never
-    /// reads the clock — the E16 "timed costs nothing unless a waiter
-    /// parks" property.
-    pub fn wait_until_timeout<R>(
-        &self,
-        timeout: Duration,
-        attempt: impl FnMut() -> Option<R>,
-    ) -> Option<R> {
-        self.wait_until_limited(Limit::After(timeout), attempt)
-    }
-
-    fn wait_until_limited<R>(
-        &self,
-        limit: Limit,
-        mut attempt: impl FnMut() -> Option<R>,
-    ) -> Option<R> {
-        if let Some(r) = attempt() {
-            return Some(r);
-        }
-        let mut deadline: Option<Instant> = None;
-        let mut timer = ParkTimer::new();
-        let mut parked = false;
-        loop {
-            self.waiters.fetch_add(1, Ordering::SeqCst);
-            let gen = self.generation.load(Ordering::SeqCst);
-            // Re-attempt after announcing: closes the race with a
-            // notifier that read `waiters` before our increment.
-            if let Some(r) = attempt() {
-                self.waiters.fetch_sub(1, Ordering::SeqCst);
-                if parked {
-                    self.obs.park_ns.record(timer.elapsed_ns());
-                }
-                return Some(r);
-            }
-            if parked {
-                self.obs.spurious_wakes.hit();
-            }
-            // First park only: this is the single place the clock is
-            // read, so uncontended timed ops never touch a timer.
-            let dl = *deadline.get_or_insert_with(|| limit.resolve());
+            // The single place the clock is read, and only at the first
+            // park: later rounds find the limit already pinned.
+            let deadline = limit.deadline();
             let woke = {
                 let mut guard = self.gate.lock();
-                if self.generation.load(Ordering::SeqCst) == gen {
+                if self.generation.load(Ordering::SeqCst) != gen {
+                    true
+                } else {
                     self.obs.thread_parks.hit();
                     timer.arm();
                     parked = true;
-                    self.cond.wait_deadline(&mut guard, dl)
-                } else {
-                    true
+                    match deadline {
+                        Some(at) => self.cond.wait_deadline(&mut guard, at),
+                        None => {
+                            self.cond.wait(&mut guard);
+                            true
+                        }
+                    }
                 }
             };
             self.waiters.fetch_sub(1, Ordering::SeqCst);
             if !woke {
-                // Deadline fired: one final attempt, then report timeout.
+                // Deadline fired: one final attempt, then report expiry.
                 self.obs.timeout_expiries.hit();
-                if parked {
-                    self.obs.park_ns.record(timer.elapsed_ns());
-                }
-                return attempt();
+                break attempt();
             }
+        };
+        if parked {
+            self.obs.park_ns.record(timer.elapsed_ns());
         }
+        result
+    }
+
+    /// [`wait`](Self::wait) with no limit: parks until `attempt` succeeds.
+    pub fn wait_until<R>(&self, attempt: impl FnMut() -> Option<R>) -> R {
+        self.wait(TimeLimit::Forever, attempt)
+            .expect("a wait without a limit ends only when the attempt succeeds")
     }
 
     /// Task-parking announcement: register `waker` against generation
@@ -403,20 +325,44 @@ impl Default for EventCount {
     }
 }
 
-/// How long a timed wait is allowed to run: an absolute deadline, or a
-/// relative timeout resolved to one at the first park (so the clock is
-/// never read before a waiter actually parks).
-enum Limit {
-    At(Instant),
-    After(Duration),
+/// How long a wait may run — the one time-limit type of the waiting
+/// stack, taken by [`EventCount::wait`] and by every `*_within` method of
+/// both façades (an `Instant` or a `Duration` converts into it).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TimeLimit {
+    /// No limit: wait until the operation completes or the queue closes.
+    Forever,
+    /// Give up at this instant.
+    Deadline(Instant),
+    /// Give up this long after the **first park**: an operation that
+    /// never waits never reads the clock.
+    Timeout(Duration),
 }
 
-impl Limit {
-    fn resolve(&self) -> Instant {
-        match self {
-            Limit::At(t) => *t,
-            Limit::After(d) => Instant::now() + *d,
+impl TimeLimit {
+    /// The instant this limit expires at; `None` for `Forever`. The
+    /// first call pins a `Timeout` in place to `Deadline(now + d)` — the
+    /// only clock read a limit ever causes.
+    pub fn deadline(&mut self) -> Option<Instant> {
+        if let TimeLimit::Timeout(d) = *self {
+            *self = TimeLimit::Deadline(Instant::now() + d);
         }
+        match *self {
+            TimeLimit::Deadline(at) => Some(at),
+            _ => None,
+        }
+    }
+}
+
+impl From<Instant> for TimeLimit {
+    fn from(deadline: Instant) -> Self {
+        TimeLimit::Deadline(deadline)
+    }
+}
+
+impl From<Duration> for TimeLimit {
+    fn from(timeout: Duration) -> Self {
+        TimeLimit::Timeout(timeout)
     }
 }
 
@@ -536,56 +482,11 @@ mod tests {
     }
 
     #[test]
-    fn park_deadline_past_deadline_returns_false_without_sleeping() {
-        let ec = EventCount::new();
-        let start = std::time::Instant::now();
-        let woke = ec.park_deadline(ec.generation(), start);
-        assert!(!woke, "past deadline reports timeout");
-        assert!(
-            start.elapsed() < Duration::from_millis(100),
-            "no park happened"
-        );
-        assert_eq!(ec.waiter_count(), 0, "announcement rolled back");
-    }
-
-    #[test]
-    fn park_deadline_stale_generation_reports_woken() {
-        let ec = EventCount::new();
-        let gen = ec.generation();
-        // Generation can only move with an announced waiter present.
-        let (_f, w) = flag_waker();
-        let id = ec.register(gen, &w).unwrap();
-        ec.wake_all();
-        let _ = id;
-        let woke = ec.park_deadline(gen, Instant::now() + Duration::from_secs(5));
-        assert!(woke, "stale snapshot means a wake was already published");
-        assert_eq!(ec.waiter_count(), 0);
-    }
-
-    #[test]
-    fn park_deadline_is_woken_by_wake_all() {
-        let ec = Arc::new(EventCount::new());
-        let t = {
-            let ec = Arc::clone(&ec);
-            std::thread::spawn(move || {
-                ec.park_deadline(ec.generation(), Instant::now() + Duration::from_secs(30))
-            })
-        };
-        // Wait for the waiter to announce, then wake it.
-        while ec.waiter_count() == 0 {
-            std::thread::yield_now();
-        }
-        ec.wake_all();
-        assert!(t.join().unwrap(), "woken well before the 30 s deadline");
-        assert_eq!(ec.waiter_count(), 0);
-    }
-
-    #[test]
     fn wait_until_timeout_expires_and_reattempts_once() {
         let ec = EventCount::new();
         let mut calls = 0u32;
         let start = Instant::now();
-        let r = ec.wait_until_timeout(Duration::from_millis(30), || {
+        let r = ec.wait(Duration::from_millis(30).into(), || {
             calls += 1;
             None::<()>
         });
@@ -604,7 +505,8 @@ mod tests {
         let t = {
             let ec = Arc::clone(&ec);
             std::thread::spawn(move || {
-                ec.wait_until_deadline(Instant::now() + Duration::from_millis(80), || None::<()>)
+                let deadline = Instant::now() + Duration::from_millis(80);
+                ec.wait(deadline.into(), || None::<()>)
             })
         };
         while ec.waiter_count() == 0 {
@@ -626,7 +528,7 @@ mod tests {
         let id = ec.register(ec.generation(), &w).unwrap();
         ec.deregister(id);
         // A timed wait that never succeeds parks and expires.
-        let r = ec.wait_until_timeout(Duration::from_millis(5), || None::<()>);
+        let r = ec.wait(Duration::from_millis(5).into(), || None::<()>);
         assert!(r.is_none());
         let mut snap = MetricsSnapshot::new();
         ec.snapshot_into("ec.", &mut snap);
@@ -649,7 +551,7 @@ mod tests {
         // deadline is still taken, never dropped on the floor.
         let ec = EventCount::new();
         let mut first = true;
-        let r = ec.wait_until_deadline(Instant::now(), || {
+        let r = ec.wait(Instant::now().into(), || {
             if first {
                 first = false;
                 None

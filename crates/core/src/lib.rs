@@ -75,10 +75,7 @@ pub mod simx;
 pub mod spsc;
 pub mod token;
 
-pub use async_queue::{
-    AsyncQueue, RecvDeadlineFuture, RecvFuture, RecvManyFuture, SendAllFuture, SendDeadlineFuture,
-    SendFuture,
-};
+pub use async_queue::{AsyncQueue, WaitFuture};
 pub use blocking::{
     BlockingQueue, RecvTimeoutError, SendError, SendTimeoutError, TryRecvError, TrySendError,
 };
@@ -86,7 +83,7 @@ pub use boxed::{BoxedHandle, BoxedQueue, PointerCapable};
 pub use bytering::{byte_ring, ByteConsumer, ByteProducer};
 pub use dcss_queue::{DcssHandle, DcssQueue};
 pub use distinct::{DistinctHandle, DistinctQueue};
-pub use event::{EventCount, WaiterId};
+pub use event::{EventCount, TimeLimit, WaiterId};
 pub use llsc_queue::{LlScHandle, LlScQueue};
 pub use naive::{NaiveHandle, NaiveQueue};
 pub use obs::{MetricsSnapshot, TraceEvent, TraceRing};

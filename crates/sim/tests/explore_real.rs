@@ -41,6 +41,15 @@ fn cfg(preemption_bound: usize) -> ExploreConfig {
     }
 }
 
+/// The config of a test that pins an execution count: fixed, so the pin
+/// does not move with `MEMBQ_SMOKE`.
+fn pinned_cfg(preemption_bound: usize) -> ExploreConfig {
+    ExploreConfig {
+        preemption_bound,
+        ..ExploreConfig::default()
+    }
+}
+
 /// Successful enqueues must equal successful dequeues plus the drain —
 /// element-wise, not just by count.
 fn conservation(h: &History, drained: &[u64]) -> Result<(), String> {
@@ -269,12 +278,7 @@ fn replay_reproduces_histories_byte_for_byte() {
 /// lane's count drifts off the pin.
 #[test]
 fn obs_counters_add_no_scheduling_points() {
-    // A fixed config on purpose (not `cfg()`): the pin must not move
-    // with `MEMBQ_SMOKE`.
-    let cfg = ExploreConfig {
-        preemption_bound: 2,
-        ..ExploreConfig::default()
-    };
+    let cfg = pinned_cfg(2);
     let mk = || {
         // 3 handles: producer, consumer, and the check's drain handle.
         let q = Arc::new(OptimalQueue::with_capacity_and_threads(2, 3));
@@ -641,13 +645,27 @@ fn eventcount_waiters_never_park_past_the_publish() {
             }),
         }
     };
-    let report = explore(&cfg(3), mk);
+    let report = explore(&pinned_cfg(3), mk);
     assert_passed(&report, "EventCount announce/park protocol");
     eprintln!(
         "EventCount protocol: {} executions, {} pruned",
         report.executions, report.pruned
     );
+    assert_eq!(
+        report.executions, EVENTCOUNT_PINNED_EXECUTIONS,
+        "execution count drifted: the thread wait loop no longer issues \
+         the access sequence it had when the pin was recorded"
+    );
 }
+
+/// The pins for the two wait-stack scenarios, asserted identically in
+/// the obs-on and obs-off explorer lanes. The literals were recorded on
+/// the separate untimed and timed loops that [`EventCount::wait`]
+/// replaced: the one loop must enumerate the same schedule tree under
+/// `Forever` and under a deadline as those two did.
+const EVENTCOUNT_PINNED_EXECUTIONS: u64 = 311;
+/// Timed recv vs send: `(executions, timeout-first, wake-first)`.
+const TIMED_RECV_PINNED: (u64, usize, usize) = (177, 88, 89);
 
 /// Teeth: break the protocol on purpose — publish the flag *after* the
 /// wake — and the explorer must find the interleaving where the waiter
@@ -782,7 +800,7 @@ fn timed_recv_vs_send_enumerates_both_outcomes() {
                 let wakes = Arc::clone(&wakes);
                 move |ctx: &mut bq_sim::explore::Ctx| {
                     let id = ctx.invoke(Op::Dequeue);
-                    match q.recv_timeout(&mut hr, Duration::from_millis(5)) {
+                    match q.recv_within(&mut hr, Duration::from_millis(5)) {
                         Ok(v) => {
                             wakes.fetch_add(1, Ordering::SeqCst);
                             ctx.ret(id, Ret::DeqVal(v));
@@ -820,7 +838,7 @@ fn timed_recv_vs_send_enumerates_both_outcomes() {
             }
         }
     };
-    let report = explore(&cfg(2), &mk);
+    let report = explore(&pinned_cfg(2), &mk);
     assert_passed(&report, "timed recv vs send");
     assert!(
         timeouts.load(Ordering::SeqCst) > 0,
@@ -836,6 +854,16 @@ fn timed_recv_vs_send_enumerates_both_outcomes() {
         timeouts.load(Ordering::SeqCst),
         wakes.load(Ordering::SeqCst),
         report.pruned
+    );
+    assert_eq!(
+        (
+            report.executions,
+            timeouts.load(Ordering::SeqCst),
+            wakes.load(Ordering::SeqCst)
+        ),
+        TIMED_RECV_PINNED,
+        "execution count drifted: the timed wait no longer issues the \
+         access sequence it had when the pin was recorded"
     );
 
     // The replay contract extends through the timed path: the same
@@ -930,7 +958,7 @@ fn quarantine_racing_enqueues_conserves_elements() {
 }
 
 // ---------------------------------------------------------------------------
-// Async cancellation: drop a pending RecvFuture at every yield point
+// Async cancellation: drop a pending recv future at every yield point
 // ---------------------------------------------------------------------------
 
 struct Flag(AtomicBool);
@@ -946,13 +974,17 @@ fn flag_waker() -> Waker {
 }
 
 /// The two-waiter lost-wake scenario from `tests/async_cancel.rs`, under
-/// exploration instead of sleeps: a doomed `RecvFuture` is polled once
+/// exploration instead of sleeps: a doomed `recv` future is polled once
 /// and dropped (its deregistration interleaves with everything else), a
 /// surviving blocking receiver parks, and one value is sent. In every
 /// interleaving the survivor must obtain a value — a cancelled waiter
 /// swallowing the wake parks the survivor forever, which the deadlock
 /// detector reports with a replayable artifact. Registrations must not
 /// leak.
+///
+/// Pass-only, unlike the two wait-stack scenarios above: this sweep's
+/// execution count is not deterministic (10 824 / 11 813 / 11 695 over
+/// three runs of one commit), so there is no literal to pin.
 #[test]
 fn async_recv_cancel_never_swallows_the_wake() {
     let mk = || {

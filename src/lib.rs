@@ -40,7 +40,7 @@ pub mod prelude {
         byte_ring, spsc_ring, AsyncQueue, BlockingQueue, BoxedQueue, ByteConsumer, ByteProducer,
         ConcurrentQueue, DcssQueue, DistinctQueue, EventCount, Full, LlScQueue, NaiveQueue,
         OptimalQueue, SegmentQueue, SendError, SeqRingQueue, ShardedQueue, SpscConsumer,
-        SpscProducer, TokenGen, TryRecvError, TrySendError,
+        SpscProducer, TimeLimit, TokenGen, TryRecvError, TrySendError, WaitFuture,
     };
     pub use bq_memtrack::MemoryFootprint;
 }

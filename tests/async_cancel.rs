@@ -224,19 +224,19 @@ fn past_deadline_timed_ops_return_immediately() {
     let mut h = bq.register();
     let start = Instant::now();
     assert_eq!(
-        bq.recv_deadline(&mut h, Instant::now()),
+        bq.recv_within(&mut h, Instant::now()),
         Err(RecvTimeoutError::Timeout),
         "empty queue, due deadline"
     );
     assert_eq!(
-        bq.recv_timeout(&mut h, Duration::ZERO),
+        bq.recv_within(&mut h, Duration::ZERO),
         Err(RecvTimeoutError::Timeout),
         "zero timeout"
     );
     bq.try_send(&mut h, 1).unwrap();
     bq.try_send(&mut h, 2).unwrap();
     assert_eq!(
-        bq.send_deadline(&mut h, 3, Instant::now() - Duration::from_secs(1)),
+        bq.send_within(&mut h, 3, Instant::now() - Duration::from_secs(1)),
         Err(SendTimeoutError::Timeout(3)),
         "full queue, past deadline hands the value back"
     );
@@ -247,13 +247,13 @@ fn past_deadline_timed_ops_return_immediately() {
         AsyncQueue::new(OptimalQueue::with_capacity_and_threads(2, 1));
     let mut ah = aq.register();
     assert_eq!(
-        pollster::block_on(aq.recv_deadline(&mut ah, Instant::now())),
+        pollster::block_on(aq.recv_within(&mut ah, Instant::now())),
         Err(RecvTimeoutError::Timeout)
     );
     aq.try_send(&mut ah, 1).unwrap();
     aq.try_send(&mut ah, 2).unwrap();
     assert_eq!(
-        pollster::block_on(aq.send_timeout(&mut ah, 3, Duration::ZERO)),
+        pollster::block_on(aq.send_within(&mut ah, 3, Duration::ZERO)),
         Err(SendTimeoutError::Timeout(3))
     );
     ec_quiescent(aq.blocking().not_empty_event(), "async past-deadline recv");
@@ -281,7 +281,7 @@ fn cancelled_timed_futures_disarm_their_timers() {
     {
         let (_flag, waker) = flag_waker();
         let mut cx = Context::from_waker(&waker);
-        let mut fut = q.recv_timeout(&mut h, far);
+        let mut fut = q.recv_within(&mut h, far);
         assert!(Pin::new(&mut fut).poll(&mut cx).is_pending(), "empty");
         assert_eq!(q.blocking().not_empty_event().registered_wakers(), 1);
         assert_eq!(timerwheel::armed_count(), baseline + 1, "timer armed");
@@ -295,7 +295,7 @@ fn cancelled_timed_futures_disarm_their_timers() {
     {
         let (_flag, waker) = flag_waker();
         let mut cx = Context::from_waker(&waker);
-        let mut fut = q.send_timeout(&mut h, 9, far);
+        let mut fut = q.send_within(&mut h, 9, far);
         assert!(Pin::new(&mut fut).poll(&mut cx).is_pending(), "full");
         assert_eq!(timerwheel::armed_count(), baseline + 1);
     }
@@ -319,7 +319,7 @@ fn timed_recv_survives_spurious_wakes() {
     let q2 = Arc::clone(&q);
     let rx = std::thread::spawn(move || {
         let mut h = q2.register();
-        q2.recv_timeout(&mut h, Duration::from_secs(30))
+        q2.recv_within(&mut h, Duration::from_secs(30))
     });
     let mut h = q.register();
     for _ in 0..50 {
@@ -334,7 +334,7 @@ fn timed_recv_survives_spurious_wakes() {
     let rx = std::thread::spawn(move || {
         let mut h = q2.register();
         let start = Instant::now();
-        let r = q2.recv_timeout(&mut h, Duration::from_millis(40));
+        let r = q2.recv_within(&mut h, Duration::from_millis(40));
         (r, start.elapsed())
     });
     for _ in 0..50 {
