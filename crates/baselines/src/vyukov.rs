@@ -18,27 +18,22 @@
 //! duplicated.
 
 use bq_core::queue::{ConcurrentQueue, Full};
-use bq_core::relocatable::{PadAtomicU64, RelocBuf, RelocRing, RingReadGrant, RingWriteGrant};
+use bq_core::relocatable::{PadAtomicU64, RelocBox, RelocRing, RingReadGrant, RingWriteGrant};
 use bq_memtrack::{FootprintBreakdown, MemoryFootprint, OverheadClass};
 
 /// Vyukov bounded MPMC queue (Θ(C) overhead baseline).
 ///
-/// Since the relocatable refactor (DESIGN.md §10) this is a thin heap-backed
-/// wrapper: the sequenced-slot array and the cache-padded counters live in a
-/// [`RelocRing<u64>`](bq_core::relocatable::RelocRing) layout inside an owned
-/// [`RelocBuf`](bq_core::relocatable::RelocBuf), and the protocol itself is
+/// Since the relocatable refactor (DESIGN.md §10) this is a thin wrapper:
+/// the sequenced-slot array and the cache-padded counters live in a
+/// [`RelocRing<u64>`](bq_core::relocatable::RelocRing) layout in a
+/// [`RelocBox`](bq_core::relocatable::RelocBox), and the protocol itself is
 /// the ring's `vy_*` methods — the same bytes `bq-shm` places into an
-/// `mmap`-shared segment.
+/// `mmap`-shared segment. The sequence protocol gives each slot a unique
+/// writer per round; readers synchronize through `seq` (Acquire/Release
+/// pairs).
 pub struct VyukovQueue {
-    _buf: RelocBuf,
-    ring: RelocRing<u64>,
+    ring: RelocBox<RelocRing<u64>>,
 }
-
-// SAFETY: the sequence protocol gives each slot a unique writer per round;
-// readers synchronize through `seq` (Acquire/Release pairs). The raw
-// pointers inside the view target memory owned by `self.buf`.
-unsafe impl Send for VyukovQueue {}
-unsafe impl Sync for VyukovQueue {}
 
 /// `VyukovQueue` needs no per-thread state.
 #[derive(Debug, Default, Clone, Copy)]
@@ -54,11 +49,9 @@ impl VyukovQueue {
     /// algorithm's encoding, not of this port.
     pub fn with_capacity(c: usize) -> Self {
         assert!(c >= 2, "Vyukov's sequence encoding requires capacity ≥ 2");
-        let buf = RelocBuf::zeroed(RelocRing::<u64>::layout(c));
-        // SAFETY: `buf` was allocated with exactly `layout(c)` and is
-        // exclusively owned here.
-        let ring = unsafe { RelocRing::<u64>::init_at(buf.base(), c) };
-        VyukovQueue { _buf: buf, ring }
+        VyukovQueue {
+            ring: RelocBox::new(c),
+        }
     }
 
     /// Reserve up to `n` slots for a zero-copy in-place write (DESIGN.md
@@ -94,21 +87,19 @@ impl ConcurrentQueue for VyukovQueue {
         self.ring.vy_dequeue()
     }
 
-    /// Native batch fast path: **slot runs**. Scan forward from the tail
-    /// for a run of free slots (`seq == pos + i`), claim the whole run
-    /// with a *single* tail CAS, then fill the claimed slots and release
-    /// their sequence words in order. Winning the CAS for `[pos, pos+m)`
-    /// grants exclusive write access to every claimed slot: a slot's
+    /// Native batch path: **slot runs**. Each contiguous run is one write
+    /// grant — the ring claims `[pos, pos+m)` with a *single* tail CAS,
+    /// which gives exclusive write access to every claimed slot (a slot's
     /// sequence reaches `pos + i` exactly once, and only the round-owner
-    /// (us, post-CAS) advances it — so the pre-scan cannot go stale in a
-    /// way that matters. One CAS per run replaces one CAS per element.
-    /// (Implementation: `RelocRing::vy_enqueue_many`.)
+    /// advances it), then publishes them in order. One CAS per run
+    /// replaces one CAS per element; a batch that straddles the wrap edge
+    /// is two runs. (Implementation: `RelocRing::vy_enqueue_many`.)
     fn enqueue_many(&self, _h: &mut VyukovHandle, vs: &[u64]) -> usize {
         self.ring.vy_enqueue_many(vs)
     }
 
-    /// Native batch dequeue: the mirror slot-run claim over the head
-    /// counter (`seq == pos + i + 1` marks a filled slot).
+    /// Native batch dequeue: the mirror, one read grant per run of
+    /// published slots (`seq == pos + i + 1`).
     fn dequeue_many(&self, _h: &mut VyukovHandle, max: usize, out: &mut Vec<u64>) -> usize {
         self.ring.vy_dequeue_many(max, out)
     }

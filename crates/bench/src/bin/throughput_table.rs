@@ -57,6 +57,14 @@ fn main() {
             continue; // unsound models are not performance candidates
         }
         print!("{:<24} {:>14}", kind.name(), kind.claimed_overhead());
+        if *kind == QueueKind::Crossbeam {
+            // Not timed: see the footnote under the table.
+            for _ in thread_counts {
+                print!(" {:>9}", "—*");
+            }
+            println!();
+            continue;
+        }
         for t in thread_counts {
             let q = kind.build(c, t);
             let r = pairs_throughput(&*q, t, ops);
@@ -71,6 +79,11 @@ fn main() {
         }
         println!();
     }
+    println!(
+        "* crossbeam-array is not timed: offline it builds against shims/crossbeam-queue, a\n  \
+         Mutex<VecDeque>, so a time would price the stand-in, not the lock-free Θ(C) crate.\n  \
+         Its footprint rows (overhead_table, E3/E9) account the real crate's documented layout."
+    );
 
     println!("\n=== E10d: batched pairs (B = 32) — the scale layer's batch win ===");
     println!("same element count as one E10a cell; see shard_sweep for the full E11 grid\n");

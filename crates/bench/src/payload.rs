@@ -23,7 +23,7 @@
 use std::time::Instant;
 
 use bq_core::byte_ring;
-use bq_core::relocatable::{RelocBuf, RelocRing};
+use bq_core::relocatable::{RelocBox, RelocRing};
 
 /// Message size for E15 — io_uring-register-buffer territory: big enough
 /// that copies dominate protocol cost, small enough to stay cache-warm.
@@ -51,25 +51,6 @@ impl PayloadResult {
     pub fn kmsgs(&self) -> f64 {
         self.msgs as f64 / self.secs / 1e3
     }
-}
-
-/// Heap home for a `RelocRing<Payload>` shared across the two workload
-/// threads (the view is `Copy`; the buf owns the bytes).
-struct PayloadRing {
-    _buf: RelocBuf,
-    ring: RelocRing<Payload>,
-}
-
-// SAFETY: the ring protocol synchronizes all slot access through the
-// seq-word Acquire/Release pairs; the buf is immovably heap-allocated.
-unsafe impl Send for PayloadRing {}
-unsafe impl Sync for PayloadRing {}
-
-fn payload_ring(slots: usize) -> PayloadRing {
-    let buf = RelocBuf::zeroed(RelocRing::<Payload>::layout(slots));
-    // SAFETY: buf satisfies layout(slots) and is exclusively owned here.
-    let ring = unsafe { RelocRing::<Payload>::init_at(buf.base(), slots) };
-    PayloadRing { _buf: buf, ring }
 }
 
 /// Message `i`'s fill byte (non-zero so lost messages can't checksum as
@@ -103,12 +84,11 @@ fn expected_total(msgs: u64) -> u64 {
 /// The conventional move path: two full payload copies per message
 /// (local buffer → slot on enqueue, slot → local buffer on dequeue).
 pub fn payload_pairs_move(slots: usize, msgs: u64) -> PayloadResult {
-    let home = payload_ring(slots);
+    let ring = RelocBox::<RelocRing<Payload>>::new(slots);
     let start = Instant::now();
     let total = std::thread::scope(|s| {
-        let home = &home;
+        let ring = &ring;
         s.spawn(move || {
-            let ring = home.ring;
             for i in 0..msgs {
                 let mut m: Payload = [fill_byte(i); PAYLOAD_BYTES];
                 loop {
@@ -122,7 +102,6 @@ pub fn payload_pairs_move(slots: usize, msgs: u64) -> PayloadResult {
                 }
             }
         });
-        let ring = home.ring;
         let mut total = 0u64;
         let mut seen = 0u64;
         while seen < msgs {
@@ -146,12 +125,11 @@ pub fn payload_pairs_move(slots: usize, msgs: u64) -> PayloadResult {
 /// The zero-copy grant path: the payload is written once (into the slot)
 /// and read once (from the slot); no copies.
 pub fn payload_pairs_grant(slots: usize, msgs: u64) -> PayloadResult {
-    let home = payload_ring(slots);
+    let ring = RelocBox::<RelocRing<Payload>>::new(slots);
     let start = Instant::now();
     let total = std::thread::scope(|s| {
-        let home = &home;
+        let ring = &ring;
         s.spawn(move || {
-            let ring = home.ring;
             let mut i = 0u64;
             while i < msgs {
                 let Some(mut g) = ring.try_reserve((msgs - i) as usize) else {
@@ -167,7 +145,6 @@ pub fn payload_pairs_grant(slots: usize, msgs: u64) -> PayloadResult {
                 i += n as u64;
             }
         });
-        let ring = home.ring;
         let mut total = 0u64;
         let mut seen = 0u64;
         while seen < msgs {

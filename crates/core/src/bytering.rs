@@ -17,25 +17,17 @@
 
 use std::sync::Arc;
 
-use crate::relocatable::{ByteReadGrant, ByteWriteGrant, RelocBuf, RelocByteRing};
+use crate::relocatable::{ByteReadGrant, ByteWriteGrant, RelocBox, RelocByteRing};
 
+/// What the two endpoints share. The SPSC protocol synchronizes them
+/// through the ring's tail/head atomics (Release/Acquire pairs); the
+/// unique endpoints guarantee at most one thread on each side.
 struct Shared {
-    // Field order is drop order; the buf must outlive nothing (the ring
-    // view holds pointers into it) but keeping it first documents the
-    // ownership: `_buf` owns the bytes, `ring` addresses them.
-    _buf: RelocBuf,
-    ring: RelocByteRing,
+    ring: RelocBox<RelocByteRing>,
     /// Highest `bytes_used` observed at a producer publication
     /// (DESIGN.md §14); a ZST no-op with `obs` off.
     used_hwm: crate::obs::Counter,
 }
-
-// SAFETY: the ring layout is self-contained in `_buf` and the SPSC
-// protocol synchronizes producer and consumer through the tail/head
-// atomics (Release/Acquire pairs); the unique endpoints guarantee at
-// most one thread on each side.
-unsafe impl Send for Shared {}
-unsafe impl Sync for Shared {}
 
 /// The unique producing endpoint of a [`byte_ring`].
 pub struct ByteProducer {
@@ -55,12 +47,8 @@ pub struct ByteConsumer {
 /// records (`2 · byte_record_size(max_msg) ≤ cap_bytes`) so a producer
 /// retry loop can always make progress on an empty ring.
 pub fn byte_ring(cap_bytes: usize, max_msg: usize) -> (ByteProducer, ByteConsumer) {
-    let buf = RelocBuf::zeroed(RelocByteRing::layout(cap_bytes));
-    // SAFETY: buf satisfies layout(cap_bytes) and is exclusively owned.
-    let ring = unsafe { RelocByteRing::init_at(buf.base(), cap_bytes, max_msg) };
     let shared = Arc::new(Shared {
-        _buf: buf,
-        ring,
+        ring: RelocBox::new((cap_bytes, max_msg)),
         used_hwm: crate::obs::Counter::new(),
     });
     (

@@ -90,9 +90,9 @@ pub use obs::{MetricsSnapshot, TraceEvent, TraceRing};
 pub use optimal::{OptimalHandle, OptimalQueue};
 pub use queue::{ConcurrentQueue, EnqueueError, Full, SeqRingQueue};
 pub use relocatable::{
-    byte_record_size, AnnounceBoard, ByteReadGrant, ByteRingHdr, ByteWriteGrant, PadAtomicU64,
-    PadSimAtomicU64, Pod, RelocBuf, RelocByteRing, RelocEnqOp, RelocRing, RelocSeqRing,
-    RingReadGrant, RingWriteGrant, SeqReadGrant, SeqWriteGrant,
+    byte_record_size, AnnounceBoard, BadLayout, ByteReadGrant, ByteRingHdr, ByteWriteGrant,
+    PadAtomicU64, PadSimAtomicU64, Pod, RelocBox, RelocBuf, RelocByteRing, RelocEnqOp, RelocLayout,
+    RelocRing, RelocSeqRing, RingReadGrant, RingWriteGrant, SeqReadGrant, SeqWriteGrant,
 };
 pub use segment::{SegmentHandle, SegmentQueue};
 pub use sharded::{ShardedHandle, ShardedQueue};

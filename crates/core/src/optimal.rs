@@ -47,7 +47,7 @@ use std::sync::atomic::Ordering;
 
 use crate::obs::{LocalQueueCounters, MetricsSnapshot, SharedQueueCounters};
 use crate::queue::{ConcurrentQueue, Full};
-use crate::relocatable::{AnnounceBoard, RelocBuf, RelocEnqOp};
+use crate::relocatable::{AnnounceBoard, RelocBox, RelocEnqOp};
 use crate::simx::{SimAtomicU64, SimAtomicUsize};
 use crate::token::{is_token, MAX_TOKEN, NULL};
 use bq_memtrack::{FootprintBreakdown, MemoryFootprint, OverheadClass};
@@ -123,12 +123,11 @@ pub struct OptimalQueue {
     /// The announcement machinery — the `T`-slot announcement array of
     /// packed descriptor refs (0 = ⊥) plus the pool of `2T` reusable
     /// [`RelocEnqOp`] descriptors — lives in a relocatable
-    /// [`AnnounceBoard`] layout inside `board_buf` (DESIGN.md §10):
+    /// [`AnnounceBoard`] layout in its own allocation (DESIGN.md §10):
     /// descriptor references were already position-independent packed
-    /// `(index, seq)` words, so the board relocates wholesale.
-    board: AnnounceBoard,
-    /// Owns the bytes `board` views.
-    _board_buf: RelocBuf,
+    /// `(index, seq)` words, so the board relocates wholesale. Its atomics
+    /// carry all cross-thread communication (`SeqCst`).
+    board: RelocBox<AnnounceBoard>,
     /// Serialization point for verdicts (packed ref or 0 = ⊥).
     active_op: SimAtomicU64,
     next_tid: SimAtomicUsize,
@@ -140,12 +139,6 @@ pub struct OptimalQueue {
     /// off the hot path entirely.
     obs: SharedQueueCounters,
 }
-
-// SAFETY: the board's atomics carry all cross-thread communication (the
-// same SeqCst protocol as before the relocatable port); the raw pointers
-// inside the `AnnounceBoard` view target memory owned by `self.board_buf`.
-unsafe impl Send for OptimalQueue {}
-unsafe impl Sync for OptimalQueue {}
 
 /// Per-thread handle: the thread id into the announcement machinery,
 /// plus the handle-local observability accumulator (DESIGN.md §14.1 —
@@ -178,16 +171,11 @@ impl OptimalQueue {
             max_threads > 0 && max_threads < (1 << 15),
             "thread bound must be in 1..2^15"
         );
-        let board_buf = RelocBuf::zeroed(AnnounceBoard::layout(max_threads));
-        // SAFETY: `board_buf` was allocated with exactly
-        // `AnnounceBoard::layout(max_threads)` and is exclusively owned.
-        let board = unsafe { AnnounceBoard::init_at(board_buf.base(), max_threads) };
         OptimalQueue {
+            board: RelocBox::new(max_threads),
             a: (0..c).map(|_| SimAtomicU64::new(NULL)).collect(),
             enqueues: SimAtomicU64::new(0),
             dequeues: SimAtomicU64::new(0),
-            board,
-            _board_buf: board_buf,
             active_op: SimAtomicU64::new(0),
             next_tid: SimAtomicUsize::new(0),
             obs: SharedQueueCounters::new(),

@@ -1,7 +1,7 @@
 //! The common bounded-queue interface and the sequential reference queue
 //! (the paper's Figure 1).
 
-use crate::relocatable::{RelocBuf, RelocSeqRing, SeqReadGrant, SeqWriteGrant};
+use crate::relocatable::{RelocBox, RelocSeqRing, SeqReadGrant, SeqWriteGrant};
 use crate::token::InvalidToken;
 use bq_memtrack::{FootprintBreakdown, MemoryFootprint, OverheadClass};
 
@@ -143,14 +143,13 @@ pub trait ConcurrentQueue: Send + Sync {
 /// This is the specification object: the linearizability checker and the
 /// property tests replay concurrent histories against it.
 ///
-/// Since the relocatable refactor (DESIGN.md §10) this is a thin heap-backed
-/// wrapper: the actual slots + counters live in a
-/// [`RelocSeqRing`](crate::relocatable::RelocSeqRing) layout inside an owned
-/// [`RelocBuf`](crate::relocatable::RelocBuf); `Clone` is a literal `memcpy`
-/// of those bytes, which doubles as a continuous proof of relocatability.
+/// Since the relocatable refactor (DESIGN.md §10) this is a thin wrapper
+/// over a [`RelocSeqRing`] layout in a [`RelocBox`]; `Clone` is a literal
+/// `memcpy` of those bytes, which doubles as a continuous proof of
+/// relocatability. All mutation goes through `&mut self`.
+#[derive(Clone)]
 pub struct SeqRingQueue {
-    buf: RelocBuf,
-    ring: RelocSeqRing,
+    ring: RelocBox<RelocSeqRing>,
 }
 
 impl std::fmt::Debug for SeqRingQueue {
@@ -162,31 +161,12 @@ impl std::fmt::Debug for SeqRingQueue {
     }
 }
 
-impl Clone for SeqRingQueue {
-    fn clone(&self) -> Self {
-        let buf = self.buf.duplicate();
-        // SAFETY: `duplicate` yields a byte-identical copy of a region
-        // initialized by `init_at` — exactly what `from_raw` requires.
-        let ring = unsafe { RelocSeqRing::from_raw(buf.base()) };
-        SeqRingQueue { buf, ring }
-    }
-}
-
-// SAFETY: all mutation goes through `&mut self`, all shared access reads
-// plain (non-atomic) words through `&self`; the Rust borrow rules provide
-// the same exclusion the old Vec-backed struct enjoyed. The raw pointers
-// inside the view target memory owned by `self.buf`.
-unsafe impl Send for SeqRingQueue {}
-unsafe impl Sync for SeqRingQueue {}
-
 impl SeqRingQueue {
     /// Create a queue of capacity `c > 0`.
     pub fn with_capacity(c: usize) -> Self {
-        let buf = RelocBuf::zeroed(RelocSeqRing::layout(c));
-        // SAFETY: `buf` was allocated with exactly `layout(c)` and is
-        // exclusively owned here.
-        let ring = unsafe { RelocSeqRing::init_at(buf.base(), c) };
-        SeqRingQueue { buf, ring }
+        SeqRingQueue {
+            ring: RelocBox::new(c),
+        }
     }
 
     /// The capacity `C`.
@@ -211,12 +191,12 @@ impl SeqRingQueue {
 
     /// Enqueue; returns the value back when full.
     pub fn enqueue(&mut self, v: u64) -> Result<(), Full> {
-        self.ring.enqueue(v)
+        self.ring.view_mut().enqueue(v)
     }
 
     /// Dequeue the oldest element.
     pub fn dequeue(&mut self) -> Option<u64> {
-        self.ring.dequeue()
+        self.ring.view_mut().dequeue()
     }
 
     /// Enqueue a prefix of `vs`; returns how many fit. The sequential
@@ -261,7 +241,7 @@ impl SeqRingQueue {
     /// dropping the grant aborts with no state change. `None` when full
     /// or `n == 0`.
     pub fn try_reserve(&mut self, n: usize) -> Option<SeqWriteGrant<'_>> {
-        self.ring.try_reserve(n)
+        self.ring.view_mut().try_reserve(n)
     }
 
     /// Borrow up to `n` queued elements in place as `&[u64]` (DESIGN.md
@@ -269,7 +249,7 @@ impl SeqRingQueue {
     /// [`release`](crate::relocatable::SeqReadGrant::release); dropping
     /// the grant leaves them queued. `None` when empty or `n == 0`.
     pub fn try_read(&mut self, n: usize) -> Option<SeqReadGrant<'_>> {
-        self.ring.try_read(n)
+        self.ring.view_mut().try_read(n)
     }
 
     /// Iterate over the current elements, oldest first.

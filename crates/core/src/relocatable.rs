@@ -12,11 +12,14 @@
 //! The split is: **shared state** (the `#[repr(C)]` header + trailing
 //! arrays, all offset-addressed) vs **view** (a per-process accessor like
 //! [`RelocRing`] holding the locally-mapped base pointer). Views are cheap
-//! `Copy` values reconstructed by each process from its own mapping; only
-//! views hold pointers, and views are never stored in shared memory.
+//! values each process builds from its own mapping; only views hold
+//! pointers, and views are never stored in shared memory. A view is not
+//! `Clone`: it lives beside the allocation or mapping it addresses, inside
+//! its owner, and is lent out by reference — so it cannot outlive the bytes.
 //!
-//! Four layouts are provided, each with a [`Layout`]-computing
-//! constructor pair (`layout` / `init_at` / `from_raw`):
+//! Four layouts are provided, each placed through the one
+//! [`RelocLayout`] path (`layout` / `init_at` / checked `attach`) and
+//! owned by [`RelocBox`] on the heap or `bq-shm`'s `ShmBox` in a segment:
 //!
 //! * [`RelocSeqRing`] — the Figure 1 sequential ring
 //!   ([`SeqRingQueue`](crate::SeqRingQueue) is now a thin heap-backed
@@ -64,8 +67,9 @@
 //! 3. Contended words are isolated with `#[repr(C, align(128))]`
 //!    ([`PadAtomicU64`], [`PadSimAtomicU64`]) — two cache lines, matching
 //!    `CachePadded`.
-//! 4. Each layout starts with a magic word; `from_raw` refuses memory
-//!    that does not carry it.
+//! 4. Each layout starts with a magic word; [`RelocLayout::attach`]
+//!    refuses memory that does not carry it, records arguments outside
+//!    their range, or is shorter than the layout those arguments imply.
 //! 5. Compile-time `size_of`/`align_of`/`offset_of` assertions pin every
 //!    struct (this module, bottom); an accidental field reorder is a
 //!    compile error, not a live-segment corruption.
@@ -219,10 +223,181 @@ impl Drop for RelocBuf {
 
 // SAFETY: RelocBuf is a uniquely-owned byte allocation; sending it (or
 // sharing references to it) is as safe as the access discipline of the
-// layout placed inside, which each wrapper type vouches for with its own
-// Send/Sync impls.
+// layout placed inside, which `RelocLayout`'s contract vouches for.
 unsafe impl Send for RelocBuf {}
 unsafe impl Sync for RelocBuf {}
+
+// ---------------------------------------------------------------------------
+// RelocLayout — the one placement path; RelocBox — the one heap owner
+// ---------------------------------------------------------------------------
+
+/// Why a region was refused: an argument outside its range, a missing
+/// magic word, or recorded arguments whose layout does not fit the bytes
+/// on offer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BadLayout(pub &'static str);
+
+impl std::fmt::Display for BadLayout {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.0)
+    }
+}
+
+impl std::error::Error for BadLayout {}
+
+/// `base + n · elem` bytes, `None` on overflow: `n` may come from a header
+/// another process wrote.
+fn span(base: usize, n: usize, elem: usize) -> Option<usize> {
+    n.checked_mul(elem)?.checked_add(base)
+}
+
+/// Close a checked size computation into a [`Layout`].
+fn layout_of(size: Option<usize>, align: usize) -> Result<Layout, BadLayout> {
+    size.and_then(|s| Layout::from_size_align(s, align).ok())
+        .ok_or(BadLayout("layout does not fit the address space"))
+}
+
+/// A header-recorded count as a `usize`.
+fn recorded(word: u64) -> Result<usize, BadLayout> {
+    usize::try_from(word).map_err(|_| BadLayout("recorded size exceeds the address space"))
+}
+
+/// A view over a relocatable layout: how its region is sized, initialized
+/// and re-attached to. The two owners — [`RelocBox`] here, `ShmBox` in
+/// `bq-shm` — are written once over this trait.
+///
+/// # Safety
+///
+/// Implementors guarantee that
+///
+/// * a view built over `base` addresses only the
+///   `try_layout(args)?.size()` bytes starting there;
+/// * every *safe* method reachable through `&Self` may be called from
+///   several threads at once (it touches atomics only, or reads plain
+///   words that only `&mut self` methods write) — this is what lets the
+///   owners be `Send + Sync` without an argument of their own;
+/// * `try_layout` and `recorded_args` never panic and never read outside
+///   the header.
+pub unsafe trait RelocLayout: Sized {
+    /// What a region is built from and what its header records.
+    type Args: Copy;
+
+    /// Size of the fixed header [`recorded_args`](Self::recorded_args)
+    /// reads.
+    const HDR_BYTES: usize;
+
+    /// Validate `args` and compute the region's layout, with checked
+    /// arithmetic throughout.
+    fn try_layout(args: Self::Args) -> Result<Layout, BadLayout>;
+
+    /// [`try_layout`](Self::try_layout) for arguments the program chose
+    /// itself: panics on invalid ones.
+    fn layout(args: Self::Args) -> Layout {
+        Self::try_layout(args).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Initialize an empty structure at `base` and return its view.
+    ///
+    /// # Safety
+    ///
+    /// `base` must be valid for writes of [`layout`](Self::layout)`(args)`
+    /// bytes, aligned to that layout, zeroed, and stay valid for the
+    /// view's lifetime; nothing else may be initializing the same region.
+    unsafe fn init_at(base: *mut u8, args: Self::Args) -> Self;
+
+    /// Check the magic word and read back the arguments the region was
+    /// initialized with.
+    ///
+    /// # Safety
+    ///
+    /// `base` must be valid for reads of [`HDR_BYTES`](Self::HDR_BYTES)
+    /// bytes and aligned for the header.
+    unsafe fn recorded_args(base: *const u8) -> Result<Self::Args, BadLayout>;
+
+    /// The view over an initialized region (no checks).
+    ///
+    /// # Safety
+    ///
+    /// As [`init_at`](Self::init_at), and the region must have been
+    /// initialized with exactly `args`.
+    unsafe fn view(base: *mut u8, args: Self::Args) -> Self;
+
+    /// Attach to a region something else initialized — a byte copy, or
+    /// this process's mapping of a segment another process wrote. Refuses
+    /// a missing magic word, recorded arguments outside their range, and
+    /// a region shorter (or less aligned) than those arguments imply, so
+    /// a damaged file is an error here and never a wild pointer later.
+    ///
+    /// # Safety
+    ///
+    /// `base` must be valid for reads and writes of `avail_len` bytes,
+    /// aligned for the header, and stay valid for the view's lifetime.
+    unsafe fn attach(base: *mut u8, avail_len: usize) -> Result<Self, BadLayout> {
+        if avail_len < Self::HDR_BYTES {
+            return Err(BadLayout("region shorter than the layout's header"));
+        }
+        let args = Self::recorded_args(base)?;
+        let layout = Self::try_layout(args)?;
+        if layout.size() > avail_len || !(base as usize).is_multiple_of(layout.align()) {
+            return Err(BadLayout(
+                "region shorter or less aligned than its recorded layout",
+            ));
+        }
+        Ok(Self::view(base, args))
+    }
+}
+
+/// A relocatable layout in a heap allocation of its own: a [`RelocBuf`]
+/// plus the view addressing it. Derefs to the view.
+pub struct RelocBox<V: RelocLayout> {
+    view: V,
+    buf: RelocBuf,
+}
+
+impl<V: RelocLayout> RelocBox<V> {
+    /// Allocate and initialize an empty structure. Panics on invalid
+    /// `args` (see the view's [`RelocLayout::try_layout`]).
+    pub fn new(args: V::Args) -> Self {
+        let buf = RelocBuf::zeroed(V::layout(args));
+        // SAFETY: `buf` is a fresh zeroed allocation of exactly
+        // `layout(args)`, owned by the box for as long as the view.
+        let view = unsafe { V::init_at(buf.base(), args) };
+        RelocBox { view, buf }
+    }
+
+    /// The view, mutably. Crate-private: swapping two boxes' views would
+    /// leave each addressing the other's allocation.
+    pub(crate) fn view_mut(&mut self) -> &mut V {
+        &mut self.view
+    }
+}
+
+impl<V: RelocLayout> std::ops::Deref for RelocBox<V> {
+    type Target = V;
+    fn deref(&self) -> &V {
+        &self.view
+    }
+}
+
+/// `Clone` is a literal `memcpy` of the region plus a checked
+/// [`attach`](RelocLayout::attach). Only the sequential ring offers it:
+/// its `&self` methods write nothing, so the bytes cannot change under the
+/// copy.
+impl Clone for RelocBox<RelocSeqRing> {
+    fn clone(&self) -> Self {
+        let buf = self.buf.duplicate();
+        // SAFETY: `buf` is the box's own allocation, `buf.len()` long.
+        let view = unsafe { RelocSeqRing::attach(buf.base(), buf.len()) }
+            .expect("a byte copy of a valid region is valid");
+        RelocBox { view, buf }
+    }
+}
+
+// SAFETY: `buf` is uniquely owned and outlives `view`, whose pointers
+// target it; `RelocLayout`'s contract makes every safe `&V` method
+// thread-safe, and the view's `unsafe` methods carry their own.
+unsafe impl<V: RelocLayout> Send for RelocBox<V> {}
+unsafe impl<V: RelocLayout> Sync for RelocBox<V> {}
 
 // ---------------------------------------------------------------------------
 // RelocSeqRing — the Figure 1 sequential ring, relocatable
@@ -248,7 +423,6 @@ pub const SEQ_RING_MAGIC: u64 = 0x4d42_5153_4551_5231; // "MBQSEQR1"
 /// View over a Figure 1 sequential bounded ring placed in caller-provided
 /// memory. Single-owner (`&mut` API); the heap-backed owner is
 /// [`SeqRingQueue`](crate::SeqRingQueue).
-#[derive(Clone, Copy)]
 pub struct RelocSeqRing {
     hdr: NonNull<SeqRingHdr>,
     cap: u64,
@@ -267,61 +441,54 @@ const fn mask_of(c: u64) -> u64 {
     }
 }
 
-impl RelocSeqRing {
-    /// Memory layout for capacity `c`.
-    pub fn layout(c: usize) -> Layout {
-        assert!(c > 0, "capacity must be positive");
-        Layout::from_size_align(
-            std::mem::size_of::<SeqRingHdr>() + c * std::mem::size_of::<u64>(),
+// SAFETY: the view addresses the header and the `C` slots behind it;
+// `&self` methods read plain words that only `&mut self` methods write.
+unsafe impl RelocLayout for RelocSeqRing {
+    /// Capacity `C > 0`.
+    type Args = usize;
+    const HDR_BYTES: usize = std::mem::size_of::<SeqRingHdr>();
+
+    fn try_layout(c: usize) -> Result<Layout, BadLayout> {
+        if c == 0 {
+            return Err(BadLayout("capacity must be positive"));
+        }
+        layout_of(
+            span(Self::HDR_BYTES, c, std::mem::size_of::<u64>()),
             std::mem::align_of::<SeqRingHdr>(),
         )
-        .expect("seq ring layout")
     }
 
-    /// Initialize an empty ring of capacity `c` at `base` and return its
-    /// view.
-    ///
-    /// # Safety
-    ///
-    /// `base` must be valid for writes of [`Self::layout`]`(c)` bytes,
-    /// aligned to that layout, and exclusively owned by the caller.
-    pub unsafe fn init_at(base: *mut u8, c: usize) -> RelocSeqRing {
+    /// An empty ring. Slots stay as handed over (zeroed): the counters
+    /// make them unreachable until written.
+    unsafe fn init_at(base: *mut u8, c: usize) -> RelocSeqRing {
         let _ = Self::layout(c); // validates c > 0
-        let hdr = base.cast::<SeqRingHdr>();
-        hdr.write(SeqRingHdr {
+        base.cast::<SeqRingHdr>().write(SeqRingHdr {
             magic: SEQ_RING_MAGIC,
             capacity: c as u64,
             tail: 0,
             head: 0,
         });
-        // Slots: zeroed by convention (callers hand over zeroed memory or
-        // accept stale values — the counters make them unreachable).
+        Self::view(base, c)
+    }
+
+    unsafe fn recorded_args(base: *const u8) -> Result<usize, BadLayout> {
+        let hdr = base.cast::<SeqRingHdr>();
+        if (*hdr).magic != SEQ_RING_MAGIC {
+            return Err(BadLayout("not a RelocSeqRing region"));
+        }
+        recorded((*hdr).capacity)
+    }
+
+    unsafe fn view(base: *mut u8, c: usize) -> RelocSeqRing {
         RelocSeqRing {
-            hdr: NonNull::new_unchecked(hdr),
+            hdr: NonNull::new_unchecked(base.cast()),
             cap: c as u64,
             mask: mask_of(c as u64),
         }
     }
+}
 
-    /// Re-attach to a previously initialized ring at `base` (e.g. after a
-    /// memcpy relocation). Panics if the magic word is absent.
-    ///
-    /// # Safety
-    ///
-    /// `base` must point to memory initialized by [`Self::init_at`] (or a
-    /// byte-for-byte copy of it) and stay valid and exclusively owned for
-    /// the view's lifetime.
-    pub unsafe fn from_raw(base: *mut u8) -> RelocSeqRing {
-        let hdr = base.cast::<SeqRingHdr>();
-        assert_eq!((*hdr).magic, SEQ_RING_MAGIC, "not a RelocSeqRing region");
-        let cap = (*hdr).capacity;
-        RelocSeqRing {
-            hdr: NonNull::new_unchecked(hdr),
-            cap,
-            mask: mask_of(cap),
-        }
-    }
-
+impl RelocSeqRing {
     fn hdr(&self) -> &SeqRingHdr {
         // SAFETY: view invariant — hdr points at an initialized header.
         unsafe { self.hdr.as_ref() }
@@ -570,9 +737,9 @@ pub const RING_MAGIC: u64 = 0x4d42_5153_4551_5232; // "MBQSEQR2"
 
 /// View over a sequenced MPMC ring placed in caller-provided memory.
 ///
-/// The view is `Copy` and per-process: each process (or each heap owner)
-/// reconstructs it from its own mapping of the shared bytes via
-/// [`from_raw`](Self::from_raw). The plain Vyukov protocol is provided as
+/// The view is per-process: each process (or each heap owner) builds
+/// its own from its mapping of the shared bytes via
+/// [`attach`](RelocLayout::attach). The plain Vyukov protocol is provided as
 /// the `vy_*` methods and the [`try_reserve`](Self::try_reserve) /
 /// [`try_read`](Self::try_read) grants; `bq-shm` drives the same layout
 /// under its crash-consistent protocol through the raw accessors.
@@ -585,9 +752,12 @@ pub const RING_MAGIC: u64 = 0x4d42_5153_4551_5232; // "MBQSEQR2"
 /// | `pos + 1`          | published — claimable by the consumer        |
 /// | `pos + C`          | consumed **or aborted** (free next round)    |
 ///
-/// An aborted write grant moves its slots straight from `pos` to
-/// `pos + C`; a consumer whose head points at such a slot helps the head
-/// past it (see [`vy_dequeue`](Self::vy_dequeue)).
+/// Every operation is the private `claim` (scan a run of slots in the
+/// state its end of the ring takes, win it with one CAS on that end's
+/// counter) followed by `resolve` (store each slot's next state). An
+/// aborted write grant and a released read grant are the same `resolve`:
+/// both move their slots to `pos + C`. A consumer whose head points at an
+/// aborted slot helps the head past it.
 pub struct RelocRing<T: Pod> {
     hdr: NonNull<RingHdr>,
     seqs: NonNull<SimAtomicU64>,
@@ -598,91 +768,78 @@ pub struct RelocRing<T: Pod> {
     _pd: PhantomData<T>,
 }
 
-impl<T: Pod> Clone for RelocRing<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
+// SAFETY: the view addresses the header, the `C` seq words and the `C`
+// payloads of `try_layout(c)`; its safe `&self` methods touch shared
+// state through atomics only (payload access is `unsafe` or behind a
+// grant's claim).
+unsafe impl<T: Pod> RelocLayout for RelocRing<T> {
+    /// Capacity `C ≥ 2` (the sequence encoding needs at least two slots;
+    /// see `VyukovQueue::with_capacity`).
+    type Args = usize;
+    const HDR_BYTES: usize = std::mem::size_of::<RingHdr>();
 
-impl<T: Pod> Copy for RelocRing<T> {}
-
-impl<T: Pod> RelocRing<T> {
-    const fn seqs_offset() -> usize {
-        std::mem::size_of::<RingHdr>()
-    }
-
-    /// Payload array offset: after the seq array, on its own cache-line
-    /// pair (and at least `T`-aligned).
-    fn vals_offset(c: usize) -> usize {
-        let align = std::mem::align_of::<T>().max(128);
-        align_up(Self::seqs_offset() + c * std::mem::size_of::<u64>(), align)
-    }
-
-    /// Memory layout for capacity `c ≥ 2` (the sequence encoding needs
-    /// at least two slots; see `VyukovQueue::with_capacity`).
-    pub fn layout(c: usize) -> Layout {
-        assert!(c >= 2, "sequenced rings require capacity >= 2");
-        let align = std::mem::align_of::<RingHdr>().max(std::mem::align_of::<T>());
-        Layout::from_size_align(Self::vals_offset(c) + c * std::mem::size_of::<T>(), align)
-            .expect("ring layout")
+    fn try_layout(c: usize) -> Result<Layout, BadLayout> {
+        if c < 2 {
+            return Err(BadLayout("sequenced rings require capacity >= 2"));
+        }
+        let vals = span(Self::HDR_BYTES, c, std::mem::size_of::<u64>())
+            .and_then(|end| end.checked_next_multiple_of(Self::vals_align()));
+        layout_of(
+            vals.and_then(|off| span(off, c, std::mem::size_of::<T>())),
+            std::mem::align_of::<RingHdr>().max(std::mem::align_of::<T>()),
+        )
     }
 
-    /// Initialize an empty ring of capacity `c` at `base` and return its
-    /// view: slot `i` gets sequence word `i` (Vyukov's "free for round
-    /// `i`"), payloads zeroed.
-    ///
-    /// # Safety
-    ///
-    /// `base` must be valid for writes of [`Self::layout`]`(c)` bytes and
-    /// aligned to that layout; no other view may be concurrently
-    /// initializing the same region.
-    pub unsafe fn init_at(base: *mut u8, c: usize) -> RelocRing<T> {
+    /// An empty ring: slot `i` gets sequence word `i` (Vyukov's "free for
+    /// round `i`"); payloads stay as handed over (zeroed).
+    unsafe fn init_at(base: *mut u8, c: usize) -> RelocRing<T> {
         let _ = Self::layout(c);
-        let hdr = base.cast::<RingHdr>();
-        hdr.write(RingHdr {
+        base.cast::<RingHdr>().write(RingHdr {
             magic: RING_MAGIC,
             capacity: c as u64,
             tail: PadSimAtomicU64::new(0),
             head: PadSimAtomicU64::new(0),
         });
-        let seqs = base.add(Self::seqs_offset()).cast::<SimAtomicU64>();
+        let ring = Self::view(base, c);
         for i in 0..c {
-            seqs.add(i).write(SimAtomicU64::new(i as u64));
+            ring.seqs.as_ptr().add(i).write(SimAtomicU64::new(i as u64));
         }
-        let vals = base.add(Self::vals_offset(c)).cast::<T>();
-        std::ptr::write_bytes(vals, 0, c);
+        ring
+    }
+
+    unsafe fn recorded_args(base: *const u8) -> Result<usize, BadLayout> {
+        let hdr = base.cast::<RingHdr>();
+        if (*hdr).magic != RING_MAGIC {
+            return Err(BadLayout("not a RelocRing region"));
+        }
+        recorded((*hdr).capacity)
+    }
+
+    unsafe fn view(base: *mut u8, c: usize) -> RelocRing<T> {
         RelocRing {
-            hdr: NonNull::new_unchecked(hdr),
-            seqs: NonNull::new_unchecked(seqs),
-            vals: NonNull::new_unchecked(vals),
+            hdr: NonNull::new_unchecked(base.cast()),
+            seqs: NonNull::new_unchecked(base.add(Self::HDR_BYTES).cast()),
+            vals: NonNull::new_unchecked(base.add(Self::vals_offset(c)).cast()),
             cap: c as u64,
             mask: mask_of(c as u64),
             _pd: PhantomData,
         }
     }
+}
 
-    /// Re-attach to an initialized ring at `base` (this process's mapping
-    /// of it). Panics if the magic word is absent.
-    ///
-    /// # Safety
-    ///
-    /// `base` must point to memory initialized by [`Self::init_at`] for
-    /// the same `T` (or a byte copy / shared mapping of it) and stay
-    /// valid for the view's lifetime.
-    pub unsafe fn from_raw(base: *mut u8) -> RelocRing<T> {
-        let hdr = base.cast::<RingHdr>();
-        assert_eq!((*hdr).magic, RING_MAGIC, "not a RelocRing region");
-        let cap = (*hdr).capacity;
-        let seqs = base.add(Self::seqs_offset()).cast::<SimAtomicU64>();
-        let vals = base.add(Self::vals_offset(cap as usize)).cast::<T>();
-        RelocRing {
-            hdr: NonNull::new_unchecked(hdr),
-            seqs: NonNull::new_unchecked(seqs),
-            vals: NonNull::new_unchecked(vals),
-            cap,
-            mask: mask_of(cap),
-            _pd: PhantomData,
-        }
+impl<T: Pod> RelocRing<T> {
+    /// Payload array alignment: its own cache-line pair, and at least
+    /// `T`-aligned.
+    fn vals_align() -> usize {
+        std::mem::align_of::<T>().max(128)
+    }
+
+    /// Payload array offset, after the seq array (`c` already validated).
+    fn vals_offset(c: usize) -> usize {
+        align_up(
+            Self::HDR_BYTES + c * std::mem::size_of::<u64>(),
+            Self::vals_align(),
+        )
     }
 
     fn hdr(&self) -> &RingHdr {
@@ -752,265 +909,168 @@ impl<T: Pod> RelocRing<T> {
         t.saturating_sub(h) as usize
     }
 
-    // -- the plain Vyukov protocol over this layout ------------------------
+    // -- the one claim loop and the one resolve loop ------------------------
 
-    /// Vyukov `enqueue`: claim the tail round with a CAS, write the
-    /// payload, release the slot's sequence word. May report full
-    /// spuriously under concurrency (the design's documented relaxation).
-    pub fn vy_enqueue(&self, v: T) -> Result<(), T> {
-        let mut pos = self.tail().load(Ordering::Relaxed);
+    /// Claim up to `n ≥ 1` slots at one end of the ring: `counter` is the
+    /// tail with `ready == 0` (slots whose seq word reads `pos + i`, free)
+    /// or the head with `ready == 1` (`pos + i + 1`, published). Scans a
+    /// run that stops at the wrap edge, so it is contiguous memory, and
+    /// takes it with one CAS on `counter`. `None` is the relaxed
+    /// full/empty report: the first slot still carries an earlier state.
+    ///
+    /// Orderings: the seq `Acquire` load pairs with [`resolve`]'s
+    /// `Release` store, so the claimant sees the payload written (or
+    /// read out) before the slot reached this state. The counters are
+    /// `Relaxed`: they only arbitrate who owns a run; a stale read costs
+    /// a retry, never a wrong claim, because the seq scan is re-done.
+    ///
+    /// [`resolve`]: Self::resolve
+    #[inline(always)]
+    fn claim(&self, counter: &SimAtomicU64, ready: u64, n: usize) -> Option<(u64, usize)> {
+        debug_assert!(n >= 1);
+        let mut pos = counter.load(Ordering::Relaxed);
         loop {
-            let slot = self.slot_of(pos);
-            let seq = self.seq(slot).load(Ordering::Acquire);
-            if seq == pos {
-                if self
-                    .tail()
-                    .compare_exchange_weak(pos, pos + 1, Ordering::Relaxed, Ordering::Relaxed)
-                    .is_ok()
-                {
-                    // SAFETY: winning the tail CAS grants exclusive write
-                    // access to this slot for this round.
-                    unsafe { self.val_write(slot, v) };
-                    self.seq(slot).store(pos + 1, Ordering::Release);
-                    return Ok(());
-                }
-                pos = self.tail().load(Ordering::Relaxed);
-            } else if seq < pos {
-                // The slot still carries last round's element: full.
-                return Err(v);
-            } else {
-                pos = self.tail().load(Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Help the head counter past an aborted slot: at head position
-    /// `pos`, `seq ≥ pos + C` means the round-`pos` writer aborted (a
-    /// consumer only stores `pos + C` *after* moving the head past
-    /// `pos`, so a live head can see it only via an abort). The CAS
-    /// fails benignly when another thread already advanced the head.
-    #[inline]
-    fn help_skip_aborted(&self, pos: u64) {
-        let _ = self
-            .head()
-            .compare_exchange(pos, pos + 1, Ordering::Relaxed, Ordering::Relaxed);
-    }
-
-    /// Vyukov `dequeue`: the mirror of [`vy_enqueue`](Self::vy_enqueue).
-    /// Additionally skips slots whose writer aborted its grant (see the
-    /// state table on [`RelocRing`]).
-    pub fn vy_dequeue(&self) -> Option<T> {
-        let c = self.cap;
-        let mut pos = self.head().load(Ordering::Relaxed);
-        loop {
-            let slot = self.slot_of(pos);
-            let seq = self.seq(slot).load(Ordering::Acquire);
-            if seq == pos + 1 {
-                if self
-                    .head()
-                    .compare_exchange_weak(pos, pos + 1, Ordering::Relaxed, Ordering::Relaxed)
-                    .is_ok()
-                {
-                    // SAFETY: winning the head CAS grants exclusive read
-                    // access for this round.
-                    let v = unsafe { self.val_read(slot) };
-                    self.seq(slot).store(pos + c, Ordering::Release);
-                    return Some(v);
-                }
-                pos = self.head().load(Ordering::Relaxed);
-            } else if seq < pos + 1 {
-                return None;
-            } else {
-                if seq >= pos + c {
-                    self.help_skip_aborted(pos);
-                }
-                pos = self.head().load(Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Native batch enqueue: scan a run of free slots, claim the whole
-    /// run with one tail CAS, fill and release in order (DESIGN.md §8.1's
-    /// slot-run fast path, verbatim on the relocatable layout).
-    pub fn vy_enqueue_many(&self, vs: &[T]) -> usize {
-        let cap = self.capacity();
-        let mut done = 0usize;
-        while done < vs.len() {
-            let pos = self.tail().load(Ordering::Relaxed);
-            let want = (vs.len() - done).min(cap);
-            let mut m = 0usize;
-            while m < want {
-                let slot = self.slot_of(pos + m as u64);
-                if self.seq(slot).load(Ordering::Acquire) != pos + m as u64 {
+            let slot0 = self.slot_of(pos);
+            let limit = n.min(self.capacity() - slot0);
+            let (mut m, mut seq) = (0usize, 0u64);
+            while m < limit {
+                seq = self.seq(slot0 + m).load(Ordering::Acquire);
+                if seq != pos + m as u64 + ready {
                     break;
                 }
                 m += 1;
             }
-            if m == 0 {
-                let slot = self.slot_of(pos);
-                let seq = self.seq(slot).load(Ordering::Acquire);
-                if seq < pos {
-                    // Same (relaxed) full report as the single-element op.
-                    return done;
+            if m > 0 {
+                if counter
+                    .compare_exchange(pos, pos + m as u64, Ordering::Relaxed, Ordering::Relaxed)
+                    .is_ok()
+                {
+                    return Some((pos, m));
                 }
-                continue; // raced with another producer; re-read the tail
+            } else if seq < pos + ready {
+                return None;
+            } else if ready == 1 && seq >= pos + self.cap {
+                // At head position `pos`, `seq ≥ pos + C` means the
+                // round-`pos` writer aborted (a consumer stores `pos + C`
+                // only *after* moving the head past `pos`): help the head
+                // over it. Fails benignly if another thread already did.
+                let _ =
+                    counter.compare_exchange(pos, pos + 1, Ordering::Relaxed, Ordering::Relaxed);
             }
-            if self
-                .tail()
-                .compare_exchange(pos, pos + m as u64, Ordering::Relaxed, Ordering::Relaxed)
-                .is_ok()
-            {
-                for i in 0..m {
-                    let slot = self.slot_of(pos + i as u64);
-                    // SAFETY: the tail CAS claimed rounds pos..pos+m; each
-                    // claimed slot has exactly one writer this round.
-                    unsafe { self.val_write(slot, vs[done + i]) };
-                    self.seq(slot).store(pos + i as u64 + 1, Ordering::Release);
-                }
-                done += m;
+            pos = counter.load(Ordering::Relaxed);
+        }
+    }
+
+    /// Resolve a claimed run `pos .. pos + len`: the first `k` slots move
+    /// to `pos + i + 1` (published), the rest to `pos + i + C` (consumed
+    /// or aborted — free next round). `Release`, pairing with
+    /// [`claim`](Self::claim)'s `Acquire`.
+    #[inline(always)]
+    fn resolve(&self, pos: u64, len: usize, k: usize) {
+        let slot0 = self.slot_of(pos);
+        for i in 0..len {
+            let step = if i < k { 1 } else { self.cap };
+            self.seq(slot0 + i)
+                .store(pos + i as u64 + step, Ordering::Release);
+        }
+    }
+
+    // -- the plain Vyukov protocol over this layout ------------------------
+
+    /// Vyukov `enqueue`: claim the tail round, write the payload, publish
+    /// the slot. May report full spuriously under concurrency (the
+    /// design's documented relaxation).
+    pub fn vy_enqueue(&self, v: T) -> Result<(), T> {
+        let Some((pos, _)) = self.claim(self.tail(), 0, 1) else {
+            return Err(v);
+        };
+        // SAFETY: winning the tail CAS grants exclusive write access to
+        // this slot for this round.
+        unsafe { self.val_write(self.slot_of(pos), v) };
+        self.resolve(pos, 1, 1);
+        Ok(())
+    }
+
+    /// Vyukov `dequeue`: the mirror of [`vy_enqueue`](Self::vy_enqueue).
+    /// Skips slots whose writer aborted its grant (see the state table on
+    /// [`RelocRing`]).
+    pub fn vy_dequeue(&self) -> Option<T> {
+        let (pos, _) = self.claim(self.head(), 1, 1)?;
+        // SAFETY: winning the head CAS grants exclusive read access for
+        // this round.
+        let v = unsafe { self.val_read(self.slot_of(pos)) };
+        self.resolve(pos, 1, 0);
+        Some(v)
+    }
+
+    /// Batch enqueue of a prefix of `vs`: one write grant per contiguous
+    /// run (DESIGN.md §8.1's slot-run fast path — one CAS per run, two
+    /// when the batch straddles the wrap edge). Stops at the first full
+    /// report.
+    pub fn vy_enqueue_many(&self, vs: &[T]) -> usize {
+        let mut done = 0usize;
+        while done < vs.len() {
+            let Some(mut g) = self.try_reserve(vs.len() - done) else {
+                break;
+            };
+            let n = g.len();
+            for (slot, v) in g.uninit_slice().iter_mut().zip(&vs[done..]) {
+                slot.write(*v);
             }
+            g.commit(n);
+            done += n;
         }
         done
     }
 
-    /// Native batch dequeue: the mirror slot-run claim over the head
-    /// counter (`seq == pos + i + 1` marks a filled slot). Skips aborted
-    /// slots like [`vy_dequeue`](Self::vy_dequeue).
+    /// Batch dequeue of up to `max` elements into `out`: one read grant
+    /// per contiguous run. Stops at the first empty report.
     pub fn vy_dequeue_many(&self, max: usize, out: &mut Vec<T>) -> usize {
-        let c = self.cap;
-        let cap = self.capacity();
         let mut done = 0usize;
         while done < max {
-            let pos = self.head().load(Ordering::Relaxed);
-            let want = (max - done).min(cap);
-            let mut m = 0usize;
-            while m < want {
-                let slot = self.slot_of(pos + m as u64);
-                if self.seq(slot).load(Ordering::Acquire) != pos + m as u64 + 1 {
-                    break;
-                }
-                m += 1;
-            }
-            if m == 0 {
-                let slot = self.slot_of(pos);
-                let seq = self.seq(slot).load(Ordering::Acquire);
-                if seq >= pos + c {
-                    self.help_skip_aborted(pos);
-                } else if seq < pos + 1 {
-                    return done; // empty (same relaxed report as vy_dequeue)
-                }
-                continue;
-            }
-            if self
-                .head()
-                .compare_exchange(pos, pos + m as u64, Ordering::Relaxed, Ordering::Relaxed)
-                .is_ok()
-            {
-                for i in 0..m {
-                    let slot = self.slot_of(pos + i as u64);
-                    // SAFETY: the head CAS claimed rounds pos..pos+m.
-                    out.push(unsafe { self.val_read(slot) });
-                    self.seq(slot).store(pos + i as u64 + c, Ordering::Release);
-                }
-                done += m;
-            }
+            let Some(g) = self.try_read(max - done) else {
+                break;
+            };
+            out.extend_from_slice(&g);
+            done += g.len();
         }
         done
     }
 
     // -- zero-copy grants over the same protocol ---------------------------
 
-    /// Reserve up to `n` slots for an in-place write: scan a run of free
-    /// slots from the tail, claim the whole run with one tail CAS, and
-    /// hand it out as a [`RingWriteGrant`]. The run never wraps, so the
-    /// grant's payload memory is contiguous. Returns `None` when the
-    /// ring is full (same relaxed report as
+    /// Reserve up to `n` slots for an in-place write: claim a run of free
+    /// slots from the tail and hand it out as a [`RingWriteGrant`]. The
+    /// run never wraps, so the grant's payload memory is contiguous.
+    /// Returns `None` when the ring is full (same relaxed report as
     /// [`vy_enqueue`](Self::vy_enqueue)) or `n == 0`.
     pub fn try_reserve(&self, n: usize) -> Option<RingWriteGrant<'_, T>> {
         if n == 0 {
             return None;
         }
-        let mut pos = self.tail().load(Ordering::Relaxed);
-        loop {
-            let slot0 = self.slot_of(pos);
-            let limit = n.min(self.capacity() - slot0);
-            let mut m = 0usize;
-            while m < limit {
-                if self.seq(slot0 + m).load(Ordering::Acquire) != pos + m as u64 {
-                    break;
-                }
-                m += 1;
-            }
-            if m == 0 {
-                let seq = self.seq(slot0).load(Ordering::Acquire);
-                if seq < pos {
-                    return None; // full (relaxed)
-                }
-                pos = self.tail().load(Ordering::Relaxed);
-                continue;
-            }
-            if self
-                .tail()
-                .compare_exchange(pos, pos + m as u64, Ordering::Relaxed, Ordering::Relaxed)
-                .is_ok()
-            {
-                return Some(RingWriteGrant {
-                    ring: *self,
-                    pos,
-                    len: m,
-                    _pd: PhantomData,
-                });
-            }
-            pos = self.tail().load(Ordering::Relaxed);
-        }
+        let (pos, len) = self.claim(self.tail(), 0, n)?;
+        Some(RingWriteGrant {
+            ring: self,
+            pos,
+            len,
+        })
     }
 
-    /// Claim up to `n` published slots for an in-place read: scan a run
-    /// of published slots from the head, claim it with one head CAS, and
-    /// hand it out as a [`RingReadGrant`] borrowing `&[T]` directly over
-    /// the slot memory. The run never wraps. Returns `None` when the
-    /// ring is empty (same relaxed report as
-    /// [`vy_dequeue`](Self::vy_dequeue)) or `n == 0`.
+    /// Claim up to `n` published slots for an in-place read: claim a run
+    /// of published slots from the head and hand it out as a
+    /// [`RingReadGrant`] borrowing `&[T]` directly over the slot memory.
+    /// The run never wraps. Returns `None` when the ring is empty (same
+    /// relaxed report as [`vy_dequeue`](Self::vy_dequeue)) or `n == 0`.
     pub fn try_read(&self, n: usize) -> Option<RingReadGrant<'_, T>> {
         if n == 0 {
             return None;
         }
-        let c = self.cap;
-        let mut pos = self.head().load(Ordering::Relaxed);
-        loop {
-            let slot0 = self.slot_of(pos);
-            let limit = n.min(self.capacity() - slot0);
-            let mut m = 0usize;
-            while m < limit {
-                if self.seq(slot0 + m).load(Ordering::Acquire) != pos + m as u64 + 1 {
-                    break;
-                }
-                m += 1;
-            }
-            if m == 0 {
-                let seq = self.seq(slot0).load(Ordering::Acquire);
-                if seq >= pos + c {
-                    self.help_skip_aborted(pos);
-                } else if seq < pos + 1 {
-                    return None; // empty (relaxed)
-                }
-                pos = self.head().load(Ordering::Relaxed);
-                continue;
-            }
-            if self
-                .head()
-                .compare_exchange(pos, pos + m as u64, Ordering::Relaxed, Ordering::Relaxed)
-                .is_ok()
-            {
-                return Some(RingReadGrant {
-                    ring: *self,
-                    pos,
-                    len: m,
-                    _pd: PhantomData,
-                });
-            }
-            pos = self.head().load(Ordering::Relaxed);
-        }
+        let (pos, len) = self.claim(self.head(), 1, n)?;
+        Some(RingReadGrant {
+            ring: self,
+            pos,
+            len,
+        })
     }
 }
 
@@ -1025,10 +1085,9 @@ impl<T: Pod> RelocRing<T> {
 /// as if consumed — consumers skip them). Dropping the grant aborts
 /// every slot, so a panicking producer never wedges the ring.
 pub struct RingWriteGrant<'a, T: Pod> {
-    ring: RelocRing<T>,
+    ring: &'a RelocRing<T>,
     pos: u64,
     len: usize,
-    _pd: PhantomData<&'a RelocRing<T>>,
 }
 
 impl<T: Pod> RingWriteGrant<'_, T> {
@@ -1068,31 +1127,16 @@ impl<T: Pod> RingWriteGrant<'_, T> {
     /// abort the rest.
     pub fn commit(self, k: usize) {
         assert!(k <= self.len, "commit beyond reservation");
-        let c = self.ring.cap;
-        for i in 0..self.len {
-            let slot = self.ring.slot_of(self.pos + i as u64);
-            let publish = if i < k {
-                self.pos + i as u64 + 1 // published for the consumer
-            } else {
-                self.pos + i as u64 + c // aborted: as-if consumed
-            };
-            self.ring.seq(slot).store(publish, Ordering::Release);
-        }
+        self.ring.resolve(self.pos, self.len, k);
         std::mem::forget(self); // seq words already resolved; skip Drop
     }
 }
 
 impl<T: Pod> Drop for RingWriteGrant<'_, T> {
     fn drop(&mut self) {
-        // Abort every claimed slot: mark as-if-consumed so consumers
-        // help the head past them (never published, never read).
-        let c = self.ring.cap;
-        for i in 0..self.len {
-            let slot = self.ring.slot_of(self.pos + i as u64);
-            self.ring
-                .seq(slot)
-                .store(self.pos + i as u64 + c, Ordering::Release);
-        }
+        // Abort every claimed slot: as-if-consumed, so consumers help
+        // the head past them (never published, never read).
+        self.ring.resolve(self.pos, self.len, 0);
     }
 }
 
@@ -1105,10 +1149,9 @@ impl<T: Pod> Drop for RingWriteGrant<'_, T> {
 /// ring's grant, a claimed MPMC run cannot be un-claimed, so the whole
 /// grant is always consumed.
 pub struct RingReadGrant<'a, T: Pod> {
-    ring: RelocRing<T>,
+    ring: &'a RelocRing<T>,
     pos: u64,
     len: usize,
-    _pd: PhantomData<&'a RelocRing<T>>,
 }
 
 impl<T: Pod> RingReadGrant<'_, T> {
@@ -1149,13 +1192,7 @@ impl<T: Pod> std::ops::Deref for RingReadGrant<'_, T> {
 
 impl<T: Pod> Drop for RingReadGrant<'_, T> {
     fn drop(&mut self) {
-        let c = self.ring.cap;
-        for i in 0..self.len {
-            let slot = self.ring.slot_of(self.pos + i as u64);
-            self.ring
-                .seq(slot)
-                .store(self.pos + i as u64 + c, Ordering::Release);
-        }
+        self.ring.resolve(self.pos, self.len, 0);
     }
 }
 
@@ -1238,102 +1275,73 @@ pub struct RelocByteRing {
     max_msg: u64,
 }
 
-impl Clone for RelocByteRing {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
+// SAFETY: the view addresses the header and the `capacity` data bytes
+// behind it; its safe `&self` methods touch atomics only (the data-plane
+// methods are `unsafe` on the SPSC contract).
+unsafe impl RelocLayout for RelocByteRing {
+    /// `(capacity in data bytes, maximum message length)`.
+    type Args = (usize, usize);
+    const HDR_BYTES: usize = std::mem::size_of::<ByteRingHdr>();
 
-impl Copy for RelocByteRing {}
-
-impl RelocByteRing {
-    const fn data_offset() -> usize {
-        std::mem::size_of::<ByteRingHdr>()
-    }
-
-    /// Validate a (capacity, max message) geometry. The progress bound
-    /// `2 · record(max_msg) ≤ capacity` makes the wrap-pad worst case
-    /// (pad shorter than a record, then the record itself) always fit an
-    /// empty ring.
-    fn check_geometry(cap_bytes: usize, max_msg: usize) {
-        assert!(
-            cap_bytes > 0 && cap_bytes.is_multiple_of(8),
-            "capacity must be a positive multiple of 8"
-        );
-        assert!(max_msg >= 1, "max message length must be positive");
-        assert!(
-            max_msg as u64 <= BYTE_LEN_MASK,
-            "max message length exceeds the 32-bit record header"
-        );
-        assert!(
-            2 * byte_record_size(max_msg) <= cap_bytes,
-            "capacity must hold two maximum-size records (wrap-pad progress bound)"
-        );
-    }
-
-    /// Memory layout for `cap_bytes` data bytes.
-    pub fn layout(cap_bytes: usize) -> Layout {
-        assert!(
-            cap_bytes > 0 && cap_bytes.is_multiple_of(8),
-            "capacity must be a positive multiple of 8"
-        );
-        Layout::from_size_align(
-            Self::data_offset() + cap_bytes,
+    /// The progress bound `2 · record(max_msg) ≤ capacity` makes the
+    /// wrap-pad worst case (pad shorter than a record, then the record
+    /// itself) always fit an empty ring.
+    fn try_layout((cap_bytes, max_msg): (usize, usize)) -> Result<Layout, BadLayout> {
+        if cap_bytes == 0 || !cap_bytes.is_multiple_of(8) {
+            return Err(BadLayout("capacity must be a positive multiple of 8"));
+        }
+        if max_msg == 0 {
+            return Err(BadLayout("max message length must be positive"));
+        }
+        if max_msg as u64 > BYTE_LEN_MASK {
+            return Err(BadLayout(
+                "max message length exceeds the 32-bit record header",
+            ));
+        }
+        if 2 * byte_record_size(max_msg) > cap_bytes {
+            return Err(BadLayout(
+                "capacity must hold two maximum-size records (wrap-pad progress bound)",
+            ));
+        }
+        layout_of(
+            span(Self::HDR_BYTES, cap_bytes, 1),
             std::mem::align_of::<ByteRingHdr>(),
         )
-        .expect("byte ring layout")
     }
 
-    /// Initialize an empty byte ring at `base` and return its view.
-    ///
-    /// # Safety
-    ///
-    /// `base` must be valid for writes of [`Self::layout`]`(cap_bytes)`
-    /// bytes and aligned to that layout; no other view may be
-    /// concurrently initializing the same region.
-    pub unsafe fn init_at(base: *mut u8, cap_bytes: usize, max_msg: usize) -> RelocByteRing {
-        Self::check_geometry(cap_bytes, max_msg);
-        let hdr = base.cast::<ByteRingHdr>();
-        hdr.write(ByteRingHdr {
+    unsafe fn init_at(base: *mut u8, args: (usize, usize)) -> RelocByteRing {
+        let _ = Self::layout(args);
+        base.cast::<ByteRingHdr>().write(ByteRingHdr {
             magic: BYTE_RING_MAGIC,
-            capacity: cap_bytes as u64,
-            max_msg: max_msg as u64,
+            capacity: args.0 as u64,
+            max_msg: args.1 as u64,
             prod_claim: SimAtomicU64::new(0),
             cons_claim: SimAtomicU64::new(0),
             tail: PadSimAtomicU64::new(0),
             head: PadSimAtomicU64::new(0),
         });
-        let data = base.add(Self::data_offset());
+        Self::view(base, args)
+    }
+
+    unsafe fn recorded_args(base: *const u8) -> Result<(usize, usize), BadLayout> {
+        let hdr = base.cast::<ByteRingHdr>();
+        if (*hdr).magic != BYTE_RING_MAGIC {
+            return Err(BadLayout("not a RelocByteRing region"));
+        }
+        Ok((recorded((*hdr).capacity)?, recorded((*hdr).max_msg)?))
+    }
+
+    unsafe fn view(base: *mut u8, (cap_bytes, max_msg): (usize, usize)) -> RelocByteRing {
         RelocByteRing {
-            hdr: NonNull::new_unchecked(hdr),
-            data: NonNull::new_unchecked(data),
+            hdr: NonNull::new_unchecked(base.cast()),
+            data: NonNull::new_unchecked(base.add(Self::HDR_BYTES)),
             cap: cap_bytes as u64,
             max_msg: max_msg as u64,
         }
     }
+}
 
-    /// Re-attach to an initialized byte ring at `base`. Panics if the
-    /// magic word is absent.
-    ///
-    /// # Safety
-    ///
-    /// `base` must point to memory initialized by [`Self::init_at`] (or
-    /// a byte copy / shared mapping of it) and stay valid for the view's
-    /// lifetime.
-    pub unsafe fn from_raw(base: *mut u8) -> RelocByteRing {
-        let hdr = base.cast::<ByteRingHdr>();
-        assert_eq!((*hdr).magic, BYTE_RING_MAGIC, "not a RelocByteRing region");
-        let cap = (*hdr).capacity;
-        let max_msg = (*hdr).max_msg;
-        let data = base.add(Self::data_offset());
-        RelocByteRing {
-            hdr: NonNull::new_unchecked(hdr),
-            data: NonNull::new_unchecked(data),
-            cap,
-            max_msg,
-        }
-    }
-
+impl RelocByteRing {
     fn hdr(&self) -> &ByteRingHdr {
         // SAFETY: view invariant.
         unsafe { self.hdr.as_ref() }
@@ -1407,7 +1415,7 @@ impl RelocByteRing {
         let mut t = self.tail().load(Ordering::Relaxed);
         let h = self.head().load(Ordering::Acquire);
         let free = self.cap - (t - h);
-        let off = t % self.cap;
+        let mut off = t % self.cap;
         let room = self.cap - off; // contiguous bytes to the wrap point
         if rec > room {
             // The record will not fit before the wrap: lay down a pad
@@ -1418,14 +1426,15 @@ impl RelocByteRing {
             self.header_write(off, BYTE_PAD_BIT | (room - 8));
             self.tail().store(t + room, Ordering::Release);
             t += room;
+            off = 0;
         } else if free < rec {
             return None;
         }
         Some(ByteWriteGrant {
-            ring: *self,
+            ring: self,
             pos: t,
+            off,
             len,
-            _pd: PhantomData,
         })
     }
 
@@ -1468,10 +1477,10 @@ impl RelocByteRing {
                 continue;
             }
             return Some(ByteReadGrant {
-                ring: *self,
+                ring: self,
                 pos: h,
+                off,
                 len: body as usize,
-                _pd: PhantomData,
             });
         }
     }
@@ -1500,10 +1509,11 @@ impl RelocByteRing {
 /// grant aborts for free: the tail was never advanced past any wrap pad
 /// already laid down, so the space is simply reused.
 pub struct ByteWriteGrant<'a> {
-    ring: RelocByteRing,
+    ring: &'a RelocByteRing,
     pos: u64,
+    /// `pos mod capacity`, the record's offset in the data bytes.
+    off: u64,
     len: usize,
-    _pd: PhantomData<&'a RelocByteRing>,
 }
 
 impl ByteWriteGrant<'_> {
@@ -1520,7 +1530,7 @@ impl ByteWriteGrant<'_> {
 
     /// The reserved message bytes, to be filled in place.
     pub fn buf(&mut self) -> &mut [u8] {
-        let off = (self.pos % self.ring.cap) as usize;
+        let off = self.off as usize;
         // SAFETY: producer_grant guaranteed [off+8, off+8+len) is in
         // bounds (the record never wraps) and unpublished; the unique-
         // producer contract makes this grant the only writer.
@@ -1530,9 +1540,8 @@ impl ByteWriteGrant<'_> {
     /// Publish the first `used ≤ len` filled bytes as one message.
     pub fn commit(self, used: usize) {
         assert!(used <= self.len, "commit beyond reservation");
-        let off = self.pos % self.ring.cap;
         // SAFETY: same bounds as `buf`; header word precedes the body.
-        unsafe { self.ring.header_write(off, used as u64) };
+        unsafe { self.ring.header_write(self.off, used as u64) };
         self.ring
             .tail()
             .store(self.pos + byte_record_size(used) as u64, Ordering::Release);
@@ -1544,10 +1553,11 @@ impl ByteWriteGrant<'_> {
 /// [`release`](Self::release)d), which is what advances the consumer
 /// counter — a consumer crashing mid-read redelivers the message.
 pub struct ByteReadGrant<'a> {
-    ring: RelocByteRing,
+    ring: &'a RelocByteRing,
     pos: u64,
+    /// `pos mod capacity`, the record's offset in the data bytes.
+    off: u64,
     len: usize,
-    _pd: PhantomData<&'a RelocByteRing>,
 }
 
 impl ByteReadGrant<'_> {
@@ -1563,7 +1573,7 @@ impl ByteReadGrant<'_> {
 
     /// The message bytes, in place in the ring.
     pub fn msg(&self) -> &[u8] {
-        let off = (self.pos % self.ring.cap) as usize;
+        let off = self.off as usize;
         // SAFETY: the record at pos was published (tail Acquire) and
         // never wraps; head stays behind it until this grant drops, so
         // the producer cannot reuse the bytes while the borrow lives.
@@ -1632,92 +1642,67 @@ pub struct RelocEnqOp {
 
 /// View over the Listing 5 helping machinery — the `T`-slot announcement
 /// array and the `2T`-descriptor pool — placed in caller-provided memory.
-/// [`OptimalQueue`](crate::OptimalQueue) owns one in a [`RelocBuf`]; a
+/// [`OptimalQueue`](crate::OptimalQueue) owns one in a [`RelocBox`]; a
 /// future shared-memory optimal queue places the same bytes in a segment.
-#[derive(Clone, Copy)]
 pub struct AnnounceBoard {
     hdr: NonNull<BoardHdr>,
     ops: NonNull<SimAtomicU64>,
     pool: NonNull<RelocEnqOp>,
 }
 
-impl AnnounceBoard {
-    const fn ops_offset() -> usize {
-        std::mem::size_of::<BoardHdr>()
-    }
+// SAFETY: the view addresses the header, the `T` announcement words and
+// the `2T` descriptors of `try_layout(t)`; every field behind them is an
+// atomic.
+unsafe impl RelocLayout for AnnounceBoard {
+    /// Thread bound `T > 0`.
+    type Args = usize;
+    const HDR_BYTES: usize = std::mem::size_of::<BoardHdr>();
 
-    fn pool_offset(t: usize) -> usize {
-        align_up(
-            Self::ops_offset() + t * std::mem::size_of::<AtomicU64>(),
-            std::mem::align_of::<RelocEnqOp>(),
-        )
-    }
-
-    /// Memory layout for thread bound `t`.
-    pub fn layout(t: usize) -> Layout {
-        assert!(t > 0, "thread bound must be positive");
-        Layout::from_size_align(
-            Self::pool_offset(t) + 2 * t * std::mem::size_of::<RelocEnqOp>(),
+    fn try_layout(t: usize) -> Result<Layout, BadLayout> {
+        if t == 0 {
+            return Err(BadLayout("thread bound must be positive"));
+        }
+        let pool = span(Self::HDR_BYTES, t, std::mem::size_of::<AtomicU64>())
+            .and_then(|end| end.checked_next_multiple_of(std::mem::align_of::<RelocEnqOp>()));
+        layout_of(
+            pool.and_then(|off| span(off, t, 2 * std::mem::size_of::<RelocEnqOp>())),
             std::mem::align_of::<BoardHdr>().max(std::mem::align_of::<RelocEnqOp>()),
         )
-        .expect("board layout")
     }
 
-    /// Initialize an empty board for `t` threads at `base`: announcement
-    /// slots ⊥ (0), all descriptors free (even `seq`).
-    ///
-    /// # Safety
-    ///
-    /// `base` must be valid for writes of [`Self::layout`]`(t)` bytes and
-    /// aligned to that layout; no other view may concurrently initialize
-    /// the same region.
-    pub unsafe fn init_at(base: *mut u8, t: usize) -> AnnounceBoard {
+    /// An empty board: announcement slots ⊥ (0), all descriptors free
+    /// (even `seq`) — the zeroed region as handed over, plus the header.
+    unsafe fn init_at(base: *mut u8, t: usize) -> AnnounceBoard {
         let _ = Self::layout(t);
-        let hdr = base.cast::<BoardHdr>();
-        hdr.write(BoardHdr {
+        base.cast::<BoardHdr>().write(BoardHdr {
             magic: BOARD_MAGIC,
             threads: t as u64,
         });
-        let ops = base.add(Self::ops_offset()).cast::<SimAtomicU64>();
-        for i in 0..t {
-            ops.add(i).write(SimAtomicU64::new(0));
-        }
-        let pool = base.add(Self::pool_offset(t)).cast::<RelocEnqOp>();
-        for i in 0..2 * t {
-            pool.add(i).write(RelocEnqOp {
-                seq: SimAtomicU64::new(0),
-                status: SimAtomicU64::new(0),
-                e: SimAtomicU64::new(0),
-                x: SimAtomicU64::new(0),
-                i: SimAtomicU64::new(0),
-            });
-        }
-        AnnounceBoard {
-            hdr: NonNull::new_unchecked(hdr),
-            ops: NonNull::new_unchecked(ops),
-            pool: NonNull::new_unchecked(pool),
-        }
+        Self::view(base, t)
     }
 
-    /// Re-attach to an initialized board at `base`. Panics if the magic
-    /// word is absent.
-    ///
-    /// # Safety
-    ///
-    /// `base` must point to memory initialized by [`Self::init_at`] (or a
-    /// copy / shared mapping of it) and stay valid for the view's
-    /// lifetime.
-    pub unsafe fn from_raw(base: *mut u8) -> AnnounceBoard {
+    unsafe fn recorded_args(base: *const u8) -> Result<usize, BadLayout> {
         let hdr = base.cast::<BoardHdr>();
-        assert_eq!((*hdr).magic, BOARD_MAGIC, "not an AnnounceBoard region");
-        let t = (*hdr).threads as usize;
-        AnnounceBoard {
-            hdr: NonNull::new_unchecked(hdr),
-            ops: NonNull::new_unchecked(base.add(Self::ops_offset()).cast::<SimAtomicU64>()),
-            pool: NonNull::new_unchecked(base.add(Self::pool_offset(t)).cast::<RelocEnqOp>()),
+        if (*hdr).magic != BOARD_MAGIC {
+            return Err(BadLayout("not an AnnounceBoard region"));
         }
+        recorded((*hdr).threads)
     }
 
+    unsafe fn view(base: *mut u8, t: usize) -> AnnounceBoard {
+        let pool_offset = align_up(
+            Self::HDR_BYTES + t * std::mem::size_of::<AtomicU64>(),
+            std::mem::align_of::<RelocEnqOp>(),
+        );
+        AnnounceBoard {
+            hdr: NonNull::new_unchecked(base.cast()),
+            ops: NonNull::new_unchecked(base.add(Self::HDR_BYTES).cast()),
+            pool: NonNull::new_unchecked(base.add(pool_offset).cast()),
+        }
+    }
+}
+
+impl AnnounceBoard {
     /// Thread bound `T` (= announcement slot count).
     pub fn threads(&self) -> usize {
         // SAFETY: view invariant.

@@ -31,7 +31,7 @@ fn seq_ring_survives_memcpy_relocation() {
     let copy = buf.duplicate();
     assert_ne!(copy.base(), buf.base(), "relocated to a new address");
     // SAFETY: copy holds a byte-identical initialized region.
-    let mut r2 = unsafe { RelocSeqRing::from_raw(copy.base()) };
+    let mut r2 = unsafe { RelocSeqRing::attach(copy.base(), copy.len()).unwrap() };
     assert_eq!(r2.len(), 2);
     assert_eq!(r2.dequeue(), Some(20));
     assert_eq!(r2.dequeue(), Some(30));
@@ -45,7 +45,7 @@ fn seq_ring_survives_memcpy_relocation() {
 fn seq_ring_rejects_uninitialized_memory() {
     let buf = RelocBuf::zeroed(RelocSeqRing::layout(2));
     // SAFETY: the pointer is valid; the magic check is the subject.
-    let _ = unsafe { RelocSeqRing::from_raw(buf.base()) };
+    let _ = unsafe { RelocSeqRing::attach(buf.base(), buf.len()).unwrap() };
 }
 
 #[test]
@@ -157,7 +157,7 @@ fn vy_ring_survives_memcpy_relocation_mid_state() {
     r.vy_dequeue().unwrap();
     let copy = buf.duplicate();
     // SAFETY: byte-identical initialized region.
-    let r2 = unsafe { RelocRing::<u64>::from_raw(copy.base()) };
+    let r2 = unsafe { RelocRing::<u64>::attach(copy.base(), copy.len()).unwrap() };
     assert_eq!(r2.counter_len(), 5);
     let mut out = Vec::new();
     assert_eq!(r2.vy_dequeue_many(8, &mut out), 5);
@@ -311,9 +311,9 @@ fn vy_ring_read_grant_frees_slots_on_drop() {
 
 #[test]
 fn byte_ring_round_trips_variable_sizes() {
-    let buf = RelocBuf::zeroed(RelocByteRing::layout(256));
+    let buf = RelocBuf::zeroed(RelocByteRing::layout((256, 64)));
     // SAFETY: buf satisfies layout(256).
-    let r = unsafe { RelocByteRing::init_at(buf.base(), 256, 64) };
+    let r = unsafe { RelocByteRing::init_at(buf.base(), (256, 64)) };
     let msgs: &[&[u8]] = &[b"a", b"hello world", b"", &[0xAB; 64]];
     for m in msgs {
         // SAFETY: single-threaded test = unique producer.
@@ -331,9 +331,9 @@ fn byte_ring_round_trips_variable_sizes() {
 
 #[test]
 fn byte_ring_pads_at_the_wrap_point() {
-    let buf = RelocBuf::zeroed(RelocByteRing::layout(64));
+    let buf = RelocBuf::zeroed(RelocByteRing::layout((64, 24)));
     // SAFETY: buf satisfies layout(64).
-    let r = unsafe { RelocByteRing::init_at(buf.base(), 64, 24) };
+    let r = unsafe { RelocByteRing::init_at(buf.base(), (64, 24)) };
     // Fill/drain cycles force records across the wrap repeatedly; every
     // message must come back intact and in order.
     let mut sent = 0u8;
@@ -367,9 +367,9 @@ fn byte_ring_pads_at_the_wrap_point() {
 
 #[test]
 fn byte_ring_grant_abort_and_short_commit() {
-    let buf = RelocBuf::zeroed(RelocByteRing::layout(128));
+    let buf = RelocBuf::zeroed(RelocByteRing::layout((128, 32)));
     // SAFETY: buf satisfies layout(128).
-    let r = unsafe { RelocByteRing::init_at(buf.base(), 128, 32) };
+    let r = unsafe { RelocByteRing::init_at(buf.base(), (128, 32)) };
     {
         // SAFETY: single-threaded SPSC.
         let _g = unsafe { r.producer_grant(32) }.unwrap();
@@ -390,9 +390,9 @@ fn byte_ring_grant_abort_and_short_commit() {
 
 #[test]
 fn byte_ring_reports_full_exactly() {
-    let buf = RelocBuf::zeroed(RelocByteRing::layout(64));
+    let buf = RelocBuf::zeroed(RelocByteRing::layout((64, 24)));
     // SAFETY: buf satisfies layout(64).
-    let r = unsafe { RelocByteRing::init_at(buf.base(), 64, 24) };
+    let r = unsafe { RelocByteRing::init_at(buf.base(), (64, 24)) };
     // 4 records of record_size(8) = 16 bytes fill the 64-byte ring.
     for i in 0..4u64 {
         // SAFETY: single-threaded SPSC.
@@ -409,9 +409,9 @@ fn byte_ring_reports_full_exactly() {
 
 #[test]
 fn byte_ring_survives_memcpy_relocation() {
-    let buf = RelocBuf::zeroed(RelocByteRing::layout(128));
+    let buf = RelocBuf::zeroed(RelocByteRing::layout((128, 32)));
     // SAFETY: buf satisfies layout(128).
-    let r = unsafe { RelocByteRing::init_at(buf.base(), 128, 32) };
+    let r = unsafe { RelocByteRing::init_at(buf.base(), (128, 32)) };
     // SAFETY: single-threaded SPSC.
     unsafe {
         assert!(r.producer_push(b"first"));
@@ -420,7 +420,7 @@ fn byte_ring_survives_memcpy_relocation() {
     }
     let copy = buf.duplicate();
     // SAFETY: byte-identical initialized region.
-    let r2 = unsafe { RelocByteRing::from_raw(copy.base()) };
+    let r2 = unsafe { RelocByteRing::attach(copy.base(), copy.len()).unwrap() };
     // SAFETY: single-threaded SPSC on the relocated copy.
     let g = unsafe { r2.consumer_read() }.unwrap();
     assert_eq!(&*g, b"second");
@@ -429,9 +429,7 @@ fn byte_ring_survives_memcpy_relocation() {
 #[test]
 #[should_panic(expected = "wrap-pad progress bound")]
 fn byte_ring_rejects_too_small_capacity() {
-    let buf = RelocBuf::zeroed(RelocByteRing::layout(32));
-    // SAFETY: the pointer is valid; the geometry check is the subject.
-    let _ = unsafe { RelocByteRing::init_at(buf.base(), 32, 32) };
+    let _ = RelocBox::<RelocByteRing>::new((32, 32));
 }
 
 #[test]
@@ -447,7 +445,7 @@ fn board_round_trips_and_relocates() {
 
     let copy = buf.duplicate();
     // SAFETY: byte-identical initialized region.
-    let b2 = unsafe { AnnounceBoard::from_raw(copy.base()) };
+    let b2 = unsafe { AnnounceBoard::attach(copy.base(), copy.len()).unwrap() };
     assert_eq!(b2.op(1).load(Ordering::SeqCst), 77);
     assert_eq!(b2.desc(4).unwrap().x.load(Ordering::SeqCst), 42);
     assert_eq!(b2.op(0).load(Ordering::SeqCst), 0);
@@ -466,7 +464,7 @@ fn layouts_are_contiguous_and_aligned() {
     // hdr 128 + 4 ops (32 B) padded to 128, + 8 descriptors.
     assert_eq!(b.size(), 256 + 8 * 128);
     // Byte ring: 384-byte header + the data bytes.
-    assert_eq!(RelocByteRing::layout(256).size(), 384 + 256);
+    assert_eq!(RelocByteRing::layout((256, 64)).size(), 384 + 256);
 }
 
 #[test]

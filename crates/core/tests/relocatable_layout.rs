@@ -9,7 +9,9 @@
 //! what static assertions cannot: arbitrary capacities, arbitrary
 //! operation sequences, and actual relocation.
 
-use bq_core::relocatable::{align_up, AnnounceBoard, RelocBuf, RelocRing, RelocSeqRing};
+use bq_core::relocatable::{
+    align_up, AnnounceBoard, RelocBuf, RelocLayout, RelocRing, RelocSeqRing,
+};
 use proptest::prelude::*;
 
 proptest! {
@@ -39,7 +41,7 @@ proptest! {
         let moved = buf.duplicate();
         prop_assert_ne!(moved.base(), buf.base(), "duplicate gets a new base");
         // SAFETY: the bytes at the new base are a complete image.
-        let mut ring2 = unsafe { RelocSeqRing::from_raw(moved.base()) };
+        let mut ring2 = unsafe { RelocSeqRing::attach(moved.base(), moved.len()).unwrap() };
         prop_assert_eq!(ring2.capacity(), cap);
         prop_assert_eq!(ring2.len(), model.len());
         // Drain the *relocated* queue against the model: every offset in
@@ -74,7 +76,7 @@ proptest! {
 
         let moved = buf.duplicate();
         // SAFETY: complete image at the new base.
-        let ring2 = unsafe { RelocRing::<u64>::from_raw(moved.base()) };
+        let ring2 = unsafe { RelocRing::<u64>::attach(moved.base(), moved.len()).unwrap() };
         prop_assert_eq!(ring2.capacity(), cap);
         prop_assert_eq!(ring2.counter_len(), model.len());
         while let Some(expect) = model.pop_front() {
@@ -109,7 +111,7 @@ proptest! {
 
         let moved = buf.duplicate();
         // SAFETY: complete image at the new base.
-        let board2 = unsafe { AnnounceBoard::from_raw(moved.base()) };
+        let board2 = unsafe { AnnounceBoard::attach(moved.base(), moved.len()).unwrap() };
         prop_assert_eq!(board2.threads(), threads);
         prop_assert_eq!(board2.pool_len(), 2 * threads);
         for (d, &(e, x)) in model.iter().enumerate() {

@@ -197,8 +197,17 @@ mod tests {
     // in unit tests (that would affect every test in the binary); here we
     // exercise the counter arithmetic directly.
 
+    /// The counters are process-global and `cargo test` runs tests on
+    /// parallel threads: tests that compare two snapshots hold this.
+    static COUNTERS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn counters() -> std::sync::MutexGuard<'static, ()> {
+        COUNTERS.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn alloc_counters_accumulate() {
+        let _serial = counters();
         let before = AllocStats::snapshot();
         TrackingAlloc::on_alloc(128);
         TrackingAlloc::on_alloc(64);
@@ -212,6 +221,7 @@ mod tests {
 
     #[test]
     fn peak_is_monotone() {
+        let _serial = counters();
         let p0 = AllocStats::snapshot().peak_live_bytes;
         TrackingAlloc::on_alloc(1 << 20);
         let p1 = AllocStats::snapshot().peak_live_bytes;
@@ -223,6 +233,7 @@ mod tests {
 
     #[test]
     fn scope_live_delta_saturates() {
+        let _serial = counters();
         let scope = AllocScope::begin();
         // Freeing more than allocating inside the scope must not underflow.
         TrackingAlloc::on_alloc(16);

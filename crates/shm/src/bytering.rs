@@ -33,7 +33,7 @@ use std::sync::Arc;
 use bq_core::relocatable::{ByteReadGrant, ByteWriteGrant, RelocByteRing};
 use bq_core::SimAtomicU64;
 
-use crate::segment::ShmSegment;
+use crate::segment::{ShmBox, ShmSegment};
 
 /// Layout tag for a byte-ring payload ("SHQ2" + "BYTE"): geometry lives
 /// in the ring header itself, so the tag only names the protocol.
@@ -116,24 +116,9 @@ fn release_role(word: &SimAtomicU64) {
 ///
 /// [`producer`]: Self::producer
 /// [`consumer`]: Self::consumer
+#[derive(Clone)]
 pub struct ShmByteRing {
-    seg: Arc<ShmSegment>,
-    ring: RelocByteRing,
-}
-
-// SAFETY: the segment mapping is process-shared by construction; shared
-// access through `&self` only touches the ring's atomics (counters,
-// claim words). The data-plane ops live on the role endpoints.
-unsafe impl Send for ShmByteRing {}
-unsafe impl Sync for ShmByteRing {}
-
-impl Clone for ShmByteRing {
-    fn clone(&self) -> Self {
-        ShmByteRing {
-            seg: Arc::clone(&self.seg),
-            ring: self.ring,
-        }
-    }
+    ring: ShmBox<RelocByteRing>,
 }
 
 impl ShmByteRing {
@@ -142,16 +127,8 @@ impl ShmByteRing {
     /// to `max_msg` bytes, in a fresh anonymous shared segment (shared
     /// with all future `fork` children).
     pub fn create_anon(cap_bytes: usize, max_msg: usize) -> std::io::Result<ShmByteRing> {
-        let layout = RelocByteRing::layout(cap_bytes);
-        let seg = ShmSegment::create_anon(layout.size(), BYTE_RING_LAYOUT_TAG)?;
-        // SAFETY: the payload region is zeroed, 128-aligned, and at
-        // least `layout.size()` bytes; the segment was created by us.
-        let ring = unsafe { RelocByteRing::init_at(seg.payload_ptr(), cap_bytes, max_msg) };
-        seg.publish();
-        Ok(ShmByteRing {
-            seg: Arc::new(seg),
-            ring,
-        })
+        ShmBox::create_anon((cap_bytes, max_msg), BYTE_RING_LAYOUT_TAG)
+            .map(|ring| ShmByteRing { ring })
     }
 
     /// Create a byte ring in a file-backed segment at `path`, for
@@ -161,34 +138,21 @@ impl ShmByteRing {
         cap_bytes: usize,
         max_msg: usize,
     ) -> std::io::Result<ShmByteRing> {
-        let layout = RelocByteRing::layout(cap_bytes);
-        let seg = ShmSegment::create_file(path, layout.size(), BYTE_RING_LAYOUT_TAG)?;
-        // SAFETY: as in `create_anon`.
-        let ring = unsafe { RelocByteRing::init_at(seg.payload_ptr(), cap_bytes, max_msg) };
-        seg.publish();
-        Ok(ShmByteRing {
-            seg: Arc::new(seg),
-            ring,
-        })
+        ShmBox::create_file(path, (cap_bytes, max_msg), BYTE_RING_LAYOUT_TAG)
+            .map(|ring| ShmByteRing { ring })
     }
 
     /// Attach to a published byte-ring segment file created by another
-    /// process (the relocation path: the mapping lands at a different
-    /// base address here and the view is rebuilt from it).
+    /// process. A file whose segment or ring header does not check out
+    /// (wrong tag, geometry outside its range, too short) is
+    /// `InvalidData`.
     pub fn open_file(path: &std::path::Path) -> std::io::Result<ShmByteRing> {
-        let seg = ShmSegment::open_file(path, BYTE_RING_LAYOUT_TAG)?;
-        // SAFETY: the header check accepted magic/version/tag/length, so
-        // the payload is an initialized `RelocByteRing` region.
-        let ring = unsafe { RelocByteRing::from_raw(seg.payload_ptr()) };
-        Ok(ShmByteRing {
-            seg: Arc::new(seg),
-            ring,
-        })
+        ShmBox::open_file(path, BYTE_RING_LAYOUT_TAG).map(|ring| ShmByteRing { ring })
     }
 
     /// The segment this ring lives in (scratch counters, process table).
     pub fn segment(&self) -> &Arc<ShmSegment> {
-        &self.seg
+        self.ring.segment()
     }
 
     /// Data capacity in bytes.
@@ -233,10 +197,10 @@ impl ShmByteRing {
     /// the implied reclaim) to the calling process's table slot, so the
     /// tallies survive this process like the queue's do (DESIGN.md §14).
     fn note_role_claim(&self, stole: bool) -> usize {
-        let idx = self.seg.find_or_register_self();
-        self.seg.note_proc_claim(idx);
+        let idx = self.segment().find_or_register_self();
+        self.segment().note_proc_claim(idx);
         if stole {
-            self.seg.note_proc_reclaim(idx);
+            self.segment().note_proc_reclaim(idx);
         }
         idx
     }
@@ -244,7 +208,7 @@ impl ShmByteRing {
     /// Cross-process metrics for this ring's segment — the byte-ring
     /// mirror of [`ShmQueue::stats_snapshot`](crate::ShmQueue::stats_snapshot).
     pub fn stats_snapshot(&self) -> bq_core::MetricsSnapshot {
-        self.seg.stats_snapshot()
+        self.segment().stats_snapshot()
     }
 
     /// Proactively release every endpoint whose holder the pid oracle
@@ -263,7 +227,7 @@ impl ShmByteRing {
                     .compare_exchange(cur, 0, Ordering::SeqCst, Ordering::SeqCst)
                     .is_ok()
             {
-                self.seg.note_poison();
+                self.segment().note_poison();
                 freed += 1;
             }
         }
@@ -273,22 +237,19 @@ impl ShmByteRing {
 
 /// The claimed producer role of a [`ShmByteRing`]. Releases the claim
 /// word on drop; a crashed holder is stolen from via the pid liveness
-/// check instead.
+/// check instead. The endpoint is the unique producer by claim-word
+/// contract: moving it between threads moves the role with it.
 pub struct ShmByteProducer {
     ring: ShmByteRing,
     proc_idx: usize,
 }
-
-// SAFETY: the endpoint is the unique producer by claim-word contract;
-// moving it between threads moves the role with it.
-unsafe impl Send for ShmByteProducer {}
 
 impl ShmByteProducer {
     /// Reserve in-place space for one message of up to `len ≤ max_msg`
     /// bytes (`None` when the ring lacks room). Fill and `commit(used)`;
     /// dropping the grant aborts.
     pub fn try_grant(&mut self, len: usize) -> Option<ByteWriteGrant<'_>> {
-        self.ring.seg.note_proc_attempt(self.proc_idx);
+        self.ring.segment().note_proc_attempt(self.proc_idx);
         // SAFETY: holding the claimed endpoint is the single-producer
         // discipline the ring op requires.
         unsafe { self.ring.ring.producer_grant(len) }
@@ -296,7 +257,7 @@ impl ShmByteProducer {
 
     /// Copy-convenience enqueue. `false` when the ring lacks room.
     pub fn push(&mut self, msg: &[u8]) -> bool {
-        self.ring.seg.note_proc_attempt(self.proc_idx);
+        self.ring.segment().note_proc_attempt(self.proc_idx);
         // SAFETY: as in `try_grant`.
         unsafe { self.ring.ring.producer_push(msg) }
     }
@@ -325,15 +286,12 @@ pub struct ShmByteConsumer {
     proc_idx: usize,
 }
 
-// SAFETY: unique consumer by claim-word contract.
-unsafe impl Send for ShmByteConsumer {}
-
 impl ShmByteConsumer {
     /// Borrow the oldest message in place (`None` when empty). The ring
     /// space is reclaimed when the grant drops — a process dying with a
     /// live grant redelivers the message to its successor.
     pub fn try_read(&mut self) -> Option<ByteReadGrant<'_>> {
-        self.ring.seg.note_proc_attempt(self.proc_idx);
+        self.ring.segment().note_proc_attempt(self.proc_idx);
         // SAFETY: holding the claimed endpoint is the single-consumer
         // discipline the ring op requires.
         unsafe { self.ring.ring.consumer_read() }
@@ -341,7 +299,7 @@ impl ShmByteConsumer {
 
     /// Copy-convenience dequeue appending to `out`. `false` when empty.
     pub fn pop(&mut self, out: &mut Vec<u8>) -> bool {
-        self.ring.seg.note_proc_attempt(self.proc_idx);
+        self.ring.segment().note_proc_attempt(self.proc_idx);
         // SAFETY: as in `try_read`.
         unsafe { self.ring.ring.consumer_pop(out) }
     }

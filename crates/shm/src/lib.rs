@@ -50,7 +50,7 @@ pub use fault::{BadPlan, FaultPlan};
 pub use harness::{fork_child, Child, ChildExit};
 pub use oplog::{LoggedEvent, OpKind, OpLog, RetKind};
 pub use queue::{layout_tag, ShmHandle, ShmQueue};
-pub use segment::{ShmSegment, MAX_PROCS, SCRATCH_WORDS, SHM_MAGIC, SHM_VERSION};
+pub use segment::{ShmBox, ShmSegment, MAX_PROCS, SCRATCH_WORDS, SHM_MAGIC, SHM_VERSION};
 
 use bq_core::queue::{ConcurrentQueue, Full};
 use bq_memtrack::{FootprintBreakdown, MemoryFootprint, OverheadClass};

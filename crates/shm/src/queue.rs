@@ -65,7 +65,7 @@ use std::sync::Arc;
 
 use bq_core::relocatable::{Pod, RelocRing};
 
-use crate::segment::ShmSegment;
+use crate::segment::{ShmBox, ShmSegment};
 
 const ROUND_BITS: u32 = 48;
 const ROUND_MASK: u64 = (1 << ROUND_BITS) - 1;
@@ -141,82 +141,45 @@ impl ShmHandle {
 }
 
 /// The shared-memory multi-process bounded queue. See the module docs for
-/// the protocol and its crash-consistency argument.
+/// the protocol and its crash-consistency argument. Every shared access
+/// goes through the segment's atomics under that protocol. `Clone` shares
+/// the mapping.
+#[derive(Clone)]
 pub struct ShmQueue<T: Pod> {
-    seg: Arc<ShmSegment>,
-    ring: RelocRing<T>,
-}
-
-// SAFETY: every shared access goes through the segment's atomics under
-// the protocol above; the view's raw pointers target the mapping owned
-// (and kept alive) by `seg`.
-unsafe impl<T: Pod> Send for ShmQueue<T> {}
-unsafe impl<T: Pod> Sync for ShmQueue<T> {}
-
-impl<T: Pod> Clone for ShmQueue<T> {
-    fn clone(&self) -> Self {
-        ShmQueue {
-            seg: Arc::clone(&self.seg),
-            ring: self.ring,
-        }
-    }
+    ring: ShmBox<RelocRing<T>>,
 }
 
 impl<T: Pod> ShmQueue<T> {
     /// Create a queue of capacity `c ≥ 2` in a fresh anonymous shared
     /// segment (shared with all future `fork` children).
     pub fn create_anon(c: usize) -> std::io::Result<ShmQueue<T>> {
-        let layout = RelocRing::<T>::layout(c);
-        let seg = ShmSegment::create_anon(layout.size(), layout_tag::<T>())?;
-        // SAFETY: the payload region is zeroed, 128-aligned, and at least
-        // `layout.size()` bytes; the segment was created by us.
-        let ring = unsafe { RelocRing::<T>::init_at(seg.payload_ptr(), c) };
-        seg.publish();
-        Ok(ShmQueue {
-            seg: Arc::new(seg),
-            ring,
-        })
+        ShmBox::create_anon(c, layout_tag::<T>()).map(|ring| ShmQueue { ring })
     }
 
     /// Create a queue of capacity `c ≥ 2` in a file-backed segment at
     /// `path`, for unrelated processes to [`open_file`](Self::open_file).
     pub fn create_file(path: &std::path::Path, c: usize) -> std::io::Result<ShmQueue<T>> {
-        let layout = RelocRing::<T>::layout(c);
-        let seg = ShmSegment::create_file(path, layout.size(), layout_tag::<T>())?;
-        // SAFETY: as in `create_anon`.
-        let ring = unsafe { RelocRing::<T>::init_at(seg.payload_ptr(), c) };
-        seg.publish();
-        Ok(ShmQueue {
-            seg: Arc::new(seg),
-            ring,
-        })
+        ShmBox::create_file(path, c, layout_tag::<T>()).map(|ring| ShmQueue { ring })
     }
 
     /// Attach to a published queue segment file created by another
-    /// process. This is the relocation path: the mapping lands at a
-    /// different base address here, and the view is rebuilt from it.
+    /// process. A file whose segment or ring header does not check out
+    /// (wrong tag, damaged capacity, too short) is `InvalidData`.
     pub fn open_file(path: &std::path::Path) -> std::io::Result<ShmQueue<T>> {
-        let seg = ShmSegment::open_file(path, layout_tag::<T>())?;
-        // SAFETY: the header check accepted magic/version/tag/length, so
-        // the payload is an initialized `RelocRing<T>` region.
-        let ring = unsafe { RelocRing::<T>::from_raw(seg.payload_ptr()) };
-        Ok(ShmQueue {
-            seg: Arc::new(seg),
-            ring,
-        })
+        ShmBox::open_file(path, layout_tag::<T>()).map(|ring| ShmQueue { ring })
     }
 
     /// The segment this queue lives in (for scratch counters, the process
     /// table, and harness coordination).
     pub fn segment(&self) -> &Arc<ShmSegment> {
-        &self.seg
+        self.ring.segment()
     }
 
     /// Register the calling process (or thread) in the liveness table and
     /// return its handle. Panics when the table is full.
     pub fn register(&self) -> ShmHandle {
         ShmHandle {
-            proc_idx: self.seg.register_self(),
+            proc_idx: self.segment().register_self(),
             faults: crate::fault::FaultState::default(),
         }
     }
@@ -228,7 +191,7 @@ impl<T: Pod> ShmQueue<T> {
     /// after [`recover`](Self::recover) for the post-mortem view.
     /// Always live (not `obs`-gated: segment layout is shared state).
     pub fn stats_snapshot(&self) -> bq_core::MetricsSnapshot {
-        self.seg.stats_snapshot()
+        self.segment().stats_snapshot()
     }
 
     /// Capacity `C`.
@@ -248,7 +211,7 @@ impl<T: Pod> ShmQueue<T> {
 
     #[inline]
     fn dead(&self, owner: usize) -> bool {
-        self.seg.proc_is_dead(owner)
+        self.segment().proc_is_dead(owner)
     }
 
     /// Reclaim a slot whose owner died mid-transition: CAS the observed
@@ -272,9 +235,9 @@ impl<T: Pod> ShmQueue<T> {
             )
             .is_ok();
         if won {
-            self.seg.note_poison();
+            self.segment().note_poison();
             if let Some(idx) = by {
-                self.seg.note_proc_reclaim(idx);
+                self.segment().note_proc_reclaim(idx);
             }
             let _ = self.ring.head().compare_exchange(
                 round,
@@ -339,7 +302,7 @@ impl<T: Pod> ShmQueue<T> {
         // tick per real protocol entry, attributed to this handle's slot
         // so it survives the process. Injected refusals stay uncounted —
         // they touch no shared state by contract.
-        self.seg.note_proc_attempt(h.proc_idx);
+        self.segment().note_proc_attempt(h.proc_idx);
         h.crash_gate(); // kill point 0: before any shared write
         loop {
             let t = self.ring.tail().load(Ordering::SeqCst);
@@ -359,7 +322,7 @@ impl<T: Pod> ShmQueue<T> {
                     .is_ok()
                 {
                     // W1 done: the claim names us; the value is still ours.
-                    self.seg.note_proc_claim(h.proc_idx);
+                    self.segment().note_proc_claim(h.proc_idx);
                     h.crash_gate();
                     let _ = self.ring.tail().compare_exchange(
                         t,
@@ -446,7 +409,7 @@ impl<T: Pod> ShmQueue<T> {
             return None; // injected refusal: empty, nothing touched
         }
         // Per-process attempt count, as in `enqueue`.
-        self.seg.note_proc_attempt(h.proc_idx);
+        self.segment().note_proc_attempt(h.proc_idx);
         let c = self.capacity() as u64;
         h.crash_gate(); // kill point 0: before any shared access
         loop {
@@ -469,7 +432,7 @@ impl<T: Pod> ShmQueue<T> {
                             .is_ok()
                         {
                             // V1 done: linearized — the element is ours.
-                            self.seg.note_proc_claim(h.proc_idx);
+                            self.segment().note_proc_claim(h.proc_idx);
                             h.crash_gate();
                             let _ = self.ring.head().compare_exchange(
                                 hd,

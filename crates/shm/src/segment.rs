@@ -25,9 +25,10 @@ use std::fs::OpenOptions;
 use std::os::unix::io::AsRawFd;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
-use bq_core::relocatable::{align_up, PadAtomicU64};
+use bq_core::relocatable::{align_up, PadAtomicU64, RelocLayout};
 
 /// Magic word identifying a membq shared segment ("MBQSHSEG").
 pub const SHM_MAGIC: u64 = 0x4d42_5153_4853_4547;
@@ -149,42 +150,50 @@ impl ShmSegment {
         align_up(Self::payload_offset() + payload_len, 4096)
     }
 
-    fn init_header(base: *mut u8, total: usize, layout_tag: u64) {
-        // SAFETY: caller maps `total` zeroed bytes at `base`; writing the
-        // header into the front is in bounds. Zeroed scratch/procs/init
-        // are already the correct initial state, so only the id words are
-        // written.
-        unsafe {
-            let hdr = base.cast::<SegHdr>();
-            (*hdr).magic = SHM_MAGIC;
-            (*hdr).version = SHM_VERSION;
-            (*hdr).total_len = total as u64;
-            (*hdr).layout_tag = layout_tag;
-        }
-    }
-
-    /// Create an anonymous shared segment with room for `payload_len`
-    /// payload bytes, tagged `layout_tag`. The mapping (and everything in
-    /// it) is shared with all future `fork` children.
-    pub fn create_anon(payload_len: usize, layout_tag: u64) -> std::io::Result<ShmSegment> {
-        let total = Self::total_len(payload_len);
-        // SAFETY: plain anonymous mapping request; result checked below.
+    /// Map `total` shared read-write bytes: of `fd`, or of nothing (`fd`
+    /// −1) with `MAP_ANONYMOUS` in `flags`.
+    fn map(total: usize, flags: libc::c_int, fd: libc::c_int) -> std::io::Result<ShmSegment> {
+        // SAFETY: a plain mapping request; the result is checked below.
         let base = unsafe {
             libc::mmap(
                 std::ptr::null_mut(),
                 total,
                 libc::PROT_READ | libc::PROT_WRITE,
-                libc::MAP_SHARED | libc::MAP_ANONYMOUS,
-                -1,
+                libc::MAP_SHARED | flags,
+                fd,
                 0,
             )
         };
         if base == libc::MAP_FAILED {
             return Err(std::io::Error::last_os_error());
         }
-        let base = base.cast::<u8>();
-        Self::init_header(base, total, layout_tag);
-        Ok(ShmSegment { base, len: total })
+        Ok(ShmSegment {
+            base: base.cast::<u8>(),
+            len: total,
+        })
+    }
+
+    /// Write the identification words of a fresh, zeroed mapping. Zeroed
+    /// scratch/procs/init are already the correct initial state.
+    fn init_header(self, layout_tag: u64) -> ShmSegment {
+        // SAFETY: the mapping is `self.len` ≥ `size_of::<SegHdr>()` bytes
+        // (`total_len` adds the payload offset) and not yet shared.
+        unsafe {
+            let hdr = self.base.cast::<SegHdr>();
+            (*hdr).magic = SHM_MAGIC;
+            (*hdr).version = SHM_VERSION;
+            (*hdr).total_len = self.len as u64;
+            (*hdr).layout_tag = layout_tag;
+        }
+        self
+    }
+
+    /// Create an anonymous shared segment with room for `payload_len`
+    /// payload bytes, tagged `layout_tag`. The mapping (and everything in
+    /// it) is shared with all future `fork` children.
+    pub fn create_anon(payload_len: usize, layout_tag: u64) -> std::io::Result<ShmSegment> {
+        let seg = Self::map(Self::total_len(payload_len), libc::MAP_ANONYMOUS, -1)?;
+        Ok(seg.init_header(layout_tag))
     }
 
     /// Create a file-backed segment at `path` (truncating any previous
@@ -206,23 +215,7 @@ impl ShmSegment {
         if unsafe { libc::ftruncate(f.as_raw_fd(), total as libc::off_t) } != 0 {
             return Err(std::io::Error::last_os_error());
         }
-        // SAFETY: mapping a file we just sized; result checked below.
-        let base = unsafe {
-            libc::mmap(
-                std::ptr::null_mut(),
-                total,
-                libc::PROT_READ | libc::PROT_WRITE,
-                libc::MAP_SHARED,
-                f.as_raw_fd(),
-                0,
-            )
-        };
-        if base == libc::MAP_FAILED {
-            return Err(std::io::Error::last_os_error());
-        }
-        let base = base.cast::<u8>();
-        Self::init_header(base, total, layout_tag);
-        Ok(ShmSegment { base, len: total })
+        Ok(Self::map(total, 0, f.as_raw_fd())?.init_header(layout_tag))
     }
 
     /// Map an existing published segment file, validating the header
@@ -236,24 +229,7 @@ impl ShmSegment {
                 "segment file shorter than its header",
             ));
         }
-        // SAFETY: mapping an existing file of `total` bytes; checked below.
-        let base = unsafe {
-            libc::mmap(
-                std::ptr::null_mut(),
-                total,
-                libc::PROT_READ | libc::PROT_WRITE,
-                libc::MAP_SHARED,
-                f.as_raw_fd(),
-                0,
-            )
-        };
-        if base == libc::MAP_FAILED {
-            return Err(std::io::Error::last_os_error());
-        }
-        let seg = ShmSegment {
-            base: base.cast::<u8>(),
-            len: total,
-        };
+        let seg = Self::map(total, 0, f.as_raw_fd())?;
         let hdr = seg.hdr();
         let bad = |what: &str| {
             Err(std::io::Error::new(
@@ -550,6 +526,95 @@ impl Drop for ShmSegment {
         }
     }
 }
+
+/// A relocatable layout living in a segment's payload: the mapping plus
+/// this process's view of it — the segment-side twin of
+/// [`RelocBox`](bq_core::relocatable::RelocBox), and the one place
+/// `bq-shm` initializes or attaches a view. Derefs to the view; `Clone`
+/// shares the mapping (for handing to threads and `fork` children).
+pub struct ShmBox<V: RelocLayout> {
+    seg: Arc<ShmSegment>,
+    view: V,
+}
+
+impl<V: RelocLayout> ShmBox<V> {
+    /// Initialize an empty structure in a fresh anonymous segment tagged
+    /// `layout_tag` (shared with all future `fork` children). Panics on
+    /// invalid `args`, like the heap constructors.
+    pub fn create_anon(args: V::Args, layout_tag: u64) -> std::io::Result<Self> {
+        Self::create(args, |len| ShmSegment::create_anon(len, layout_tag))
+    }
+
+    /// Initialize an empty structure in a file-backed segment at `path`,
+    /// for unrelated processes to [`open_file`](Self::open_file).
+    pub fn create_file(path: &Path, args: V::Args, layout_tag: u64) -> std::io::Result<Self> {
+        Self::create(args, |len| ShmSegment::create_file(path, len, layout_tag))
+    }
+
+    fn create(
+        args: V::Args,
+        segment: impl FnOnce(usize) -> std::io::Result<ShmSegment>,
+    ) -> std::io::Result<Self> {
+        let layout = V::layout(args);
+        let seg = segment(layout.size())?;
+        assert!(
+            (seg.payload_ptr() as usize).is_multiple_of(layout.align()),
+            "layout is more aligned than a segment payload"
+        );
+        // SAFETY: the payload of a segment we just created is zeroed, at
+        // least `layout.size()` bytes, aligned (checked above), not yet
+        // published to anyone, and mapped for as long as `seg`.
+        let view = unsafe { V::init_at(seg.payload_ptr(), args) };
+        seg.publish();
+        Ok(ShmBox {
+            seg: Arc::new(seg),
+            view,
+        })
+    }
+
+    /// Attach to a published segment file another process created. This
+    /// is the relocation path: the mapping lands at a different base
+    /// address here and the view is rebuilt from it. The bytes crossed a
+    /// process boundary, so they go through the checked
+    /// [`attach`](RelocLayout::attach): a damaged header is
+    /// `ErrorKind::InvalidData`.
+    pub fn open_file(path: &Path, layout_tag: u64) -> std::io::Result<Self> {
+        Self::attach(Arc::new(ShmSegment::open_file(path, layout_tag)?))
+    }
+
+    fn attach(seg: Arc<ShmSegment>) -> std::io::Result<Self> {
+        // SAFETY: the payload is `payload_len` mapped bytes, valid for as
+        // long as `seg`, which the box keeps alive beside the view.
+        let view = unsafe { V::attach(seg.payload_ptr(), seg.payload_len()) }
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+        Ok(ShmBox { seg, view })
+    }
+
+    /// The segment the structure lives in.
+    pub fn segment(&self) -> &Arc<ShmSegment> {
+        &self.seg
+    }
+}
+
+impl<V: RelocLayout> std::ops::Deref for ShmBox<V> {
+    type Target = V;
+    fn deref(&self) -> &V {
+        &self.view
+    }
+}
+
+impl<V: RelocLayout> Clone for ShmBox<V> {
+    fn clone(&self) -> Self {
+        Self::attach(Arc::clone(&self.seg)).expect("the header this box attached to is intact")
+    }
+}
+
+// SAFETY: `seg` keeps the mapping the view's pointers target alive;
+// `RelocLayout`'s contract makes every safe `&V` method thread-safe (and
+// process-safe: shared state is atomics inside the mapping), and the
+// view's `unsafe` methods carry their own.
+unsafe impl<V: RelocLayout> Send for ShmBox<V> {}
+unsafe impl<V: RelocLayout> Sync for ShmBox<V> {}
 
 const _: () = {
     use std::mem::{align_of, offset_of, size_of};

@@ -21,7 +21,7 @@ use std::time::Duration;
 
 use bq_core::{
     AsyncQueue, BlockingQueue, ConcurrentQueue, EventCount, OptimalQueue, RecvTimeoutError,
-    RelocBuf, RelocRing, SegmentQueue, ShardedQueue, SimAtomicU64,
+    RelocBox, RelocRing, SegmentQueue, ShardedQueue, SimAtomicU64,
 };
 use bq_sim::explore::{explore, replay, ExploreConfig, Report, RunOutcomeKind, RunSpec};
 use bq_sim::{check_history, check_history_pool, History, HistoryEvent, Op, Ret};
@@ -393,23 +393,11 @@ fn check_ring_history(h: &History, cap: usize) -> Result<(), String> {
     }
 }
 
-/// Heap home for a `RelocRing<u64>` shared across explored threads (the
-/// view is `Copy`; the buf owns the bytes).
-struct RingWorld {
-    _buf: RelocBuf,
-    ring: RelocRing<u64>,
-}
-
-// SAFETY: all shared state inside the ring is SimAtomicU64s, and the
-// explorer serializes steps; the buf is immovably heap-allocated.
-unsafe impl Send for RingWorld {}
-unsafe impl Sync for RingWorld {}
+/// A `RelocRing<u64>` of capacity `c`, shared across explored threads.
+type RingWorld = RelocBox<RelocRing<u64>>;
 
 fn ring_world(c: usize) -> Arc<RingWorld> {
-    let buf = RelocBuf::zeroed(RelocRing::<u64>::layout(c));
-    // SAFETY: buf satisfies layout(c) and is exclusively owned here.
-    let ring = unsafe { RelocRing::<u64>::init_at(buf.base(), c) };
-    Arc::new(RingWorld { _buf: buf, ring })
+    Arc::new(RelocBox::new(c))
 }
 
 /// The grant acceptance scenario: a producer that **reserves** a slot,
@@ -427,9 +415,8 @@ fn ring_grant_reserve_preempt_commit_vs_reader() {
         let granting_producer = {
             let w = Arc::clone(&w);
             move |ctx: &mut bq_sim::explore::Ctx| {
-                let ring = w.ring;
                 let id = ctx.invoke(Op::Enqueue(11));
-                match ring.try_reserve(1) {
+                match w.try_reserve(1) {
                     Some(mut g) => {
                         // The preemption window under test: the slot is
                         // claimed (seq consumed by the tail CAS) but not
@@ -446,11 +433,10 @@ fn ring_grant_reserve_preempt_commit_vs_reader() {
         let aborting_producer = {
             let w = Arc::clone(&w);
             move |_ctx: &mut bq_sim::explore::Ctx| {
-                let ring = w.ring;
                 // Reserve and drop: the slot aborts (seq jumps a round)
                 // and consumers must skip it. Logically no operation
                 // happened, so nothing is recorded in the history.
-                let g = ring.try_reserve(1);
+                let g = w.try_reserve(1);
                 drop(g);
             }
         };
@@ -458,7 +444,7 @@ fn ring_grant_reserve_preempt_commit_vs_reader() {
             let w = Arc::clone(&w);
             move |ctx: &mut bq_sim::explore::Ctx| {
                 let id = ctx.invoke(Op::Enqueue(22));
-                match w.ring.vy_enqueue(22) {
+                match w.vy_enqueue(22) {
                     Ok(()) => ctx.ret(id, Ret::EnqOk),
                     Err(_) => ctx.ret(id, Ret::EnqFull),
                 }
@@ -469,7 +455,7 @@ fn ring_grant_reserve_preempt_commit_vs_reader() {
             move |ctx: &mut bq_sim::explore::Ctx| {
                 for _ in 0..2 {
                     let id = ctx.invoke(Op::Dequeue);
-                    match w.ring.vy_dequeue() {
+                    match w.vy_dequeue() {
                         Some(v) => ctx.ret(id, Ret::DeqVal(v)),
                         None => ctx.ret(id, Ret::DeqEmpty),
                     }
@@ -486,7 +472,7 @@ fn ring_grant_reserve_preempt_commit_vs_reader() {
             ],
             check: Box::new(move |h| {
                 let mut drained = Vec::new();
-                while let Some(v) = wc.ring.vy_dequeue() {
+                while let Some(v) = wc.vy_dequeue() {
                     drained.push(v);
                 }
                 for v in h
@@ -512,11 +498,16 @@ fn ring_grant_reserve_preempt_commit_vs_reader() {
             }),
         }
     };
-    let report = explore(&cfg(2), mk);
+    let report = explore(&pinned_cfg(2), mk);
     assert_passed(&report, "RelocRing grant reserve/commit vs reader");
     eprintln!(
         "ring grants: {} executions, {} pruned",
         report.executions, report.pruned
+    );
+    assert_eq!(
+        report.executions, RING_GRANT_PINNED_EXECUTIONS,
+        "execution count drifted: RelocRing's claim/resolve no longer \
+         issue the access sequence they had when the pin was recorded"
     );
 }
 
@@ -531,7 +522,7 @@ fn ring_read_grant_borrows_only_committed_prefixes() {
         let producer = |w: Arc<RingWorld>, v: u64| {
             move |ctx: &mut bq_sim::explore::Ctx| {
                 let id = ctx.invoke(Op::Enqueue(v));
-                match w.ring.vy_enqueue(v) {
+                match w.vy_enqueue(v) {
                     Ok(()) => ctx.ret(id, Ret::EnqOk),
                     Err(_) => ctx.ret(id, Ret::EnqFull),
                 }
@@ -540,10 +531,9 @@ fn ring_read_grant_borrows_only_committed_prefixes() {
         let reading_consumer = {
             let w = Arc::clone(&w);
             move |ctx: &mut bq_sim::explore::Ctx| {
-                let ring = w.ring;
                 for _ in 0..2 {
                     let id = ctx.invoke(Op::Dequeue);
-                    match ring.try_read(1) {
+                    match w.try_read(1) {
                         Some(g) => {
                             let v = g.slice()[0];
                             // The release (slot free) interleaves with the
@@ -565,7 +555,7 @@ fn ring_read_grant_borrows_only_committed_prefixes() {
             ],
             check: Box::new(move |h| {
                 let mut drained = Vec::new();
-                while let Some(v) = wc.ring.vy_dequeue() {
+                while let Some(v) = wc.vy_dequeue() {
                     drained.push(v);
                 }
                 conservation(h, &drained)?;
@@ -573,11 +563,16 @@ fn ring_read_grant_borrows_only_committed_prefixes() {
             }),
         }
     };
-    let report = explore(&cfg(2), mk);
+    let report = explore(&pinned_cfg(2), mk);
     assert_passed(&report, "RelocRing read grants vs producers");
     eprintln!(
         "ring read grants: {} executions, {} pruned",
         report.executions, report.pruned
+    );
+    assert_eq!(
+        report.executions, RING_READ_GRANT_PINNED_EXECUTIONS,
+        "execution count drifted: RelocRing's claim/resolve no longer \
+         issue the access sequence they had when the pin was recorded"
     );
 }
 
@@ -666,6 +661,14 @@ fn eventcount_waiters_never_park_past_the_publish() {
 const EVENTCOUNT_PINNED_EXECUTIONS: u64 = 311;
 /// Timed recv vs send: `(executions, timeout-first, wake-first)`.
 const TIMED_RECV_PINNED: (u64, usize, usize) = (177, 88, 89);
+/// The pins for the two `RelocRing` grant scenarios, likewise asserted in
+/// both lanes. Recorded on `RelocRing::claim`, the one scan → claim loop.
+/// The six hand-written loops it replaced read 1 894 and 239: on a miss
+/// `try_reserve`/`try_read` loaded the first slot's seq word a second
+/// time to tell full/empty from a lost race, where `claim` decides from
+/// the one load. No other access changed.
+const RING_GRANT_PINNED_EXECUTIONS: u64 = 1944;
+const RING_READ_GRANT_PINNED_EXECUTIONS: u64 = 167;
 
 /// Teeth: break the protocol on purpose — publish the flag *after* the
 /// wake — and the explorer must find the interleaving where the waiter

@@ -1,8 +1,11 @@
 //! Property-based tests for the zero-copy grant data path (DESIGN.md
 //! §12): arbitrary interleavings of classic move operations
-//! (`enqueue`/`dequeue`) with reserve/commit write grants — including
-//! aborted ones — and read grants, checked step by step against a
-//! `VecDeque` oracle.
+//! (`enqueue`/`dequeue`) and batch operations (`enqueue_many`/
+//! `dequeue_many`, which on the concurrent ring are compositions of
+//! grants: one per contiguous run, so a batch splits at the wrap edge and
+//! a batch dequeue steps over aborted slots) with reserve/commit write
+//! grants — including aborted ones — and read grants, checked step by
+//! step against a `VecDeque` oracle.
 //!
 //! Two queues under test:
 //!
@@ -47,6 +50,10 @@ enum Op {
     GrantAbort { ask: usize },
     /// Read up to `ask` elements in place, then consume a prefix.
     Read { ask: usize, release: usize },
+    /// Batch enqueue of `n` fresh tokens (a prefix is accepted).
+    EnqMany { n: usize },
+    /// Batch dequeue of up to `max` elements.
+    DeqMany { max: usize },
 }
 
 fn op_strategy() -> impl Strategy<Value = Vec<Op>> {
@@ -57,6 +64,8 @@ fn op_strategy() -> impl Strategy<Value = Vec<Op>> {
             (1usize..6, 0usize..6).prop_map(|(ask, commit)| Op::Grant { ask, commit }),
             (1usize..6).prop_map(|ask| Op::GrantAbort { ask }),
             (1usize..6, 1usize..6).prop_map(|(ask, release)| Op::Read { ask, release }),
+            (1usize..9).prop_map(|n| Op::EnqMany { n }),
+            (1usize..9).prop_map(|max| Op::DeqMany { max }),
         ],
         1..150,
     )
@@ -127,6 +136,19 @@ proptest! {
                     }
                     None => prop_assert!(ask == 0 || model.is_empty()),
                 },
+                Op::EnqMany { n } => {
+                    let vals: Vec<u64> = (next..next + n as u64).collect();
+                    let sent = q.enqueue_many(&vals);
+                    prop_assert_eq!(sent, n.min(cap - model.len()));
+                    model.extend(&vals[..sent]);
+                    next += n as u64;
+                }
+                Op::DeqMany { max } => {
+                    let mut out = Vec::new();
+                    let got = q.dequeue_many(max, &mut out);
+                    prop_assert_eq!(got, max.min(model.len()));
+                    prop_assert_eq!(out, model.drain(..got).collect::<Vec<_>>());
+                }
             }
             prop_assert_eq!(q.len(), model.len());
         }
@@ -195,6 +217,23 @@ proptest! {
                     }
                     None => prop_assert!(ask == 0 || model.is_empty()),
                 },
+                Op::EnqMany { n } => {
+                    // A prefix is accepted; how long is advisory, like
+                    // `Full` (aborted slots hold capacity for a round).
+                    let vals: Vec<u64> = (next..next + n as u64).collect();
+                    let sent = q.enqueue_many(&mut h, &vals);
+                    prop_assert!(sent <= n);
+                    model.extend(&vals[..sent]);
+                    next += n as u64;
+                }
+                Op::DeqMany { max } => {
+                    // Exact: the batch stops early only when empty, so
+                    // it crosses the wrap edge and every aborted slot.
+                    let mut out = Vec::new();
+                    let got = q.dequeue_many(&mut h, max, &mut out);
+                    prop_assert_eq!(got, max.min(model.len()));
+                    prop_assert_eq!(out, model.drain(..got).collect::<Vec<_>>());
+                }
             }
         }
         // Conservation: exactly the committed values drain out, in order;
@@ -241,6 +280,14 @@ proptest! {
                     if let Some(g) = q.try_read(ask) {
                         g.release();
                     }
+                }
+                Op::EnqMany { n } => {
+                    let vals: Vec<u64> = (next..next + n as u64).collect();
+                    q.enqueue_many(&mut h, &vals);
+                    next += n as u64;
+                }
+                Op::DeqMany { max } => {
+                    q.dequeue_many(&mut h, max, &mut Vec::new());
                 }
             }
         }
