@@ -10,17 +10,15 @@
 //! not closed. Listing 2's unbounded versioned nulls fix this under the
 //! distinct-elements assumption.
 //!
-//! This type models that scheme on the Listing 2 skeleton: same snapshot /
-//! slot-CAS / counter-help structure, but with `⊥_{round mod 2}` instead of
-//! `⊥_round`. It is **correct in the absence of two-round stalls** (all
-//! sequential and bounded-stall executions) and is included for the E9
-//! overhead comparison and for the adversary demonstration of its flaw.
+//! This type models that scheme on the Listing 2 skeleton — the same
+//! [`CounterQueue`] loop, under a [`TwoNulls`] rule whose empty slot holds
+//! `⊥_{round mod 2}` instead of `⊥_round`. It is **correct in the absence
+//! of two-round stalls** (all sequential and bounded-stall executions) and
+//! is included for the E9 overhead comparison and for the adversary
+//! demonstration of its flaw.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use bq_core::queue::{ConcurrentQueue, Full};
-use bq_core::token::{is_token, TAG_BIT};
-use bq_memtrack::{FootprintBreakdown, MemoryFootprint, OverheadClass};
+use bq_core::counter::{CounterQueue, SlotRule};
+use bq_core::token::TAG_BIT;
 
 /// The two alternating nulls: `⊥₀` and `⊥₁`.
 #[inline]
@@ -28,118 +26,36 @@ pub(crate) const fn two_null(parity: u64) -> u64 {
     TAG_BIT | (parity & 1)
 }
 
-/// Tsigas–Zhang-style bounded queue with two null values (Θ(1) overhead;
-/// unsound under two-round stalls — see module docs).
-pub struct TwoNullQueue {
-    slots: Box<[AtomicU64]>,
-    tail: AtomicU64,
-    head: AtomicU64,
-}
+/// The [`SlotRule`] of the two-null scheme: the empty slot of round `r`
+/// holds `⊥_{r mod 2}`, so a slot's empty state recurs every two rounds.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct TwoNulls;
 
 /// `TwoNullQueue` needs no per-thread state.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct TwoNullHandle;
 
-impl TwoNullQueue {
-    /// Create a queue of capacity `c > 0`.
-    pub fn with_capacity(c: usize) -> Self {
-        assert!(c > 0, "capacity must be positive");
-        TwoNullQueue {
-            slots: (0..c).map(|_| AtomicU64::new(two_null(0))).collect(),
-            tail: AtomicU64::new(0),
-            head: AtomicU64::new(0),
-        }
-    }
-}
-
-impl ConcurrentQueue for TwoNullQueue {
+impl SlotRule for TwoNulls {
     type Handle = TwoNullHandle;
 
     fn register(&self) -> TwoNullHandle {
         TwoNullHandle
     }
 
-    fn enqueue(&self, _h: &mut TwoNullHandle, v: u64) -> Result<(), Full> {
-        assert!(is_token(v), "tokens are non-zero 63-bit words");
-        let c = self.slots.len() as u64;
-        loop {
-            let t = self.tail.load(Ordering::SeqCst);
-            let h = self.head.load(Ordering::SeqCst);
-            if t != self.tail.load(Ordering::SeqCst) {
-                continue;
-            }
-            if t == h + c {
-                return Err(Full(v));
-            }
-            let parity = (t / c) & 1;
-            let i = (t % c) as usize;
-            let done = self.slots[i]
-                .compare_exchange(two_null(parity), v, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok();
-            let _ = self
-                .tail
-                .compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::SeqCst);
-            if done {
-                return Ok(());
-            }
-        }
-    }
-
-    fn dequeue(&self, _h: &mut TwoNullHandle) -> Option<u64> {
-        let c = self.slots.len() as u64;
-        loop {
-            let t = self.tail.load(Ordering::SeqCst);
-            let h = self.head.load(Ordering::SeqCst);
-            let e = self.slots[(h % c) as usize].load(Ordering::SeqCst);
-            if t != self.tail.load(Ordering::SeqCst) {
-                continue;
-            }
-            if t == h {
-                return None;
-            }
-            let parity = (h / c + 1) & 1;
-            let i = (h % c) as usize;
-            let done = e & TAG_BIT == 0
-                && self.slots[i]
-                    .compare_exchange(e, two_null(parity), Ordering::SeqCst, Ordering::SeqCst)
-                    .is_ok();
-            let _ = self
-                .head
-                .compare_exchange(h, h + 1, Ordering::SeqCst, Ordering::SeqCst);
-            if done {
-                return Some(e);
-            }
-        }
-    }
-
-    fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    fn max_token(&self) -> u64 {
-        TAG_BIT - 1
-    }
-
-    fn len(&self) -> usize {
-        let t = self.tail.load(Ordering::SeqCst);
-        let h = self.head.load(Ordering::SeqCst);
-        t.saturating_sub(h) as usize
+    fn vacant(round: u64) -> u64 {
+        two_null(round)
     }
 }
 
-impl MemoryFootprint for TwoNullQueue {
-    fn footprint(&self) -> FootprintBreakdown {
-        FootprintBreakdown::with_elements(self.slots.len() * 8).add(
-            "head + tail counters",
-            16,
-            OverheadClass::Counters,
-        )
-    }
-}
+/// Tsigas–Zhang-style bounded queue with two null values (Θ(1) overhead;
+/// unsound under two-round stalls — see module docs).
+pub type TwoNullQueue = CounterQueue<TwoNulls>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bq_core::queue::{ConcurrentQueue, Full};
+    use bq_memtrack::MemoryFootprint;
 
     #[test]
     fn sequential_fifo_and_wraparound() {
@@ -165,15 +81,11 @@ mod tests {
         q.enqueue(&mut h, 5).unwrap();
         q.enqueue(&mut h, 6).unwrap();
         q.dequeue(&mut h).unwrap();
-        assert_eq!(q.slots[0].load(Ordering::SeqCst), two_null(1));
+        assert_eq!(q.slot_word(0), two_null(1));
         q.dequeue(&mut h).unwrap();
         q.enqueue(&mut h, 7).unwrap(); // round 1: expects ⊥₁
         q.dequeue(&mut h).unwrap();
-        assert_eq!(
-            q.slots[0].load(Ordering::SeqCst),
-            two_null(0),
-            "parity wrapped"
-        );
+        assert_eq!(q.slot_word(0), two_null(0), "parity wrapped");
     }
 
     #[test]
@@ -190,13 +102,13 @@ mod tests {
         // the state recurrence that makes it possible.)
         let q = TwoNullQueue::with_capacity(1);
         let mut h = q.register();
-        let initial = q.slots[0].load(Ordering::SeqCst);
+        let initial = q.slot_word(0);
         q.enqueue(&mut h, 5).unwrap();
         q.dequeue(&mut h).unwrap(); // round 0 → ⊥₁
         q.enqueue(&mut h, 6).unwrap();
         q.dequeue(&mut h).unwrap(); // round 1 → ⊥₀ again
         assert_eq!(
-            q.slots[0].load(Ordering::SeqCst),
+            q.slot_word(0),
             initial,
             "slot state recurs after two rounds — the ABA window"
         );

@@ -1,6 +1,6 @@
 //! Vyukov's bounded MPMC queue — the de-facto industrial design the paper
-//! cites [24]: each slot carries a 64-bit **sequence number** that encodes
-//! which round may read/write it. That per-slot word is exactly the Θ(C)
+//! cites (its ref. 24): each slot carries a 64-bit **sequence number** that
+//! encodes which round may read/write it. That per-slot word is exactly the Θ(C)
 //! metadata the paper's lower bound says you cannot get rid of without
 //! paying Θ(T) elsewhere.
 //!

@@ -4,7 +4,9 @@
 //! updates a slot *only if the positioning counter has not moved*, which
 //! eliminates the ABA hazard without versioned nulls or distinct elements:
 //! a delayed slot update from an old round necessarily carries an old
-//! counter expectation and fails the second comparison.
+//! counter expectation and fails the second comparison. The loop is the
+//! shared [`CounterQueue`]; [`CounterGuarded`] swaps its slot CAS for the
+//! DCSS and its slot load for the arena's helping read.
 //!
 //! The DCSS primitive is built from recyclable descriptors (see `bq-dcss`);
 //! only `2·T` descriptors ever exist, so the queue's total overhead is
@@ -12,26 +14,19 @@
 //! that slots must be able to hold descriptor references, which costs the
 //! top bit of the value domain.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bq_dcss::DcssArena;
 
-use crate::queue::{ConcurrentQueue, Full};
-use crate::token::{is_token, MAX_TOKEN, NULL};
-use bq_memtrack::{FootprintBreakdown, MemoryFootprint, OverheadClass};
+use crate::counter::{CounterQueue, SlotRule};
+use crate::simx::SimAtomicU64;
+use crate::token::NULL;
+use bq_memtrack::{FootprintBreakdown, OverheadClass};
 
-/// Bounded queue with Θ(T) overhead using DCSS (paper Listing 4).
-///
-/// The descriptor arena can be **shared between queues**
-/// ([`DcssQueue::group`]), reproducing the paper's §3.5 "system-wide
-/// overhead" remark: `k` queues of capacity `C` need only one Θ(T)
-/// descriptor pool between them, so the per-queue overhead amortizes to
-/// the two counters.
-pub struct DcssQueue {
-    slots: Box<[AtomicU64]>,
-    tail: AtomicU64,
-    head: AtomicU64,
+/// The [`SlotRule`] of Listing 4: a single unversioned `⊥`, and every slot
+/// update a DCSS that also compares the positioning counter. Owns the
+/// (possibly shared) descriptor arena.
+pub struct CounterGuarded {
     arena: Arc<DcssArena>,
 }
 
@@ -49,7 +44,78 @@ impl DcssHandle {
     }
 }
 
-impl DcssQueue {
+impl SlotRule for CounterGuarded {
+    type Handle = DcssHandle;
+
+    fn register(&self) -> DcssHandle {
+        // Ids come from the arena so they stay unique across every queue
+        // sharing it. Note: a thread touching several queues of a group
+        // holds one handle (and descriptor pair) per queue.
+        DcssHandle {
+            tid: self.arena.register_tid(),
+        }
+    }
+
+    fn vacant(_round: u64) -> u64 {
+        NULL
+    }
+
+    /// The read helps any in-flight DCSS on the slot to completion first.
+    /// Like [`update`](SlotRule::update) it is one explorer step: DCSS is
+    /// the paper's primitive, its descriptors `bq-dcss`'s subject (§11.4).
+    #[inline]
+    fn read(&self, slot: &SimAtomicU64) -> u64 {
+        slot.read_step(|raw| self.arena.read(raw))
+    }
+
+    /// `DCSS(slot, from, to, counter, pos)`: iff `counter` is still `pos`.
+    #[inline]
+    fn update(
+        &self,
+        h: &mut DcssHandle,
+        slot: &SimAtomicU64,
+        from: u64,
+        to: u64,
+        counter: &SimAtomicU64,
+        pos: u64,
+    ) -> bool {
+        slot.update_step(from, to, |raw| {
+            self.arena
+                .dcss(h.tid, raw, from, to, counter.raw(), pos)
+                .succeeded()
+        })
+    }
+
+    fn footprint(&self, base: FootprintBreakdown) -> FootprintBreakdown {
+        // A shared arena is charged to the group once; each member then
+        // reports its amortized share.
+        let sharers = Arc::strong_count(&self.arena).max(1);
+        let shared = if sharers > 1 {
+            format!(" (shared {sharers} ways)")
+        } else {
+            String::new()
+        };
+        base.add(
+            format!(
+                "2T = {} DCSS descriptors{shared}",
+                2 * self.arena.max_threads()
+            ),
+            self.arena.footprint_bytes() / sharers,
+            OverheadClass::Descriptors,
+        )
+    }
+}
+
+/// Bounded queue with Θ(T) overhead using DCSS (paper Listing 4).
+///
+/// The descriptor arena can be **shared between queues**
+/// ([`DcssQueue::group`]), reproducing the paper's §3.5 "system-wide
+/// overhead" remark: `k` queues of capacity `C` need only one Θ(T)
+/// descriptor pool between them, so the per-queue overhead amortizes to
+/// the two counters.
+pub type DcssQueue = CounterQueue<CounterGuarded>;
+
+impl CounterQueue<CounterGuarded> {
     /// Create a queue of capacity `c` serving up to `max_threads`
     /// registered threads.
     pub fn with_capacity_and_threads(c: usize, max_threads: usize) -> Self {
@@ -62,13 +128,7 @@ impl DcssQueue {
     /// the per-thread registration must be coordinated by the caller when
     /// sharing manually; [`DcssQueue::group`] does this for you.
     pub fn with_shared_arena(c: usize, arena: Arc<DcssArena>) -> Self {
-        assert!(c > 0, "capacity must be positive");
-        DcssQueue {
-            slots: (0..c).map(|_| AtomicU64::new(NULL)).collect(),
-            tail: AtomicU64::new(0),
-            head: AtomicU64::new(0),
-            arena,
-        }
+        Self::with_rule(c, CounterGuarded { arena })
     }
 
     /// Create `k` queues of capacity `c` sharing **one** Θ(T) descriptor
@@ -83,143 +143,25 @@ impl DcssQueue {
 
     /// Bytes of the shared arena (counted once per group).
     pub fn arena_bytes(&self) -> usize {
-        self.arena.footprint_bytes()
+        self.rule.arena.footprint_bytes()
     }
 
     /// Does this queue share its arena with others?
     pub fn arena_is_shared(&self) -> bool {
-        Arc::strong_count(&self.arena) > 1
+        Arc::strong_count(&self.rule.arena) > 1
     }
 
     /// Number of threads the descriptor pool serves.
     pub fn max_threads(&self) -> usize {
-        self.arena.max_threads()
-    }
-}
-
-impl ConcurrentQueue for DcssQueue {
-    type Handle = DcssHandle;
-
-    fn register(&self) -> DcssHandle {
-        // Ids come from the arena so they stay unique across every queue
-        // sharing it. Note: a thread touching several queues of a group
-        // holds one handle (and descriptor pair) per queue.
-        DcssHandle {
-            tid: self.arena.register_tid(),
-        }
-    }
-
-    fn enqueue(&self, h: &mut DcssHandle, v: u64) -> Result<(), Full> {
-        assert!(
-            is_token(v),
-            "DCSS queue tokens are non-zero 63-bit words (top bit marks descriptors)"
-        );
-        let c = self.slots.len() as u64;
-        loop {
-            // Read the counters snapshot.
-            let t = self.tail.load(Ordering::SeqCst);
-            let hd = self.head.load(Ordering::SeqCst);
-            if t != self.tail.load(Ordering::SeqCst) {
-                continue;
-            }
-            // Is the queue full?
-            if t == hd + c {
-                return Err(Full(v));
-            }
-            // Try to insert the element iff `tail` is still `t`.
-            let done = self
-                .arena
-                .dcss(h.tid, &self.slots[(t % c) as usize], NULL, v, &self.tail, t)
-                .succeeded();
-            // Increment the counter (helping).
-            let _ = self
-                .tail
-                .compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::SeqCst);
-            if done {
-                return Ok(());
-            }
-        }
-    }
-
-    fn dequeue(&self, h: &mut DcssHandle) -> Option<u64> {
-        let c = self.slots.len() as u64;
-        loop {
-            // Read the counters + element snapshot (the read helps any
-            // in-flight DCSS on the slot to completion first).
-            let t = self.tail.load(Ordering::SeqCst);
-            let hd = self.head.load(Ordering::SeqCst);
-            let e = self.arena.read(&self.slots[(hd % c) as usize]);
-            if t != self.tail.load(Ordering::SeqCst) {
-                continue;
-            }
-            // Is the queue empty?
-            if t == hd {
-                return None;
-            }
-            // Try to extract the element iff `head` is still `hd`.
-            let done = e != NULL
-                && self
-                    .arena
-                    .dcss(
-                        h.tid,
-                        &self.slots[(hd % c) as usize],
-                        e,
-                        NULL,
-                        &self.head,
-                        hd,
-                    )
-                    .succeeded();
-            // Increment the counter (helping).
-            let _ = self
-                .head
-                .compare_exchange(hd, hd + 1, Ordering::SeqCst, Ordering::SeqCst);
-            if done {
-                return Some(e);
-            }
-        }
-    }
-
-    fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    fn max_token(&self) -> u64 {
-        MAX_TOKEN
-    }
-
-    fn len(&self) -> usize {
-        let t = self.tail.load(Ordering::SeqCst);
-        let h = self.head.load(Ordering::SeqCst);
-        t.saturating_sub(h) as usize
-    }
-}
-
-impl MemoryFootprint for DcssQueue {
-    fn footprint(&self) -> FootprintBreakdown {
-        // A shared arena is charged to the group once; each member then
-        // reports its amortized share.
-        let sharers = Arc::strong_count(&self.arena).max(1);
-        FootprintBreakdown::with_elements(self.slots.len() * 8)
-            .add(
-                format!(
-                    "2T = {} DCSS descriptors{}",
-                    2 * self.arena.max_threads(),
-                    if sharers > 1 {
-                        format!(" (shared {sharers} ways)")
-                    } else {
-                        String::new()
-                    }
-                ),
-                self.arena.footprint_bytes() / sharers,
-                OverheadClass::Descriptors,
-            )
-            .add("head + tail counters", 16, OverheadClass::Counters)
+        self.rule.arena.max_threads()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::queue::{ConcurrentQueue, Full};
+    use bq_memtrack::MemoryFootprint;
     use std::sync::Arc;
 
     #[test]

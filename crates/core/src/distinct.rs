@@ -11,7 +11,9 @@
 //! Each slot cycles through `⊥_r → element → ⊥_{r+1} → element → …` where
 //! `r = counter / C` is the round. Because every (slot, round) pair has a
 //! unique null, a CAS poised on a stale round can never take effect, which
-//! removes the ABA hazard that breaks [`crate::naive::NaiveQueue`].
+//! removes the ABA hazard that breaks [`crate::naive::NaiveQueue`]. The
+//! loop itself is the shared [`CounterQueue`]; [`VersionedNull`] is the
+//! one line that differs.
 //!
 //! The distinctness assumption is the caller's obligation: this queue
 //! checks the token *domain* (63-bit, non-null) but cannot detect
@@ -19,142 +21,40 @@
 //! the paper. Feeding duplicates re-introduces ABA on the element CAS;
 //! experiment E4 demonstrates the resulting non-linearizable execution.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::counter::{CounterQueue, SlotRule};
+use crate::token::versioned_null;
 
-use crate::queue::{ConcurrentQueue, Full};
-use crate::token::{is_token, is_versioned_null, versioned_null, MAX_TOKEN};
-use bq_memtrack::{FootprintBreakdown, MemoryFootprint, OverheadClass};
-
-/// Bounded queue with Θ(1) memory overhead under the distinct-elements
-/// assumption (paper Listing 2).
-pub struct DistinctQueue {
-    slots: Box<[AtomicU64]>,
-    /// Total enqueue positions claimed (the paper's `tail`).
-    tail: AtomicU64,
-    /// Total dequeue positions claimed (the paper's `head`).
-    head: AtomicU64,
-}
+/// The [`SlotRule`] of Listing 2: the empty slot of round `r` holds the
+/// versioned `⊥_r`, which no stale slot CAS can match.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct VersionedNull;
 
 /// `DistinctQueue` needs no per-thread state.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct DistinctHandle;
 
-impl DistinctQueue {
-    /// Create a queue of capacity `c > 0`. All slots start at `⊥₀`.
-    pub fn with_capacity(c: usize) -> Self {
-        assert!(c > 0, "capacity must be positive");
-        DistinctQueue {
-            slots: (0..c).map(|_| AtomicU64::new(versioned_null(0))).collect(),
-            tail: AtomicU64::new(0),
-            head: AtomicU64::new(0),
-        }
-    }
-}
-
-impl ConcurrentQueue for DistinctQueue {
+impl SlotRule for VersionedNull {
     type Handle = DistinctHandle;
 
     fn register(&self) -> DistinctHandle {
         DistinctHandle
     }
 
-    fn enqueue(&self, _h: &mut DistinctHandle, v: u64) -> Result<(), Full> {
-        assert!(
-            is_token(v),
-            "Listing 2 tokens are non-zero 63-bit words (top bit is the ⊥ tag)"
-        );
-        let c = self.slots.len() as u64;
-        loop {
-            // Read the counters snapshot.
-            let t = self.tail.load(Ordering::SeqCst);
-            let h = self.head.load(Ordering::SeqCst);
-            if t != self.tail.load(Ordering::SeqCst) {
-                continue;
-            }
-            // Is the queue full?
-            if t == h + c {
-                return Err(Full(v));
-            }
-            // Try to insert the element: replace this round's ⊥ with it.
-            let round = t / c;
-            let i = (t % c) as usize;
-            let done = self.slots[i]
-                .compare_exchange(versioned_null(round), v, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok();
-            // Increment the counter (helping: losers advance it too).
-            let _ = self
-                .tail
-                .compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::SeqCst);
-            if done {
-                return Ok(());
-            }
-        }
-    }
-
-    fn dequeue(&self, _h: &mut DistinctHandle) -> Option<u64> {
-        let c = self.slots.len() as u64;
-        loop {
-            // Read the counters + element snapshot.
-            let t = self.tail.load(Ordering::SeqCst);
-            let h = self.head.load(Ordering::SeqCst);
-            let e = self.slots[(h % c) as usize].load(Ordering::SeqCst);
-            if t != self.tail.load(Ordering::SeqCst) {
-                continue;
-            }
-            // Is the queue empty?
-            if t == h {
-                return None;
-            }
-            // Try to extract: replace the element with the *next* round's ⊥,
-            // which is exactly what the round-(h/C + 1) enqueuer expects.
-            let round = h / c + 1;
-            let i = (h % c) as usize;
-            let done = e != versioned_null(round)
-                && !is_versioned_null(e)
-                && self.slots[i]
-                    .compare_exchange(e, versioned_null(round), Ordering::SeqCst, Ordering::SeqCst)
-                    .is_ok();
-            // Increment the counter (helping).
-            let _ = self
-                .head
-                .compare_exchange(h, h + 1, Ordering::SeqCst, Ordering::SeqCst);
-            if done {
-                return Some(e);
-            }
-        }
-    }
-
-    fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    fn max_token(&self) -> u64 {
-        MAX_TOKEN
-    }
-
-    fn len(&self) -> usize {
-        let t = self.tail.load(Ordering::SeqCst);
-        let h = self.head.load(Ordering::SeqCst);
-        t.saturating_sub(h) as usize
+    fn vacant(round: u64) -> u64 {
+        versioned_null(round)
     }
 }
 
-impl MemoryFootprint for DistinctQueue {
-    fn footprint(&self) -> FootprintBreakdown {
-        // The versioned ⊥s live inside the value-locations (the stolen top
-        // bit); the only allocated overhead is the two counters.
-        FootprintBreakdown::with_elements(self.slots.len() * 8).add(
-            "head + tail counters",
-            16,
-            OverheadClass::Counters,
-        )
-    }
-}
+/// Bounded queue with Θ(1) memory overhead under the distinct-elements
+/// assumption (paper Listing 2). All slots start at `⊥₀`.
+pub type DistinctQueue = CounterQueue<VersionedNull>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::queue::{ConcurrentQueue, Full};
     use crate::token::TokenGen;
+    use bq_memtrack::MemoryFootprint;
     use std::sync::Arc;
 
     #[test]
@@ -186,7 +86,7 @@ mod tests {
         }
         // After 100 rounds, slot 0 holds ⊥₁₀₀ — not the initial ⊥₀.
         assert_eq!(
-            q.slots[0].load(Ordering::SeqCst),
+            q.slot_word(0),
             versioned_null(100),
             "slot nulls advance with the round"
         );

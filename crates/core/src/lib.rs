@@ -19,6 +19,10 @@
 //! † conceptually; our software LL/SC emulation spends 4 tag bytes per slot,
 //! reported honestly in the footprint (see `bq-llsc`).
 //!
+//! [`NaiveQueue`], [`DistinctQueue`] and [`DcssQueue`] are type aliases of
+//! one [`CounterQueue`]: the paper's loop written once, with the line that
+//! differs — how a slot update is protected — as a [`SlotRule`].
+//!
 //! Beyond the paper's listings, the crate grows a **scale layer**: a batch
 //! extension on [`ConcurrentQueue`] (`enqueue_many`/`dequeue_many`, with
 //! native run-based fast paths where the algorithm permits) and
@@ -59,6 +63,7 @@ pub mod async_queue;
 pub mod blocking;
 pub mod boxed;
 pub mod bytering;
+pub mod counter;
 pub mod dcss_queue;
 pub mod distinct;
 pub mod event;
@@ -81,6 +86,7 @@ pub use blocking::{
 };
 pub use boxed::{BoxedHandle, BoxedQueue, PointerCapable};
 pub use bytering::{byte_ring, ByteConsumer, ByteProducer};
+pub use counter::{CounterQueue, SlotRule};
 pub use dcss_queue::{DcssHandle, DcssQueue};
 pub use distinct::{DistinctHandle, DistinctQueue};
 pub use event::{EventCount, TimeLimit, WaiterId};

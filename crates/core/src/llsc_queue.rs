@@ -5,13 +5,17 @@
 //! queue reuse a *single* null per slot — no versions, no distinctness
 //! assumption — while keeping the O(1) overhead of the sequential design.
 //!
-//! The cells and both counters are [`bq_llsc::LlScCell`]s (our software
-//! emulation, see that crate's fidelity notes): values are 32-bit and each
-//! cell spends a 32-bit emulation tag, which the footprint below reports
-//! honestly as per-slot metadata. On genuine LL/SC hardware (ARM, POWER,
-//! RISC-V) that per-slot term vanishes and the overhead is exactly two
-//! counters — the paper's point that LL/SC is strictly more powerful than
-//! CAS for this problem.
+//! The cells are [`bq_llsc::LlScCell`]s (our software emulation, see that
+//! crate's fidelity notes): values are 32-bit and each cell spends a 32-bit
+//! emulation tag, which the footprint below reports honestly as per-slot
+//! metadata. On genuine LL/SC hardware (ARM, POWER, RISC-V) that per-slot
+//! term vanishes and the overhead is exactly two counters — the paper's
+//! point that LL/SC is strictly more powerful than CAS for this problem.
+//! The two positioning counters are plain 64-bit words advanced by CAS:
+//! they only grow, so there is no ABA for LL/SC to cure, and they do not
+//! wrap (32-bit `LlScCell` positions did, after 2³² operations).
+
+use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 
 use bq_llsc::LlScCell;
 
@@ -22,8 +26,8 @@ use bq_memtrack::{FootprintBreakdown, MemoryFootprint, OverheadClass};
 /// Listing 3). Tokens are non-zero `u32` values (0 is `⊥`).
 pub struct LlScQueue {
     cells: Box<[LlScCell]>,
-    tail: LlScCell,
-    head: LlScCell,
+    tail: AtomicU64,
+    head: AtomicU64,
 }
 
 /// `LlScQueue` needs no per-thread state.
@@ -31,14 +35,13 @@ pub struct LlScQueue {
 pub struct LlScHandle;
 
 impl LlScQueue {
-    /// Create a queue of capacity `c` (`0 < c < 2³¹`; counters are 32-bit
-    /// in the emulation).
+    /// Create a queue of capacity `c > 0`.
     pub fn with_capacity(c: usize) -> Self {
-        assert!(c > 0 && c < (1 << 31), "capacity must be in 1..2^31");
+        assert!(c > 0, "capacity must be positive");
         LlScQueue {
             cells: (0..c).map(|_| LlScCell::new(0)).collect(),
-            tail: LlScCell::new(0),
-            head: LlScCell::new(0),
+            tail: AtomicU64::new(0),
+            head: AtomicU64::new(0),
         }
     }
 }
@@ -55,14 +58,14 @@ impl ConcurrentQueue for LlScQueue {
             v != 0 && v <= u32::MAX as u64,
             "LL/SC queue tokens are non-zero u32 values"
         );
-        let e = v as u32;
-        let c = self.cells.len() as u32;
+        let c = self.cells.len() as u64;
         loop {
             // Read the counters snapshot; link the target cell.
-            let t = self.tail.load();
-            let h = self.head.load();
-            let (state, link) = self.cells[(t % c) as usize].ll();
-            if t != self.tail.load() {
+            let t = self.tail.load(SeqCst);
+            let h = self.head.load(SeqCst);
+            let cell = &self.cells[(t % c) as usize];
+            let (state, link) = cell.ll();
+            if t != self.tail.load(SeqCst) {
                 continue;
             }
             // Is the queue full?
@@ -71,12 +74,9 @@ impl ConcurrentQueue for LlScQueue {
             }
             // Try to insert the element: SC fails if the cell changed at
             // all since the LL — ABA cannot occur.
-            let done = state == 0 && self.cells[(t % c) as usize].sc(link, e);
-            // Increment the counter via LL/SC (helping).
-            let (tv, tl) = self.tail.ll();
-            if tv == t {
-                let _ = self.tail.sc(tl, t + 1);
-            }
+            let done = state == 0 && cell.sc(link, v as u32);
+            // Increment the counter (helping).
+            let _ = self.tail.compare_exchange(t, t + 1, SeqCst, SeqCst);
             if done {
                 return Ok(());
             }
@@ -84,13 +84,14 @@ impl ConcurrentQueue for LlScQueue {
     }
 
     fn dequeue(&self, _h: &mut LlScHandle) -> Option<u64> {
-        let c = self.cells.len() as u32;
+        let c = self.cells.len() as u64;
         loop {
             // Read the counters + element snapshot.
-            let t = self.tail.load();
-            let h = self.head.load();
-            let (e, link) = self.cells[(h % c) as usize].ll();
-            if t != self.tail.load() {
+            let t = self.tail.load(SeqCst);
+            let h = self.head.load(SeqCst);
+            let cell = &self.cells[(h % c) as usize];
+            let (e, link) = cell.ll();
+            if t != self.tail.load(SeqCst) {
                 continue;
             }
             // Is the queue empty?
@@ -98,12 +99,9 @@ impl ConcurrentQueue for LlScQueue {
                 return None;
             }
             // Try to extract the element.
-            let done = e != 0 && self.cells[(h % c) as usize].sc(link, 0);
+            let done = e != 0 && cell.sc(link, 0);
             // Increment the counter (helping).
-            let (hv, hl) = self.head.ll();
-            if hv == h {
-                let _ = self.head.sc(hl, h + 1);
-            }
+            let _ = self.head.compare_exchange(h, h + 1, SeqCst, SeqCst);
             if done {
                 return Some(e as u64);
             }
@@ -119,8 +117,8 @@ impl ConcurrentQueue for LlScQueue {
     }
 
     fn len(&self) -> usize {
-        let t = self.tail.load();
-        let h = self.head.load();
+        let t = self.tail.load(SeqCst);
+        let h = self.head.load(SeqCst);
         t.saturating_sub(h) as usize
     }
 }
@@ -230,5 +228,61 @@ mod tests {
         let q = LlScQueue::with_capacity(2);
         let mut h = q.register();
         let _ = q.enqueue(&mut h, 1 << 40);
+    }
+
+    /// An empty queue whose two positions both start at `pos`.
+    fn starting_at(c: usize, pos: u64) -> LlScQueue {
+        let q = LlScQueue::with_capacity(c);
+        q.tail.store(pos, SeqCst);
+        q.head.store(pos, SeqCst);
+        q
+    }
+
+    /// The 2³² wrap (32-bit `LlScCell` positions: `len()` read 0 with two
+    /// elements resident, `h + c` overflowed, and for `C ∤ 2³²` the
+    /// position → slot map jumped). Positions are 64-bit now; start three
+    /// below 2³² and cross it with FIFO, full/empty and `len()` checked at
+    /// every step, for a power-of-two and a non-power-of-two capacity.
+    #[test]
+    fn positions_cross_two_to_the_32() {
+        for c in [3usize, 4] {
+            let q = starting_at(c, (1u64 << 32) - 3);
+            let mut h = q.register();
+            let mut next = 1u64;
+            // One resident element throughout, so `len()` is never
+            // trivially zero while the positions straddle the wrap.
+            q.enqueue(&mut h, next).unwrap();
+            for step in 0..4 * c as u64 + 8 {
+                next += 1;
+                q.enqueue(&mut h, next).unwrap();
+                assert_eq!(q.len(), 2, "c={c} step {step}");
+                assert!(!q.is_empty());
+                assert_eq!(q.dequeue(&mut h), Some(next - 1), "c={c} step {step}");
+                assert_eq!(q.len(), 1);
+            }
+            // Fill to capacity across whatever is left of the wrap window.
+            for _ in 1..c {
+                next += 1;
+                q.enqueue(&mut h, next).unwrap();
+            }
+            assert_eq!(q.len(), c);
+            assert_eq!(q.enqueue(&mut h, 9), Err(Full(9)));
+            for back in (0..c as u64).rev() {
+                assert_eq!(q.dequeue(&mut h), Some(next - back));
+            }
+            assert_eq!(q.dequeue(&mut h), None);
+            assert!(q.is_empty());
+        }
+        // Full and empty exactly on the boundary: tail = 2³², head = 2³² − C.
+        let q = starting_at(4, (1u64 << 32) - 4);
+        let mut h = q.register();
+        for v in 1..=4 {
+            q.enqueue(&mut h, v).unwrap();
+        }
+        assert_eq!((q.len(), q.enqueue(&mut h, 5)), (4, Err(Full(5))));
+        for v in 1..=4 {
+            assert_eq!(q.dequeue(&mut h), Some(v));
+        }
+        assert_eq!((q.len(), q.dequeue(&mut h)), (0, None));
     }
 }

@@ -1,7 +1,8 @@
 //! The **naive constant-overhead queue** — the design the paper's lower
 //! bound proves impossible.
 //!
-//! This is Listing 2 with the versioned nulls stripped: a pre-allocated
+//! This is Listing 2 with the versioned nulls stripped — the shared
+//! [`CounterQueue`] loop under the [`Unversioned`] rule: a pre-allocated
 //! array of `C` slots, two positioning counters, CAS everywhere, and a
 //! single unversioned `⊥`. Its memory overhead is Θ(1) — exactly the
 //! footprint practitioners keep trying to achieve (paper §1, "Practical
@@ -22,124 +23,41 @@
 //! tables; it must not be used as a correct queue, which is the entire point
 //! of the paper.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::counter::{CounterQueue, SlotRule};
+use crate::token::NULL;
 
-use crate::queue::{ConcurrentQueue, Full};
-use crate::token::{is_token, MAX_TOKEN, NULL};
-use bq_memtrack::{FootprintBreakdown, MemoryFootprint, OverheadClass};
-
-/// The ABA-unsound constant-overhead bounded queue (see module docs).
-///
-/// Overhead: two 8-byte counters — the Θ(1) the lower bound forbids for a
-/// *correct* queue.
-pub struct NaiveQueue {
-    slots: Box<[AtomicU64]>,
-    tail: AtomicU64,
-    head: AtomicU64,
-}
+/// The [`SlotRule`] of the strawman: every empty slot holds the same
+/// unversioned `⊥`, so a slot CAS poised a round ago still matches.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct Unversioned;
 
 /// `NaiveQueue` needs no per-thread state.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NaiveHandle;
 
-impl NaiveQueue {
-    /// Create a queue of capacity `c > 0`.
-    pub fn with_capacity(c: usize) -> Self {
-        assert!(c > 0, "capacity must be positive");
-        NaiveQueue {
-            slots: (0..c).map(|_| AtomicU64::new(NULL)).collect(),
-            tail: AtomicU64::new(0),
-            head: AtomicU64::new(0),
-        }
-    }
-}
-
-impl ConcurrentQueue for NaiveQueue {
+impl SlotRule for Unversioned {
     type Handle = NaiveHandle;
 
     fn register(&self) -> NaiveHandle {
         NaiveHandle
     }
 
-    fn enqueue(&self, _h: &mut NaiveHandle, v: u64) -> Result<(), Full> {
-        assert!(is_token(v), "naive queue tokens are non-zero 63-bit words");
-        let c = self.slots.len() as u64;
-        loop {
-            let t = self.tail.load(Ordering::SeqCst);
-            let h = self.head.load(Ordering::SeqCst);
-            if t != self.tail.load(Ordering::SeqCst) {
-                continue;
-            }
-            if t == h + c {
-                return Err(Full(v));
-            }
-            let i = (t % c) as usize;
-            let done = self.slots[i]
-                .compare_exchange(NULL, v, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok();
-            let _ = self
-                .tail
-                .compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::SeqCst);
-            if done {
-                return Ok(());
-            }
-        }
-    }
-
-    fn dequeue(&self, _h: &mut NaiveHandle) -> Option<u64> {
-        let c = self.slots.len() as u64;
-        loop {
-            let t = self.tail.load(Ordering::SeqCst);
-            let h = self.head.load(Ordering::SeqCst);
-            let e = self.slots[(h % c) as usize].load(Ordering::SeqCst);
-            if t != self.tail.load(Ordering::SeqCst) {
-                continue;
-            }
-            if t == h {
-                return None;
-            }
-            let i = (h % c) as usize;
-            let done = e != NULL
-                && self.slots[i]
-                    .compare_exchange(e, NULL, Ordering::SeqCst, Ordering::SeqCst)
-                    .is_ok();
-            let _ = self
-                .head
-                .compare_exchange(h, h + 1, Ordering::SeqCst, Ordering::SeqCst);
-            if done {
-                return Some(e);
-            }
-        }
-    }
-
-    fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    fn max_token(&self) -> u64 {
-        MAX_TOKEN
-    }
-
-    fn len(&self) -> usize {
-        let t = self.tail.load(Ordering::SeqCst);
-        let h = self.head.load(Ordering::SeqCst);
-        t.saturating_sub(h) as usize
+    fn vacant(_round: u64) -> u64 {
+        NULL
     }
 }
 
-impl MemoryFootprint for NaiveQueue {
-    fn footprint(&self) -> FootprintBreakdown {
-        FootprintBreakdown::with_elements(self.slots.len() * 8).add(
-            "head + tail counters",
-            16,
-            OverheadClass::Counters,
-        )
-    }
-}
+/// The ABA-unsound constant-overhead bounded queue (see module docs).
+///
+/// Overhead: two 8-byte counters — the Θ(1) the lower bound forbids for a
+/// *correct* queue.
+pub type NaiveQueue = CounterQueue<Unversioned>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::queue::{ConcurrentQueue, Full};
+    use bq_memtrack::MemoryFootprint;
 
     fn q(c: usize) -> (NaiveQueue, NaiveHandle) {
         (NaiveQueue::with_capacity(c), NaiveHandle)

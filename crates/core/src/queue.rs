@@ -36,8 +36,9 @@ pub enum EnqueueError {
 ///   paper's `⊥`).
 ///
 /// Implementations that need a thread identity (the descriptor-based queues,
-/// Listings 4 and 5) receive it through a per-thread [`Handle`] obtained
-/// from [`register`](ConcurrentQueue::register); queues without per-thread
+/// Listings 4 and 5) receive it through a per-thread
+/// [`Handle`](ConcurrentQueue::Handle) obtained from
+/// [`register`](ConcurrentQueue::register); queues without per-thread
 /// state use a trivial handle. Handles must not be shared between threads
 /// concurrently (they are `Send`, not `Sync`).
 ///

@@ -8,7 +8,7 @@
 //!   wrappers compile to exactly the underlying primitive, and
 //!   `#[repr(transparent)]` keeps every relocatable layout byte-stable;
 //! * with the `sim-explore` feature: every operation is bracketed by
-//!   [`simyield`] hook calls. On threads without an installed hook
+//!   `simyield` hook calls. On threads without an installed hook
 //!   (everything outside the explorer) the bracket is one thread-local
 //!   check; on explorer-controlled threads it is a cooperative
 //!   scheduling point, which is how `bq_sim::explore` enumerates
@@ -47,6 +47,7 @@ macro_rules! bracketed {
         }
         #[cfg(not(feature = "sim-explore"))]
         {
+            let _ = ($op1, $op2);
             let (ret, _observed) = $run;
             ret
         }
@@ -149,6 +150,36 @@ impl SimAtomicU64 {
     #[inline]
     pub fn get_mut(&mut self) -> &mut u64 {
         self.0.get_mut()
+    }
+
+    /// The wrapped atomic, as an operand of a primitive built from several
+    /// raw accesses (`bq-dcss`) that the caller brackets as one step with
+    /// [`read_step`](Self::read_step) / [`update_step`](Self::update_step).
+    #[inline]
+    pub fn raw(&self) -> &AtomicU64 {
+        &self.0
+    }
+
+    /// A compound **read** of this location as one explorer step: `f` may
+    /// issue any number of raw accesses and returns the value read.
+    #[inline]
+    pub fn read_step(&self, f: impl FnOnce(&AtomicU64) -> u64) -> u64 {
+        bracketed!(self, Load, 0u64, 0u64, {
+            let v = f(&self.0);
+            (v, v)
+        })
+    }
+
+    /// A compound **conditional update** `current → new` of this location
+    /// as one explorer step: `f` performs it with raw accesses and says
+    /// whether it took effect. The explorer sees a CAS that observed
+    /// `current` on success and something else on failure.
+    #[inline]
+    pub fn update_step(&self, current: u64, new: u64, f: impl FnOnce(&AtomicU64) -> bool) -> bool {
+        bracketed!(self, Cas, current, new, {
+            let ok = f(&self.0);
+            (ok, if ok { current } else { !current })
+        })
     }
 }
 

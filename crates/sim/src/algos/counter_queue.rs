@@ -105,16 +105,6 @@ pub fn two_null(c: usize, mem: &mut SimMemory) -> CounterQueue {
     CounterQueue::new(Flavor::TwoNull, "tsigas-zhang-2null", c, mem)
 }
 
-/// Convenience: `SimNaive` alias used in controller tests.
-pub type SimNaive = CounterQueue;
-
-impl CounterQueue {
-    /// Shorthand used by tests: a naive-flavor queue.
-    pub fn new_naive(c: usize, mem: &mut SimMemory) -> Self {
-        naive(c, mem)
-    }
-}
-
 #[derive(Debug, Clone, Copy)]
 enum State {
     /// Read `tail` (both operations start here).

@@ -32,13 +32,14 @@
 //! memory can (every `bq-core` shared access is `SeqCst`, so for these
 //! algorithms SC exploration is the right model). Preemption bounding
 //! (Musuvathi & Qadeer's iterative context bounding) is exhaustive *up
-//! to the bound*; state-hash pruning is a heuristic on top — hash
-//! collisions can in principle drop distinct states, so `prune: false`
-//! exists for when you want the unpruned (slower) sweep. Spin loops of
-//! lock-free (not wait-free) operations are cut by a large grant slice:
-//! a forced round-robin switch that keeps enumeration finite and is
-//! *not* charged to the preemption budget (reported per execution
-//! instead).
+//! to the bound*; state-hash pruning and the conflict filter are
+//! heuristics on top — hash collisions can in principle drop distinct
+//! states, and independent-access commutation with the default policy
+//! tail is not a full DPOR proof. Both are always on; `Report` counts
+//! what each skipped. Spin loops of lock-free (not wait-free) operations
+//! are cut by a large grant slice: a forced round-robin switch that
+//! keeps enumeration finite and is *not* charged to the preemption
+//! budget (reported per execution instead).
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -232,7 +233,7 @@ mod engine {
     use std::sync::mpsc;
     use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once};
 
-    /// Exploration bounds and switches.
+    /// The one exploration bound callers choose.
     #[derive(Debug, Clone)]
     pub struct ExploreConfig {
         /// Maximum number of *preemptions* per execution (switching away
@@ -240,42 +241,26 @@ mod engine {
         /// the previous thread blocked or finished — are free, as in
         /// iterative context bounding.
         pub preemption_bound: usize,
-        /// Maximum scheduling points per execution; beyond it the
-        /// execution is truncated (counted, never checked).
-        pub depth_bound: usize,
-        /// Forced round-robin switch after this many consecutive steps
-        /// of one thread under the default policy (spin-loop cutter;
-        /// free of budget, reported honestly).
-        pub grant_slice: usize,
-        /// Use the state-hash visited set. Heuristic: collisions can
-        /// drop distinct states; disable for the exhaustive sweep.
-        pub prune: bool,
-        /// Persistent-set-style conflict filter: only branch to `alt` at
-        /// a step whose executed access *conflicts* (same location, at
-        /// least one write) with `alt`'s announced pending access.
-        /// Threads whose pending access is unknown (not yet scheduled,
-        /// or just woken from a condvar) branch unconditionally.
-        /// Heuristic — independent-access commutation with the default
-        /// policy tail is not a full DPOR proof; disable together with
-        /// `prune` for the pure bounded-exhaustive sweep.
-        pub por: bool,
-        /// Hard cap on executions (honest truncation: the report says
-        /// whether it was hit).
-        pub max_executions: u64,
     }
 
     impl Default for ExploreConfig {
         fn default() -> Self {
             ExploreConfig {
                 preemption_bound: 2,
-                depth_bound: 5_000,
-                grant_slice: 300,
-                prune: true,
-                por: true,
-                max_executions: 1_000_000,
             }
         }
     }
+
+    /// Maximum scheduling points per execution; beyond it the execution
+    /// is truncated (counted in [`Report::truncated`], never checked).
+    const DEPTH_BOUND: usize = 5_000;
+    /// Forced round-robin switch after this many consecutive steps of one
+    /// thread under the default policy (spin-loop cutter; free of budget,
+    /// counted in [`Report::sliced`]).
+    const GRANT_SLICE: usize = 300;
+    /// Hard cap on executions ([`Report::hit_execution_cap`] says whether
+    /// it stopped the sweep).
+    const MAX_EXECUTIONS: u64 = 1_000_000;
 
     /// Records the concurrent history of one explored execution. Bodies
     /// log invocations/returns through [`Ctx`]; the oracle reads the
@@ -469,7 +454,6 @@ mod engine {
     }
 
     struct Inner {
-        cfg: ExploreConfig,
         prefix: Vec<usize>,
         statuses: Vec<TStatus>,
         /// Pending grant per thread: set by the chooser, consumed by the
@@ -503,9 +487,8 @@ mod engine {
     }
 
     impl Inner {
-        fn new(cfg: ExploreConfig, threads: usize, prefix: Vec<usize>) -> Self {
+        fn new(threads: usize, prefix: Vec<usize>) -> Self {
             Inner {
-                cfg,
                 prefix,
                 statuses: vec![TStatus::NotStarted; threads],
                 grant: vec![false; threads],
@@ -580,7 +563,7 @@ mod engine {
                 return;
             }
             let pos = self.trace.len();
-            if pos >= self.cfg.depth_bound {
+            if pos >= DEPTH_BOUND {
                 self.set_abort(RunOutcomeKind::DepthExceeded);
                 return;
             }
@@ -617,7 +600,7 @@ mod engine {
                     return;
                 }
                 p
-            } else if prev_enabled && self.slice_run < self.cfg.grant_slice {
+            } else if prev_enabled && self.slice_run < GRANT_SLICE {
                 prev
             } else {
                 // Round-robin: first enabled thread after `prev`.
@@ -949,13 +932,13 @@ mod engine {
         check: Option<Result<(), String>>,
     }
 
-    fn run_one(pool: &Pool, cfg: &ExploreConfig, prefix: &[usize], spec: RunSpec) -> ExecResult {
+    fn run_one(pool: &Pool, prefix: &[usize], spec: RunSpec) -> ExecResult {
         install_quiet_abort_hook();
         let threads = spec.bodies.len();
         assert!((1..=64).contains(&threads), "1..=64 explored threads");
         let rec = Recorder::default();
         let exec = Arc::new(Exec {
-            m: Mutex::new(Inner::new(cfg.clone(), threads, prefix.to_vec())),
+            m: Mutex::new(Inner::new(threads, prefix.to_vec())),
             cv: Condvar::new(),
         });
         for (tid, body) in spec.bodies.into_iter().enumerate() {
@@ -1062,13 +1045,13 @@ mod engine {
         let mut pool: Option<Pool> = None;
 
         while let Some(prefix) = stack.pop() {
-            if report.executions >= cfg.max_executions {
+            if report.executions >= MAX_EXECUTIONS {
                 report.hit_execution_cap = true;
                 break;
             }
             let spec = mk();
             let pool = pool.get_or_insert_with(|| Pool::new(spec.bodies.len()));
-            let r = run_one(pool, cfg, &prefix, spec);
+            let r = run_one(pool, &prefix, spec);
             report.executions += 1;
             if r.sliced {
                 report.sliced += 1;
@@ -1114,20 +1097,22 @@ mod engine {
                     if c > cfg.preemption_bound {
                         continue;
                     }
-                    if cfg.por {
-                        // Branch only where the executed access and the
-                        // alternative's announced next access conflict;
-                        // unknown pendings branch conservatively.
-                        let independent = match (step.pend[step.tid], step.pend[alt]) {
-                            (Some((l1, w1)), Some((l2, w2))) => l1 != l2 || !(w1 || w2),
-                            _ => false,
-                        };
-                        if independent {
-                            report.por_skipped += 1;
-                            continue;
-                        }
+                    // Persistent-set-style conflict filter: branch to
+                    // `alt` only where the executed access and `alt`'s
+                    // announced next access conflict (same location, at
+                    // least one write). Threads whose pending access is
+                    // unknown (not yet scheduled, or just woken from a
+                    // condvar) branch unconditionally.
+                    let independent = match (step.pend[step.tid], step.pend[alt]) {
+                        (Some((l1, w1)), Some((l2, w2))) => l1 != l2 || !(w1 || w2),
+                        _ => false,
+                    };
+                    if independent {
+                        report.por_skipped += 1;
+                        continue;
                     }
-                    if cfg.prune && !visited.insert((step.hash_before, alt, c)) {
+                    // State-hash visited set.
+                    if !visited.insert((step.hash_before, alt, c)) {
                         report.pruned += 1;
                         continue;
                     }
@@ -1143,9 +1128,9 @@ mod engine {
     /// Re-run one pinned interleaving (e.g. a printed failure artifact)
     /// and report how it ended, with the rendered history for
     /// byte-for-byte comparison.
-    pub fn replay(cfg: &ExploreConfig, schedule: &Schedule, spec: RunSpec) -> RunResult {
+    pub fn replay(schedule: &Schedule, spec: RunSpec) -> RunResult {
         let pool = Pool::new(spec.bodies.len());
-        let r = run_one(&pool, cfg, &schedule.0, spec);
+        let r = run_one(&pool, &schedule.0, spec);
         RunResult {
             outcome: r.outcome,
             schedule: Schedule(r.trace.iter().map(|s| s.tid).collect()),

@@ -19,9 +19,10 @@ use std::sync::Arc;
 use std::task::{Context, Poll, Wake, Waker};
 use std::time::Duration;
 
+use bq_baselines::TwoNullQueue;
 use bq_core::{
-    AsyncQueue, BlockingQueue, ConcurrentQueue, EventCount, OptimalQueue, RecvTimeoutError,
-    RelocBox, RelocRing, SegmentQueue, ShardedQueue, SimAtomicU64,
+    AsyncQueue, BlockingQueue, ConcurrentQueue, DcssQueue, DistinctQueue, EventCount, NaiveQueue,
+    OptimalQueue, RecvTimeoutError, RelocBox, RelocRing, SegmentQueue, ShardedQueue, SimAtomicU64,
 };
 use bq_sim::explore::{explore, replay, ExploreConfig, Report, RunOutcomeKind, RunSpec};
 use bq_sim::{check_history, check_history_pool, History, HistoryEvent, Op, Ret};
@@ -37,17 +38,13 @@ fn cfg(preemption_bound: usize) -> ExploreConfig {
         } else {
             preemption_bound
         },
-        ..ExploreConfig::default()
     }
 }
 
 /// The config of a test that pins an execution count: fixed, so the pin
 /// does not move with `MEMBQ_SMOKE`.
 fn pinned_cfg(preemption_bound: usize) -> ExploreConfig {
-    ExploreConfig {
-        preemption_bound,
-        ..ExploreConfig::default()
-    }
+    ExploreConfig { preemption_bound }
 }
 
 /// Successful enqueues must equal successful dequeues plus the drain —
@@ -142,7 +139,7 @@ fn engine_finds_planted_lost_update() {
     // The printed artifact replays to the same oracle rejection.
     let artifact = failure.schedule.to_string();
     let parsed: bq_sim::Schedule = artifact.parse().unwrap();
-    let r = replay(&cfg(1), &parsed, mk());
+    let r = replay(&parsed, mk());
     assert_eq!(r.outcome, RunOutcomeKind::Completed);
     let err = r.check.unwrap().unwrap_err();
     assert!(err.contains("lost update"), "replay lost the bug: {err}");
@@ -228,11 +225,7 @@ fn optimal_2p1c_all_interleavings_to_bound3() {
 #[test]
 fn replay_reproduces_histories_byte_for_byte() {
     // First execution under the default policy: capture its schedule.
-    let base = replay(
-        &ExploreConfig::default(),
-        &bq_sim::Schedule::new(),
-        optimal_2p1c_spec(),
-    );
+    let base = replay(&bq_sim::Schedule::new(), optimal_2p1c_spec());
     assert_eq!(base.outcome, RunOutcomeKind::Completed);
     assert!(!base.schedule.is_empty());
 
@@ -240,8 +233,8 @@ fn replay_reproduces_histories_byte_for_byte() {
     let artifact = base.schedule.to_string();
     let parsed: bq_sim::Schedule = artifact.parse().unwrap();
     assert_eq!(parsed, base.schedule, "artifact text round-trips");
-    let r1 = replay(&ExploreConfig::default(), &parsed, optimal_2p1c_spec());
-    let r2 = replay(&ExploreConfig::default(), &parsed, optimal_2p1c_spec());
+    let r1 = replay(&parsed, optimal_2p1c_spec());
+    let r2 = replay(&parsed, optimal_2p1c_spec());
     assert_eq!(r1.outcome, RunOutcomeKind::Completed);
     assert_eq!(
         r1.history, base.history,
@@ -260,8 +253,8 @@ fn replay_reproduces_histories_byte_for_byte() {
         alt.0.truncate(1);
         alt.0[0] = 0;
     }
-    let a1 = replay(&ExploreConfig::default(), &alt, optimal_2p1c_spec());
-    let a2 = replay(&ExploreConfig::default(), &alt, optimal_2p1c_spec());
+    let a1 = replay(&alt, optimal_2p1c_spec());
+    let a2 = replay(&alt, optimal_2p1c_spec());
     assert_eq!(
         a1.history, a2.history,
         "perturbed schedule still deterministic"
@@ -345,6 +338,199 @@ fn obs_counters_add_no_scheduling_points() {
 /// The pin for [`obs_counters_add_no_scheduling_points`]. One literal,
 /// asserted identically in the obs-on and obs-off explorer lanes.
 const OBS_INVARIANCE_PINNED_EXECUTIONS: u64 = 54;
+
+// ---------------------------------------------------------------------------
+// E4/E8 on the shipped counter queues (DESIGN.md §2, §11.4)
+// ---------------------------------------------------------------------------
+
+/// Two explored threads each running a fixed operation script on one
+/// shipped queue of capacity `c`; the oracle is conservation plus strict
+/// FIFO linearizability. The scripts below are `bq_sim::adversary`'s,
+/// which the step-machine controller drives by *poising* a victim; here
+/// the explorer has to find the poising interleaving by itself, in the
+/// compiled `CounterQueue` loop.
+fn script_spec<Q>(mk: fn(usize) -> Q, c: usize, scripts: [Vec<Op>; 2]) -> RunSpec
+where
+    Q: ConcurrentQueue + 'static,
+    Q::Handle: 'static,
+{
+    let q = Arc::new(mk(c));
+    let bodies = scripts
+        .into_iter()
+        .map(|script| {
+            let q = Arc::clone(&q);
+            let mut h = q.register();
+            Box::new(move |ctx: &mut bq_sim::explore::Ctx| {
+                for op in script {
+                    let id = ctx.invoke(op);
+                    let ret = match op {
+                        Op::Enqueue(v) => match q.enqueue(&mut h, v) {
+                            Ok(()) => Ret::EnqOk,
+                            Err(_) => Ret::EnqFull,
+                        },
+                        Op::Dequeue => match q.dequeue(&mut h) {
+                            Some(v) => Ret::DeqVal(v),
+                            None => Ret::DeqEmpty,
+                        },
+                    };
+                    ctx.ret(id, ret);
+                }
+            }) as Box<dyn FnOnce(&mut bq_sim::explore::Ctx) + Send>
+        })
+        .collect();
+    RunSpec {
+        bodies,
+        check: Box::new(move |h| {
+            let mut dh = q.register();
+            let mut drained = Vec::new();
+            while let Some(v) = q.dequeue(&mut dh) {
+                drained.push(v);
+            }
+            conservation(h, &drained)?;
+            if check_history(h, c).is_linearizable() {
+                Ok(())
+            } else {
+                Err("history is not linearizable against the FIFO spec".into())
+            }
+        }),
+    }
+}
+
+/// `adversary::run_middle_steal` (Figure 3, dequeue side), `C = 4`: T1's
+/// first dequeue is the victim — poised on `CAS(a[1], 7, ⊥)` while T0
+/// consumes the 7 and refills to `[11, 12, 13, x]`, `x` landing in the slot
+/// the victim covers — and its other five are the drain.
+fn middle_steal(x: u64) -> [Vec<Op>; 2] {
+    use Op::{Dequeue as D, Enqueue as E};
+    [
+        vec![E(1), E(7), D, D, E(11), E(12), E(13), E(x)],
+        vec![D; 6],
+    ]
+}
+
+/// `adversary::run_enqueue_hole` (Figure 3, enqueue side), `C = 4`: T1's
+/// `enq(99)` is poised on `CAS(a[2], ⊥, 99)` after T0's first two
+/// enqueues and released a round later into the interior hole; T1 drains.
+fn enqueue_hole() -> [Vec<Op>; 2] {
+    use Op::{Dequeue as D, Enqueue as E};
+    let mut victim = vec![E(99)];
+    victim.extend([D; 8]);
+    [vec![E(1), E(2), E(3), E(4), D, D, D, E(5), E(6)], victim]
+}
+
+/// `adversary::run_two_round_sleep` (the paper's §4 critique), `C = 2`:
+/// T0's `enq(99)` is poised on `CAS(a[0], ⊥₀, 99)` on the empty queue,
+/// sleeps through T1's two complete fill/empty rounds, fires, and drains.
+fn two_round_sleep() -> [Vec<Op>; 2] {
+    use Op::{Dequeue as D, Enqueue as E};
+    [
+        vec![E(99), D, D, D, D],
+        vec![E(1), E(2), D, D, E(3), E(4), D, D],
+    ]
+}
+
+/// `DcssQueue` for two scripted threads plus the oracle's drain handle.
+fn dcss3(c: usize) -> DcssQueue {
+    DcssQueue::with_capacity_and_threads(c, 3)
+}
+
+/// The explorer must have *found* a violation — an oracle rejection, not
+/// a panic or a deadlock — after exactly `pinned` executions, and the
+/// printed artifact must replay to the same rejection.
+fn assert_found(what: &str, pinned: u64, mk: impl Fn() -> RunSpec) {
+    let report = explore(&pinned_cfg(2), &mk);
+    let failure = report.failure.as_ref().unwrap_or_else(|| {
+        panic!(
+            "{what}: all {} executions passed, a violation was expected",
+            report.executions
+        )
+    });
+    assert!(
+        failure.reason.starts_with("oracle rejected"),
+        "{what}: expected an oracle rejection, got {}",
+        failure.render()
+    );
+    eprintln!(
+        "{what}: found after {} executions ({})\n{}",
+        report.executions, failure.reason, failure.schedule
+    );
+    assert_eq!(report.executions, pinned, "{what}: execution count drifted");
+    let parsed: bq_sim::Schedule = failure.schedule.to_string().parse().unwrap();
+    let r = replay(&parsed, mk());
+    assert_eq!(r.outcome, RunOutcomeKind::Completed);
+    let err = r.check.unwrap().unwrap_err();
+    assert!(
+        failure.reason.ends_with(&err),
+        "{what}: artifact replayed to a different rejection: {err}"
+    );
+}
+
+/// Every execution up to preemption bound 2 must pass, `pinned` of them.
+fn assert_all_pass(what: &str, pinned: u64, mk: impl Fn() -> RunSpec) {
+    let report = explore(&pinned_cfg(2), mk);
+    assert_passed(&report, what);
+    eprintln!("{what}: {} executions pass", report.executions);
+    assert_eq!(report.executions, pinned, "{what}: execution count drifted");
+}
+
+/// E4/E8's middle steal on the shipped types: found on the strawman,
+/// found on Listing 2 once a value repeats, harmless for Listing 2 with
+/// distinct values and for Listing 4 with repeated ones.
+#[test]
+fn middle_steal_on_the_shipped_counter_queues() {
+    assert_found("NaiveQueue middle steal", MIDDLE_STEAL_PINNED.0, || {
+        script_spec(NaiveQueue::with_capacity, 4, middle_steal(7))
+    });
+    assert_found(
+        "DistinctQueue middle steal, repeated value",
+        MIDDLE_STEAL_PINNED.1,
+        || script_spec(DistinctQueue::with_capacity, 4, middle_steal(7)),
+    );
+    assert_all_pass(
+        "DistinctQueue middle steal, distinct values",
+        MIDDLE_STEAL_PINNED.2,
+        || script_spec(DistinctQueue::with_capacity, 4, middle_steal(14)),
+    );
+    assert_all_pass(
+        "DcssQueue middle steal, repeated value",
+        MIDDLE_STEAL_PINNED.3,
+        || script_spec(dcss3, 4, middle_steal(7)),
+    );
+}
+
+/// The enqueue-into-hole script: the strawman's stale `CAS(⊥ → 99)` lands
+/// in the interior hole; Listing 4's DCSS fails its counter comparison.
+#[test]
+fn enqueue_hole_on_the_shipped_counter_queues() {
+    assert_found("NaiveQueue enqueue hole", ENQUEUE_HOLE_PINNED.0, || {
+        script_spec(NaiveQueue::with_capacity, 4, enqueue_hole())
+    });
+    assert_all_pass("DcssQueue enqueue hole", ENQUEUE_HOLE_PINNED.1, || {
+        script_spec(dcss3, 4, enqueue_hole())
+    });
+}
+
+/// The two-round sleep: `⊥_{r mod 2}` recurs and the stale enqueue lands;
+/// `⊥_r` never recurs.
+#[test]
+fn two_round_sleep_on_the_shipped_counter_queues() {
+    assert_found("TwoNullQueue two-round sleep", TWO_ROUND_PINNED.0, || {
+        script_spec(TwoNullQueue::with_capacity, 2, two_round_sleep())
+    });
+    assert_all_pass("DistinctQueue two-round sleep", TWO_ROUND_PINNED.1, || {
+        script_spec(DistinctQueue::with_capacity, 2, two_round_sleep())
+    });
+}
+
+/// Execution counts of the scenarios above at preemption bound 2, asserted
+/// identically in the obs-on and obs-off explorer lanes. A *found* count is
+/// the number of executions up to and including the failing one.
+/// Middle steal: `(naive found, distinct x=7 found, distinct x=14, dcss)`.
+const MIDDLE_STEAL_PINNED: (u64, u64, u64, u64) = (100, 100, 290, 290);
+/// Enqueue hole: `(naive found, dcss)`.
+const ENQUEUE_HOLE_PINNED: (u64, u64) = (24, 525);
+/// Two-round sleep: `(two-null found, distinct)`.
+const TWO_ROUND_PINNED: (u64, u64) = (121, 320);
 
 // ---------------------------------------------------------------------------
 // Zero-copy grants on the sequenced ring (DESIGN.md §12)
@@ -721,7 +907,7 @@ fn eventcount_teeth_wake_before_publish_is_caught() {
     );
 
     let parsed: bq_sim::Schedule = failure.schedule.to_string().parse().unwrap();
-    let r = replay(&cfg(2), &parsed, mk());
+    let r = replay(&parsed, mk());
     assert!(
         matches!(r.outcome, RunOutcomeKind::Deadlock(_)),
         "artifact must replay to the same deadlock, got {:?}",
@@ -872,11 +1058,11 @@ fn timed_recv_vs_send_enumerates_both_outcomes() {
     // The replay contract extends through the timed path: the same
     // schedule artifact re-runs a timed wait to the identical history
     // (same winner of the race), byte for byte.
-    let base = replay(&ExploreConfig::default(), &bq_sim::Schedule::new(), mk());
+    let base = replay(&bq_sim::Schedule::new(), mk());
     assert_eq!(base.outcome, RunOutcomeKind::Completed);
     let parsed: bq_sim::Schedule = base.schedule.to_string().parse().unwrap();
-    let r1 = replay(&ExploreConfig::default(), &parsed, mk());
-    let r2 = replay(&ExploreConfig::default(), &parsed, mk());
+    let r1 = replay(&parsed, mk());
+    let r2 = replay(&parsed, mk());
     assert_eq!(r1.history, base.history, "timed replay reproduces history");
     assert_eq!(r1.history, r2.history, "timed replay is deterministic");
 }

@@ -8,7 +8,7 @@
 //! the one users run.
 
 use membq::bench_registry::QueueKind;
-use membq::sim::algos::{dcss, distinct, naive, Flavor};
+use membq::sim::algos::{dcss, distinct, naive, two_null, Flavor};
 use membq::sim::{Op, Ret, Sim, SimMemory};
 use proptest::prelude::*;
 
@@ -31,7 +31,7 @@ fn run_pair(flavor: Flavor, kind: QueueKind, cap: usize, ops: &[ScriptOp]) {
         Flavor::Naive => naive(cap, &mut mem),
         Flavor::Distinct => distinct(cap, &mut mem),
         Flavor::Dcss => dcss(cap, &mut mem),
-        Flavor::TwoNull => unreachable!("not paired here"),
+        Flavor::TwoNull => two_null(cap, &mut mem),
     };
     let mut sim = Sim::new(sq, mem, 1);
     let real = kind.build(cap, 1);
@@ -72,6 +72,7 @@ proptest! {
         run_pair(Flavor::Naive, QueueKind::Naive, cap, &ops);
         run_pair(Flavor::Distinct, QueueKind::Distinct, cap, &ops);
         run_pair(Flavor::Dcss, QueueKind::Dcss, cap, &ops);
+        run_pair(Flavor::TwoNull, QueueKind::TwoNull, cap, &ops);
     }
 }
 
@@ -90,5 +91,6 @@ fn sim_ports_agree_on_wraparound() {
         run_pair(Flavor::Naive, QueueKind::Naive, cap, &ops);
         run_pair(Flavor::Distinct, QueueKind::Distinct, cap, &ops);
         run_pair(Flavor::Dcss, QueueKind::Dcss, cap, &ops);
+        run_pair(Flavor::TwoNull, QueueKind::TwoNull, cap, &ops);
     }
 }
