@@ -1029,6 +1029,33 @@ mod tests {
     }
 
     #[test]
+    fn close_landing_in_the_spin_reports_closed() {
+        // close() the moment the receiver announces: with a core each,
+        // that is inside its spin. Whichever step of the round the wake
+        // lands on, the wait ends Closed — never Timeout, never a hang.
+        const ROUNDS: u64 = 200;
+        let mut spin_wakes = 0;
+        for _ in 0..ROUNDS {
+            let q = make(4, 1);
+            std::thread::scope(|s| {
+                let receiver =
+                    s.spawn(|| q.recv_within(&mut q.register(), Duration::from_secs(60)));
+                while q.not_empty_event().waiter_count() == 0 {
+                    std::hint::spin_loop();
+                }
+                q.close();
+                assert_eq!(receiver.join().unwrap(), Err(RecvTimeoutError::Closed));
+            });
+            assert_eq!(q.not_empty_event().waiter_count(), 0);
+            spin_wakes += q.metrics().get("not_empty.spin_wakes").unwrap_or(0);
+        }
+        if cfg!(feature = "obs") && std::thread::available_parallelism().is_ok_and(|n| n.get() >= 2)
+        {
+            assert!(spin_wakes > 0, "no close in {ROUNDS} landed in the spin");
+        }
+    }
+
+    #[test]
     fn timed_batch_send_returns_unsent_suffix_on_timeout() {
         let q = make(2, 1);
         let mut h = q.register();

@@ -16,7 +16,8 @@
 //! 1. a waiter **announces** itself (`waiters += 1`, or for a task:
 //!    registers its waker in the list under the gate lock, which also
 //!    bumps `waiters`), snapshots the **generation**, **re-attempts** the
-//!    operation, and only then parks — a thread parks only if the
+//!    operation, and only then parks — a thread first **spins** on the
+//!    generation for a bounded budget (below), then parks only if the
 //!    generation is still unchanged under the gate lock; a task simply
 //!    returns `Pending`, its waker already registered;
 //! 2. a notifier that completes a state transition checks `waiters`;
@@ -34,10 +35,34 @@
 //! wait polls on a timer, and the uncontended notifier fast path is one
 //! atomic load (`waiters == 0`).
 //!
+//! ## Spin, then park
+//!
+//! Between the announced re-attempt and the park, a thread watches the
+//! generation word for at most `SPIN_BUDGET` iterations — about as long
+//! as one park + wake hop costs, the classic bound. The spinner is
+//! already announced, so a notifier that lands in the window *must* bump
+//! the word being watched; when it does, the waiter un-announces and
+//! goes round again (announce → snapshot → re-attempt) without touching
+//! the gate lock or the condvar. When the budget runs out, the locked
+//! re-check and the park follow exactly as before, so every ordering
+//! argument above still holds: the spin only adds reads of a word the
+//! protocol already reads. A hand-off between two *running* threads
+//! therefore costs a cache-line transfer, not two futex sleeps. The
+//! spin watches the word rather than calling `attempt` again: an attempt
+//! is a queue operation (for a boxed send, an allocation) that contends
+//! with the very peer being waited for. Tasks never spin — an executor
+//! thread has other tasks to run.
+//!
 //! A wait may carry a [`TimeLimit`]. It is a *parameter* of the one
 //! thread loop ([`EventCount::wait`]), not a second loop: the limit
 //! decides only which condvar wait the park step is, and a waiter whose
-//! deadline fires makes one final attempt before reporting expiry.
+//! deadline fires makes one final attempt before reporting expiry. The
+//! clock is read only on the way into a park, i.e. *after* that round's
+//! spin: a deadline can be overshot by at most one budget (≈ 15 µs), and
+//! a relative timeout starts counting when the first spin has run out.
+//! (As before the spin, a round that a wake ends re-checks the
+//! condition, not the clock: the deadline is looked at when a round
+//! reaches the park.)
 //!
 //! Wakes are deliberately **broadcast** (notify-all + drain-all-wakers):
 //! a woken waiter that no longer wants the event — e.g. a cancelled
@@ -135,6 +160,18 @@ impl ParkTimer {
     }
 }
 
+/// Iterations (one generation load + one CPU relax hint each) a thread
+/// watches the generation before parking: ≈ 15 µs at the 14–16
+/// ns/iteration measured on the reference host, about the cost of the
+/// park + wake hop it can save (DESIGN.md §9.1 has the sweep). Under
+/// `sim-explore` the budget is 1, so the explorer enumerates both exits
+/// of the spin while the schedule tree stays bounded.
+const SPIN_BUDGET: u32 = if cfg!(feature = "sim-explore") {
+    1
+} else {
+    1024
+};
+
 impl EventCount {
     /// A fresh eventcount at generation 0 with no waiters.
     pub fn new() -> Self {
@@ -199,15 +236,16 @@ impl EventCount {
     /// Thread-parking waiter half, the **one wait loop**: run `attempt`
     /// until it returns `Some(r)` or `limit` passes, parking between
     /// failed attempts with the announce → snapshot → re-attempt →
-    /// park-if-unchanged protocol. Returns `None` on expiry — after one
-    /// final attempt, so a transition racing the deadline is still
-    /// taken, never dropped on the floor.
+    /// spin → park-if-unchanged protocol. Returns `None` on expiry —
+    /// after one final attempt, so a transition racing the deadline is
+    /// still taken, never dropped on the floor.
     ///
     /// The limit decides one step only: which condvar wait the park is.
     /// Every instrumented access around it is the same with and without
     /// a deadline, and a relative [`Timeout`](TimeLimit::Timeout) is
-    /// pinned to the clock at the **first park**, so an operation that
-    /// succeeds without waiting never reads it (the E16 property).
+    /// pinned to the clock at the **first park** (after that round's
+    /// spin), so an operation that succeeds without parking never reads
+    /// it (the E16 property).
     pub fn wait<R>(
         &self,
         mut limit: TimeLimit,
@@ -231,6 +269,19 @@ impl EventCount {
                 // We were woken (or skipped a park on a stale generation)
                 // and the condition is still false.
                 self.obs.spurious_wakes.hit();
+            }
+            // Spin, then park: we are announced, so any notifier from
+            // here on must bump the word we watch. A bump inside the
+            // budget ends the round with no gate lock and no sleep.
+            let mut spins = 0;
+            while spins < SPIN_BUDGET && self.generation.load(Ordering::SeqCst) == gen {
+                std::hint::spin_loop();
+                spins += 1;
+            }
+            if spins < SPIN_BUDGET {
+                self.waiters.fetch_sub(1, Ordering::SeqCst);
+                self.obs.spin_wakes.hit();
+                continue;
             }
             // The single place the clock is read, and only at the first
             // park: later rounds find the limit already pinned.
@@ -335,7 +386,7 @@ pub enum TimeLimit {
     /// Give up at this instant.
     Deadline(Instant),
     /// Give up this long after the **first park**: an operation that
-    /// never waits never reads the clock.
+    /// never parks never reads the clock.
     Timeout(Duration),
 }
 
@@ -543,6 +594,79 @@ mod tests {
             .map(|&(_, v)| v)
             .sum();
         assert_eq!(hist_total, 1, "one completed parked wait, one sample");
+    }
+
+    fn snapshot(ec: &EventCount) -> MetricsSnapshot {
+        let mut snap = MetricsSnapshot::new();
+        ec.snapshot_into("ec.", &mut snap);
+        snap
+    }
+
+    /// CPU time this thread has consumed so far.
+    fn thread_cpu() -> Duration {
+        let mut ts = libc::timespec {
+            tv_sec: 0,
+            tv_nsec: 0,
+        };
+        // SAFETY: `ts` is a valid, writable timespec for the call.
+        let rc = unsafe { libc::clock_gettime(libc::CLOCK_THREAD_CPUTIME_ID, &mut ts) };
+        assert_eq!(rc, 0, "the thread CPU clock is readable");
+        Duration::new(ts.tv_sec as u64, ts.tv_nsec as u32)
+    }
+
+    #[test]
+    fn spin_is_bounded_a_hopeless_wait_parks_and_burns_no_cpu() {
+        let ec = EventCount::new();
+        let (start, cpu_start) = (Instant::now(), thread_cpu());
+        let r = ec.wait(Duration::from_millis(50).into(), || None::<()>);
+        let (waited, burnt) = (start.elapsed(), thread_cpu() - cpu_start);
+        assert!(r.is_none(), "condition never became true");
+        assert!(
+            waited >= Duration::from_millis(50),
+            "returned at {waited:?}"
+        );
+        assert!(
+            waited < Duration::from_secs(5),
+            "woke far too late: {waited:?}"
+        );
+        assert!(
+            burnt < Duration::from_millis(5),
+            "a 50 ms wait spent {burnt:?} on the CPU: the spin is not bounded"
+        );
+        assert_eq!(ec.waiter_count(), 0);
+        if cfg!(feature = "obs") {
+            let snap = snapshot(&ec);
+            assert!(snap.get("ec.thread_parks").unwrap() >= 1, "{snap}");
+            assert_eq!(snap.get("ec.spin_wakes"), Some(0), "{snap}");
+        }
+    }
+
+    #[test]
+    fn wake_caught_by_the_spin_unannounces_without_parking() {
+        // The announced re-attempt publishes a wake itself, so the spin's
+        // first load is guaranteed to see the generation moved: the round
+        // must leave through the spin, un-announced, and go round again.
+        let ec = EventCount::new();
+        let mut calls = 0;
+        let r = ec.wait_until(|| {
+            calls += 1;
+            if calls == 2 {
+                assert_eq!(ec.waiter_count(), 1, "re-attempt runs announced");
+                ec.wake_all();
+            }
+            (calls == 3).then_some(calls)
+        });
+        assert_eq!(r, 3, "initial, announced, and post-spin attempts");
+        assert_eq!(ec.waiter_count(), 0, "the spin exit un-announced");
+        let gen = ec.generation();
+        ec.wake_all();
+        assert_eq!(ec.generation(), gen, "nobody announced: one-load path");
+        if cfg!(feature = "obs") {
+            let snap = snapshot(&ec);
+            assert_eq!(snap.get("ec.spin_wakes"), Some(1), "{snap}");
+            assert_eq!(snap.get("ec.thread_parks"), Some(0), "{snap}");
+            assert_eq!(snap.get("ec.spurious_wakes"), Some(0), "{snap}");
+        }
     }
 
     #[test]

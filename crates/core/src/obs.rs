@@ -516,6 +516,9 @@ impl LocalQueueCounters {
 pub struct WaitCounters {
     /// OS-thread parks (one per actual `cond.wait`).
     pub thread_parks: Counter,
+    /// Thread wait rounds that the bounded spin ended: the generation
+    /// moved inside the budget, so the round took no lock and no park.
+    pub spin_wakes: Counter,
     /// Task-waker registrations that went pending (async parks).
     pub task_parks: Counter,
     /// `wake_all` calls that found announced waiters.
@@ -550,6 +553,7 @@ impl WaitCounters {
     pub fn snapshot_into(&self, prefix: &str, snap: &mut MetricsSnapshot) {
         for (name, c) in [
             ("thread_parks", &self.thread_parks),
+            ("spin_wakes", &self.spin_wakes),
             ("task_parks", &self.task_parks),
             ("wakes", &self.wakes),
             ("woken", &self.woken),

@@ -840,13 +840,19 @@ fn eventcount_waiters_never_park_past_the_publish() {
 }
 
 /// The pins for the two wait-stack scenarios, asserted identically in
-/// the obs-on and obs-off explorer lanes. The literals were recorded on
-/// the separate untimed and timed loops that [`EventCount::wait`]
-/// replaced: the one loop must enumerate the same schedule tree under
-/// `Forever` and under a deadline as those two did.
-const EVENTCOUNT_PINNED_EXECUTIONS: u64 = 311;
-/// Timed recv vs send: `(executions, timeout-first, wake-first)`.
-const TIMED_RECV_PINNED: (u64, usize, usize) = (177, 88, 89);
+/// the obs-on and obs-off explorer lanes. Recorded on the one
+/// [`EventCount::wait`] loop with its bounded spin (budget 1 under
+/// `sim-explore`): every slow-path round issues one more generation
+/// load between the re-attempt and the gate lock, and a round whose load
+/// sees the generation moved leaves through a `waiters` decrement
+/// instead of the lock. Before the spin the loop read 311 and
+/// (177, 88, 89) — the values of the separate untimed and timed loops it
+/// had replaced; no other access changed.
+const EVENTCOUNT_PINNED_EXECUTIONS: u64 = 373;
+/// Timed recv vs send: `(executions, timeout-first, wake-first)`. The
+/// two added executions are wake-first: the send's wake landing on the
+/// spin's load instead of the locked re-check.
+const TIMED_RECV_PINNED: (u64, usize, usize) = (179, 88, 91);
 /// The pins for the two `RelocRing` grant scenarios, likewise asserted in
 /// both lanes. Recorded on `RelocRing::claim`, the one scan → claim loop.
 /// The six hand-written loops it replaced read 1 894 and 239: on a miss

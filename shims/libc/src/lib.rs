@@ -70,6 +70,9 @@ pub const WNOHANG: c_int = 1;
 /// `CLOCK_MONOTONIC`: the non-settable since-boot clock the heartbeat
 /// lease comparisons use (consistent across processes on one machine).
 pub const CLOCK_MONOTONIC: clockid_t = 1;
+/// `CLOCK_THREAD_CPUTIME_ID`: CPU time consumed by the calling thread —
+/// how a test tells a bounded spin from a busy wait.
+pub const CLOCK_THREAD_CPUTIME_ID: clockid_t = 3;
 
 extern "C" {
     /// Map memory. See `mmap(2)`.
