@@ -1,9 +1,10 @@
 //! Criterion bench for **E7/E10b**: the memory-optimal queue's operation
 //! cost as a function of the thread bound `T`.
 //!
-//! Every operation of Listing 5 scans the `T`-slot announcement array
-//! (`findOp`/`readElem`), so solo per-op cost grows with `T` — the time
-//! price of memory optimality the paper's §3.6 highlights.
+//! Every operation of Listing 5 scans the announcement array
+//! (`findOp`/`readElem`) — the slots of the handles *registered*, one
+//! here, not all `T` (DESIGN.md §7.2) — so this sweep reads flat;
+//! `throughput_table`'s E10b section sweeps the registered count too.
 //!
 //! Run: `cargo bench -p bq-bench --bench optimal`
 

@@ -250,17 +250,19 @@ mod tests {
         assert_eq!(q.dequeue(&mut h), Some(vec![1]));
     }
 
+    /// Payload whose `Drop` runs are counted.
+    struct Counter(Arc<std::sync::atomic::AtomicUsize>);
+    impl Drop for Counter {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        }
+    }
+
     #[test]
     fn drop_drains_without_leak() {
         // Run under the conservation logic: dropping a non-empty queue must
         // free the boxes (verified by Miri-style logic: Drop impl of the
         // payload runs).
-        struct Counter(Arc<std::sync::atomic::AtomicUsize>);
-        impl Drop for Counter {
-            fn drop(&mut self) {
-                self.0.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-            }
-        }
         let drops = Arc::new(std::sync::atomic::AtomicUsize::new(0));
         {
             let q: BoxedQueue<Counter, DcssQueue> =
@@ -273,6 +275,26 @@ mod tests {
             // 4 left inside.
         }
         assert_eq!(drops.load(std::sync::atomic::Ordering::SeqCst), 5);
+    }
+
+    /// An `OptimalQueue` nobody ever registered on, dropped with elements
+    /// inside: its registered count reads 0, and the drain's announcement
+    /// scan must still cover slot 0 (and divide by nothing).
+    #[test]
+    fn drop_drains_an_optimal_queue_with_zero_registrations() {
+        let drops = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        {
+            let q: BoxedQueue<Counter, OptimalQueue> =
+                BoxedQueue::new(OptimalQueue::with_capacity_and_threads(4, 2));
+            // The drop handle itself puts them in: no `register()` at all.
+            let mut h = BoxedHandle {
+                inner: q.inner.drop_handle(),
+            };
+            for _ in 0..3 {
+                assert!(q.enqueue(&mut h, Counter(Arc::clone(&drops))).is_ok());
+            }
+        }
+        assert_eq!(drops.load(std::sync::atomic::Ordering::SeqCst), 3);
     }
 
     #[test]

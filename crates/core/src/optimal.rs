@@ -6,15 +6,20 @@
 //! * `a` — the `C` value-locations (plain values, `0 = ⊥`).
 //! * `enqueues` / `dequeues` — the positioning counters.
 //! * `ops` — the **announcement array** of `T` slots holding references to
-//!   in-progress `EnqOp` descriptors.
+//!   in-progress `EnqOp` descriptors. Thread `tid` announces in slot `tid`
+//!   (the paper probes for an empty slot; the own slot always is one), and
+//!   `find_op` scans `0..registered`, the slots of the handles handed out
+//!   so far, not all `T` (DESIGN.md §7.2).
 //! * `active_op` — the serialization point through which descriptor
 //!   verdicts are decided one at a time (with helping).
 //! * a pool of **2·T reusable `EnqOp` descriptors** (the Arbel-Raviv/Brown
 //!   reuse technique the paper cites): at most `T` descriptors are parked
-//!   in `ops` plus at most one claimed per thread.
+//!   in `ops` plus at most one claimed per thread. A thread claims from its
+//!   own pair `2·tid`, `2·tid + 1` first.
 //!
 //! Total overhead: `T` announcement slots + `2T` descriptors + counters +
-//! one word — **Θ(T)**, independent of the capacity `C`.
+//! one word — **Θ(T)** bytes, independent of the capacity `C`. Time per
+//! operation grows with the handles *registered*, not with `T`.
 //!
 //! ## How it dodges ABA with no per-slot metadata
 //!
@@ -42,6 +47,11 @@
 //! necessarily targets cell `e % C` and finds the blocking descriptor there,
 //! so lock-freedom (Appendix A.1) is preserved. A regression test for the
 //! problematic interleaving lives in the `bq-sim` adversary suite.
+//!
+//! The helping CAS itself (paper line 40, and the evidence-guarded one of a
+//! failed attempt) is preceded by a load and skipped when the counter has
+//! already moved — `complete_op` usually got there first, and a CAS that
+//! fails is a load that also took the line exclusive.
 
 use std::sync::atomic::Ordering;
 
@@ -60,10 +70,22 @@ const ST_UNDECIDED: u64 = 0;
 const ST_SUCCESS: u64 = 1;
 const ST_FAILURE: u64 = 2;
 
+/// The incarnation after `seq`. The counter itself advances mod 2⁴⁸, so
+/// the descriptor's `seq` word, the packed refs and the `status` word
+/// (`seq << 2`, 50 bits) all carry the same value; 2⁴⁸ is even, so the
+/// free/live parity survives the wrap. Residual ABA: a thread holding a
+/// packed ref across exactly 2⁴⁷ reuses of that one descriptor (DESIGN.md
+/// §7.1).
+#[inline]
+fn next_seq(seq: u64) -> u64 {
+    (seq + 1) & SEQ_MASK
+}
+
 #[inline]
 fn pack_ref(index: usize, seq: u64) -> u64 {
     debug_assert!(seq % 2 == 1, "published incarnations are odd");
-    ((index as u64) << SEQ_BITS) | (seq & SEQ_MASK)
+    debug_assert!(seq <= SEQ_MASK, "incarnations live in 48 bits");
+    ((index as u64) << SEQ_BITS) | seq
 }
 
 #[inline]
@@ -145,7 +167,6 @@ pub struct OptimalQueue {
 /// a ZST with `obs` off).
 #[derive(Debug)]
 pub struct OptimalHandle {
-    #[allow(dead_code)]
     tid: usize,
     obs: LocalQueueCounters,
 }
@@ -197,21 +218,27 @@ impl OptimalQueue {
     /// Claim a free descriptor and publish incarnation fields for
     /// `(e, x, i)`. Always succeeds: at most `T` descriptors are parked in
     /// `ops` and at most one is claimed per other thread, so a pool of `2T`
-    /// always has a free entry for the claimant.
-    fn claim_desc(&self, e: u64, x: u64, i: usize) -> OpView {
+    /// always has a free entry for the claimant. Thread `tid` tries its own
+    /// pair `2·tid`, `2·tid + 1` first — lines no other thread starts at —
+    /// and wraps over the whole pool, because both can be parked in *other*
+    /// threads' slots (`retained_in_ops`).
+    fn claim_desc(&self, tid: usize, e: u64, x: u64, i: usize) -> OpView {
+        let pool = self.board.pool_len();
+        let own = 2 * tid;
         loop {
-            for (index, d) in self.board.descs().enumerate() {
+            for index in (own..pool).chain(0..own) {
+                let d = self.board.desc(index).expect("pooled index");
                 let s = d.seq.load(Ordering::SeqCst);
-                if s % 2 != 0 {
+                if s % 2 == 1 {
                     continue; // in use
                 }
+                let seq = next_seq(s);
                 if d.seq
-                    .compare_exchange(s, s + 1, Ordering::SeqCst, Ordering::SeqCst)
+                    .compare_exchange(s, seq, Ordering::SeqCst, Ordering::SeqCst)
                     .is_err()
                 {
                     continue;
                 }
-                let seq = s + 1;
                 d.e.store(e, Ordering::SeqCst);
                 d.x.store(x, Ordering::SeqCst);
                 d.i.store(i as u64, Ordering::SeqCst);
@@ -234,7 +261,12 @@ impl OptimalQueue {
         let d = self.board.desc(view.index).expect("pooled index");
         let ok = d
             .seq
-            .compare_exchange(view.seq, view.seq + 1, Ordering::SeqCst, Ordering::SeqCst)
+            .compare_exchange(
+                view.seq,
+                next_seq(view.seq),
+                Ordering::SeqCst,
+                Ordering::SeqCst,
+            )
             .is_ok();
         debug_assert!(ok, "double free of descriptor {}", view.index);
     }
@@ -329,9 +361,19 @@ impl OptimalQueue {
     }
 
     /// The paper's `findOp` (lines 110–115): a successful operation
-    /// covering cell `i`, with its slot.
+    /// covering cell `i`, with its slot. Scans the slots of the threads
+    /// registered *now*: a slot is only ever filled by its owner or, once
+    /// covered, by a replacer (DESIGN.md §7.2), so nothing is parked at or
+    /// above the count — which is read fresh in every scan, never cached.
+    /// Clamped to `1..=T`: the `exclusive()` handle announces in slot 0 on
+    /// a queue nobody registered on, and a refused `register` leaves the
+    /// counter above `T`.
     fn find_op(&self, i: usize) -> Option<(OpView, usize)> {
-        for slot in 0..self.board.threads() {
+        let registered = self
+            .next_tid
+            .load(Ordering::SeqCst)
+            .clamp(1, self.board.threads());
+        for slot in 0..registered {
             if let Some(view) = self.read_op(slot) {
                 if view.i == i {
                     return Some((view, slot));
@@ -348,7 +390,9 @@ impl OptimalQueue {
         // Is there an operation which already covers cell `i`?
         if let Some((other, _)) = self.find_op(view.i) {
             if other.packed != view.packed {
-                self.decide(view, false);
+                // Decided now, by this CAS or by whoever beat it: the
+                // paper's second CAS below could only fail.
+                return self.decide(view, false);
             }
         }
         // Has `enqueues` been changed?
@@ -380,58 +424,52 @@ impl OptimalQueue {
         }
     }
 
-    /// The paper's `putOp` (lines 45–58): occupy an empty announcement slot
-    /// with `view`, decide its verdict under `active_op`, and return the
-    /// slot on success (`None` on failure, with the slot cleaned).
-    fn put_op(&self, view: OpView) -> Option<usize> {
-        let t = self.board.threads();
-        let mut j = 0usize;
-        loop {
-            let slot = j % t;
-            j += 1;
-            if self
+    /// The paper's `putOp` (lines 45–58): announce `view` in `slot`, decide
+    /// its verdict under `active_op`, and report it (on failure the slot is
+    /// cleaned). The paper probes for an empty slot; here `slot` is the
+    /// caller's own, which is always empty (DESIGN.md §7.2: a thread leaves
+    /// `put_op`/`complete_op` only once its clearing CAS won, and nobody
+    /// else fills an empty slot).
+    fn put_op(&self, slot: usize, view: OpView) -> bool {
+        let announced = self
+            .board
+            .op(slot)
+            .compare_exchange(0, view.packed, Ordering::SeqCst, Ordering::SeqCst)
+            .is_ok();
+        assert!(announced, "own announcement slot {slot} is occupied");
+        self.start_put_op(view);
+        // The logical addition.
+        self.try_put(view);
+        // Finished; free `active_op` for the next descriptor.
+        let _ = self
+            .active_op
+            .compare_exchange(view.packed, 0, Ordering::SeqCst, Ordering::SeqCst);
+        // Read the verdict. `try_put` always decides before returning, so
+        // the only states are FAILURE, SUCCESS, or "incarnation ended". The
+        // last one means a *replacer* already removed and freed our
+        // descriptor — and replacers only ever remove successful
+        // descriptors (`read_op` filters on the verdict) — so an ended
+        // incarnation proves the operation took effect and the
+        // announcement chain in `slot` is ours to complete. (The window is
+        // real: helpers can decide us successful and the queue can wrap all
+        // the way back to our cell while we are preempted right here.)
+        let st = self.desc(view).status.load(Ordering::SeqCst);
+        if st >> 2 == view.seq && st & 0b11 == ST_FAILURE {
+            // Clean the slot. Unsuccessful descriptors are never replaced
+            // or completed by others, so this CAS is ours to win.
+            let cleaned = self
                 .board
                 .op(slot)
-                .compare_exchange(0, view.packed, Ordering::SeqCst, Ordering::SeqCst)
-                .is_err()
-            {
-                continue; // occupied
-            }
-            self.start_put_op(view);
-            self.try_put(view); // logical addition
-                                // Finished; free `active_op` for the next descriptor.
-            let _ =
-                self.active_op
-                    .compare_exchange(view.packed, 0, Ordering::SeqCst, Ordering::SeqCst);
-            // Read the verdict. `try_put` always decides before returning,
-            // so the only states are FAILURE, SUCCESS, or "incarnation
-            // ended". The last one means a *replacer* already removed and
-            // freed our descriptor — and replacers only ever remove
-            // successful descriptors (`read_op` filters on the verdict) —
-            // so an ended incarnation proves the operation took effect and
-            // the announcement chain in `slot` is ours to complete. (The
-            // window is real: helpers can decide us successful and the
-            // queue can wrap all the way back to our cell while we are
-            // preempted right here.)
-            let st = self.desc(view).status.load(Ordering::SeqCst);
-            if st >> 2 == view.seq && st & 0b11 == ST_FAILURE {
-                // Clean the slot. Unsuccessful descriptors are never
-                // replaced or completed by others, so this CAS is ours to
-                // win.
-                let cleaned = self
-                    .board
-                    .op(slot)
-                    .compare_exchange(view.packed, 0, Ordering::SeqCst, Ordering::SeqCst)
-                    .is_ok();
-                debug_assert!(cleaned, "foreign clear of an unsuccessful descriptor");
-                return None;
-            }
-            debug_assert!(
-                st >> 2 != view.seq || st & 0b11 == ST_SUCCESS,
-                "try_put returned with an undecided verdict"
-            );
-            return Some(slot);
+                .compare_exchange(view.packed, 0, Ordering::SeqCst, Ordering::SeqCst)
+                .is_ok();
+            debug_assert!(cleaned, "foreign clear of an unsuccessful descriptor");
+            return false;
         }
+        debug_assert!(
+            st >> 2 != view.seq || st & 0b11 == ST_SUCCESS,
+            "try_put returned with an undecided verdict"
+        );
+        true
     }
 
     /// The paper's `completeOp` (lines 69–73). Only the thread that covered
@@ -475,26 +513,24 @@ impl OptimalQueue {
         }
     }
 
-    /// The paper's `apply` (lines 76–92).
-    fn apply(&self, view: OpView) -> Outcome {
+    /// The paper's `apply` (lines 76–92), by the thread announcing in slot
+    /// `tid`.
+    fn apply(&self, tid: usize, view: OpView) -> Outcome {
         match self.find_op(view.i) {
             None => {
                 // Try to cover the cell ourselves.
-                match self.put_op(view) {
-                    Some(slot) => {
-                        self.complete_op(slot);
-                        Outcome::Success {
-                            retained_in_ops: false,
-                        }
+                if self.put_op(tid, view) {
+                    self.complete_op(tid);
+                    Outcome::Success {
+                        retained_in_ops: false,
                     }
-                    None => {
-                        // tryPut failed: either the counter moved or a
-                        // concurrent descriptor covers the cell. Helping is
-                        // safe only with observed evidence (module docs).
-                        match self.find_op(view.i) {
-                            Some((c2, _)) if c2.e >= view.e => Outcome::FailHelp,
-                            _ => Outcome::FailNoHelp,
-                        }
+                } else {
+                    // tryPut failed: either the counter moved or a
+                    // concurrent descriptor covers the cell. Helping is
+                    // safe only with observed evidence (module docs).
+                    match self.find_op(view.i) {
+                        Some((c2, _)) if c2.e >= view.e => Outcome::FailHelp,
+                        _ => Outcome::FailNoHelp,
                     }
                 }
             }
@@ -532,6 +568,19 @@ impl OptimalQueue {
         }
     }
 
+    /// The helping `CAS(&enqueues, e, e + 1)` of an enqueue that is done
+    /// with position `e` (paper lines 40 and 42). `complete_op` has usually
+    /// advanced the counter already, so look first: a CAS that fails is a
+    /// load at the same point, minus taking the hottest line exclusive to
+    /// learn it.
+    fn help_enqueues(&self, e: u64) {
+        if self.enqueues.load(Ordering::SeqCst) == e {
+            let _ = self
+                .enqueues
+                .compare_exchange(e, e + 1, Ordering::SeqCst, Ordering::SeqCst);
+        }
+    }
+
     /// The paper's `readElem` (lines 96–99): look through the announcement
     /// array for an in-flight element destined for cell `i`; fall back to
     /// the array.
@@ -547,7 +596,10 @@ impl ConcurrentQueue for OptimalQueue {
     type Handle = OptimalHandle;
 
     fn register(&self) -> OptimalHandle {
-        let tid = self.next_tid.fetch_add(1, Ordering::Relaxed);
+        // `SeqCst`: `find_op` bounds its scan by this counter, and a scan
+        // that must see this thread's announcement reads the counter after
+        // the announcing CAS, which is after this increment (DESIGN.md §7.2).
+        let tid = self.next_tid.fetch_add(1, Ordering::SeqCst);
         assert!(
             tid < self.board.threads(),
             "more threads registered than the queue was sized for (T = {})",
@@ -580,28 +632,18 @@ impl ConcurrentQueue for OptimalQueue {
                 return Err(Full(x));
             }
             // Announce and try to apply (paper line 39).
-            let view = self.claim_desc(e, x, (e % c) as usize);
-            match self.apply(view) {
+            let view = self.claim_desc(h.tid, e, x, (e % c) as usize);
+            match self.apply(h.tid, view) {
                 Outcome::Success { retained_in_ops: _ } => {
                     // Increment the counter (paper line 40). The descriptor
                     // is either already freed (complete_op path) or parked
                     // in `ops` to be freed by its remover — never by us.
-                    let _ = self.enqueues.compare_exchange(
-                        e,
-                        e + 1,
-                        Ordering::SeqCst,
-                        Ordering::SeqCst,
-                    );
+                    self.help_enqueues(e);
                     h.obs.enq_success((e + 1).saturating_sub(d));
                     return Ok(());
                 }
                 Outcome::FailHelp => {
-                    let _ = self.enqueues.compare_exchange(
-                        e,
-                        e + 1,
-                        Ordering::SeqCst,
-                        Ordering::SeqCst,
-                    );
+                    self.help_enqueues(e);
                     self.free_desc(view);
                     h.obs.enq_retry();
                 }
@@ -866,6 +908,298 @@ mod tests {
             assert!(seen.contains(&v), "missing {v}");
         }
         assert!(q.is_empty());
+    }
+
+    /// Descriptors in use (odd `seq`).
+    fn claimed(q: &OptimalQueue) -> Vec<usize> {
+        (0..q.board.pool_len())
+            .filter(|&k| q.board.desc(k).unwrap().seq.load(Ordering::SeqCst) % 2 == 1)
+            .collect()
+    }
+
+    /// Both of a thread's own descriptors parked in *other* threads'
+    /// slots (`retained_in_ops`): the claim wraps into the rest of the pool.
+    /// Driven sequentially — threads 0 and 2 each cover a cell and stall
+    /// just before `complete_op`'s clearing CAS, thread 1 works around them.
+    #[test]
+    fn claim_falls_back_when_both_own_descriptors_are_parked() {
+        let q = OptimalQueue::with_capacity_and_threads(2, 3);
+        let _h0 = q.register();
+        let mut h1 = q.register();
+        let _h2 = q.register();
+        for (tid, e, x) in [(0usize, 0u64, 11u64), (2, 1, 22)] {
+            let v = q.claim_desc(tid, e, x, e as usize);
+            assert_eq!(v.index, 2 * tid, "own descriptor first");
+            assert!(q.put_op(tid, v));
+            // `complete_op` up to, not including, its clearing CAS.
+            q.a[v.i].store(x, Ordering::SeqCst);
+            q.enqueues
+                .compare_exchange(e, e + 1, Ordering::SeqCst, Ordering::SeqCst)
+                .unwrap();
+        }
+        assert_eq!(q.dequeue(&mut h1), Some(11));
+        assert_eq!(q.dequeue(&mut h1), Some(22));
+        // Round 1 of both cells: thread 1 replaces in slot 0, then slot 2.
+        q.enqueue(&mut h1, 33).unwrap();
+        q.enqueue(&mut h1, 44).unwrap();
+        assert_eq!(
+            claimed(&q),
+            [2, 3],
+            "thread 1's pair, parked in slots 0 and 2"
+        );
+        assert_ne!(q.board.op(0).load(Ordering::SeqCst), 0);
+        assert_eq!(
+            q.board.op(1).load(Ordering::SeqCst),
+            0,
+            "own slot never used"
+        );
+        assert_ne!(q.board.op(2).load(Ordering::SeqCst), 0);
+        assert_eq!(q.dequeue(&mut h1), Some(33));
+        assert_eq!(q.dequeue(&mut h1), Some(44));
+        // The third claim finds neither own descriptor free.
+        let v = q.claim_desc(1, 4, 55, 0);
+        assert_eq!(v.index, 4, "wrapped past the own pair");
+        assert_eq!(
+            q.apply(1, v),
+            Outcome::Success {
+                retained_in_ops: true
+            }
+        );
+        q.help_enqueues(4);
+        // Threads 0 and 2 resume and complete whatever their slots hold now.
+        q.complete_op(0);
+        q.complete_op(2);
+        assert_eq!(
+            claimed(&q),
+            [0usize; 0],
+            "all descriptors returned to the pool"
+        );
+        assert_eq!(q.dequeue(&mut h1), Some(55));
+        assert_eq!(q.dequeue(&mut h1), None);
+    }
+
+    /// A queue nobody registered on (`next_tid` = 0) still scans slot 0,
+    /// where the `exclusive()` handle announces.
+    #[test]
+    fn exclusive_handle_works_with_zero_registrations() {
+        let q = OptimalQueue::with_capacity_and_threads(2, 3);
+        let mut h = OptimalHandle::exclusive();
+        for round in 0..3u64 {
+            q.enqueue(&mut h, 1 + round).unwrap();
+            q.enqueue(&mut h, 100 + round).unwrap();
+            assert_eq!(q.enqueue(&mut h, 9), Err(Full(9)));
+            assert_eq!(q.dequeue(&mut h), Some(1 + round));
+            assert_eq!(q.dequeue(&mut h), Some(100 + round));
+            assert_eq!(q.dequeue(&mut h), None);
+        }
+        assert_eq!(q.next_tid.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn register_beyond_t_panics_and_leaves_the_queue_usable() {
+        let q = OptimalQueue::with_capacity_and_threads(2, 2);
+        let mut h0 = q.register();
+        let mut h1 = q.register();
+        for _ in 0..2 {
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| q.register()))
+                .expect_err("a third handle on T = 2");
+            let msg = err
+                .downcast_ref::<String>()
+                .expect("formatted panic message");
+            assert_eq!(
+                msg,
+                "more threads registered than the queue was sized for (T = 2)"
+            );
+        }
+        // `next_tid` now reads 4 > T: the scan bound is clamped to T.
+        q.enqueue(&mut h0, 1).unwrap();
+        q.enqueue(&mut h1, 2).unwrap();
+        assert_eq!(q.enqueue(&mut h0, 3), Err(Full(3)));
+        assert_eq!(q.dequeue(&mut h1), Some(1));
+        assert_eq!(q.dequeue(&mut h0), Some(2));
+        assert_eq!(q.dequeue(&mut h1), None);
+    }
+
+    /// `producers` + `consumers` threads on `q`, each thread registering
+    /// when `start(thread index)` returns; distinct values. Checks exact
+    /// conservation and, per consumer, FIFO order of every producer's
+    /// values.
+    fn mpmc_conserves(
+        q: &OptimalQueue,
+        producers: u64,
+        consumers: u64,
+        per: u64,
+        start: impl Fn(u64, &std::sync::atomic::AtomicU64) + Sync,
+    ) {
+        use std::sync::atomic::AtomicU64;
+        let total = producers * per;
+        let taken = AtomicU64::new(0);
+        let got: Vec<Vec<u64>> = std::thread::scope(|s| {
+            for p in 0..producers {
+                let (start, taken) = (&start, &taken);
+                s.spawn(move || {
+                    start(p, taken);
+                    let mut h = q.register();
+                    for k in 0..per {
+                        while q.enqueue(&mut h, 1 + p * per + k).is_err() {
+                            std::thread::yield_now();
+                        }
+                    }
+                });
+            }
+            let cs: Vec<_> = (0..consumers)
+                .map(|c| {
+                    let (start, taken) = (&start, &taken);
+                    s.spawn(move || {
+                        start(producers + c, taken);
+                        let mut h = q.register();
+                        let mut mine = Vec::new();
+                        while taken.load(Ordering::SeqCst) < total {
+                            match q.dequeue(&mut h) {
+                                Some(v) => {
+                                    taken.fetch_add(1, Ordering::SeqCst);
+                                    mine.push(v);
+                                }
+                                None => std::thread::yield_now(),
+                            }
+                        }
+                        mine
+                    })
+                })
+                .collect();
+            cs.into_iter().map(|c| c.join().unwrap()).collect()
+        });
+        let mut all: Vec<u64> = Vec::new();
+        for mine in &got {
+            let mut last = vec![0u64; producers as usize];
+            for &v in mine {
+                let p = ((v - 1) / per) as usize;
+                assert!(
+                    v > last[p],
+                    "per-producer FIFO violated: {v} after {}",
+                    last[p]
+                );
+                last[p] = v;
+            }
+            all.extend(mine);
+        }
+        all.sort_unstable();
+        assert_eq!(all, (1..=total).collect::<Vec<_>>(), "exact conservation");
+        assert!(q.is_empty());
+        assert_eq!(claimed(q), [0usize; 0]);
+    }
+
+    /// All `T` handles registered: the bounded scan is the full scan.
+    #[test]
+    fn full_board_registered_four_threads_working() {
+        let q = OptimalQueue::with_capacity_and_threads(4, 8);
+        let _idle: Vec<_> = (0..4).map(|_| q.register()).collect();
+        mpmc_conserves(&q, 2, 2, 3_000, |_, _| {});
+        assert_eq!(q.next_tid.load(Ordering::SeqCst), 8);
+    }
+
+    /// Threads that register late, while others are mid-traffic: two start,
+    /// six more join one by one as the count of dequeued elements passes
+    /// their threshold — every scan bound from 2 to 8 is live at some point.
+    /// (Debug builds arm every `debug_assert!` on the path; the own-slot
+    /// check in `put_op` is an `assert!` in every build.)
+    #[test]
+    fn late_registrations_join_a_queue_mid_traffic() {
+        let q = OptimalQueue::with_capacity_and_threads(3, 8);
+        let (per, order) = (2_000u64, [0u64, 2, 4, 6, 1, 3, 5, 7]);
+        // Thread `t` (producers 0..4, consumers 4..8) is the
+        // `order[t]`-th to register; the first two (a producer and a
+        // consumer) start at once.
+        mpmc_conserves(&q, 4, 4, per, |t, taken| {
+            let after = order[t as usize].saturating_sub(1) * per / 4;
+            while taken.load(Ordering::SeqCst) < after {
+                std::thread::yield_now();
+            }
+        });
+        assert_eq!(q.next_tid.load(Ordering::SeqCst), 8);
+    }
+
+    /// An empty queue whose every descriptor's incarnation starts at `seq`
+    /// (even = free).
+    fn with_descriptor_seq(c: usize, t: usize, seq: u64) -> OptimalQueue {
+        assert!(seq.is_multiple_of(2) && seq <= SEQ_MASK);
+        let q = OptimalQueue::with_capacity_and_threads(c, t);
+        for d in q.board.descs() {
+            d.seq.store(seq, Ordering::SeqCst);
+        }
+        q
+    }
+
+    /// The 2⁴⁸ wrap of the descriptor incarnation. The packed refs carry 48
+    /// bits of it; the counter used to run on past them, after which
+    /// `view_packed` compared a 49-bit `seq` with a 48-bit one and
+    /// `read_op` re-read forever (the third reuse from `2⁴⁸ − 6` never
+    /// returned). The counter itself wraps now: cross it with FIFO,
+    /// full/empty and the pool checked at every step.
+    #[test]
+    fn descriptor_seq_crosses_two_to_the_48() {
+        for c in [1usize, 3] {
+            let q = with_descriptor_seq(c, 2, (1 << SEQ_BITS) - 6);
+            let mut h = q.register();
+            let mut next = 1u64;
+            for round in 0..8 {
+                for _ in 0..c {
+                    q.enqueue(&mut h, next).unwrap();
+                    next += 1;
+                }
+                assert_eq!(q.enqueue(&mut h, 9), Err(Full(9)), "c={c} round {round}");
+                for back in (1..=c as u64).rev() {
+                    assert_eq!(q.dequeue(&mut h), Some(next - back), "c={c} round {round}");
+                }
+                assert_eq!(q.dequeue(&mut h), None);
+                assert_eq!(claimed(&q), [0usize; 0]);
+            }
+            let own = q.board.desc(0).unwrap().seq.load(Ordering::SeqCst);
+            assert!(own < 64, "descriptor 0 wrapped: seq {own}");
+        }
+    }
+
+    /// 2P + 2C across the wrap: every producer's own descriptors cross it
+    /// within its first three enqueues, under contention on a tiny ring.
+    #[test]
+    fn descriptor_seq_wrap_conserves_under_contention() {
+        let q = with_descriptor_seq(2, 4, (1 << SEQ_BITS) - 6);
+        mpmc_conserves(&q, 2, 2, 3_000, |_, _| {});
+        for d in q.board.descs() {
+            assert!(d.seq.load(Ordering::SeqCst) <= SEQ_MASK);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The sequential spec (Figure 1) across the incarnation wrap: an
+        /// arbitrary script on a queue whose descriptors start a few
+        /// reuses below 2⁴⁸ behaves like a bounded `VecDeque`.
+        #[test]
+        fn sequential_spec_across_the_seq_wrap(
+            c in 1usize..5,
+            below in 1u64..8,
+            script in proptest::collection::vec(proptest::prelude::any::<bool>(), 1..120),
+        ) {
+            let q = with_descriptor_seq(c, 2, (1 << SEQ_BITS) - 2 * below);
+            let mut h = q.register();
+            let mut model = std::collections::VecDeque::new();
+            let mut next = 1u64;
+            for is_enq in script {
+                if is_enq {
+                    let accepted = q.enqueue(&mut h, next).is_ok();
+                    proptest::prop_assert_eq!(accepted, model.len() < c);
+                    if accepted {
+                        model.push_back(next);
+                    }
+                    next += 1;
+                } else {
+                    proptest::prop_assert_eq!(q.dequeue(&mut h), model.pop_front());
+                }
+                proptest::prop_assert_eq!(q.len(), model.len());
+            }
+        }
     }
 
     #[test]

@@ -645,37 +645,10 @@ mod tests {
         assert!(q.is_empty());
     }
 
-    #[test]
-    fn pooled_queue_stops_allocating_after_warmup() {
-        // The paper's reuse suggestion: after the working set circulates,
-        // fresh allocations cease — the epoch-only variant keeps
-        // allocating one segment per K positions forever.
-        let pooled = SegmentQueue::with_pooled_segments(8, 2);
-        let plain = SegmentQueue::with_capacity_and_segment_size(8, 2);
-        let mut hp = pooled.register();
-        let mut hq = plain.register();
-        for v in 1..=10_000u64 {
-            pooled.enqueue(&mut hp, v).unwrap();
-            assert_eq!(pooled.dequeue(&mut hp), Some(v));
-            plain.enqueue(&mut hq, v).unwrap();
-            assert_eq!(plain.dequeue(&mut hq), Some(v));
-        }
-        assert!(
-            plain.segments_allocated() > 1_000,
-            "epoch-only variant allocates throughout: {}",
-            plain.segments_allocated()
-        );
-        assert!(
-            pooled.segments_reused() > 1_000,
-            "pooled variant recycles: {} reuses",
-            pooled.segments_reused()
-        );
-        assert!(
-            pooled.segments_allocated() < 100,
-            "pooled variant stops allocating: {} fresh allocations",
-            pooled.segments_allocated()
-        );
-    }
+    // `pooled_queue_stops_allocating_after_warmup` lives in
+    // `tests/segment_pool.rs`, a binary of its own: it bounds *fresh
+    // allocations*, and a sibling test's thread preempted while pinned
+    // stalls the process-wide epoch collector and with it the pool.
 
     #[test]
     fn pooled_queue_concurrent_conservation() {

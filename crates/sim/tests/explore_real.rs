@@ -149,15 +149,20 @@ fn engine_finds_planted_lost_update() {
 // OptimalQueue 2P+1C — the acceptance scenario
 // ---------------------------------------------------------------------------
 
-fn optimal_2p1c_spec() -> RunSpec {
-    let q = Arc::new(OptimalQueue::with_capacity_and_threads(2, 4));
-    let mut handles: Vec<_> = (0..3).map(|_| q.register()).collect();
-    let hc = handles.pop().unwrap();
-    let h1 = handles.pop().unwrap();
-    let h0 = handles.pop().unwrap();
+/// Two producers (11, 22) and a consumer (two dequeues) on an
+/// `OptimalQueue` of capacity `c`, `T` = 4 (the oracle's drain takes the
+/// fourth handle). With `late`, the first producer calls `register()`
+/// inside its explored body instead of before it, so the registered count
+/// that bounds `find_op`'s scan moves *under exploration*.
+fn optimal_2p1c(c: usize, late: bool) -> RunSpec {
+    let q = Arc::new(OptimalQueue::with_capacity_and_threads(c, 4));
+    let h0 = (!late).then(|| q.register());
+    let h1 = Some(q.register());
+    let hc = q.register();
 
-    let producer = |q: Arc<OptimalQueue>, mut h: bq_core::OptimalHandle, v: u64| {
+    let producer = |q: Arc<OptimalQueue>, h: Option<bq_core::OptimalHandle>, v: u64| {
         move |ctx: &mut bq_sim::explore::Ctx| {
+            let mut h = h.unwrap_or_else(|| q.register());
             let id = ctx.invoke(Op::Enqueue(v));
             match q.enqueue(&mut h, v) {
                 Ok(()) => ctx.ret(id, Ret::EnqOk),
@@ -192,13 +197,17 @@ fn optimal_2p1c_spec() -> RunSpec {
                 drained.push(v);
             }
             conservation(h, &drained)?;
-            if check_history(h, 2).is_linearizable() {
+            if check_history(h, c).is_linearizable() {
                 Ok(())
             } else {
                 Err("history is not linearizable against the FIFO spec".into())
             }
         }),
     }
+}
+
+fn optimal_2p1c_spec() -> RunSpec {
+    optimal_2p1c(2, false)
 }
 
 /// The acceptance criterion: 2 producers + 1 consumer on the real
@@ -218,6 +227,49 @@ fn optimal_2p1c_all_interleavings_to_bound3() {
         report.executions, report.pruned, report.sliced
     );
 }
+
+/// The race the bounded scan introduces (DESIGN.md §7.2): `find_op` reads
+/// the registered count and scans that prefix of the announcement array,
+/// and every other `OptimalQueue` scenario here registers its handles
+/// before the explored region, where the count never moves. This one lets
+/// producer 0 `register()` **inside** its body (it gets tid 2, above both
+/// pre-registered handles) on a one-cell queue, so both producers target
+/// cell 0 and the consumer's `read_elem` scans while slot 2 comes into
+/// being: a scan bound read too early — or remembered — misses the
+/// announcement in slot 2. Linearizability and conservation on every
+/// execution to preemption bound 3, the count pinned in both explorer lanes.
+///
+/// Teeth (run once on a scratch copy, not kept): with the count cached in
+/// the handle at `register()` time, producer 1 and the consumer scan
+/// `0..2` forever, and this scenario rejects the queue on its 113th
+/// execution — "conservation broken: sent [11, 22], got [22]": producer 1
+/// decides its descriptor successful for position 0 without seeing
+/// producer 0's, already successful there in slot 2 — replayable as
+///
+/// ```text
+/// sched:v1:0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,2,2,2,2,2,2,2,2,2,2,2,2,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,0,0,0,0
+/// ```
+///
+/// (The 2P+1C sweep rejects the same mutant: its handles cache 1, 2 and 3.)
+#[test]
+fn optimal_late_registration_races_the_bounded_scan() {
+    let report = explore(&pinned_cfg(3), || optimal_2p1c(1, true));
+    assert_passed(&report, "OptimalQueue late registration");
+    assert!(!report.hit_execution_cap, "truncated: {report:?}");
+    eprintln!(
+        "OptimalQueue late registration: {} executions, {} pruned",
+        report.executions, report.pruned
+    );
+    assert_eq!(
+        report.executions, LATE_REGISTRATION_PINNED_EXECUTIONS,
+        "execution count drifted: `register` or `find_op` no longer issue \
+         the access sequence they had when the pin was recorded"
+    );
+}
+
+/// The pin for [`optimal_late_registration_races_the_bounded_scan`],
+/// asserted identically in the obs-on and obs-off explorer lanes.
+const LATE_REGISTRATION_PINNED_EXECUTIONS: u64 = 13_574;
 
 /// Replay determinism, byte for byte: any printed `Schedule` artifact
 /// re-runs to the identical history. This is what makes a red CI log
@@ -337,7 +389,15 @@ fn obs_counters_add_no_scheduling_points() {
 
 /// The pin for [`obs_counters_add_no_scheduling_points`]. One literal,
 /// asserted identically in the obs-on and obs-off explorer lanes.
-const OBS_INVARIANCE_PINNED_EXECUTIONS: u64 = 54;
+/// It read 54 before `OptimalQueue` stopped issuing a helping CAS that a
+/// load says will fail: per successful enqueue, the line-40
+/// `CAS(enqueues, e, e + 1)` that `complete_op` has already won is now a
+/// load that sees `e + 1`. That access alone moved it (measured edit by
+/// edit). The bounded scan — per `find_op`, one `next_tid` load added and
+/// `T − registered` slot loads gone, here slot 2's load becoming the
+/// counter's — leaves it at 54, and so does `try_put` stopping at its
+/// first verdict CAS when it finds the cell covered.
+const OBS_INVARIANCE_PINNED_EXECUTIONS: u64 = 52;
 
 // ---------------------------------------------------------------------------
 // E4/E8 on the shipped counter queues (DESIGN.md §2, §11.4)
@@ -850,9 +910,12 @@ fn eventcount_waiters_never_park_past_the_publish() {
 /// had replaced; no other access changed.
 const EVENTCOUNT_PINNED_EXECUTIONS: u64 = 373;
 /// Timed recv vs send: `(executions, timeout-first, wake-first)`. The
-/// two added executions are wake-first: the send's wake landing on the
-/// spin's load instead of the locked re-check.
-const TIMED_RECV_PINNED: (u64, usize, usize) = (179, 88, 91);
+/// spin added two wake-first executions (the send's wake landing on the
+/// spin's load instead of the locked re-check): (179, 88, 91). Four
+/// wake-first executions left when the sender's line-40 CAS became a load
+/// (the access named at [`OBS_INVARIANCE_PINNED_EXECUTIONS`]; the bounded
+/// scan alone leaves this count where it was, too).
+const TIMED_RECV_PINNED: (u64, usize, usize) = (175, 88, 87);
 /// The pins for the two `RelocRing` grant scenarios, likewise asserted in
 /// both lanes. Recorded on `RelocRing::claim`, the one scan → claim loop.
 /// The six hand-written loops it replaced read 1 894 and 239: on a miss
