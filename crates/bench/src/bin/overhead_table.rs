@@ -1,4 +1,5 @@
-//! **Experiments E1 / E3 / E5 / E6 / E7 / E9** — the memory-overhead tables.
+//! **Experiments E1 / E3 / E5 / E6 / E7 / E9 / E18** — the memory-overhead
+//! tables.
 //!
 //! Prints, for every queue implementation:
 //!
@@ -7,7 +8,10 @@
 //! 2. overhead vs thread bound `T` at fixed `C` (Θ(T) claims: Listings 4/5
 //!    linear, everything else flat);
 //! 3. an itemized breakdown at a reference point, cross-checked against the
-//!    counting allocator.
+//!    counting allocator;
+//! 4. E18, the constants E6/E7 leave unchecked: bytes per thread of the
+//!    Θ(T) designs and the capacity from which Listing 5 is smaller than a
+//!    Θ(C) ring (CI prints this section as its "Footprint ledger").
 //!
 //! Run: `cargo run --release -p bq-bench --bin overhead_table [--verbose]`
 
@@ -108,6 +112,35 @@ fn main() {
             println!("{}", render_breakdown(&row(*kind, 1024, 8)));
         }
     }
+
+    println!("=== E18: the constant in Θ(T), and the crossover against a Θ(C) ring ===");
+    let ovh = |kind: QueueKind, c, t| row(kind, c, t).breakdown.overhead_bytes();
+    for kind in [QueueKind::Optimal, QueueKind::Dcss] {
+        let (hi, lo) = (ovh(kind, 1024, 64), ovh(kind, 1024, 3));
+        let per_t = (hi - lo) / 61;
+        println!(
+            "{:<16} overhead_bytes (C=1024, T=64) = {hi}, (C=1024, T=3) = {lo}: \
+             {per_t} bytes per T + {} constant",
+            kind.name(),
+            lo - 3 * per_t
+        );
+    }
+    let per_c = (ovh(QueueKind::Vyukov, 4096, 8) - ovh(QueueKind::Vyukov, 1024, 8)) / 3072;
+    println!(
+        "{:<16} {per_c} bytes per C + {} constant",
+        QueueKind::Vyukov.name(),
+        ovh(QueueKind::Vyukov, 1024, 8) - 1024 * per_c
+    );
+    for t in [3usize, 16, 64] {
+        let cross = (2usize..)
+            .find(|&c| ovh(QueueKind::Optimal, c, t) < ovh(QueueKind::Vyukov, c, t))
+            .expect("Θ(T) drops below Θ(C) at some C");
+        println!(
+            "T = {t:<3} optimal is the smaller queue from C = {cross} (= 8·T + {})",
+            cross - 8 * t
+        );
+    }
+    println!();
 
     println!("=== E9 summary at (C=1024, T=8), sorted by overhead ===\n");
     let mut rows: Vec<OverheadRow> = ALL_KINDS.iter().map(|k| row(*k, 1024, 8)).collect();

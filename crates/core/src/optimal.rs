@@ -15,16 +15,28 @@
 //! * a pool of **2·T reusable `EnqOp` descriptors** (the Arbel-Raviv/Brown
 //!   reuse technique the paper cites): at most `T` descriptors are parked
 //!   in `ops` plus at most one claimed per thread. A thread claims from its
-//!   own pair `2·tid`, `2·tid + 1` first.
+//!   own pair `2·tid`, `2·tid + 1` first. A descriptor is three words:
+//!   `(seq << 2) | verdict`, `e`, `x` — the cell is `e % C`, not stored.
 //!
-//! Total overhead: `T` announcement slots + `2T` descriptors + counters +
-//! one word — **Θ(T)** bytes, independent of the capacity `C`. Time per
-//! operation grows with the handles *registered*, not with `T`.
+//! Where the bytes and the padding go: slot `tid` and descriptors `2·tid`,
+//! `2·tid + 1` — what thread `tid` writes first — share one 64-byte
+//! **lane**, one lane per thread, behind a one-line header in the board's
+//! allocation; `enqueues`, `dequeues` and `active_op`, which every thread
+//! CASes, get a 64-byte line each inside the queue, and the fields every
+//! operation only reads (`a`'s pointer, the board's, `next_tid`) follow on
+//! a fourth that no CAS invalidates.
+//!
+//! Total overhead: `T` lanes + the header line + three padded words =
+//! **64·T + 256 bytes** — Θ(T), independent of the capacity `C`, all of it
+//! claimed by `footprint()`, padding included (EXPERIMENTS.md E18: smaller
+//! than a Vyukov ring's for `C > 8·T`). Time per operation grows with the
+//! handles *registered*, not with `T`.
 //!
 //! ## How it dodges ABA with no per-slot metadata
 //!
 //! An enqueue never CASes a value-location directly. It *announces* a
-//! descriptor binding `(e = enqueues, i = e % C, x)`; the descriptor becomes
+//! descriptor binding `(e = enqueues, x)` for cell `i = e % C`; the
+//! descriptor becomes
 //! `successful` only if, under the `active_op` serialization, no other
 //! successful descriptor covers cell `i` and the `enqueues` counter still
 //! equals `e`. The covering thread alone writes `a[i]` (in `complete_op`),
@@ -57,7 +69,7 @@ use std::sync::atomic::Ordering;
 
 use crate::obs::{LocalQueueCounters, MetricsSnapshot, SharedQueueCounters};
 use crate::queue::{ConcurrentQueue, Full};
-use crate::relocatable::{AnnounceBoard, RelocBox, RelocEnqOp};
+use crate::relocatable::{AnnounceBoard, RelocBox, RelocEnqOp, RelocLayout};
 use crate::simx::{SimAtomicU64, SimAtomicUsize};
 use crate::token::{is_token, MAX_TOKEN, NULL};
 use bq_memtrack::{FootprintBreakdown, MemoryFootprint, OverheadClass};
@@ -65,20 +77,36 @@ use bq_memtrack::{FootprintBreakdown, MemoryFootprint, OverheadClass};
 const SEQ_BITS: u32 = 48;
 const SEQ_MASK: u64 = (1 << SEQ_BITS) - 1;
 
-/// Verdict states, packed as `(seq << 2) | state`.
+/// Verdict states, the low two bits of a descriptor's word.
 const ST_UNDECIDED: u64 = 0;
 const ST_SUCCESS: u64 = 1;
 const ST_FAILURE: u64 = 2;
 
-/// The incarnation after `seq`. The counter itself advances mod 2⁴⁸, so
-/// the descriptor's `seq` word, the packed refs and the `status` word
-/// (`seq << 2`, 50 bits) all carry the same value; 2⁴⁸ is even, so the
-/// free/live parity survives the wrap. Residual ABA: a thread holding a
-/// packed ref across exactly 2⁴⁷ reuses of that one descriptor (DESIGN.md
-/// §7.1).
+/// A descriptor's one metadata word, `(seq << 2) | state`: 50 bits. A free
+/// descriptor reads `(even seq, ST_UNDECIDED)`.
+#[inline]
+fn pack_word(seq: u64, state: u64) -> u64 {
+    (seq << 2) | state
+}
+
+/// The incarnation after `seq`. The counter advances mod 2⁴⁸, so the
+/// descriptor's word and the packed refs carry the same value; 2⁴⁸ is
+/// even, so the free/live parity survives the wrap. Residual ABA: a thread
+/// holding a packed ref across exactly 2⁴⁷ reuses of that one descriptor
+/// (DESIGN.md §7.1).
 #[inline]
 fn next_seq(seq: u64) -> u64 {
     (seq + 1) & SEQ_MASK
+}
+
+/// Do positions `a` and `b` name the same cell of a `c`-cell ring
+/// (`a % c == b % c`)? Equal positions do, positions less than `c` apart
+/// do not; only the rest — a descriptor parked from an earlier round —
+/// costs a division.
+#[inline]
+fn same_cell(a: u64, b: u64, c: u64) -> bool {
+    let apart = a.abs_diff(b);
+    apart == 0 || (apart >= c && apart.is_multiple_of(c))
 }
 
 #[inline]
@@ -106,20 +134,39 @@ struct OpView {
     seq: u64,
     e: u64,
     x: u64,
-    i: usize,
+    /// The verdict as of the validating load. `ST_SUCCESS` and
+    /// `ST_FAILURE` are final; `ST_UNDECIDED` may be stale.
+    state: u64,
 }
 
 /// Outcome of one `apply` attempt (see module docs for why failures are
-/// split by whether helping the counter is safe).
+/// split by whether helping the counter is safe). A failure carries the
+/// verdict state its descriptor — back in its owner's hands alone — was
+/// left in, which is what the owner's freeing CAS expects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Outcome {
     /// The operation took effect at position `e`.
     Success { retained_in_ops: bool },
     /// Failed, but a successful descriptor with `op.e ≥ e` was observed —
     /// helping `CAS(enqueues, e, e+1)` is safe.
-    FailHelp,
+    FailHelp(u64),
     /// Failed with no such evidence — do not touch the counter.
-    FailNoHelp,
+    FailNoHelp(u64),
+}
+
+/// One of Listing 5's three contended words — `enqueues`, `dequeues`,
+/// `active_op` — alone on a 64-byte line, so an RMW on one takes neither of
+/// the others nor the queue's read-mostly fields away from another thread
+/// (EXPERIMENTS.md E18: 128-byte units and a shared producer line both
+/// measured worse on `pairs`).
+#[repr(align(64))]
+struct HotWord(SimAtomicU64);
+
+impl std::ops::Deref for HotWord {
+    type Target = SimAtomicU64;
+    fn deref(&self) -> &SimAtomicU64 {
+        &self.0
+    }
 }
 
 /// The memory-optimal bounded queue (paper Listing 5 / Appendix A).
@@ -137,21 +184,23 @@ enum Outcome {
 /// let big = OptimalQueue::with_capacity_and_threads(128 * 1024, 4);
 /// assert_eq!(q.overhead_bytes(), big.overhead_bytes());
 /// ```
+#[repr(C)] // the three hot lines first, the read-mostly fields on a fourth
 pub struct OptimalQueue {
+    enqueues: HotWord,
+    dequeues: HotWord,
+    /// Serialization point for verdicts (packed ref or 0 = ⊥).
+    active_op: HotWord,
     /// The `C` value-locations.
     a: Box<[SimAtomicU64]>,
-    enqueues: SimAtomicU64,
-    dequeues: SimAtomicU64,
     /// The announcement machinery — the `T`-slot announcement array of
     /// packed descriptor refs (0 = ⊥) plus the pool of `2T` reusable
-    /// [`RelocEnqOp`] descriptors — lives in a relocatable
-    /// [`AnnounceBoard`] layout in its own allocation (DESIGN.md §10):
-    /// descriptor references were already position-independent packed
-    /// `(index, seq)` words, so the board relocates wholesale. Its atomics
-    /// carry all cross-thread communication (`SeqCst`).
+    /// [`RelocEnqOp`] descriptors, one 64-byte lane per thread — lives in a
+    /// relocatable [`AnnounceBoard`] layout in its own allocation
+    /// (DESIGN.md §10): descriptor references were already
+    /// position-independent packed `(index, seq)` words, so the board
+    /// relocates wholesale. Its atomics carry all cross-thread
+    /// communication (`SeqCst`).
     board: RelocBox<AnnounceBoard>,
-    /// Serialization point for verdicts (packed ref or 0 = ⊥).
-    active_op: SimAtomicU64,
     next_tid: SimAtomicUsize,
     /// Observability counter block (DESIGN.md §14). A ZST with `obs`
     /// off; plain `std` relaxed atomics with it on, so the counters are
@@ -195,9 +244,9 @@ impl OptimalQueue {
         OptimalQueue {
             board: RelocBox::new(max_threads),
             a: (0..c).map(|_| SimAtomicU64::new(NULL)).collect(),
-            enqueues: SimAtomicU64::new(0),
-            dequeues: SimAtomicU64::new(0),
-            active_op: SimAtomicU64::new(0),
+            enqueues: HotWord(SimAtomicU64::new(0)),
+            dequeues: HotWord(SimAtomicU64::new(0)),
+            active_op: HotWord(SimAtomicU64::new(0)),
             next_tid: SimAtomicUsize::new(0),
             obs: SharedQueueCounters::new(),
         }
@@ -208,6 +257,11 @@ impl OptimalQueue {
         self.board.threads()
     }
 
+    /// The value-location of position `pos`: `a[pos % C]`.
+    fn cell(&self, pos: u64) -> &SimAtomicU64 {
+        &self.a[(pos % self.a.len() as u64) as usize]
+    }
+
     /// The descriptor a validated view points at.
     fn desc(&self, view: OpView) -> &RelocEnqOp {
         self.board.desc(view.index).expect("pooled index")
@@ -216,54 +270,59 @@ impl OptimalQueue {
     // ---- descriptor pool -------------------------------------------------
 
     /// Claim a free descriptor and publish incarnation fields for
-    /// `(e, x, i)`. Always succeeds: at most `T` descriptors are parked in
+    /// `(e, x)`. Always succeeds: at most `T` descriptors are parked in
     /// `ops` and at most one is claimed per other thread, so a pool of `2T`
     /// always has a free entry for the claimant. Thread `tid` tries its own
-    /// pair `2·tid`, `2·tid + 1` first — lines no other thread starts at —
-    /// and wraps over the whole pool, because both can be parked in *other*
-    /// threads' slots (`retained_in_ops`).
-    fn claim_desc(&self, tid: usize, e: u64, x: u64, i: usize) -> OpView {
+    /// pair `2·tid`, `2·tid + 1` first — its own lane, where no other
+    /// thread starts — and wraps over the whole pool, because both can be
+    /// parked in *other* threads' slots (`retained_in_ops`).
+    fn claim_desc(&self, tid: usize, e: u64, x: u64) -> OpView {
         let pool = self.board.pool_len();
         let own = 2 * tid;
         loop {
             for index in (own..pool).chain(0..own) {
                 let d = self.board.desc(index).expect("pooled index");
-                let s = d.seq.load(Ordering::SeqCst);
-                if s % 2 == 1 {
+                let w = d.word.load(Ordering::SeqCst);
+                if (w >> 2) % 2 == 1 {
                     continue; // in use
                 }
-                let seq = next_seq(s);
-                if d.seq
-                    .compare_exchange(s, seq, Ordering::SeqCst, Ordering::SeqCst)
+                let seq = next_seq(w >> 2);
+                if d.word
+                    .compare_exchange(
+                        w,
+                        pack_word(seq, ST_UNDECIDED),
+                        Ordering::SeqCst,
+                        Ordering::SeqCst,
+                    )
                     .is_err()
                 {
                     continue;
                 }
                 d.e.store(e, Ordering::SeqCst);
                 d.x.store(x, Ordering::SeqCst);
-                d.i.store(i as u64, Ordering::SeqCst);
-                d.status.store((seq << 2) | ST_UNDECIDED, Ordering::SeqCst);
                 return OpView {
                     packed: pack_ref(index, seq),
                     index,
                     seq,
                     e,
                     x,
-                    i,
+                    state: ST_UNDECIDED,
                 };
             }
         }
     }
 
     /// Return a descriptor to the pool. The caller must be the unique
-    /// remover (see the freeing discipline in the module docs).
-    fn free_desc(&self, view: OpView) {
-        let d = self.board.desc(view.index).expect("pooled index");
-        let ok = d
-            .seq
+    /// remover (see the freeing discipline in the module docs), which also
+    /// makes it the one thread that knows the verdict `state` the
+    /// incarnation ended in: nobody decides a descriptor twice.
+    fn free_desc(&self, view: OpView, state: u64) {
+        let ok = self
+            .desc(view)
+            .word
             .compare_exchange(
-                view.seq,
-                next_seq(view.seq),
+                pack_word(view.seq, state),
+                pack_word(next_seq(view.seq), ST_UNDECIDED),
                 Ordering::SeqCst,
                 Ordering::SeqCst,
             )
@@ -273,6 +332,8 @@ impl OptimalQueue {
 
     /// Reconstruct a validated view from a packed reference. `None` means
     /// the incarnation ended (the descriptor was freed, possibly reused).
+    /// One load of the descriptor's word both validates the incarnation and
+    /// reads its verdict.
     fn view_packed(&self, packed: u64) -> Option<OpView> {
         if packed == 0 {
             return None;
@@ -282,17 +343,14 @@ impl OptimalQueue {
         let d = self.board.desc(index)?;
         let e = d.e.load(Ordering::SeqCst);
         let x = d.x.load(Ordering::SeqCst);
-        let i = d.i.load(Ordering::SeqCst) as usize;
-        if d.seq.load(Ordering::SeqCst) != seq {
-            return None;
-        }
-        Some(OpView {
+        let w = d.word.load(Ordering::SeqCst);
+        (w >> 2 == seq).then_some(OpView {
             packed,
             index,
             seq,
             e,
             x,
-            i,
+            state: w & 0b11,
         })
     }
 
@@ -302,15 +360,15 @@ impl OptimalQueue {
     /// on wherever the descriptor may have been freed concurrently**: a
     /// replaced-and-freed descriptor was necessarily *successful*, the
     /// opposite of what this returns (the race of DESIGN.md §7.1).
-    /// `read_op`/`put_op`/`complete_op` therefore read `status` directly
+    /// `read_op`/`put_op`/`complete_op` therefore read the word directly
     /// and handle the ended case explicitly; this helper remains only for
     /// debug assertions on descriptors the caller provably still owns.
     fn verdict(&self, view: OpView) -> Option<bool> {
-        let st = self.desc(view).status.load(Ordering::SeqCst);
-        if st >> 2 != view.seq {
+        let w = self.desc(view).word.load(Ordering::SeqCst);
+        if w >> 2 != view.seq {
             return Some(false);
         }
-        match st & 0b11 {
+        match w & 0b11 {
             ST_SUCCESS => Some(true),
             ST_FAILURE => Some(false),
             _ => None,
@@ -318,14 +376,15 @@ impl OptimalQueue {
     }
 
     /// CAS the verdict from undecided (idempotent across helpers; stale
-    /// helpers fail because the sequence is embedded).
+    /// helpers fail because the incarnation is in the same word).
     fn decide(&self, view: OpView, success: bool) {
-        let d = self.desc(view);
-        let from = (view.seq << 2) | ST_UNDECIDED;
-        let to = (view.seq << 2) | if success { ST_SUCCESS } else { ST_FAILURE };
-        let _ = d
-            .status
-            .compare_exchange(from, to, Ordering::SeqCst, Ordering::SeqCst);
+        let to = if success { ST_SUCCESS } else { ST_FAILURE };
+        let _ = self.desc(view).word.compare_exchange(
+            pack_word(view.seq, ST_UNDECIDED),
+            pack_word(view.seq, to),
+            Ordering::SeqCst,
+            Ordering::SeqCst,
+        );
     }
 
     // ---- announcement array ----------------------------------------------
@@ -339,43 +398,34 @@ impl OptimalQueue {
                 return None;
             }
             let Some(view) = self.view_packed(p) else {
-                // The incarnation ended between our two loads; the slot
-                // content must have changed — re-read it.
+                // The incarnation ended between our two loads. A parked
+                // descriptor is freed only after being removed from the
+                // slot, so the slot has changed — re-read it rather than
+                // reporting "no cover" and letting a caller miss the
+                // replacement that is already installed.
                 continue;
             };
-            let st = self.desc(view).status.load(Ordering::SeqCst);
-            if st >> 2 != view.seq {
-                // The incarnation ended between validation and the status
-                // read. A parked descriptor is freed only after being
-                // removed from the slot, so the slot has changed — re-read
-                // it rather than reporting "no cover" and letting a caller
-                // miss the replacement that is already installed.
-                continue;
-            }
-            return if st & 0b11 == ST_SUCCESS {
-                Some(view)
-            } else {
-                None
-            };
+            return (view.state == ST_SUCCESS).then_some(view);
         }
     }
 
     /// The paper's `findOp` (lines 110–115): a successful operation
-    /// covering cell `i`, with its slot. Scans the slots of the threads
-    /// registered *now*: a slot is only ever filled by its owner or, once
-    /// covered, by a replacer (DESIGN.md §7.2), so nothing is parked at or
-    /// above the count — which is read fresh in every scan, never cached.
-    /// Clamped to `1..=T`: the `exclusive()` handle announces in slot 0 on
-    /// a queue nobody registered on, and a refused `register` leaves the
-    /// counter above `T`.
-    fn find_op(&self, i: usize) -> Option<(OpView, usize)> {
+    /// covering the cell of position `pos`, with its slot. Scans the slots
+    /// of the threads registered *now*: a slot is only ever filled by its
+    /// owner or, once covered, by a replacer (DESIGN.md §7.2), so nothing
+    /// is parked at or above the count — which is read fresh in every scan,
+    /// never cached. Clamped to `1..=T`: the `exclusive()` handle announces
+    /// in slot 0 on a queue nobody registered on, and a refused `register`
+    /// leaves the counter above `T`.
+    fn find_op(&self, pos: u64) -> Option<(OpView, usize)> {
+        let c = self.a.len() as u64;
         let registered = self
             .next_tid
             .load(Ordering::SeqCst)
             .clamp(1, self.board.threads());
         for slot in 0..registered {
             if let Some(view) = self.read_op(slot) {
-                if view.i == i {
+                if same_cell(view.e, pos, c) {
                     return Some((view, slot));
                 }
             }
@@ -387,8 +437,8 @@ impl OptimalQueue {
     /// `view`, which must be the current `active_op`. Run by the owner and
     /// by helpers.
     fn try_put(&self, view: OpView) {
-        // Is there an operation which already covers cell `i`?
-        if let Some((other, _)) = self.find_op(view.i) {
+        // Is there an operation which already covers cell `e % C`?
+        if let Some((other, _)) = self.find_op(view.e) {
             if other.packed != view.packed {
                 // Decided now, by this CAS or by whoever beat it: the
                 // paper's second CAS below could only fail.
@@ -453,8 +503,8 @@ impl OptimalQueue {
         // announcement chain in `slot` is ours to complete. (The window is
         // real: helpers can decide us successful and the queue can wrap all
         // the way back to our cell while we are preempted right here.)
-        let st = self.desc(view).status.load(Ordering::SeqCst);
-        if st >> 2 == view.seq && st & 0b11 == ST_FAILURE {
+        let w = self.desc(view).word.load(Ordering::SeqCst);
+        if w == pack_word(view.seq, ST_FAILURE) {
             // Clean the slot. Unsuccessful descriptors are never replaced
             // or completed by others, so this CAS is ours to win.
             let cleaned = self
@@ -466,7 +516,7 @@ impl OptimalQueue {
             return false;
         }
         debug_assert!(
-            st >> 2 != view.seq || st & 0b11 == ST_SUCCESS,
+            w >> 2 != view.seq || w & 0b11 == ST_SUCCESS,
             "try_put returned with an undecided verdict"
         );
         true
@@ -492,7 +542,8 @@ impl OptimalQueue {
             // Every descriptor reachable here is successful: ours was
             // decided before `complete_op`, and replacements are pre-marked
             // successful before installation.
-            self.a[view.i].store(view.x, Ordering::SeqCst);
+            debug_assert_eq!(view.state, ST_SUCCESS);
+            self.cell(view.e).store(view.x, Ordering::SeqCst);
             let _ = self.enqueues.compare_exchange(
                 view.e,
                 view.e + 1,
@@ -506,7 +557,7 @@ impl OptimalQueue {
                 .is_ok()
             {
                 // We removed it from `ops`; we free it.
-                self.free_desc(view);
+                self.free_desc(view, ST_SUCCESS);
                 return;
             }
             // A next-round enqueue replaced the descriptor; complete it too.
@@ -516,7 +567,7 @@ impl OptimalQueue {
     /// The paper's `apply` (lines 76–92), by the thread announcing in slot
     /// `tid`.
     fn apply(&self, tid: usize, view: OpView) -> Outcome {
-        match self.find_op(view.i) {
+        match self.find_op(view.e) {
             None => {
                 // Try to cover the cell ourselves.
                 if self.put_op(tid, view) {
@@ -526,19 +577,15 @@ impl OptimalQueue {
                     }
                 } else {
                     // tryPut failed: either the counter moved or a
-                    // concurrent descriptor covers the cell. Helping is
-                    // safe only with observed evidence (module docs).
-                    match self.find_op(view.i) {
-                        Some((c2, _)) if c2.e >= view.e => Outcome::FailHelp,
-                        _ => Outcome::FailNoHelp,
-                    }
+                    // concurrent descriptor covers the cell.
+                    self.failed(view, ST_FAILURE)
                 }
             }
             Some((cur, slot)) => {
                 if cur.e >= view.e {
                     // A descriptor for this or a later round already exists;
                     // our position is taken (or stale). Helping is safe.
-                    return Outcome::FailHelp;
+                    return Outcome::FailHelp(ST_UNDECIDED);
                 }
                 // `cur` is a previous-round operation whose element was
                 // already extracted; replace it with ours, pre-marked
@@ -553,18 +600,24 @@ impl OptimalQueue {
                 {
                     // We removed `cur` from `ops`; we free it. The covering
                     // thread will complete *our* descriptor.
-                    self.free_desc(cur);
+                    self.free_desc(cur, ST_SUCCESS);
                     return Outcome::Success {
                         retained_in_ops: true,
                     };
                 }
                 // The replacement failed: the covering thread completed and
                 // cleared `cur`, or another replacement won.
-                match self.find_op(view.i) {
-                    Some((c2, _)) if c2.e >= view.e => Outcome::FailHelp,
-                    _ => Outcome::FailNoHelp,
-                }
+                self.failed(view, ST_SUCCESS)
             }
+        }
+    }
+
+    /// A failed attempt whose descriptor ended in `state`: helping the
+    /// counter is safe only with observed evidence (module docs).
+    fn failed(&self, view: OpView, state: u64) -> Outcome {
+        match self.find_op(view.e) {
+            Some((c2, _)) if c2.e >= view.e => Outcome::FailHelp(state),
+            _ => Outcome::FailNoHelp(state),
         }
     }
 
@@ -582,13 +635,13 @@ impl OptimalQueue {
     }
 
     /// The paper's `readElem` (lines 96–99): look through the announcement
-    /// array for an in-flight element destined for cell `i`; fall back to
-    /// the array.
-    fn read_elem(&self, i: usize) -> u64 {
-        if let Some((view, _)) = self.find_op(i) {
+    /// array for an in-flight element destined for the cell of position
+    /// `d`; fall back to the array.
+    fn read_elem(&self, d: u64) -> u64 {
+        if let Some((view, _)) = self.find_op(d) {
             return view.x;
         }
-        self.a[i].load(Ordering::SeqCst)
+        self.cell(d).load(Ordering::SeqCst)
     }
 }
 
@@ -632,7 +685,7 @@ impl ConcurrentQueue for OptimalQueue {
                 return Err(Full(x));
             }
             // Announce and try to apply (paper line 39).
-            let view = self.claim_desc(h.tid, e, x, (e % c) as usize);
+            let view = self.claim_desc(h.tid, e, x);
             match self.apply(h.tid, view) {
                 Outcome::Success { retained_in_ops: _ } => {
                     // Increment the counter (paper line 40). The descriptor
@@ -642,13 +695,13 @@ impl ConcurrentQueue for OptimalQueue {
                     h.obs.enq_success((e + 1).saturating_sub(d));
                     return Ok(());
                 }
-                Outcome::FailHelp => {
+                Outcome::FailHelp(state) => {
                     self.help_enqueues(e);
-                    self.free_desc(view);
+                    self.free_desc(view, state);
                     h.obs.enq_retry();
                 }
-                Outcome::FailNoHelp => {
-                    self.free_desc(view);
+                Outcome::FailNoHelp(state) => {
+                    self.free_desc(view, state);
                     h.obs.enq_retry();
                 }
             }
@@ -656,13 +709,12 @@ impl ConcurrentQueue for OptimalQueue {
     }
 
     fn dequeue(&self, h: &mut OptimalHandle) -> Option<u64> {
-        let c = self.a.len() as u64;
         h.obs.deq_attempt();
         loop {
             // Counters + element snapshot (paper lines 29–31).
             let d = self.dequeues.load(Ordering::SeqCst);
             let e = self.enqueues.load(Ordering::SeqCst);
-            let x = self.read_elem((d % c) as usize);
+            let x = self.read_elem(d);
             if d != self.dequeues.load(Ordering::SeqCst) {
                 h.obs.deq_retry();
                 continue;
@@ -711,21 +763,42 @@ impl ConcurrentQueue for OptimalQueue {
 }
 
 impl MemoryFootprint for OptimalQueue {
+    /// Every byte the layout allocates or pads: the rows for the board sum
+    /// to its allocation, the last two to the three 64-byte lines the
+    /// struct holds inline.
     fn footprint(&self) -> FootprintBreakdown {
         let t = self.board.threads();
+        let slots = t * std::mem::size_of::<SimAtomicU64>();
+        let descs = self.board.pool_len() * std::mem::size_of::<RelocEnqOp>();
+        let hdr = AnnounceBoard::HDR_BYTES;
+        let line = std::mem::size_of::<HotWord>();
         FootprintBreakdown::with_elements(self.a.len() * 8)
             .add(
                 format!("ops announcement array ({t} slots)"),
-                t * 8,
+                slots,
                 OverheadClass::Announcement,
             )
             .add(
                 format!("2T = {} EnqOp descriptors", 2 * t),
-                self.board.pool_len() * std::mem::size_of::<RelocEnqOp>(),
+                descs,
                 OverheadClass::Descriptors,
             )
-            .add("enqueues + dequeues counters", 16, OverheadClass::Counters)
-            .add("active_op word", 8, OverheadClass::Announcement)
+            .add(
+                format!("lane padding ({t} lanes of 64 bytes)"),
+                AnnounceBoard::layout(t).size() - hdr - slots - descs,
+                OverheadClass::Other,
+            )
+            .add(
+                "board header (magic, T; one line)",
+                hdr,
+                OverheadClass::Other,
+            )
+            .add(
+                "enqueues + dequeues counters (a line each)",
+                2 * line,
+                OverheadClass::Counters,
+            )
+            .add("active_op word (a line)", line, OverheadClass::Announcement)
     }
 }
 
@@ -824,7 +897,7 @@ mod tests {
         let claimed = q
             .board
             .descs()
-            .filter(|d| d.seq.load(Ordering::SeqCst) % 2 == 1)
+            .filter(|d| (d.word.load(Ordering::SeqCst) >> 2) % 2 == 1)
             .count();
         assert_eq!(claimed, 0, "all descriptors returned to the pool");
     }
@@ -910,10 +983,15 @@ mod tests {
         assert!(q.is_empty());
     }
 
+    /// Descriptor `k`'s incarnation counter.
+    fn seq_of(q: &OptimalQueue, k: usize) -> u64 {
+        q.board.desc(k).unwrap().word.load(Ordering::SeqCst) >> 2
+    }
+
     /// Descriptors in use (odd `seq`).
     fn claimed(q: &OptimalQueue) -> Vec<usize> {
         (0..q.board.pool_len())
-            .filter(|&k| q.board.desc(k).unwrap().seq.load(Ordering::SeqCst) % 2 == 1)
+            .filter(|&k| seq_of(q, k) % 2 == 1)
             .collect()
     }
 
@@ -928,11 +1006,11 @@ mod tests {
         let mut h1 = q.register();
         let _h2 = q.register();
         for (tid, e, x) in [(0usize, 0u64, 11u64), (2, 1, 22)] {
-            let v = q.claim_desc(tid, e, x, e as usize);
+            let v = q.claim_desc(tid, e, x);
             assert_eq!(v.index, 2 * tid, "own descriptor first");
             assert!(q.put_op(tid, v));
             // `complete_op` up to, not including, its clearing CAS.
-            q.a[v.i].store(x, Ordering::SeqCst);
+            q.a[e as usize].store(x, Ordering::SeqCst);
             q.enqueues
                 .compare_exchange(e, e + 1, Ordering::SeqCst, Ordering::SeqCst)
                 .unwrap();
@@ -957,7 +1035,7 @@ mod tests {
         assert_eq!(q.dequeue(&mut h1), Some(33));
         assert_eq!(q.dequeue(&mut h1), Some(44));
         // The third claim finds neither own descriptor free.
-        let v = q.claim_desc(1, 4, 55, 0);
+        let v = q.claim_desc(1, 4, 55);
         assert_eq!(v.index, 4, "wrapped past the own pair");
         assert_eq!(
             q.apply(1, v),
@@ -1125,7 +1203,7 @@ mod tests {
         assert!(seq.is_multiple_of(2) && seq <= SEQ_MASK);
         let q = OptimalQueue::with_capacity_and_threads(c, t);
         for d in q.board.descs() {
-            d.seq.store(seq, Ordering::SeqCst);
+            d.word.store(pack_word(seq, ST_UNDECIDED), Ordering::SeqCst);
         }
         q
     }
@@ -1154,7 +1232,7 @@ mod tests {
                 assert_eq!(q.dequeue(&mut h), None);
                 assert_eq!(claimed(&q), [0usize; 0]);
             }
-            let own = q.board.desc(0).unwrap().seq.load(Ordering::SeqCst);
+            let own = seq_of(&q, 0);
             assert!(own < 64, "descriptor 0 wrapped: seq {own}");
         }
     }
@@ -1166,12 +1244,90 @@ mod tests {
         let q = with_descriptor_seq(2, 4, (1 << SEQ_BITS) - 6);
         mpmc_conserves(&q, 2, 2, 3_000, |_, _| {});
         for d in q.board.descs() {
-            assert!(d.seq.load(Ordering::SeqCst) <= SEQ_MASK);
+            assert!(d.word.load(Ordering::SeqCst) >> 2 <= SEQ_MASK);
         }
+    }
+
+    /// A helper that read incarnation `s` undecided and was descheduled
+    /// across one whole reuse of the descriptor: its verdict CAS names
+    /// `(s, undecided)` and cannot land on `s + 2` — here with `s` the last
+    /// odd value below 2⁴⁸, so `s + 2` is 1 and the word's high bits wrapped
+    /// in between.
+    #[test]
+    fn stale_decide_cannot_flip_the_next_incarnation_across_the_wrap() {
+        let q = with_descriptor_seq(2, 2, (1 << SEQ_BITS) - 2);
+        let stale = q.claim_desc(0, 0, 7);
+        assert_eq!((stale.index, stale.seq), (0, SEQ_MASK));
+        q.free_desc(stale, ST_UNDECIDED);
+        assert_eq!(seq_of(&q, 0), 0, "freed across the wrap");
+        let live = q.claim_desc(0, 1, 8);
+        assert_eq!((live.index, live.seq), (0, 1));
+        for success in [true, false] {
+            q.decide(stale, success);
+            assert_eq!(q.verdict(live), None, "stale decide({success}) landed");
+        }
+        assert_eq!(q.view_packed(stale.packed), None);
+        q.decide(live, false);
+        q.decide(stale, true);
+        assert_eq!(q.verdict(live), Some(false), "verdicts are final");
+        assert_eq!(q.view_packed(live.packed).unwrap().state, ST_FAILURE);
+        q.free_desc(live, ST_FAILURE);
+        assert_eq!(claimed(&q), [0usize; 0]);
+    }
+
+    /// Where the padding went, as addresses on a live queue: `enqueues`,
+    /// `dequeues` and `active_op` on three distinct 64-byte lines, and the
+    /// fields every operation only reads (`a`, `board`, `next_tid`) on none
+    /// of them — a CAS on one hot word invalidates nothing else.
+    #[test]
+    fn hot_words_sit_on_private_lines() {
+        fn line<T>(r: &T) -> usize {
+            let at = r as *const T as usize;
+            assert_eq!(at / 64, (at + std::mem::size_of::<T>() - 1) / 64);
+            at / 64
+        }
+        let q = Box::new(OptimalQueue::with_capacity_and_threads(8, 3));
+        let hot = [line(&q.enqueues), line(&q.dequeues), line(&q.active_op)];
+        assert!(hot[0] != hot[1] && hot[1] != hot[2] && hot[0] != hot[2]);
+        for cold in [line(&q.a), line(&q.board), line(&q.next_tid)] {
+            assert!(!hot.contains(&cold), "a read-mostly field on a hot line");
+        }
+        assert_eq!(std::mem::align_of::<OptimalQueue>(), 64);
+        // The 192 bytes `footprint()` claims for them are these lines.
+        assert_eq!(3 * std::mem::size_of::<HotWord>(), 192);
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// `same_cell` is `e % c == pos % c` without the two divisions:
+        /// positions near 0, near each other, rounds apart and at the top
+        /// of the `u64` range (ROADMAP item 1(a)'s position edge); `c = 1`
+        /// included, where every position is cell 0.
+        #[test]
+        fn same_cell_is_congruence_mod_c(
+            c in 1u64..65,
+            region in 0u8..3,
+            near in 0u64..200,
+            anywhere in proptest::prelude::any::<u64>(),
+            gap in 0u64..200,
+            rounds in 0u64..4,
+        ) {
+            let base = match region {
+                0 => near,
+                1 => u64::MAX - near,
+                _ => anywhere,
+            };
+            for pos in [
+                base.saturating_add(gap),
+                base.saturating_sub(gap),
+                base.saturating_add(rounds * c),
+                base.saturating_sub(rounds * c),
+            ] {
+                proptest::prop_assert_eq!(same_cell(base, pos, c), base % c == pos % c);
+                proptest::prop_assert_eq!(same_cell(pos, base, c), base % c == pos % c);
+            }
+        }
 
         /// The sequential spec (Figure 1) across the incarnation wrap: an
         /// arbitrary script on a queue whose descriptors start a few

@@ -34,7 +34,8 @@
 //!   ([`byte_ring`](crate::byte_ring) is the heap owner, `bq-shm`'s
 //!   `ShmByteRing` the cross-process one);
 //! * [`AnnounceBoard`] — the Listing 5 announcement array + the 2·T
-//!   reusable [`RelocEnqOp`] descriptor pool
+//!   reusable [`RelocEnqOp`] descriptor pool, one 64-byte [`BoardLane`]
+//!   per thread
 //!   ([`OptimalQueue`](crate::OptimalQueue) serves its helping machinery
 //!   out of it).
 //!
@@ -66,7 +67,10 @@
 //!    or a `Pod` payload, so 32-/64-bit layouts agree.
 //! 3. Contended words are isolated with `#[repr(C, align(128))]`
 //!    ([`PadAtomicU64`], [`PadSimAtomicU64`]) — two cache lines, matching
-//!    `CachePadded`.
+//!    `CachePadded`. The announcement board isolates per *thread*, not per
+//!    word, and by one line: a [`BoardLane`] is `#[repr(C, align(64))]`
+//!    around the slot and the two descriptors one thread writes first
+//!    (EXPERIMENTS.md E18 prices 64 against 128).
 //! 4. Each layout starts with a magic word; [`RelocLayout::attach`]
 //!    refuses memory that does not carry it, records arguments outside
 //!    their range, or is shorter than the layout those arguments imply.
@@ -1604,10 +1608,9 @@ impl Drop for ByteReadGrant<'_> {
 // AnnounceBoard — the Listing 5 announcement array + descriptor pool
 // ---------------------------------------------------------------------------
 
-/// Header of the announcement board: magic + thread bound `T`. The `T`
-/// announcement words follow, then (at the next 128-byte boundary) the
-/// `2T` reusable descriptors.
-#[repr(C, align(128))]
+/// Header of the announcement board: magic + thread bound `T`, alone on
+/// the first 64-byte line. The `T` [`BoardLane`]s follow with no slack.
+#[repr(C, align(64))]
 pub struct BoardHdr {
     /// [`BOARD_MAGIC`].
     pub magic: u64,
@@ -1619,40 +1622,53 @@ pub struct BoardHdr {
 pub const BOARD_MAGIC: u64 = 0x4d42_5141_4e4e_4f31; // "MBQANNO1"
 
 /// One reusable `EnqOp` descriptor (paper Listing 5, lines 1–21) in
-/// relocatable form: five atomics, no pointers — descriptor *references*
+/// relocatable form: three atomics, no pointers — descriptor *references*
 /// are packed `(index, seq)` words, so they too are position-independent.
+/// The target cell is not cached: it is `e % C`.
 ///
-/// `seq` parity: even = free, odd = claimed/published. Fields are written
-/// only between claim and publication, so a reader that re-validates
-/// `seq` after reading the fields observes a consistent incarnation.
-#[repr(C, align(128))]
+/// `e` and `x` are written only between the claim and the publication of
+/// an incarnation, so a reader that re-validates `word`'s incarnation
+/// after reading them observes a consistent one.
+#[repr(C)]
 pub struct RelocEnqOp {
-    /// Incarnation counter (even = free, odd = live).
-    pub seq: SimAtomicU64,
-    /// The paper's `successful: Bool?` — `(seq << 2) | state` so stale
-    /// helpers' verdict CASes fail harmlessly after reuse.
-    pub status: SimAtomicU64,
+    /// `(seq << 2) | state`: the incarnation counter (even = free, odd =
+    /// live) and the paper's `successful: Bool?` in one word, so one load
+    /// validates a reference and reads its verdict, and a stale helper's
+    /// verdict CAS fails after reuse.
+    pub word: SimAtomicU64,
     /// The `enqueues` value this operation is bound to.
     pub e: SimAtomicU64,
     /// The element being inserted.
     pub x: SimAtomicU64,
-    /// Target cell, `e % C` (cached, as in the paper).
-    pub i: SimAtomicU64,
 }
 
-/// View over the Listing 5 helping machinery — the `T`-slot announcement
-/// array and the `2T`-descriptor pool — placed in caller-provided memory.
-/// [`OptimalQueue`](crate::OptimalQueue) owns one in a [`RelocBox`]; a
-/// future shared-memory optimal queue places the same bytes in a segment.
+/// Everything thread `tid` writes first, on one 64-byte line of its own:
+/// the announcement slot `ops[tid]` and descriptors `2·tid`, `2·tid + 1`
+/// of the pool — the slot it announces in and the pair it claims from
+/// before any other (DESIGN.md §7.2). A scanner reading `tid`'s
+/// announcement takes one line; no two threads' lanes share one.
+#[repr(C, align(64))]
+pub struct BoardLane {
+    /// Announcement slot: a packed descriptor reference or 0 = ⊥.
+    pub op: SimAtomicU64,
+    /// Descriptors `2·tid` and `2·tid + 1`.
+    pub descs: [RelocEnqOp; 2],
+    _spare: u64,
+}
+
+/// View over the Listing 5 helping machinery — `T` lanes holding the
+/// `T`-slot announcement array and the `2T`-descriptor pool — placed in
+/// caller-provided memory. [`OptimalQueue`](crate::OptimalQueue) owns one
+/// in a [`RelocBox`]; a future shared-memory optimal queue places the same
+/// bytes in a segment.
 pub struct AnnounceBoard {
-    hdr: NonNull<BoardHdr>,
-    ops: NonNull<SimAtomicU64>,
-    pool: NonNull<RelocEnqOp>,
+    lanes: NonNull<BoardLane>,
+    /// `T`, as recorded in the header when the view was built.
+    threads: usize,
 }
 
-// SAFETY: the view addresses the header, the `T` announcement words and
-// the `2T` descriptors of `try_layout(t)`; every field behind them is an
-// atomic.
+// SAFETY: the view addresses the `T` lanes behind the header of
+// `try_layout(t)`; every word it hands out is an atomic.
 unsafe impl RelocLayout for AnnounceBoard {
     /// Thread bound `T > 0`.
     type Args = usize;
@@ -1662,11 +1678,9 @@ unsafe impl RelocLayout for AnnounceBoard {
         if t == 0 {
             return Err(BadLayout("thread bound must be positive"));
         }
-        let pool = span(Self::HDR_BYTES, t, std::mem::size_of::<AtomicU64>())
-            .and_then(|end| end.checked_next_multiple_of(std::mem::align_of::<RelocEnqOp>()));
         layout_of(
-            pool.and_then(|off| span(off, t, 2 * std::mem::size_of::<RelocEnqOp>())),
-            std::mem::align_of::<BoardHdr>().max(std::mem::align_of::<RelocEnqOp>()),
+            span(Self::HDR_BYTES, t, std::mem::size_of::<BoardLane>()),
+            std::mem::align_of::<BoardLane>(),
         )
     }
 
@@ -1690,14 +1704,9 @@ unsafe impl RelocLayout for AnnounceBoard {
     }
 
     unsafe fn view(base: *mut u8, t: usize) -> AnnounceBoard {
-        let pool_offset = align_up(
-            Self::HDR_BYTES + t * std::mem::size_of::<AtomicU64>(),
-            std::mem::align_of::<RelocEnqOp>(),
-        );
         AnnounceBoard {
-            hdr: NonNull::new_unchecked(base.cast()),
-            ops: NonNull::new_unchecked(base.add(Self::HDR_BYTES).cast()),
-            pool: NonNull::new_unchecked(base.add(pool_offset).cast()),
+            lanes: NonNull::new_unchecked(base.add(Self::HDR_BYTES).cast()),
+            threads: t,
         }
     }
 }
@@ -1705,31 +1714,37 @@ unsafe impl RelocLayout for AnnounceBoard {
 impl AnnounceBoard {
     /// Thread bound `T` (= announcement slot count).
     pub fn threads(&self) -> usize {
-        // SAFETY: view invariant.
-        unsafe { self.hdr.as_ref().threads as usize }
+        self.threads
     }
 
     /// Descriptor pool size (`2T`).
     pub fn pool_len(&self) -> usize {
-        2 * self.threads()
+        2 * self.threads
     }
 
-    /// Announcement slot `i` (`i < T`), holding a packed descriptor
-    /// reference or 0 = ⊥.
+    /// Thread `tid`'s lane, `None` for `tid ≥ T` — the one bounds check
+    /// (a compare against the cached `T`) behind `op` and `desc`.
+    fn lane(&self, tid: usize) -> Option<&BoardLane> {
+        // SAFETY: `tid < T`, and the view addresses `T` lanes.
+        (tid < self.threads).then(|| unsafe { &*self.lanes.as_ptr().add(tid) })
+    }
+
+    /// Announcement slot `i`, holding a packed descriptor reference or
+    /// 0 = ⊥.
+    ///
+    /// # Panics
+    /// If `i ≥ T`, in every build.
     pub fn op(&self, i: usize) -> &SimAtomicU64 {
-        debug_assert!(i < self.threads());
-        // SAFETY: bounds checked above.
-        unsafe { &*self.ops.as_ptr().add(i) }
+        match self.lane(i) {
+            Some(lane) => &lane.op,
+            None => panic!("announcement slot {i} of {}", self.threads),
+        }
     }
 
-    /// Descriptor `i` of the pool (`i < 2T`).
+    /// Descriptor `i` of the pool (`i < 2T`): the `i % 2`-th of lane
+    /// `i / 2`.
     pub fn desc(&self, i: usize) -> Option<&RelocEnqOp> {
-        if i < self.pool_len() {
-            // SAFETY: bounds checked above.
-            Some(unsafe { &*self.pool.as_ptr().add(i) })
-        } else {
-            None
-        }
+        self.lane(i / 2).map(|lane| &lane.descs[i % 2])
     }
 
     /// Iterate over the descriptor pool.
@@ -1780,16 +1795,22 @@ const _: () = {
     assert!(offset_of!(ByteRingHdr, tail) == 128);
     assert!(offset_of!(ByteRingHdr, head) == 256);
 
-    // BoardHdr + descriptors.
-    assert!(size_of::<BoardHdr>() == 128);
-    assert!(align_of::<BoardHdr>() == 128);
-    assert!(size_of::<RelocEnqOp>() == 128);
-    assert!(align_of::<RelocEnqOp>() == 128);
-    assert!(offset_of!(RelocEnqOp, seq) == 0);
-    assert!(offset_of!(RelocEnqOp, status) == 8);
-    assert!(offset_of!(RelocEnqOp, e) == 16);
-    assert!(offset_of!(RelocEnqOp, x) == 24);
-    assert!(offset_of!(RelocEnqOp, i) == 32);
+    // BoardHdr, one line; a three-word descriptor; one lane per thread:
+    // slot + own descriptor pair + 8 spare bytes = exactly one line. (The
+    // header and `RelocEnqOp` were a 128-byte unit each, and the
+    // descriptor five words, until the incarnation and verdict words
+    // merged and the cached cell index left.)
+    assert!(size_of::<BoardHdr>() == 64);
+    assert!(align_of::<BoardHdr>() == 64);
+    assert!(size_of::<RelocEnqOp>() == 24);
+    assert!(align_of::<RelocEnqOp>() == 8);
+    assert!(offset_of!(RelocEnqOp, word) == 0);
+    assert!(offset_of!(RelocEnqOp, e) == 8);
+    assert!(offset_of!(RelocEnqOp, x) == 16);
+    assert!(size_of::<BoardLane>() == 64);
+    assert!(align_of::<BoardLane>() == 64);
+    assert!(offset_of!(BoardLane, op) == 0);
+    assert!(offset_of!(BoardLane, descs) == 8);
 };
 
 #[cfg(test)]

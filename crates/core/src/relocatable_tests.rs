@@ -452,6 +452,46 @@ fn board_round_trips_and_relocates() {
     assert_eq!(b2.descs().count(), 6);
 }
 
+/// `op` is a safe `pub fn` over a raw-pointer add: the bounds check is an
+/// `assert!`, so this holds under `cargo test --release` too (it was a
+/// `debug_assert!`, and `op(T)` read past the board in release builds).
+#[test]
+#[should_panic(expected = "announcement slot 3 of 3")]
+fn board_op_out_of_bounds_panics_in_every_build() {
+    let b = RelocBox::<AnnounceBoard>::new(3);
+    let _ = b.op(3);
+}
+
+/// What the lane promises, as addresses: lane `k` is the 64 bytes at
+/// `base + 64 + 64·k`, and `op(k)`, `desc(2k)`, `desc(2k + 1)` all lie
+/// inside it — so no two threads' first-touched words share a line, and a
+/// scanner reading thread `k`'s announcement and its descriptor takes one.
+#[test]
+fn board_lane_holds_a_threads_slot_and_descriptor_pair() {
+    let t = 5;
+    let buf = RelocBuf::zeroed(AnnounceBoard::layout(t));
+    // SAFETY: buf satisfies layout(t).
+    let b = unsafe { AnnounceBoard::init_at(buf.base(), t) };
+    let base = buf.base() as usize;
+    assert_eq!(base % 64, 0);
+    assert_eq!(buf.len(), 64 + 64 * t, "header line + T lanes, no slack");
+    let addr = |r: &SimAtomicU64| r as *const SimAtomicU64 as usize;
+    for k in 0..t {
+        let lane = base + 64 + 64 * k;
+        assert_eq!(addr(b.op(k)), lane, "slot {k} opens its lane");
+        for (j, d) in [b.desc(2 * k).unwrap(), b.desc(2 * k + 1).unwrap()]
+            .into_iter()
+            .enumerate()
+        {
+            assert_eq!(addr(&d.word), lane + 8 + 24 * j);
+            assert_eq!(addr(&d.e), lane + 16 + 24 * j);
+            assert_eq!(addr(&d.x), lane + 24 + 24 * j);
+            assert!(addr(&d.x) + 8 <= lane + 64, "descriptor inside lane {k}");
+        }
+    }
+    assert!(b.desc(2 * t).is_none());
+}
+
 #[test]
 fn layouts_are_contiguous_and_aligned() {
     assert_eq!(RelocSeqRing::layout(8).size(), 32 + 64);
@@ -461,8 +501,11 @@ fn layouts_are_contiguous_and_aligned() {
     assert_eq!(l.size(), 384 + 128 + 64);
     assert_eq!(l.align(), 128);
     let b = AnnounceBoard::layout(4);
-    // hdr 128 + 4 ops (32 B) padded to 128, + 8 descriptors.
-    assert_eq!(b.size(), 256 + 8 * 128);
+    // One 64-byte header line + 4 lanes of 64 (slot, two three-word
+    // descriptors, 8 spare bytes), no slack. Was 256 + 8 * 128 while every
+    // five-word descriptor sat alone behind `align(128)`.
+    assert_eq!(b.size(), 64 + 4 * 64);
+    assert_eq!(b.align(), 64);
     // Byte ring: 384-byte header + the data bytes.
     assert_eq!(RelocByteRing::layout((256, 64)).size(), 384 + 256);
 }

@@ -85,11 +85,13 @@ proptest! {
         prop_assert_eq!(ring2.vy_dequeue(), None);
     }
 
-    /// `AnnounceBoard`: descriptor fields written through one view are
-    /// read back, offset-addressed, through a view over relocated bytes.
+    /// `AnnounceBoard`: `word`/`e`/`x` of every descriptor and every slot,
+    /// written through one view, are read back, offset-addressed, through
+    /// a view over relocated bytes.
     #[test]
     fn announce_board_state_survives_relocation(
         threads in 1usize..12,
+        salt in any::<u64>(),
         stores in prop::collection::vec((any::<u64>(), any::<u64>()), 0..32),
     ) {
         use std::sync::atomic::Ordering;
@@ -97,13 +99,21 @@ proptest! {
         let buf = RelocBuf::zeroed(AnnounceBoard::layout(threads));
         // SAFETY: buf sized by the matching layout, exclusively owned.
         let board = unsafe { AnnounceBoard::init_at(buf.base(), threads) };
-        let mut model = vec![(0u64, 0u64); board.pool_len()];
+        // Every word of the board distinct: a descriptor field resolved to
+        // its neighbour's offset, or to a slot's, reads the wrong value.
+        let fill = |k: usize| salt.wrapping_add(k as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let mut model: Vec<[u64; 3]> = (0..board.pool_len())
+            .map(|d| [fill(3 * d), fill(3 * d + 1), fill(3 * d + 2)])
+            .collect();
         for (which, v) in stores {
             let d = (which % board.pool_len() as u64) as usize;
+            model[d] = [v, v.wrapping_mul(3), v.wrapping_mul(5)];
+        }
+        for (d, &[word, e, x]) in model.iter().enumerate() {
             let desc = board.desc(d).unwrap();
-            desc.e.store(v, Ordering::SeqCst);
-            desc.x.store(v.wrapping_mul(3), Ordering::SeqCst);
-            model[d] = (v, v.wrapping_mul(3));
+            desc.word.store(word, Ordering::SeqCst);
+            desc.e.store(e, Ordering::SeqCst);
+            desc.x.store(x, Ordering::SeqCst);
         }
         for s in 0..threads {
             board.op(s).store(s as u64 + 7, Ordering::SeqCst);
@@ -114,8 +124,9 @@ proptest! {
         let board2 = unsafe { AnnounceBoard::attach(moved.base(), moved.len()).unwrap() };
         prop_assert_eq!(board2.threads(), threads);
         prop_assert_eq!(board2.pool_len(), 2 * threads);
-        for (d, &(e, x)) in model.iter().enumerate() {
+        for (d, &[word, e, x]) in model.iter().enumerate() {
             let desc = board2.desc(d).unwrap();
+            prop_assert_eq!(desc.word.load(Ordering::SeqCst), word);
             prop_assert_eq!(desc.e.load(Ordering::SeqCst), e);
             prop_assert_eq!(desc.x.load(Ordering::SeqCst), x);
         }

@@ -85,7 +85,10 @@ fn unpack_seq(word: u64) -> u64 {
 /// its owner, and the packed references embed the even "published" value.
 /// Helpers read the fields and then re-validate `seq`; any mismatch means
 /// the descriptor was reused and the help attempt must be abandoned.
-#[repr(align(128))]
+///
+/// Seven words, 56 bytes: one 64-byte line each, so no two descriptors —
+/// a thread's own pair included — share one (EXPERIMENTS.md E18).
+#[repr(align(64))]
 struct Descriptor {
     /// Incarnation number. Publication protocol (owner only):
     /// `seq += 1` (odd: fields unstable) → write fields → `seq += 1`

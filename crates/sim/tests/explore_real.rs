@@ -239,15 +239,16 @@ fn optimal_2p1c_all_interleavings_to_bound3() {
 /// announcement in slot 2. Linearizability and conservation on every
 /// execution to preemption bound 3, the count pinned in both explorer lanes.
 ///
-/// Teeth (run once on a scratch copy, not kept): with the count cached in
-/// the handle at `register()` time, producer 1 and the consumer scan
+/// Teeth (run on a scratch copy, not kept; re-run on the three-word
+/// descriptor — same execution, a shorter schedule): with the count cached
+/// in the handle at `register()` time, producer 1 and the consumer scan
 /// `0..2` forever, and this scenario rejects the queue on its 113th
 /// execution — "conservation broken: sent [11, 22], got [22]": producer 1
 /// decides its descriptor successful for position 0 without seeing
 /// producer 0's, already successful there in slot 2 — replayable as
 ///
 /// ```text
-/// sched:v1:0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,2,2,2,2,2,2,2,2,2,2,2,2,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,0,0,0,0
+/// sched:v1:0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,2,2,2,2,2,2,2,2,2,2,2,2,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,0,0,0,0
 /// ```
 ///
 /// (The 2P+1C sweep rejects the same mutant: its handles cache 1, 2 and 3.)
@@ -268,8 +269,11 @@ fn optimal_late_registration_races_the_bounded_scan() {
 }
 
 /// The pin for [`optimal_late_registration_races_the_bounded_scan`],
-/// asserted identically in the obs-on and obs-off explorer lanes.
-const LATE_REGISTRATION_PINNED_EXECUTIONS: u64 = 13_574;
+/// asserted identically in the obs-on and obs-off explorer lanes. It read
+/// 13 574 while a descriptor was five words: the accesses that left with
+/// the three-word descriptor are named at
+/// [`OBS_INVARIANCE_PINNED_EXECUTIONS`].
+const LATE_REGISTRATION_PINNED_EXECUTIONS: u64 = 11_304;
 
 /// Replay determinism, byte for byte: any printed `Schedule` artifact
 /// re-runs to the identical history. This is what makes a red CI log
@@ -397,7 +401,15 @@ fn obs_counters_add_no_scheduling_points() {
 /// `T − registered` slot loads gone, here slot 2's load becoming the
 /// counter's — leaves it at 54, and so does `try_put` stopping at its
 /// first verdict CAS when it finds the cell covered.
-const OBS_INVARIANCE_PINNED_EXECUTIONS: u64 = 52;
+/// It read 52 while a descriptor was five words (`seq`, `status`, `e`, `x`,
+/// `i`). With `seq` and `status` one word and the cell recomputed: per
+/// claim, the `i` store and the `status` store are gone (the claim CAS
+/// writes `(seq, undecided)` itself); per `view_packed`, the `i` load is
+/// gone and its validating load is of the merged word; per `read_op` of an
+/// occupied slot, the separate `status` load is gone. `decide`, `put_op`'s
+/// verdict read and `free_desc` are one access each, as before, on the
+/// merged word. The 64-byte lanes and hot words move addresses, no access.
+const OBS_INVARIANCE_PINNED_EXECUTIONS: u64 = 47;
 
 // ---------------------------------------------------------------------------
 // E4/E8 on the shipped counter queues (DESIGN.md §2, §11.4)
@@ -914,8 +926,11 @@ const EVENTCOUNT_PINNED_EXECUTIONS: u64 = 373;
 /// spin's load instead of the locked re-check): (179, 88, 91). Four
 /// wake-first executions left when the sender's line-40 CAS became a load
 /// (the access named at [`OBS_INVARIANCE_PINNED_EXECUTIONS`]; the bounded
-/// scan alone leaves this count where it was, too).
-const TIMED_RECV_PINNED: (u64, usize, usize) = (175, 88, 87);
+/// scan alone leaves this count where it was, too): (175, 88, 87). The
+/// three-word descriptor (same place) took ten timeout-first and five
+/// wake-first executions with the sender's two claim stores and the
+/// receiver's `i` and `status` loads.
+const TIMED_RECV_PINNED: (u64, usize, usize) = (160, 78, 82);
 /// The pins for the two `RelocRing` grant scenarios, likewise asserted in
 /// both lanes. Recorded on `RelocRing::claim`, the one scan → claim loop.
 /// The six hand-written loops it replaced read 1 894 and 239: on a miss

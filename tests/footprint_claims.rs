@@ -101,6 +101,50 @@ fn listing5_optimal_is_theta_t() {
 }
 
 #[test]
+fn listing5_constant_is_one_line_per_thread() {
+    // E18 — the constant in Θ(T), which E6/E7 never checked: 64 bytes per
+    // thread (an announcement slot, two three-word descriptors, 8 spare
+    // bytes: one cache line), flat in C. It was 264 = 8 + 2 × 128.
+    use membq::core::OptimalQueue;
+    use membq::prelude::MemoryFootprint;
+    let ovh = |c: usize, t: usize| OptimalQueue::with_capacity_and_threads(c, t).overhead_bytes();
+    for c in [1usize, 64, 1024, 1 << 16] {
+        assert_eq!((ovh(c, 64) - ovh(c, 3)) / 61, 64, "C = {c}");
+        assert_eq!((ovh(c, 64) - ovh(c, 3)) % 61, 0, "C = {c}");
+    }
+    // And the part that does not grow: three hot words on a line each plus
+    // the board's header line.
+    assert_eq!(ovh(1024, 64) - 64 * 64, 3 * 64 + 64);
+}
+
+#[test]
+fn listing5_crosses_a_vyukov_ring_near_eight_slots_per_thread() {
+    // E18 — where "memory-optimal" starts to be the smaller queue, computed
+    // from the two `overhead_bytes()`, not hard-coded: 64·T + 256 against
+    // the ring's 8·C + 256 crosses at C = 8·T (it was C > 33·T − 29).
+    use membq::baselines::VyukovQueue;
+    use membq::core::OptimalQueue;
+    use membq::prelude::MemoryFootprint;
+    for t in [16usize, 64] {
+        let optimal = |c: usize| OptimalQueue::with_capacity_and_threads(c, t).overhead_bytes();
+        let ring = |c: usize| VyukovQueue::with_capacity(c).overhead_bytes();
+        let (above, below) = (8 * t + 64, 8 * t - 64);
+        assert!(
+            optimal(above) < ring(above),
+            "T = {t}, C = {above}: {} vs {}",
+            optimal(above),
+            ring(above)
+        );
+        assert!(
+            optimal(below) >= ring(below),
+            "T = {t}, C = {below}: {} vs {}",
+            optimal(below),
+            ring(below)
+        );
+    }
+}
+
+#[test]
 fn per_slot_designs_are_theta_c() {
     // E9: Vyukov / SCQ-style / crossbeam pay per slot.
     assert_linear_in_c(QueueKind::Vyukov);
