@@ -48,7 +48,7 @@ use std::sync::atomic::Ordering;
 
 use crate::simx::SimAtomicBool;
 
-use crate::boxed::{BoxedHandle, BoxedQueue, PointerCapable};
+use crate::boxed::{box_all, take, BoxedHandle, BoxedQueue, PointerCapable};
 use crate::event::{EventCount, TimeLimit};
 
 /// Error returned by a blocking/async `send` on a closed queue: carries
@@ -286,9 +286,10 @@ impl<T: Send, Q: PointerCapable> WaitOp<T, Q> for RecvOp {
     }
 }
 
-/// `send_all`: the batch, boxed **once** into its token run (a parked
-/// batch retries on the run instead of round-tripping every pending item
-/// through `Box` on each wake), and how far the queue has taken it.
+/// `send_all`: the batch, boxed **once** into its tokens — runs of up to
+/// 16 values per allocation (DESIGN.md §8.4); a parked batch retries on the
+/// tokens instead of re-boxing every pending item on each wake — and how
+/// far the queue has taken it.
 /// `tokens[sent..]` is the unsent suffix and belongs to this value:
 /// handed back on close or expiry, dropped with it when the wait is
 /// abandoned (a cancelled future, a panic unwinding through the wait) —
@@ -301,9 +302,8 @@ pub struct SendAllOp<T: Send, Q: PointerCapable> {
 
 impl<T: Send, Q: PointerCapable> SendAllOp<T, Q> {
     pub(crate) fn new(items: Vec<T>) -> Self {
-        let box_token = BoxedQueue::<T, Q>::box_token;
         SendAllOp {
-            tokens: items.into_iter().map(box_token).collect(),
+            tokens: box_all(items),
             sent: 0,
             _owns: PhantomData,
         }
@@ -314,8 +314,12 @@ impl<T: Send, Q: PointerCapable> SendAllOp<T, Q> {
     /// being freed a second time by [`Drop`].
     pub(crate) fn take_unsent(&mut self) -> Vec<T> {
         let from = std::mem::replace(&mut self.sent, self.tokens.len());
-        let unbox_token = |&t| BoxedQueue::<T, Q>::unbox_token(t);
-        self.tokens[from..].iter().map(unbox_token).collect()
+        self.tokens[from..]
+            .iter()
+            // SAFETY: the queue never accepted these tokens, and moving
+            // `sent` past them above disowned them before any is taken.
+            .map(|&t| unsafe { take(t) })
+            .collect()
     }
 }
 
@@ -1277,6 +1281,47 @@ mod tests {
             let seen: Vec<usize> = drops.iter().map(|d| d.load(Ordering::SeqCst)).collect();
             assert_eq!(seen, expected, "{name}");
         }
+    }
+
+    /// A `send_all` of 40 values — runs of 16, 16 and 8 — closed after the
+    /// receiver has crossed the first run's end: runs are split between
+    /// received values, values still queued and the returned suffix, and
+    /// each of the 40 is dropped exactly once.
+    #[test]
+    fn close_during_send_all_splits_runs_and_drops_each_value_once() {
+        use std::sync::atomic::AtomicUsize;
+        struct Counted(usize, Arc<Vec<AtomicUsize>>);
+        impl Drop for Counted {
+            fn drop(&mut self) {
+                self.1[self.0].fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        let drops: Arc<Vec<AtomicUsize>> = Arc::new((0..40).map(|_| AtomicUsize::new(0)).collect());
+        let items: Vec<Counted> = (0..40).map(|i| Counted(i, Arc::clone(&drops))).collect();
+        let q: BlockingQueue<Counted, _> =
+            BlockingQueue::new(OptimalQueue::with_capacity_and_threads(4, 2));
+        let (got, unsent) = std::thread::scope(|s| {
+            let sender = s.spawn(|| q.send_all(&mut q.register(), items));
+            let mut h = q.register();
+            let mut got = Vec::new();
+            while got.len() < 20 {
+                got.extend(q.recv_many(&mut h, 3));
+            }
+            q.close();
+            let unsent = sender.join().unwrap().unwrap_err().0;
+            loop {
+                let more = q.recv_many(&mut h, 8);
+                if more.is_empty() {
+                    break (got, unsent);
+                }
+                got.extend(more);
+            }
+        });
+        assert_eq!(got.len() + unsent.len(), 40);
+        let ids: Vec<usize> = got.iter().chain(&unsent).map(|c| c.0).collect();
+        assert_eq!(ids, (0..40).collect::<Vec<_>>(), "one producer: FIFO");
+        drop((got, unsent, q));
+        assert!(drops.iter().all(|d| d.load(Ordering::SeqCst) == 1));
     }
 
     /// DESIGN.md §14: the façade snapshot stitches the data path's

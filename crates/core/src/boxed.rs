@@ -1,9 +1,18 @@
 //! A typed adapter: store arbitrary `T` through a token queue by boxing.
 //!
 //! The paper's model stores opaque *values* in value-locations; in a systems
-//! language the natural value is a pointer. [`BoxedQueue`] heap-allocates
-//! each element and passes the pointer (a non-zero, 48-bit-on-x86-64 word,
-//! hence a valid 63-bit token) through an underlying token queue.
+//! language the natural value is a pointer. [`BoxedQueue`] moves each
+//! element into the heap and passes a pointer-derived word (non-zero, under
+//! 2⁴⁸ on x86-64, hence a valid 63-bit token) through an underlying token
+//! queue.
+//!
+//! Values are boxed in **runs** (DESIGN.md §8.4): one allocation holds an
+//! 8-byte header and up to 16 values, and a value's token is the run's
+//! address OR'd with the value's index — the 4 low bits a 16-byte-aligned
+//! allocation leaves zero. A single `enqueue` boxes a run of one; a batch
+//! (`enqueue_many`, `send_all`) boxes runs of up to 16, so `n` values cost
+//! ⌈n/16⌉ allocations. Taking a value moves it out, and the last value
+//! taken frees the run.
 //!
 //! Only **value-independent** queues may carry pointers: the allocator can
 //! hand the same address out twice (free → malloc), so the underlying queue
@@ -15,7 +24,9 @@
 //! violate its distinct-elements assumption — exactly the trap the paper
 //! warns practitioners about.
 
+use std::alloc::{self, Layout};
 use std::marker::PhantomData;
+use std::sync::atomic::{AtomicU32, Ordering};
 
 use crate::dcss_queue::DcssQueue;
 use crate::optimal::OptimalQueue;
@@ -52,6 +63,105 @@ impl PointerCapable for OptimalQueue {
     }
 }
 
+// ---- runs ------------------------------------------------------------------
+
+/// Most values in one run: the index rides in a token's 4 low bits.
+const RUN: usize = 16;
+
+/// Most bytes of values in one run, so a large payload keeps one allocation
+/// per value.
+const RUN_PAGE: usize = 4096;
+
+/// The header of a run; its values follow it in the same allocation.
+#[repr(C)]
+struct RunHdr {
+    /// Values not yet taken. A run of one never touches it.
+    live: AtomicU32,
+    /// Values the run was built with, from which its layout follows.
+    len: u32,
+}
+
+/// Values per run for `T`: 16, or fewer when 16 of them exceed a page.
+fn run_cap<T>() -> usize {
+    match std::mem::size_of::<T>() {
+        0 => RUN,
+        size => (RUN_PAGE / size).clamp(1, RUN),
+    }
+}
+
+/// The allocation of a run of `len` values, and the offset of its first.
+/// Aligned to 16 — `malloc`'s own alignment, so `System` never takes the
+/// `memalign` path for it — or to `T`'s alignment if that is larger.
+fn run_layout<T>(len: usize) -> (Layout, usize) {
+    let fit = "a run of at most one page fits";
+    let values = Layout::array::<T>(len).expect(fit);
+    let (layout, offset) = Layout::new::<RunHdr>().extend(values).expect(fit);
+    (layout.align_to(RUN).expect(fit).pad_to_align(), offset)
+}
+
+/// Move the next `len` values of `values` (`1..=run_cap::<T>()` of them)
+/// into one new run and return the first one's token; value `i` of the run
+/// is that token plus `i`.
+fn box_run<T>(values: &mut impl Iterator<Item = T>, len: usize) -> u64 {
+    debug_assert!((1..=run_cap::<T>()).contains(&len));
+    let (layout, offset) = run_layout::<T>(len);
+    // SAFETY: the layout is non-empty (the header alone is 8 bytes).
+    let run = unsafe { alloc::alloc(layout) };
+    if run.is_null() {
+        alloc::handle_alloc_error(layout);
+    }
+    // SAFETY: `run` is a fresh allocation of `layout`: the header at 0 and
+    // `len` aligned `T` slots from `offset`.
+    unsafe {
+        run.cast::<RunHdr>().write(RunHdr {
+            live: AtomicU32::new(len as u32),
+            len: len as u32,
+        });
+        let slots = run.add(offset).cast::<T>();
+        for i in 0..len {
+            slots
+                .add(i)
+                .write(values.next().expect("the caller counted the values"));
+        }
+    }
+    run as u64
+}
+
+/// Box `items` in order, in runs of up to `run_cap::<T>()`: one token each.
+pub(crate) fn box_all<T>(items: Vec<T>) -> Vec<u64> {
+    let mut tokens = Vec::with_capacity(items.len());
+    let mut values = items.into_iter();
+    while values.len() > 0 {
+        let len = values.len().min(run_cap::<T>());
+        let first = box_run(&mut values, len);
+        tokens.extend(first..first + len as u64);
+    }
+    tokens
+}
+
+/// Move the value of `token` out of its run; the last value taken frees the
+/// run.
+///
+/// # Safety
+/// `token` was made by [`box_run`] for this `T` (directly or through
+/// [`box_all`]), and no token is taken twice.
+pub(crate) unsafe fn take<T>(token: u64) -> T {
+    let run = (token & !(RUN as u64 - 1)) as usize as *mut u8;
+    // SAFETY (this block and below): the run is live until its last value
+    // is taken, and this value is not taken yet.
+    let hdr = unsafe { &*run.cast::<RunHdr>() };
+    let len = hdr.len as usize;
+    let (layout, offset) = run_layout::<T>(len);
+    let index = (token % RUN as u64) as usize;
+    let value = unsafe { run.add(offset).cast::<T>().add(index).read() };
+    // Each taker's read is done before its `Release` half; the last one's
+    // `Acquire` half orders every read before the free.
+    if len == 1 || hdr.live.fetch_sub(1, Ordering::AcqRel) == 1 {
+        unsafe { alloc::dealloc(run, layout) };
+    }
+    value
+}
+
 /// A bounded queue of owned `T` values over a pointer-capable token queue.
 pub struct BoxedQueue<T, Q: PointerCapable> {
     inner: Q,
@@ -67,8 +177,8 @@ impl<T: Send, Q: PointerCapable> BoxedQueue<T, Q> {
     /// Wrap an (empty) token queue.
     ///
     /// # Panics
-    /// If the inner queue is not empty — tokens already inside would not be
-    /// valid `Box<T>` pointers.
+    /// If the inner queue is not empty — tokens already inside would not
+    /// name boxed values.
     pub fn new(inner: Q) -> Self {
         assert!(inner.is_empty(), "inner queue must start empty");
         BoxedQueue {
@@ -100,67 +210,43 @@ impl<T: Send, Q: PointerCapable> BoxedQueue<T, Q> {
 
     /// Enqueue an owned value; returns it back when the queue is full.
     pub fn enqueue(&self, h: &mut BoxedHandle<Q>, value: T) -> Result<(), T> {
-        let ptr = Box::into_raw(Box::new(value));
-        let token = ptr as u64;
+        let token = box_run(&mut std::iter::once(value), 1);
         debug_assert!(token != 0 && token <= self.inner.max_token());
         match self.inner.enqueue(&mut h.inner, token) {
             Ok(()) => Ok(()),
-            Err(_) => {
-                // SAFETY: the token was rejected, so we still own the box.
-                Err(*unsafe { Box::from_raw(ptr) })
-            }
+            // SAFETY: the token was rejected, so it is still ours to take.
+            Err(_) => Err(unsafe { take(token) }),
         }
     }
 
     /// Dequeue the oldest value.
     pub fn dequeue(&self, h: &mut BoxedHandle<Q>) -> Option<T> {
         let token = self.inner.dequeue(&mut h.inner)?;
-        // SAFETY: every token in the queue came from Box::into_raw above and
-        // is dequeued exactly once (the inner queue conserves tokens).
-        Some(*unsafe { Box::from_raw(token as *mut T) })
+        // SAFETY: every token in the queue was boxed here, and the inner
+        // queue surrenders each exactly once (it conserves tokens).
+        Some(unsafe { take(token) })
     }
 
-    /// Batch enqueue passthrough: boxes every item, hands the token run to
-    /// the inner queue's (possibly native) `enqueue_many`, and returns the
-    /// rejected suffix unboxed. An empty return vector means everything
-    /// was accepted.
+    /// Batch enqueue passthrough: boxes the items in runs, hands the token
+    /// run to the inner queue's (possibly native) `enqueue_many`, and
+    /// returns the rejected suffix unboxed. An empty return vector means
+    /// everything was accepted.
     pub fn enqueue_many(&self, h: &mut BoxedHandle<Q>, items: Vec<T>) -> Vec<T> {
-        let tokens: Vec<u64> = items
-            .into_iter()
-            .map(|item| Box::into_raw(Box::new(item)) as u64)
-            .collect();
+        let tokens = box_all(items);
         let n = self.inner.enqueue_many(&mut h.inner, &tokens);
         tokens[n..]
             .iter()
-            // SAFETY: tokens beyond the accepted prefix were rejected, so
-            // we still own their boxes.
-            .map(|&t| *unsafe { Box::from_raw(t as *mut T) })
+            // SAFETY: tokens beyond the accepted prefix were rejected.
+            .map(|&t| unsafe { take(t) })
             .collect()
-    }
-
-    /// Box a value into its token form. Internal: pairs with
-    /// [`enqueue_tokens`](Self::enqueue_tokens) so the blocking façade can
-    /// retry a parked batch without re-boxing it on every wake.
-    pub(crate) fn box_token(value: T) -> u64 {
-        Box::into_raw(Box::new(value)) as u64
     }
 
     /// Enqueue already-boxed tokens (prefix accepted); returns the count.
     /// The caller retains ownership of — and responsibility for — the
-    /// rejected suffix.
+    /// rejected suffix. Pairs with [`box_all`] so the blocking façade can
+    /// retry a parked batch without re-boxing it on every wake.
     pub(crate) fn enqueue_tokens(&self, h: &mut BoxedHandle<Q>, tokens: &[u64]) -> usize {
         self.inner.enqueue_many(&mut h.inner, tokens)
-    }
-
-    /// Reclaim a value from a token produced by [`box_token`](Self::box_token)
-    /// that was **not** accepted by the queue. Pairs with `box_token` so
-    /// the blocking façade's `send_all` can hand the unsent suffix back on
-    /// close.
-    pub(crate) fn unbox_token(token: u64) -> T {
-        // SAFETY: only called on tokens from `box_token` that the inner
-        // queue rejected or that were never offered, so ownership of the
-        // box never left the caller.
-        *unsafe { Box::from_raw(token as *mut T) }
     }
 
     /// Batch dequeue passthrough: drains up to `max` values through the
@@ -170,13 +256,8 @@ impl<T: Send, Q: PointerCapable> BoxedQueue<T, Q> {
         // then allocates nothing, which matters in parked retry loops.
         let mut tokens = Vec::new();
         let n = self.inner.dequeue_many(&mut h.inner, max, &mut tokens);
-        out.extend(
-            tokens
-                .into_iter()
-                // SAFETY: as in `dequeue` — each token is surrendered by
-                // the inner queue exactly once.
-                .map(|t| *unsafe { Box::from_raw(t as *mut T) }),
-        );
+        // SAFETY: as in `dequeue`.
+        out.extend(tokens.into_iter().map(|t| unsafe { take(t) }));
         n
     }
 
@@ -203,7 +284,7 @@ impl<T, Q: PointerCapable + MemoryFootprint> MemoryFootprint for BoxedQueue<T, Q
         // the slots themselves carry the pointers.
         b.element_bytes += self.inner.len() * std::mem::size_of::<T>();
         b.overhead.push(bq_memtrack::FootprintEntry::new(
-            "per-element Box allocation headers (allocator-dependent)",
+            "run headers (8 bytes per run of <= 16 values) and the allocator's (allocator-dependent)",
             0,
             OverheadClass::Other,
         ));
@@ -213,11 +294,11 @@ impl<T, Q: PointerCapable + MemoryFootprint> MemoryFootprint for BoxedQueue<T, Q
 
 impl<T, Q: PointerCapable> Drop for BoxedQueue<T, Q> {
     fn drop(&mut self) {
-        // Drain remaining boxes so elements are not leaked.
+        // Drain remaining values so elements are not leaked.
         let mut h = self.inner.drop_handle();
         while let Some(token) = self.inner.dequeue(&mut h) {
             // SAFETY: as in `dequeue`.
-            drop(unsafe { Box::from_raw(token as *mut T) });
+            drop(unsafe { take::<T>(token) });
         }
     }
 }
@@ -256,6 +337,16 @@ mod tests {
         fn drop(&mut self) {
             self.0.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
         }
+    }
+
+    fn counters(n: usize) -> (Arc<std::sync::atomic::AtomicUsize>, Vec<Counter>) {
+        let drops = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let items = (0..n).map(|_| Counter(Arc::clone(&drops))).collect();
+        (drops, items)
+    }
+
+    fn dropped(d: &std::sync::atomic::AtomicUsize) -> usize {
+        d.load(std::sync::atomic::Ordering::SeqCst)
     }
 
     #[test]
@@ -311,6 +402,135 @@ mod tests {
         assert_eq!(q.dequeue_many(&mut h, 10, &mut out), 3);
         assert_eq!(out, vec!["a", "b", "c"]);
         assert_eq!(q.dequeue_many(&mut h, 1, &mut out), 0);
+    }
+
+    /// The run of five is split by the queue: three values queued, two
+    /// handed back. Each part is dropped exactly once, and the run outlives
+    /// the returned two until the queued three are taken.
+    #[test]
+    fn rejected_suffix_that_splits_a_run_drops_exactly_once() {
+        let (drops, items) = counters(5);
+        let q: BoxedQueue<Counter, OptimalQueue> =
+            BoxedQueue::new(OptimalQueue::with_capacity_and_threads(3, 1));
+        let mut h = q.register();
+        let back = q.enqueue_many(&mut h, items);
+        assert_eq!((back.len(), q.len()), (2, 3));
+        drop(back);
+        assert_eq!(dropped(&drops), 2);
+        let mut out = Vec::new();
+        assert_eq!(q.dequeue_many(&mut h, 8, &mut out), 3);
+        assert_eq!(dropped(&drops), 2, "taken, not dropped");
+        drop(out);
+        assert_eq!(dropped(&drops), 5);
+    }
+
+    /// Three runs of 16, the queue dropped with the first run half taken,
+    /// the second whole and the third one value short of taken.
+    #[test]
+    fn queue_dropped_holding_half_taken_runs_drops_every_value_once() {
+        let (drops, items) = counters(48);
+        {
+            let q: BoxedQueue<Counter, OptimalQueue> =
+                BoxedQueue::new(OptimalQueue::with_capacity_and_threads(64, 1));
+            let mut h = q.register();
+            assert!(q.enqueue_many(&mut h, items).is_empty());
+            let mut out = Vec::new();
+            q.dequeue_many(&mut h, 8, &mut out);
+            drop(out);
+            assert_eq!(dropped(&drops), 8);
+        }
+        assert_eq!(dropped(&drops), 48);
+    }
+
+    /// Two consumers split one run of 16 between them: every value arrives
+    /// once, and whichever consumer takes the last frees the run (a double
+    /// free or a use after free aborts the test binary).
+    #[test]
+    fn two_consumers_splitting_one_run_free_it_once() {
+        for _ in 0..200 {
+            let (drops, items) = counters(16);
+            let q: BoxedQueue<Counter, OptimalQueue> =
+                BoxedQueue::new(OptimalQueue::with_capacity_and_threads(16, 3));
+            assert!(q.enqueue_many(&mut q.register(), items).is_empty());
+            let got: usize = std::thread::scope(|s| {
+                let consumers: Vec<_> = (0..2)
+                    .map(|_| {
+                        s.spawn(|| {
+                            let mut h = q.register();
+                            let mut n = 0;
+                            while let Some(v) = q.dequeue(&mut h) {
+                                drop(v);
+                                n += 1;
+                            }
+                            n
+                        })
+                    })
+                    .collect();
+                consumers.into_iter().map(|c| c.join().unwrap()).sum()
+            });
+            assert_eq!((got, dropped(&drops)), (16, 16));
+        }
+    }
+
+    /// Values that occupy no bytes still get a run each (a header to count
+    /// them down), and come back in the numbers they went in.
+    #[test]
+    fn zero_sized_payloads_round_trip() {
+        let q: BoxedQueue<(), OptimalQueue> =
+            BoxedQueue::new(OptimalQueue::with_capacity_and_threads(40, 1));
+        let mut h = q.register();
+        q.enqueue(&mut h, ()).unwrap();
+        assert!(q.enqueue_many(&mut h, vec![(); 33]).is_empty());
+        assert_eq!(q.enqueue_many(&mut h, vec![(); 10]).len(), 4);
+        let mut out = Vec::new();
+        assert_eq!(q.dequeue_many(&mut h, 64, &mut out), 40);
+        assert_eq!(q.dequeue(&mut h), None);
+        assert_eq!(run_cap::<()>(), 16);
+    }
+
+    /// A payload aligned beyond the 16 bytes a run's header assumes: the
+    /// values start on their own alignment, and every one reads back.
+    #[test]
+    fn over_aligned_payloads_round_trip() {
+        #[repr(align(64))]
+        #[derive(Debug, PartialEq)]
+        struct Line(u64);
+        let (layout, offset) = run_layout::<Line>(16);
+        assert_eq!(
+            (layout.align(), offset, layout.size()),
+            (64, 64, 64 + 16 * 64)
+        );
+        let q: BoxedQueue<Line, OptimalQueue> =
+            BoxedQueue::new(OptimalQueue::with_capacity_and_threads(40, 1));
+        let mut h = q.register();
+        q.enqueue(&mut h, Line(0)).unwrap();
+        assert!(q
+            .enqueue_many(&mut h, (1..34).map(Line).collect())
+            .is_empty());
+        let mut out = Vec::new();
+        q.dequeue_many(&mut h, 64, &mut out);
+        assert_eq!(out, (0..34).map(Line).collect::<Vec<_>>());
+    }
+
+    /// 33 values make three runs — 16, 16 and 1 — in order; a page-sized
+    /// payload keeps one allocation per value.
+    #[test]
+    fn a_33_value_batch_makes_three_runs() {
+        let tokens = box_all((0..33u64).collect());
+        let runs: Vec<u64> = tokens.iter().map(|t| t & !15).collect();
+        assert!(runs[..16].iter().all(|&r| r == runs[0]));
+        assert!(runs[16..32].iter().all(|&r| r == runs[16]));
+        assert!(runs[0] != runs[16] && runs[16] != runs[32] && runs[0] != runs[32]);
+        let indices: Vec<u64> = tokens.iter().map(|t| t & 15).collect();
+        assert_eq!(indices[..16], (0..16).collect::<Vec<_>>()[..]);
+        assert_eq!(indices[32], 0);
+        for (i, t) in tokens.into_iter().enumerate() {
+            // SAFETY: each token of the batch, taken once.
+            assert_eq!(unsafe { take::<u64>(t) }, i as u64);
+        }
+        assert_eq!(run_cap::<[u8; 300]>(), 13);
+        assert_eq!(run_cap::<[u8; 4096]>(), 1);
+        assert_eq!(run_cap::<[u8; 8192]>(), 1);
     }
 
     #[test]

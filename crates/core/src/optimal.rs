@@ -43,6 +43,9 @@
 //! so a delayed thread can never deposit a stale value: its descriptor's
 //! counter check fails instead. Dequeues read through the announcement
 //! array (`read_elem`) so they see elements that are still "in flight".
+//! `dequeue_many` does the same for a run of positions with one scan and
+//! one `dequeues` CAS; `enqueue_many` stays one-by-one, because every
+//! position needs a descriptor verdict of its own (DESIGN.md §8.1).
 //!
 //! ## Deviation from the paper's pseudo-code (documented in DESIGN.md §7)
 //!
@@ -409,21 +412,25 @@ impl OptimalQueue {
         }
     }
 
+    /// How many announcement slots a scan reads: those of the threads
+    /// registered *now*. A slot is only ever filled by its owner or, once
+    /// covered, by a replacer (DESIGN.md §7.2), so nothing is parked at or
+    /// above the count — which is read fresh in every scan, never cached.
+    /// Clamped to `1..=T`: the `exclusive()` handle announces in slot 0 on
+    /// a queue nobody registered on, and a refused `register` leaves the
+    /// counter above `T`.
+    fn scan_bound(&self) -> usize {
+        self.next_tid
+            .load(Ordering::SeqCst)
+            .clamp(1, self.board.threads())
+    }
+
     /// The paper's `findOp` (lines 110–115): a successful operation
-    /// covering the cell of position `pos`, with its slot. Scans the slots
-    /// of the threads registered *now*: a slot is only ever filled by its
-    /// owner or, once covered, by a replacer (DESIGN.md §7.2), so nothing
-    /// is parked at or above the count — which is read fresh in every scan,
-    /// never cached. Clamped to `1..=T`: the `exclusive()` handle announces
-    /// in slot 0 on a queue nobody registered on, and a refused `register`
-    /// leaves the counter above `T`.
+    /// covering the cell of position `pos`, with its slot, from the slots
+    /// below [`scan_bound`](Self::scan_bound).
     fn find_op(&self, pos: u64) -> Option<(OpView, usize)> {
         let c = self.a.len() as u64;
-        let registered = self
-            .next_tid
-            .load(Ordering::SeqCst)
-            .clamp(1, self.board.threads());
-        for slot in 0..registered {
+        for slot in 0..self.scan_bound() {
             if let Some(view) = self.read_op(slot) {
                 if same_cell(view.e, pos, c) {
                     return Some((view, slot));
@@ -643,6 +650,28 @@ impl OptimalQueue {
         }
         self.cell(d).load(Ordering::SeqCst)
     }
+
+    /// `read_elem` for the `k` positions `d..d + k` at once, appended to
+    /// `out`: one board scan, in which a successful descriptor whose `e`
+    /// falls in the run supplies its `x`, then a load of the cell of every
+    /// position the scan did not cover — in that order (DESIGN.md §8.1).
+    fn read_run(&self, d: u64, k: usize, out: &mut Vec<u64>) {
+        let base = out.len();
+        out.resize(base + k, NULL);
+        let run = &mut out[base..];
+        for slot in 0..self.scan_bound() {
+            if let Some(view) = self.read_op(slot) {
+                if let Some(x) = run.get_mut(view.e.wrapping_sub(d) as usize) {
+                    *x = view.x;
+                }
+            }
+        }
+        for (pos, x) in (d..).zip(run) {
+            if *x == NULL {
+                *x = self.cell(pos).load(Ordering::SeqCst);
+            }
+        }
+    }
 }
 
 impl ConcurrentQueue for OptimalQueue {
@@ -735,6 +764,57 @@ impl ConcurrentQueue for OptimalQueue {
             }
             h.obs.deq_retry();
         }
+    }
+
+    /// Dequeues in runs (DESIGN.md §8.1): read `d`, then `e`, and take the
+    /// `k = min(max − n, e − d)` positions from `d` — one board scan, then
+    /// the cells it did not cover (`read_run`), a re-read of
+    /// `dequeues`, one `CAS(d → d + k)`. Every element linearizes at that
+    /// CAS. A run that stops short of `max` is followed by another
+    /// snapshot, so the call returns short only after one that reads the
+    /// queue empty, as the one-by-one default does. `obs` counts elements,
+    /// not runs: `k` attempts and successes, and the empty snapshot one
+    /// attempt and one empty.
+    fn dequeue_many(&self, h: &mut OptimalHandle, max: usize, out: &mut Vec<u64>) -> usize {
+        let mut n = 0;
+        while n < max {
+            let d = self.dequeues.load(Ordering::SeqCst);
+            let e = self.enqueues.load(Ordering::SeqCst);
+            let k = (e - d).min((max - n) as u64) as usize;
+            let base = out.len();
+            if k > 0 {
+                self.read_run(d, k, out);
+            }
+            if d != self.dequeues.load(Ordering::SeqCst) {
+                out.truncate(base);
+                h.obs.deq_retry();
+                continue;
+            }
+            if k == 0 {
+                h.obs.deq_attempt();
+                h.obs.deq_empty();
+                break;
+            }
+            debug_assert!(
+                !out[base..].contains(&NULL),
+                "non-empty positions must hold elements"
+            );
+            if self
+                .dequeues
+                .compare_exchange(d, d + k as u64, Ordering::SeqCst, Ordering::SeqCst)
+                .is_err()
+            {
+                out.truncate(base);
+                h.obs.deq_retry();
+                continue;
+            }
+            for _ in 0..k {
+                h.obs.deq_attempt();
+                h.obs.deq_success();
+            }
+            n += k;
+        }
+        n
     }
 
     fn capacity(&self) -> usize {
@@ -1099,14 +1179,16 @@ mod tests {
     }
 
     /// `producers` + `consumers` threads on `q`, each thread registering
-    /// when `start(thread index)` returns; distinct values. Checks exact
-    /// conservation and, per consumer, FIFO order of every producer's
-    /// values.
+    /// when `start(thread index)` returns; distinct values. With `batch >
+    /// 1` every other consumer (the first included) takes runs of up to
+    /// `batch` through `dequeue_many`. Checks exact conservation and, per
+    /// consumer, FIFO order of every producer's values.
     fn mpmc_conserves(
         q: &OptimalQueue,
         producers: u64,
         consumers: u64,
         per: u64,
+        batch: usize,
         start: impl Fn(u64, &std::sync::atomic::AtomicU64) + Sync,
     ) {
         use std::sync::atomic::AtomicU64;
@@ -1132,14 +1214,20 @@ mod tests {
                         start(producers + c, taken);
                         let mut h = q.register();
                         let mut mine = Vec::new();
+                        let max = if c % 2 == 0 { batch } else { 1 };
                         while taken.load(Ordering::SeqCst) < total {
-                            match q.dequeue(&mut h) {
-                                Some(v) => {
-                                    taken.fetch_add(1, Ordering::SeqCst);
+                            let n = if max == 1 {
+                                q.dequeue(&mut h).map_or(0, |v| {
                                     mine.push(v);
-                                }
-                                None => std::thread::yield_now(),
+                                    1
+                                })
+                            } else {
+                                q.dequeue_many(&mut h, max, &mut mine)
+                            };
+                            if n == 0 {
+                                std::thread::yield_now();
                             }
+                            taken.fetch_add(n as u64, Ordering::SeqCst);
                         }
                         mine
                     })
@@ -1172,7 +1260,7 @@ mod tests {
     fn full_board_registered_four_threads_working() {
         let q = OptimalQueue::with_capacity_and_threads(4, 8);
         let _idle: Vec<_> = (0..4).map(|_| q.register()).collect();
-        mpmc_conserves(&q, 2, 2, 3_000, |_, _| {});
+        mpmc_conserves(&q, 2, 2, 3_000, 1, |_, _| {});
         assert_eq!(q.next_tid.load(Ordering::SeqCst), 8);
     }
 
@@ -1188,13 +1276,45 @@ mod tests {
         // Thread `t` (producers 0..4, consumers 4..8) is the
         // `order[t]`-th to register; the first two (a producer and a
         // consumer) start at once.
-        mpmc_conserves(&q, 4, 4, per, |t, taken| {
+        mpmc_conserves(&q, 4, 4, per, 1, |t, taken| {
             let after = order[t as usize].saturating_sub(1) * per / 4;
             while taken.load(Ordering::SeqCst) < after {
                 std::thread::yield_now();
             }
         });
         assert_eq!(q.next_tid.load(Ordering::SeqCst), 8);
+    }
+
+    /// Runs of `dequeue_many` racing single dequeues and two producers on
+    /// a three-cell ring: every run is claimed whole or retried whole.
+    #[test]
+    fn batch_consumers_race_single_ones() {
+        let q = OptimalQueue::with_capacity_and_threads(3, 4);
+        mpmc_conserves(&q, 2, 2, 3_000, 3, |_, _| {});
+    }
+
+    /// A run whose first element is still in flight: thread 0's descriptor
+    /// for position 0 was decided and the counter helped past it, but the
+    /// cell was never written. The run takes 11 from the board and 22 from
+    /// its cell, and the stalled thread's late write-back changes nothing.
+    #[test]
+    fn dequeue_many_takes_in_flight_elements_from_the_board() {
+        let q = OptimalQueue::with_capacity_and_threads(4, 2);
+        let _h0 = q.register();
+        let mut h1 = q.register();
+        let v = q.claim_desc(0, 0, 11);
+        assert!(q.put_op(0, v));
+        q.help_enqueues(0);
+        q.enqueue(&mut h1, 22).unwrap();
+        assert_eq!(q.a[0].load(Ordering::SeqCst), NULL, "cell 0 never written");
+        let mut out = vec![7];
+        assert_eq!(q.dequeue_many(&mut h1, 8, &mut out), 2);
+        assert_eq!(out, [7, 11, 22], "appended after what `out` held");
+        q.complete_op(0);
+        assert_eq!(q.dequeue_many(&mut h1, 8, &mut out), 0);
+        assert_eq!(claimed(&q), [0usize; 0]);
+        q.enqueue(&mut h1, 33).unwrap();
+        assert_eq!(q.dequeue(&mut h1), Some(33));
     }
 
     /// An empty queue whose every descriptor's incarnation starts at `seq`
@@ -1242,7 +1362,7 @@ mod tests {
     #[test]
     fn descriptor_seq_wrap_conserves_under_contention() {
         let q = with_descriptor_seq(2, 4, (1 << SEQ_BITS) - 6);
-        mpmc_conserves(&q, 2, 2, 3_000, |_, _| {});
+        mpmc_conserves(&q, 2, 2, 3_000, 1, |_, _| {});
         for d in q.board.descs() {
             assert!(d.word.load(Ordering::SeqCst) >> 2 <= SEQ_MASK);
         }
@@ -1354,6 +1474,35 @@ mod tests {
                     proptest::prop_assert_eq!(q.dequeue(&mut h), model.pop_front());
                 }
                 proptest::prop_assert_eq!(q.len(), model.len());
+            }
+        }
+
+        /// `dequeue_many` against the same spec: a script of enqueues (0)
+        /// and runs of up to 1–4 (the op's value), on rings of 1–4 cells.
+        #[test]
+        fn dequeue_many_matches_the_sequential_spec(
+            c in 1usize..5,
+            script in proptest::collection::vec(0usize..5, 1..120),
+        ) {
+            let q = OptimalQueue::with_capacity_and_threads(c, 1);
+            let mut h = q.register();
+            let mut model = std::collections::VecDeque::new();
+            let mut next = 1u64;
+            for op in script {
+                if op == 0 {
+                    let accepted = q.enqueue(&mut h, next).is_ok();
+                    proptest::prop_assert_eq!(accepted, model.len() < c);
+                    if accepted {
+                        model.push_back(next);
+                    }
+                    next += 1;
+                } else {
+                    let mut out = Vec::new();
+                    let n = q.dequeue_many(&mut h, op, &mut out);
+                    let want: Vec<u64> = (0..op).map_while(|_| model.pop_front()).collect();
+                    proptest::prop_assert_eq!(n, want.len());
+                    proptest::prop_assert_eq!(out, want);
+                }
             }
         }
     }

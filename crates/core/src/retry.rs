@@ -1,14 +1,11 @@
-//! Bounded-backoff retry: the fault-containment replacement for bare
+//! Backoff for retry loops: the fault-containment replacement for bare
 //! spin loops.
 //!
-//! The steal/claim paths (shard rotation here, endpoint claims and
-//! dead-owner takeovers in `bq-shm`) all have the same shape: an
-//! optimistic attempt that can lose a race and should be retried — but a
-//! *bare* `loop { try }` turns a wedged counterpart into a 100%-CPU hang.
-//! [`Backoff`] provides the standard spin → yield escalation (the
-//! `crossbeam-utils` idiom) and [`with_backoff`] bounds the number of
-//! attempts, so every retry loop in the tree has an explicit failure
-//! outcome instead of an implicit infinite one.
+//! The claim paths in `bq-shm` (endpoint claims, dead-owner takeovers) have
+//! the same shape: an optimistic attempt that can lose a race and should be
+//! retried — but a *bare* `loop { try }` that never yields turns a wedged
+//! counterpart into a 100%-CPU hang. [`Backoff`] provides the standard
+//! spin → yield escalation (the `crossbeam-utils` idiom).
 
 use std::hint;
 use std::thread;
@@ -59,61 +56,9 @@ impl Backoff {
     }
 }
 
-/// Retry `attempt` with escalating backoff for at most `max_attempts`
-/// tries; `None` means the bound was exhausted with every attempt
-/// refused. The first attempt runs immediately (no backoff before it),
-/// so `with_backoff(1, f)` is exactly one bare try.
-pub fn with_backoff<R>(max_attempts: usize, mut attempt: impl FnMut() -> Option<R>) -> Option<R> {
-    let mut backoff = Backoff::new();
-    for i in 0..max_attempts {
-        if i > 0 {
-            backoff.snooze();
-        }
-        if let Some(r) = attempt() {
-            return Some(r);
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn first_attempt_runs_without_backoff() {
-        let mut calls = 0;
-        assert_eq!(
-            with_backoff(1, || {
-                calls += 1;
-                Some(7)
-            }),
-            Some(7)
-        );
-        assert_eq!(calls, 1);
-    }
-
-    #[test]
-    fn bounded_attempts_then_gives_up() {
-        let mut calls = 0;
-        let r: Option<()> = with_backoff(5, || {
-            calls += 1;
-            None
-        });
-        assert_eq!(r, None, "exhausted bound is an explicit failure");
-        assert_eq!(calls, 5);
-    }
-
-    #[test]
-    fn succeeds_midway_and_stops_retrying() {
-        let mut calls = 0;
-        let r = with_backoff(100, || {
-            calls += 1;
-            (calls == 3).then_some(calls)
-        });
-        assert_eq!(r, Some(3));
-        assert_eq!(calls, 3);
-    }
 
     #[test]
     fn backoff_escalates_to_yielding() {

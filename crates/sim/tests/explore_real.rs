@@ -275,6 +275,203 @@ fn optimal_late_registration_races_the_bounded_scan() {
 /// [`OBS_INVARIANCE_PINNED_EXECUTIONS`].
 const LATE_REGISTRATION_PINNED_EXECUTIONS: u64 = 11_304;
 
+/// Listing 5's run dequeue (DESIGN.md §8.1) against a single-element rival:
+/// an `OptimalQueue` with `C = 2`, two producers (11, 22), a consumer
+/// taking `dequeue_many(…, 2)` — each element recorded as its own
+/// `Op::Dequeue` spanning the call, a missing one as empty — and a consumer
+/// making one `dequeue`. `T` = 5: the four explored handles and the
+/// oracle's drain.
+fn optimal_run_vs_rival() -> RunSpec {
+    let q = Arc::new(OptimalQueue::with_capacity_and_threads(2, 5));
+    let mut handles: Vec<_> = (0..4).map(|_| q.register()).collect();
+    let (mut hr, mut hb) = (handles.pop().unwrap(), handles.pop().unwrap());
+    let producer = |h: bq_core::OptimalHandle, v: u64| {
+        let q = Arc::clone(&q);
+        let mut h = h;
+        move |ctx: &mut bq_sim::explore::Ctx| {
+            let id = ctx.invoke(Op::Enqueue(v));
+            match q.enqueue(&mut h, v) {
+                Ok(()) => ctx.ret(id, Ret::EnqOk),
+                Err(_) => ctx.ret(id, Ret::EnqFull),
+            }
+        }
+    };
+    let run = {
+        let q = Arc::clone(&q);
+        move |ctx: &mut bq_sim::explore::Ctx| {
+            let ids = [ctx.invoke(Op::Dequeue), ctx.invoke(Op::Dequeue)];
+            let mut out = Vec::new();
+            q.dequeue_many(&mut hb, 2, &mut out);
+            for (k, id) in ids.into_iter().enumerate() {
+                match out.get(k) {
+                    Some(&v) => ctx.ret(id, Ret::DeqVal(v)),
+                    None => ctx.ret(id, Ret::DeqEmpty),
+                }
+            }
+        }
+    };
+    let rival = {
+        let q = Arc::clone(&q);
+        move |ctx: &mut bq_sim::explore::Ctx| {
+            let id = ctx.invoke(Op::Dequeue);
+            match q.dequeue(&mut hr) {
+                Some(v) => ctx.ret(id, Ret::DeqVal(v)),
+                None => ctx.ret(id, Ret::DeqEmpty),
+            }
+        }
+    };
+    let (h1, h0) = (handles.pop().unwrap(), handles.pop().unwrap());
+    let qc = Arc::clone(&q);
+    RunSpec {
+        bodies: vec![
+            Box::new(producer(h0, 11)),
+            Box::new(producer(h1, 22)),
+            Box::new(run),
+            Box::new(rival),
+        ],
+        check: Box::new(move |h| {
+            let mut dh = qc.register();
+            let mut drained = Vec::new();
+            while let Some(v) = qc.dequeue(&mut dh) {
+                drained.push(v);
+            }
+            conservation(h, &drained)?;
+            if check_history(h, 2).is_linearizable() {
+                Ok(())
+            } else {
+                Err("history is not linearizable against the FIFO spec".into())
+            }
+        }),
+    }
+}
+
+/// The run dequeue racing everything a single-element rival and two
+/// producers can do to it, every interleaving to preemption bound 3 (2
+/// under `MEMBQ_SMOKE`, where four threads at bound 3 would be most of
+/// the lane's time): conservation and FIFO linearizability, the count
+/// pinned at both bounds, in both explorer lanes. No other scenario calls
+/// a batch operation, so adding this one moved no other pin.
+///
+/// Teeth (planted in a copy of the tree, not kept): with the cells loaded *before*
+/// the board scan instead of after it, this scenario rejects the queue on
+/// its 34 901st execution (7 717th at bound 2) — "conservation broken:
+/// sent [11, 22], got [0, 22]": producer 0's descriptor for position 0 is
+/// decided and the counter helped past it, the run reads cell 0 still
+/// empty, producer 0 writes the cell back and clears its slot, and the
+/// scan then finds nothing to cover position 0 — replayable as
+///
+/// ```text
+/// sched:v1:0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,3,3,3,3,3,3,3,3,3,3,3,3,2,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,2,2,2,2,2,2,2,0,0,0,0,0,0,0,0,0,0,0,0,2,2,2,2,2,2,2
+/// ```
+#[test]
+fn optimal_run_dequeue_races_a_single_rival() {
+    let report = explore(&cfg(3), optimal_run_vs_rival);
+    assert_passed(&report, "OptimalQueue run dequeue");
+    assert!(!report.hit_execution_cap, "truncated: {report:?}");
+    eprintln!(
+        "OptimalQueue run dequeue: {} executions, {} pruned",
+        report.executions, report.pruned
+    );
+    let (full, smoke_pin) = RUN_DEQUEUE_PINNED_EXECUTIONS;
+    assert_eq!(
+        report.executions,
+        if smoke() { smoke_pin } else { full },
+        "execution count drifted: `dequeue_many` no longer issues the \
+         access sequence it had when the pin was recorded"
+    );
+}
+
+/// The pins for [`optimal_run_dequeue_races_a_single_rival`], (bound 3,
+/// bound 2), asserted identically in the obs-on and obs-off explorer lanes.
+const RUN_DEQUEUE_PINNED_EXECUTIONS: (u64, u64) = (409_900, 62_888);
+
+/// A run that comes up short (DESIGN.md §8.1): `C = 2`, one producer
+/// enqueueing 1, 2 and 3 — the third refused once the first two are in —
+/// against one `dequeue_many(…, 2)`, each element recorded as its own
+/// spanning `Op::Dequeue` and a missing one as empty.
+fn optimal_short_run() -> RunSpec {
+    let q = Arc::new(OptimalQueue::with_capacity_and_threads(2, 3));
+    let (mut hp, mut hb) = (q.register(), q.register());
+    let producer = {
+        let q = Arc::clone(&q);
+        move |ctx: &mut bq_sim::explore::Ctx| {
+            for v in 1..=3 {
+                let id = ctx.invoke(Op::Enqueue(v));
+                match q.enqueue(&mut hp, v) {
+                    Ok(()) => ctx.ret(id, Ret::EnqOk),
+                    Err(_) => ctx.ret(id, Ret::EnqFull),
+                }
+            }
+        }
+    };
+    let run = {
+        let q = Arc::clone(&q);
+        move |ctx: &mut bq_sim::explore::Ctx| {
+            let ids = [ctx.invoke(Op::Dequeue), ctx.invoke(Op::Dequeue)];
+            let mut out = Vec::new();
+            q.dequeue_many(&mut hb, 2, &mut out);
+            for (k, id) in ids.into_iter().enumerate() {
+                match out.get(k) {
+                    Some(&v) => ctx.ret(id, Ret::DeqVal(v)),
+                    None => ctx.ret(id, Ret::DeqEmpty),
+                }
+            }
+        }
+    };
+    let qc = Arc::clone(&q);
+    RunSpec {
+        bodies: vec![Box::new(producer), Box::new(run)],
+        check: Box::new(move |h| {
+            let mut dh = qc.register();
+            let mut drained = Vec::new();
+            while let Some(v) = qc.dequeue(&mut dh) {
+                drained.push(v);
+            }
+            conservation(h, &drained)?;
+            if check_history(h, 2).is_linearizable() {
+                Ok(())
+            } else {
+                Err("history is not linearizable against the FIFO spec".into())
+            }
+        }),
+    }
+}
+
+/// A run returns short only after a snapshot that read the queue empty:
+/// every interleaving to preemption bound 3, the count pinned in both
+/// explorer lanes.
+///
+/// Teeth (planted in a copy of the tree, not kept): a run that returns as soon as
+/// its first snapshot came up short — `e − d < max` — is rejected on the
+/// 20th execution: it read `[1]`, the producer then enqueued 2 and was
+/// refused 3 as full, and the run's CAS took 1 — "1, then empty" has no
+/// linearization beside "refused while full". The run-vs-rival scenario
+/// above passes that mutant; this is the one that holds the second
+/// snapshot in place. Replayable as
+///
+/// ```text
+/// sched:v1:0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,1,1,1,1,1,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,1,1,1,1,1,1
+/// ```
+#[test]
+fn optimal_short_run_reads_empty_before_returning_short() {
+    let report = explore(&pinned_cfg(3), optimal_short_run);
+    assert_passed(&report, "OptimalQueue short run");
+    assert!(!report.hit_execution_cap, "truncated: {report:?}");
+    eprintln!(
+        "OptimalQueue short run: {} executions, {} pruned",
+        report.executions, report.pruned
+    );
+    assert_eq!(
+        report.executions, SHORT_RUN_PINNED_EXECUTIONS,
+        "execution count drifted: `dequeue_many` no longer issues the \
+         access sequence it had when the pin was recorded"
+    );
+}
+
+/// The pin for [`optimal_short_run_reads_empty_before_returning_short`],
+/// asserted identically in the obs-on and obs-off explorer lanes.
+const SHORT_RUN_PINNED_EXECUTIONS: u64 = 88;
+
 /// Replay determinism, byte for byte: any printed `Schedule` artifact
 /// re-runs to the identical history. This is what makes a red CI log
 /// actionable — the artifact alone reproduces the execution.

@@ -129,14 +129,19 @@ fn sharded_queue_counters_reconcile_under_stress() {
         }
     });
 
-    // The scale layer nests each sub-queue's block under `shardN.`; the
-    // conservation law holds shard-wise, so it holds on the sums.
+    assert_conserved(&summed_over_shards(&q), total, "ShardedQueue<OptimalQueue>");
+}
+
+/// The scale layer nests each sub-queue's block under `shardN.`; the
+/// conservation law holds shard-wise, so it holds on the sums. Empty with
+/// obs off, as the unsummed snapshot must be.
+fn summed_over_shards(q: &ShardedQueue<OptimalQueue>) -> MetricsSnapshot {
     let m = q.metrics();
+    let mut summed = MetricsSnapshot::new();
     if !cfg!(feature = "obs") {
         assert!(m.is_empty(), "obs off but sharded snapshot has entries");
-        return;
+        return summed;
     }
-    let mut summed = MetricsSnapshot::new();
     for key in [
         "enq_attempts",
         "enq_success",
@@ -154,7 +159,64 @@ fn sharded_queue_counters_reconcile_under_stress() {
             .sum();
         summed.push(key, sum);
     }
-    assert_conserved(&summed, total, "ShardedQueue<OptimalQueue>");
+    summed
+}
+
+/// The batch path: producers send runs of 1–5 through `enqueue_many`,
+/// consumers take runs of up to 8 through `dequeue_many`, which Listing 5
+/// answers natively with one `dequeues` CAS per run. Its counters count
+/// elements, not calls — a run of `k` is `k` attempts and `k` successes,
+/// the snapshot that reads a shard empty one attempt and one empty — so
+/// the same law holds.
+#[test]
+fn sharded_batch_path_counters_reconcile_under_stress() {
+    let per = 1_500u64;
+    let total = per * 2;
+    let q = Arc::new(ShardedQueue::<OptimalQueue>::optimal(8, 2, 4));
+    let consumed = Arc::new(AtomicU64::new(0));
+
+    std::thread::scope(|s| {
+        for _ in 0..2 {
+            let q = Arc::clone(&q);
+            s.spawn(move || {
+                let mut h = q.register();
+                let mut next = 1;
+                while next <= per {
+                    let run: Vec<u64> = (next..=per).take(1 + (next % 5) as usize).collect();
+                    let n = q.enqueue_many(&mut h, &run);
+                    if n == 0 {
+                        std::thread::yield_now();
+                    }
+                    next += n as u64;
+                }
+            });
+        }
+        for _ in 0..2 {
+            let q = Arc::clone(&q);
+            let consumed = Arc::clone(&consumed);
+            s.spawn(move || {
+                let mut h = q.register();
+                let mut out = Vec::new();
+                loop {
+                    let done = consumed.load(Ordering::Relaxed) >= total;
+                    match q.dequeue_many(&mut h, 8, &mut out) {
+                        0 if done => break,
+                        0 => std::thread::yield_now(),
+                        n => {
+                            consumed.fetch_add(n as u64, Ordering::Relaxed);
+                            out.clear();
+                        }
+                    }
+                }
+            });
+        }
+    });
+
+    assert_conserved(
+        &summed_over_shards(&q),
+        total,
+        "ShardedQueue<OptimalQueue> batch path",
+    );
 }
 
 /// The zero-cost half of the contract, checked at the type level: with
