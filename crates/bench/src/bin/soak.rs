@@ -76,12 +76,17 @@ fn run_round(round: u64, trace: &TraceRing) {
     }
     // Waiting façades (DESIGN.md §9): a tiny capacity makes the
     // workers park constantly, hammering the eventcount wake paths —
-    // a lost wake shows up here as a hang naming the façade.
+    // a lost wake shows up here as a hang naming the façade. The batch
+    // round splits runs between two consumers while producers reuse the
+    // runs they park (DESIGN.md §8.4).
     for kind in ALL_FACADES {
         print!("round {round}: {} pairs ... ", kind.name());
         std::io::stdout().flush().unwrap();
         let r = kind.pairs(2, 3, 300);
-        println!("ok ({} ops)", r.ops);
+        print!("ok ({} ops); batch split ... ", r.ops);
+        std::io::stdout().flush().unwrap();
+        let n = kind.batch_round(50);
+        println!("ok ({n} values)");
     }
     // Cross-process rounds (bq-shm): fork-based pairs, then a
     // producer SIGKILLed mid-stream. The write budget walks through

@@ -13,12 +13,16 @@
 //! under preemption — condvar unpark vs waker re-poll — not parallel
 //! speedup.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use bq_core::{AsyncQueue, BlockingQueue, OptimalQueue, RecvTimeoutError, TimeLimit};
+use bq_core::{AsyncQueue, BlockingQueue, OptimalQueue, RecvTimeoutError, ShardedQueue, TimeLimit};
 
 use crate::workload::WorkloadResult;
+
+/// Values per `send_all` in [`FacadeKind::batch_round`]: one full run of
+/// 16 and one short run.
+const ROUND_BATCH: usize = 20;
 
 /// Which waiting façade to drive (both wrap `OptimalQueue`, both park on
 /// the shared eventcount pair — the only difference is *what* parks:
@@ -57,6 +61,87 @@ impl FacadeKind {
             }
             FacadeKind::Async => async_pairs_throughput(c, threads, ops_per_thread),
         }
+    }
+
+    /// The batch path with runs split between consumers, close-driven:
+    /// over a `ShardedQueue<OptimalQueue>` of capacity 16, two producers
+    /// each `send_all` `batches` batches of 20 drop-counted values, then the
+    /// last one out closes the queue; two consumers `recv_many(…, 7)` until
+    /// it is closed and drained. Consumers take the last values of runs in
+    /// either order, so emptied runs are parked and reused while both sides
+    /// run (DESIGN.md §8.4). Panics unless every value is delivered once
+    /// and dropped once; returns how many were delivered.
+    pub fn batch_round(self, batches: usize) -> usize {
+        struct Counted<'a>(usize, &'a [AtomicUsize]);
+        impl Drop for Counted<'_> {
+            fn drop(&mut self) {
+                self.1[self.0].fetch_add(1, Ordering::Relaxed);
+            }
+        }
+
+        let n = 2 * batches * ROUND_BATCH;
+        let drops: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+        // The blocking façade is the async one's `blocking()` view.
+        let q: AsyncQueue<Counted, ShardedQueue<OptimalQueue>> =
+            AsyncQueue::new(ShardedQueue::<OptimalQueue>::optimal(16, 2, 4));
+        let producing = AtomicUsize::new(2);
+        let mut ids: Vec<usize> = std::thread::scope(|s| {
+            for p in 0..2 {
+                let (q, drops, producing) = (&q, &drops[..], &producing);
+                s.spawn(move || {
+                    let mut h = q.register();
+                    for b in 0..batches {
+                        let first = (p * batches + b) * ROUND_BATCH;
+                        let batch = (first..first + ROUND_BATCH)
+                            .map(|id| Counted(id, drops))
+                            .collect();
+                        let sent = match self {
+                            FacadeKind::Blocking => q.blocking().send_all(&mut h, batch),
+                            FacadeKind::Async => pollster::block_on(q.send_all(&mut h, batch)),
+                        };
+                        assert!(sent.is_ok(), "closed only after both producers");
+                    }
+                    if producing.fetch_sub(1, Ordering::SeqCst) == 1 {
+                        q.close();
+                    }
+                });
+            }
+            let consumers: Vec<_> = (0..2)
+                .map(|_| {
+                    let q = &q;
+                    s.spawn(move || {
+                        let (mut h, mut ids) = (q.register(), Vec::new());
+                        loop {
+                            let got = match self {
+                                FacadeKind::Blocking => q.blocking().recv_many(&mut h, 7),
+                                FacadeKind::Async => pollster::block_on(q.recv_many(&mut h, 7)),
+                            };
+                            if got.is_empty() {
+                                break ids; // closed and drained
+                            }
+                            ids.extend(got.iter().map(|c| c.0));
+                        }
+                    })
+                })
+                .collect();
+            consumers
+                .into_iter()
+                .flat_map(|c| c.join().unwrap())
+                .collect()
+        });
+        ids.sort_unstable();
+        assert!(
+            ids.iter().copied().eq(0..n),
+            "{}: delivered once",
+            self.name()
+        );
+        drop(q);
+        assert!(
+            drops.iter().all(|d| d.load(Ordering::Relaxed) == 1),
+            "{}: dropped once",
+            self.name()
+        );
+        ids.len()
     }
 }
 

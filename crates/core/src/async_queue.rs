@@ -132,7 +132,7 @@ impl<T: Send, Q: PointerCapable> AsyncQueue<T, Q> {
         h: &'a mut BoxedHandle<Q>,
         items: Vec<T>,
     ) -> WaitFuture<'a, T, Q, SendAllOp<T, Q>, Result<(), SendError<Vec<T>>>> {
-        self.wait(h, SendAllOp::new(items), TimeLimit::Forever)
+        self.wait(h, SendAllOp::new(&self.sync, items), TimeLimit::Forever)
     }
 
     /// Batch dequeue, resolving to 1..=`max` values — or an empty vector
@@ -180,7 +180,7 @@ impl<T: Send, Q: PointerCapable> AsyncQueue<T, Q> {
         items: Vec<T>,
         limit: impl Into<TimeLimit>,
     ) -> WaitFuture<'a, T, Q, SendAllOp<T, Q>> {
-        self.wait(h, SendAllOp::new(items), limit.into())
+        self.wait(h, SendAllOp::new(&self.sync, items), limit.into())
     }
 
     /// [`recv_many`](Self::recv_many) under a [`TimeLimit`]; see

@@ -48,7 +48,7 @@ use std::sync::atomic::Ordering;
 
 use crate::simx::SimAtomicBool;
 
-use crate::boxed::{box_all, take, BoxedHandle, BoxedQueue, PointerCapable};
+use crate::boxed::{take_all, BoxedHandle, BoxedQueue, PointerCapable};
 use crate::event::{EventCount, TimeLimit};
 
 /// Error returned by a blocking/async `send` on a closed queue: carries
@@ -287,9 +287,9 @@ impl<T: Send, Q: PointerCapable> WaitOp<T, Q> for RecvOp {
 }
 
 /// `send_all`: the batch, boxed **once** into its tokens — runs of up to
-/// 16 values per allocation (DESIGN.md §8.4); a parked batch retries on the
-/// tokens instead of re-boxing every pending item on each wake — and how
-/// far the queue has taken it.
+/// 16 values per allocation, through the queue's run slots (DESIGN.md
+/// §8.4); a parked batch retries on the tokens instead of re-boxing every
+/// pending item on each wake — and how far the queue has taken it.
 /// `tokens[sent..]` is the unsent suffix and belongs to this value:
 /// handed back on close or expiry, dropped with it when the wait is
 /// abandoned (a cancelled future, a panic unwinding through the wait) —
@@ -301,31 +301,29 @@ pub struct SendAllOp<T: Send, Q: PointerCapable> {
 }
 
 impl<T: Send, Q: PointerCapable> SendAllOp<T, Q> {
-    pub(crate) fn new(items: Vec<T>) -> Self {
+    pub(crate) fn new(q: &BlockingQueue<T, Q>, items: Vec<T>) -> Self {
         SendAllOp {
-            tokens: box_all(items),
+            tokens: q.inner.box_all(items),
             sent: 0,
             _owns: PhantomData,
         }
     }
 
-    /// Move the unsent suffix out as values. It is disowned *first*:
-    /// should anything below unwind, the remainder leaks rather than
-    /// being freed a second time by [`Drop`].
-    pub(crate) fn take_unsent(&mut self) -> Vec<T> {
+    /// Move the unsent suffix out as values, parking emptied runs in `q`'s
+    /// run slots when a queue is in hand. It is disowned *first*: should
+    /// anything below unwind, the remainder leaks rather than being freed
+    /// a second time by [`Drop`].
+    pub(crate) fn take_unsent(&mut self, q: Option<&BlockingQueue<T, Q>>) -> Vec<T> {
         let from = std::mem::replace(&mut self.sent, self.tokens.len());
-        self.tokens[from..]
-            .iter()
-            // SAFETY: the queue never accepted these tokens, and moving
-            // `sent` past them above disowned them before any is taken.
-            .map(|&t| unsafe { take(t) })
-            .collect()
+        // SAFETY: the queue never accepted these tokens, and moving `sent`
+        // past them above disowned them before any is taken.
+        unsafe { take_all(&self.tokens[from..], q.map(|q| &q.inner)) }
     }
 }
 
 impl<T: Send, Q: PointerCapable> Drop for SendAllOp<T, Q> {
     fn drop(&mut self) {
-        drop(self.take_unsent());
+        drop(self.take_unsent(None));
     }
 }
 
@@ -354,12 +352,12 @@ impl<T: Send, Q: PointerCapable> WaitOp<T, Q> for SendAllOp<T, Q> {
         (self.sent == self.tokens.len()).then_some(Ok(()))
     }
 
-    fn closed(&mut self, _q: &BlockingQueue<T, Q>, _h: &mut BoxedHandle<Q>) -> Self::Out {
-        Err(SendTimeoutError::Closed(self.take_unsent()))
+    fn closed(&mut self, q: &BlockingQueue<T, Q>, _h: &mut BoxedHandle<Q>) -> Self::Out {
+        Err(SendTimeoutError::Closed(self.take_unsent(Some(q))))
     }
 
     fn timed_out(&mut self) -> Self::Out {
-        Err(SendTimeoutError::Timeout(self.take_unsent()))
+        Err(SendTimeoutError::Timeout(self.take_unsent(None)))
     }
 }
 
@@ -593,10 +591,10 @@ impl<T: Send, Q: PointerCapable> BlockingQueue<T, Q> {
     /// queue is closed (check [`is_closed`](Self::is_closed) to tell the
     /// cases apart).
     pub fn try_send_many(&self, h: &mut BoxedHandle<Q>, items: Vec<T>) -> Vec<T> {
-        let mut op = SendAllOp::new(items);
+        let mut op = SendAllOp::new(self, items);
         match op.attempt(self, h) {
             Some(Err(closed)) => closed.into_inner(),
-            _ => op.take_unsent(),
+            _ => op.take_unsent(Some(self)),
         }
     }
 
@@ -604,7 +602,7 @@ impl<T: Send, Q: PointerCapable> BlockingQueue<T, Q> {
     /// returns the unsent suffix (already-accepted items stay in the
     /// queue for receivers to drain).
     pub fn send_all(&self, h: &mut BoxedHandle<Q>, items: Vec<T>) -> Result<(), SendError<Vec<T>>> {
-        self.wait(h, SendAllOp::new(items), TimeLimit::Forever)
+        self.wait(h, SendAllOp::new(self, items), TimeLimit::Forever)
     }
 
     /// [`send_all`](Self::send_all) under a [`TimeLimit`]: when it passes,
@@ -616,7 +614,7 @@ impl<T: Send, Q: PointerCapable> BlockingQueue<T, Q> {
         items: Vec<T>,
         limit: impl Into<TimeLimit>,
     ) -> Result<(), SendTimeoutError<Vec<T>>> {
-        self.wait(h, SendAllOp::new(items), limit.into())
+        self.wait(h, SendAllOp::new(self, items), limit.into())
     }
 
     /// Non-blocking batch dequeue into `out`; returns the count taken.

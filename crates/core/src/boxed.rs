@@ -2,17 +2,19 @@
 //!
 //! The paper's model stores opaque *values* in value-locations; in a systems
 //! language the natural value is a pointer. [`BoxedQueue`] moves each
-//! element into the heap and passes a pointer-derived word (non-zero, under
-//! 2⁴⁸ on x86-64, hence a valid 63-bit token) through an underlying token
-//! queue.
+//! element into the heap and passes a pointer-derived word (non-zero, and
+//! checked against the inner queue's `max_token()` in debug builds) through
+//! an underlying token queue.
 //!
 //! Values are boxed in **runs** (DESIGN.md §8.4): one allocation holds an
 //! 8-byte header and up to 16 values, and a value's token is the run's
 //! address OR'd with the value's index — the 4 low bits a 16-byte-aligned
 //! allocation leaves zero. A single `enqueue` boxes a run of one; a batch
 //! (`enqueue_many`, `send_all`) boxes runs of up to 16, so `n` values cost
-//! ⌈n/16⌉ allocations. Taking a value moves it out, and the last value
-//! taken frees the run.
+//! at most ⌈n/16⌉ allocations. Taking a value moves it out, and the last
+//! value taken frees the run — or, for a full-length run, parks it in one
+//! of the queue's few run slots, where the next batch picks it up instead
+//! of allocating.
 //!
 //! Only **value-independent** queues may carry pointers: the allocator can
 //! hand the same address out twice (free → malloc), so the underlying queue
@@ -26,7 +28,8 @@
 
 use std::alloc::{self, Layout};
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::ptr;
+use std::sync::atomic::{AtomicPtr, AtomicU32, Ordering};
 
 use crate::dcss_queue::DcssQueue;
 use crate::optimal::OptimalQueue;
@@ -72,6 +75,9 @@ const RUN: usize = 16;
 /// per value.
 const RUN_PAGE: usize = 4096;
 
+/// Emptied full-length runs a queue keeps for its next batches.
+const RUN_SLOTS: usize = 4;
+
 /// The header of a run; its values follow it in the same allocation.
 #[repr(C)]
 struct RunHdr {
@@ -99,53 +105,35 @@ fn run_layout<T>(len: usize) -> (Layout, usize) {
     (layout.align_to(RUN).expect(fit).pad_to_align(), offset)
 }
 
-/// Move the next `len` values of `values` (`1..=run_cap::<T>()` of them)
-/// into one new run and return the first one's token; value `i` of the run
-/// is that token plus `i`.
-fn box_run<T>(values: &mut impl Iterator<Item = T>, len: usize) -> u64 {
-    debug_assert!((1..=run_cap::<T>()).contains(&len));
-    let (layout, offset) = run_layout::<T>(len);
-    // SAFETY: the layout is non-empty (the header alone is 8 bytes).
-    let run = unsafe { alloc::alloc(layout) };
-    if run.is_null() {
-        alloc::handle_alloc_error(layout);
-    }
-    // SAFETY: `run` is a fresh allocation of `layout`: the header at 0 and
-    // `len` aligned `T` slots from `offset`.
-    unsafe {
-        run.cast::<RunHdr>().write(RunHdr {
-            live: AtomicU32::new(len as u32),
-            len: len as u32,
-        });
-        let slots = run.add(offset).cast::<T>();
-        for i in 0..len {
-            slots
-                .add(i)
-                .write(values.next().expect("the caller counted the values"));
-        }
-    }
-    run as u64
+/// Take a parked run out of `slots`, if one is parked. The `Acquire` swap
+/// pairs with the `Release` CAS that parked the run, so every read of its
+/// old values happens before the caller writes new ones.
+fn unpark(slots: &[AtomicPtr<u8>]) -> Option<*mut u8> {
+    slots
+        .iter()
+        .filter(|slot| !slot.load(Ordering::Relaxed).is_null())
+        .map(|slot| slot.swap(ptr::null_mut(), Ordering::Acquire))
+        .find(|run| !run.is_null())
 }
 
-/// Box `items` in order, in runs of up to `run_cap::<T>()`: one token each.
-pub(crate) fn box_all<T>(items: Vec<T>) -> Vec<u64> {
-    let mut tokens = Vec::with_capacity(items.len());
-    let mut values = items.into_iter();
-    while values.len() > 0 {
-        let len = values.len().min(run_cap::<T>());
-        let first = box_run(&mut values, len);
-        tokens.extend(first..first + len as u64);
-    }
-    tokens
+/// Park an emptied run in an empty slot; `false` when every slot is full.
+fn park(run: *mut u8, slots: &[AtomicPtr<u8>]) -> bool {
+    slots.iter().any(|slot| {
+        slot.load(Ordering::Relaxed).is_null()
+            && slot
+                .compare_exchange(ptr::null_mut(), run, Ordering::Release, Ordering::Relaxed)
+                .is_ok()
+    })
 }
 
-/// Move the value of `token` out of its run; the last value taken frees the
-/// run.
+/// Move the value of `token` out of its run. The run's last taker parks it
+/// in `slots` if it is full-length and a slot is empty, and frees it
+/// otherwise; a taker with no queue in hand passes no slots.
 ///
 /// # Safety
-/// `token` was made by [`box_run`] for this `T` (directly or through
-/// [`box_all`]), and no token is taken twice.
-pub(crate) unsafe fn take<T>(token: u64) -> T {
+/// `token` was boxed by a [`BoxedQueue<T, _>`], `slots` hold runs of `T`
+/// only, and no token is taken twice.
+unsafe fn take<T>(token: u64, slots: &[AtomicPtr<u8>]) -> T {
     let run = (token & !(RUN as u64 - 1)) as usize as *mut u8;
     // SAFETY (this block and below): the run is live until its last value
     // is taken, and this value is not taken yet.
@@ -155,22 +143,43 @@ pub(crate) unsafe fn take<T>(token: u64) -> T {
     let index = (token % RUN as u64) as usize;
     let value = unsafe { run.add(offset).cast::<T>().add(index).read() };
     // Each taker's read is done before its `Release` half; the last one's
-    // `Acquire` half orders every read before the free.
-    if len == 1 || hdr.live.fetch_sub(1, Ordering::AcqRel) == 1 {
+    // `Acquire` half orders every read before the park or the free.
+    let emptied = len == 1 || hdr.live.fetch_sub(1, Ordering::AcqRel) == 1;
+    if emptied && (len != run_cap::<T>() || !park(run, slots)) {
         unsafe { alloc::dealloc(run, layout) };
     }
     value
 }
 
+/// Move the values of `tokens` out, in order: emptied full-length runs park
+/// in `q`'s slots, and every run is freed when no queue is in hand.
+///
+/// # Safety
+/// Each token was boxed by a [`BoxedQueue<T, _>`], and none is taken twice.
+pub(crate) unsafe fn take_all<T, Q: PointerCapable>(
+    tokens: &[u64],
+    q: Option<&BoxedQueue<T, Q>>,
+) -> Vec<T> {
+    let slots = q.map_or(&[][..], |q| &q.run_slots[..]);
+    // SAFETY: the caller's guarantee, token by token.
+    tokens.iter().map(|&t| unsafe { take(t, slots) }).collect()
+}
+
 /// A bounded queue of owned `T` values over a pointer-capable token queue.
 pub struct BoxedQueue<T, Q: PointerCapable> {
     inner: Q,
+    /// Emptied full-length runs, parked for the next batch to box into.
+    /// Plain `std` atomics, like a run's `live`: off the explorer's seam.
+    run_slots: [AtomicPtr<u8>; RUN_SLOTS],
     _marker: PhantomData<fn(T) -> T>,
 }
 
 /// Per-thread handle wrapping the inner queue's handle.
 pub struct BoxedHandle<Q: PointerCapable> {
     inner: Q::Handle,
+    /// The tokens `dequeue_many` takes from the inner queue, drained by
+    /// every call, so the buffer is allocated once per handle.
+    tokens: Vec<u64>,
 }
 
 impl<T: Send, Q: PointerCapable> BoxedQueue<T, Q> {
@@ -183,6 +192,7 @@ impl<T: Send, Q: PointerCapable> BoxedQueue<T, Q> {
         assert!(inner.is_empty(), "inner queue must start empty");
         BoxedQueue {
             inner,
+            run_slots: Default::default(),
             _marker: PhantomData,
         }
     }
@@ -191,6 +201,7 @@ impl<T: Send, Q: PointerCapable> BoxedQueue<T, Q> {
     pub fn register(&self) -> BoxedHandle<Q> {
         BoxedHandle {
             inner: self.inner.register(),
+            tokens: Vec::new(),
         }
     }
 
@@ -210,12 +221,11 @@ impl<T: Send, Q: PointerCapable> BoxedQueue<T, Q> {
 
     /// Enqueue an owned value; returns it back when the queue is full.
     pub fn enqueue(&self, h: &mut BoxedHandle<Q>, value: T) -> Result<(), T> {
-        let token = box_run(&mut std::iter::once(value), 1);
-        debug_assert!(token != 0 && token <= self.inner.max_token());
+        let token = self.box_run(&mut std::iter::once(value), 1);
         match self.inner.enqueue(&mut h.inner, token) {
             Ok(()) => Ok(()),
             // SAFETY: the token was rejected, so it is still ours to take.
-            Err(_) => Err(unsafe { take(token) }),
+            Err(_) => Err(unsafe { take(token, &self.run_slots) }),
         }
     }
 
@@ -224,7 +234,7 @@ impl<T: Send, Q: PointerCapable> BoxedQueue<T, Q> {
         let token = self.inner.dequeue(&mut h.inner)?;
         // SAFETY: every token in the queue was boxed here, and the inner
         // queue surrenders each exactly once (it conserves tokens).
-        Some(unsafe { take(token) })
+        Some(unsafe { take(token, &self.run_slots) })
     }
 
     /// Batch enqueue passthrough: boxes the items in runs, hands the token
@@ -232,19 +242,73 @@ impl<T: Send, Q: PointerCapable> BoxedQueue<T, Q> {
     /// returns the rejected suffix unboxed. An empty return vector means
     /// everything was accepted.
     pub fn enqueue_many(&self, h: &mut BoxedHandle<Q>, items: Vec<T>) -> Vec<T> {
-        let tokens = box_all(items);
+        let tokens = self.box_all(items);
         let n = self.inner.enqueue_many(&mut h.inner, &tokens);
-        tokens[n..]
-            .iter()
-            // SAFETY: tokens beyond the accepted prefix were rejected.
-            .map(|&t| unsafe { take(t) })
-            .collect()
+        // SAFETY: tokens beyond the accepted prefix were rejected.
+        unsafe { take_all(&tokens[n..], Some(self)) }
+    }
+
+    /// Move the next `len` values of `values` (`1..=run_cap::<T>()` of them)
+    /// into one run and return the first one's token; value `i` of the run
+    /// is that token plus `i`. A full-length run reuses a parked run when
+    /// one is parked; any other run is a new allocation.
+    fn box_run(&self, values: &mut impl Iterator<Item = T>, len: usize) -> u64 {
+        debug_assert!((1..=run_cap::<T>()).contains(&len));
+        let (layout, offset) = run_layout::<T>(len);
+        let parked = if len == run_cap::<T>() {
+            unpark(&self.run_slots)
+        } else {
+            None
+        };
+        let run = parked.unwrap_or_else(|| {
+            // SAFETY: the layout is non-empty (the header alone is 8 bytes).
+            let run = unsafe { alloc::alloc(layout) };
+            if run.is_null() {
+                alloc::handle_alloc_error(layout);
+            }
+            run
+        });
+        // SAFETY: `run` is this thread's alone — fresh, or swapped out of its
+        // slot — and has `layout` (a parked run is full-length): the header
+        // at 0 and `len` aligned `T` slots from `offset`.
+        unsafe {
+            run.cast::<RunHdr>().write(RunHdr {
+                live: AtomicU32::new(len as u32),
+                len: len as u32,
+            });
+            let slots = run.add(offset).cast::<T>();
+            for i in 0..len {
+                slots
+                    .add(i)
+                    .write(values.next().expect("the caller counted the values"));
+            }
+        }
+        let first = run as u64;
+        debug_assert!(
+            first + len as u64 - 1 <= self.inner.max_token(),
+            "run {first:#x} of {len} leaves the inner queue's token domain"
+        );
+        first
+    }
+
+    /// Box `items` in order, in runs of up to `run_cap::<T>()`: one token
+    /// each.
+    pub(crate) fn box_all(&self, items: Vec<T>) -> Vec<u64> {
+        let mut tokens = Vec::with_capacity(items.len());
+        let mut values = items.into_iter();
+        while values.len() > 0 {
+            let len = values.len().min(run_cap::<T>());
+            let first = self.box_run(&mut values, len);
+            tokens.extend(first..first + len as u64);
+        }
+        tokens
     }
 
     /// Enqueue already-boxed tokens (prefix accepted); returns the count.
     /// The caller retains ownership of — and responsibility for — the
-    /// rejected suffix. Pairs with [`box_all`] so the blocking façade can
-    /// retry a parked batch without re-boxing it on every wake.
+    /// rejected suffix. Pairs with [`box_all`](Self::box_all) so the
+    /// blocking façade can retry a parked batch without re-boxing it on
+    /// every wake.
     pub(crate) fn enqueue_tokens(&self, h: &mut BoxedHandle<Q>, tokens: &[u64]) -> usize {
         self.inner.enqueue_many(&mut h.inner, tokens)
     }
@@ -252,12 +316,13 @@ impl<T: Send, Q: PointerCapable> BoxedQueue<T, Q> {
     /// Batch dequeue passthrough: drains up to `max` values through the
     /// inner queue's `dequeue_many`, appending to `out`; returns the count.
     pub fn dequeue_many(&self, h: &mut BoxedHandle<Q>, max: usize, out: &mut Vec<T>) -> usize {
-        // Grows on demand rather than pre-sizing: a miss (empty queue)
-        // then allocates nothing, which matters in parked retry loops.
-        let mut tokens = Vec::new();
-        let n = self.inner.dequeue_many(&mut h.inner, max, &mut tokens);
+        let n = self.inner.dequeue_many(&mut h.inner, max, &mut h.tokens);
         // SAFETY: as in `dequeue`.
-        out.extend(tokens.into_iter().map(|t| unsafe { take(t) }));
+        out.extend(
+            h.tokens
+                .drain(..)
+                .map(|t| unsafe { take(t, &self.run_slots) }),
+        );
         n
     }
 
@@ -284,8 +349,13 @@ impl<T, Q: PointerCapable + MemoryFootprint> MemoryFootprint for BoxedQueue<T, Q
         // the slots themselves carry the pointers.
         b.element_bytes += self.inner.len() * std::mem::size_of::<T>();
         b.overhead.push(bq_memtrack::FootprintEntry::new(
-            "run headers (8 bytes per run of <= 16 values) and the allocator's (allocator-dependent)",
+            format!("run headers (8 bytes per run of <= 16 values), parked runs (<= {RUN_SLOTS} full runs) and the allocator's (allocator-dependent)"),
             0,
+            OverheadClass::Other,
+        ));
+        b.overhead.push(bq_memtrack::FootprintEntry::new(
+            format!("run slots ({RUN_SLOTS} pointers to parked runs)"),
+            std::mem::size_of_val(&self.run_slots),
             OverheadClass::Other,
         ));
         b
@@ -297,8 +367,17 @@ impl<T, Q: PointerCapable> Drop for BoxedQueue<T, Q> {
         // Drain remaining values so elements are not leaked.
         let mut h = self.inner.drop_handle();
         while let Some(token) = self.inner.dequeue(&mut h) {
-            // SAFETY: as in `dequeue`.
-            drop(unsafe { take::<T>(token) });
+            // SAFETY: as in `dequeue`; passing no slots frees every run.
+            drop(unsafe { take::<T>(token, &[]) });
+        }
+        let (layout, _) = run_layout::<T>(run_cap::<T>());
+        for slot in &mut self.run_slots {
+            let run = *slot.get_mut();
+            if !run.is_null() {
+                // SAFETY: a parked run is an emptied full-length run of `T`
+                // that nothing else names.
+                unsafe { alloc::dealloc(run, layout) };
+            }
         }
     }
 }
@@ -380,6 +459,7 @@ mod tests {
             // The drop handle itself puts them in: no `register()` at all.
             let mut h = BoxedHandle {
                 inner: q.inner.drop_handle(),
+                tokens: Vec::new(),
             };
             for _ in 0..3 {
                 assert!(q.enqueue(&mut h, Counter(Arc::clone(&drops))).is_ok());
@@ -516,7 +596,9 @@ mod tests {
     /// payload keeps one allocation per value.
     #[test]
     fn a_33_value_batch_makes_three_runs() {
-        let tokens = box_all((0..33u64).collect());
+        let q: BoxedQueue<u64, OptimalQueue> =
+            BoxedQueue::new(OptimalQueue::with_capacity_and_threads(1, 1));
+        let tokens = q.box_all((0..33u64).collect());
         let runs: Vec<u64> = tokens.iter().map(|t| t & !15).collect();
         assert!(runs[..16].iter().all(|&r| r == runs[0]));
         assert!(runs[16..32].iter().all(|&r| r == runs[16]));
@@ -526,11 +608,126 @@ mod tests {
         assert_eq!(indices[32], 0);
         for (i, t) in tokens.into_iter().enumerate() {
             // SAFETY: each token of the batch, taken once.
-            assert_eq!(unsafe { take::<u64>(t) }, i as u64);
+            assert_eq!(unsafe { take::<u64>(t, &[]) }, i as u64);
         }
         assert_eq!(run_cap::<[u8; 300]>(), 13);
         assert_eq!(run_cap::<[u8; 4096]>(), 1);
         assert_eq!(run_cap::<[u8; 8192]>(), 1);
+    }
+
+    /// The runs parked in `q`'s slots, in slot order.
+    fn parked<T, Q: PointerCapable>(q: &BoxedQueue<T, Q>) -> Vec<*mut u8> {
+        q.run_slots
+            .iter()
+            .map(|slot| slot.load(Ordering::SeqCst))
+            .filter(|run| !run.is_null())
+            .collect()
+    }
+
+    /// Six full runs emptied against four slots: the first four emptied
+    /// park, the other two are freed (the allocator's side of the balance
+    /// is counted in `tests/boxed_runs.rs`). The next six-run batch boxes
+    /// into the four parked runs first and allocates two; the queue frees
+    /// the parked runs when it drops, and every value is dropped once.
+    #[test]
+    fn more_emptied_runs_than_slots_park_four_and_free_the_rest() {
+        let (drops, items) = counters(192);
+        let mut items = items.into_iter();
+        {
+            let q: BoxedQueue<Counter, OptimalQueue> =
+                BoxedQueue::new(OptimalQueue::with_capacity_and_threads(1, 1));
+            let first_of = |tokens: &[u64]| -> Vec<*mut u8> {
+                tokens.chunks(16).map(|c| c[0] as *mut u8).collect()
+            };
+            let tokens = q.box_all(items.by_ref().take(96).collect());
+            let runs = first_of(&tokens);
+            assert_eq!(runs.len(), 6);
+            for t in tokens {
+                // SAFETY: each token of the batch, taken once.
+                drop(unsafe { take::<Counter>(t, &q.run_slots) });
+            }
+            assert_eq!(parked(&q), runs[..RUN_SLOTS]);
+            assert_eq!(dropped(&drops), 96);
+
+            let tokens = q.box_all(items.by_ref().take(96).collect());
+            assert_eq!(first_of(&tokens)[..RUN_SLOTS], runs[..RUN_SLOTS]);
+            assert!(parked(&q).is_empty(), "every parked run reused");
+            for t in tokens {
+                // SAFETY: as above.
+                drop(unsafe { take::<Counter>(t, &q.run_slots) });
+            }
+            assert_eq!(parked(&q).len(), RUN_SLOTS);
+        }
+        assert_eq!(dropped(&drops), 192);
+    }
+
+    /// Two consumers split two full runs, in pieces of up to 7, over and
+    /// over: whichever takes a run's last value parks it, the next batch
+    /// boxes into both parked runs, and every value is dropped once.
+    #[test]
+    fn two_consumers_splitting_runs_park_and_reuse_them() {
+        for _ in 0..200 {
+            let (drops, items) = counters(64);
+            let mut items = items.into_iter();
+            {
+                let q: BoxedQueue<Counter, OptimalQueue> =
+                    BoxedQueue::new(OptimalQueue::with_capacity_and_threads(32, 3));
+                let mut h = q.register();
+                let mut consumer_handles = [q.register(), q.register()];
+                for _ in 0..2 {
+                    assert!(q
+                        .enqueue_many(&mut h, items.by_ref().take(32).collect())
+                        .is_empty());
+                    assert!(parked(&q).is_empty(), "the batch boxed into them");
+                    let got: usize = std::thread::scope(|s| {
+                        let consumers: Vec<_> = consumer_handles
+                            .iter_mut()
+                            .map(|h| {
+                                let q = &q;
+                                s.spawn(move || {
+                                    let mut out = Vec::new();
+                                    while q.dequeue_many(h, 7, &mut out) > 0 {}
+                                    out.len()
+                                })
+                            })
+                            .collect();
+                        consumers.into_iter().map(|c| c.join().unwrap()).sum()
+                    });
+                    assert_eq!(got, 32);
+                    assert_eq!(parked(&q).len(), 2);
+                }
+            }
+            assert_eq!(dropped(&drops), 64);
+        }
+    }
+
+    /// A second batch of the same payload, boxed into the run the first
+    /// one emptied: the run's header is rewritten, and the values read back.
+    fn second_round_through_a_parked_run<T: Send + PartialEq + std::fmt::Debug>(
+        make: impl Fn(u64) -> T,
+    ) {
+        let q: BoxedQueue<T, OptimalQueue> =
+            BoxedQueue::new(OptimalQueue::with_capacity_and_threads(16, 1));
+        let mut h = q.register();
+        let cap = run_cap::<T>() as u64;
+        let mut out = Vec::new();
+        for round in 0..2 {
+            let values = || (round * cap..(round + 1) * cap).map(&make);
+            assert!(q.enqueue_many(&mut h, values().collect()).is_empty());
+            assert!(parked(&q).is_empty());
+            assert_eq!(q.dequeue_many(&mut h, 16, &mut out), cap as usize);
+            assert!(out.drain(..).eq(values()));
+            assert_eq!(parked(&q).len(), 1);
+        }
+    }
+
+    #[test]
+    fn zero_sized_and_over_aligned_payloads_reuse_a_parked_run() {
+        #[repr(align(64))]
+        #[derive(Debug, PartialEq)]
+        struct Line(u64);
+        second_round_through_a_parked_run(|_| ());
+        second_round_through_a_parked_run(Line);
     }
 
     #[test]
