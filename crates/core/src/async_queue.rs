@@ -248,12 +248,14 @@ impl WaitState {
             };
             // Announced. Re-attempt to close the race with a notifier
             // that read `waiters == 0` before our registration landed.
-            if let Some(r) = attempt() {
-                ec.deregister(id);
-                return Poll::Ready(r);
-            }
+            // The id is held in `self.reg` first: completion releases it
+            // in `poll`, and a re-attempt that unwinds leaves it to the
+            // future's drop.
             self.reg = Some(id);
-            return Poll::Pending;
+            return match attempt() {
+                Some(r) => Poll::Ready(r),
+                None => Poll::Pending,
+            };
         }
     }
 
@@ -601,5 +603,49 @@ mod tests {
         });
         producer.join().unwrap();
         assert_eq!(seen.len() as u64, n, "exact conservation, close-driven");
+    }
+
+    /// A re-attempt that unwinds after `register` must not strand the
+    /// registration: the future's drop releases it, so nothing stays
+    /// announced once the panic has passed. The panic here comes from the
+    /// operation itself, not the inner queue, so no `close()` drains it.
+    #[test]
+    fn a_panicking_reattempt_releases_its_registration() {
+        struct PanicsOnReattempt(u32);
+        impl WaitOp<u64, OptimalQueue> for PanicsOnReattempt {
+            type Out = ();
+            fn event(q: &BlockingQueue<u64, OptimalQueue>) -> &EventCount {
+                q.not_empty_event()
+            }
+            fn attempt(
+                &mut self,
+                _q: &BlockingQueue<u64, OptimalQueue>,
+                _h: &mut BoxedHandle<OptimalQueue>,
+            ) -> Option<()> {
+                self.0 += 1;
+                assert!(self.0 < 2, "injected fault: the announced re-attempt");
+                None
+            }
+            fn closed(
+                &mut self,
+                _q: &BlockingQueue<u64, OptimalQueue>,
+                _h: &mut BoxedHandle<OptimalQueue>,
+            ) {
+            }
+            fn timed_out(&mut self) {}
+        }
+
+        let q = make(2, 1);
+        let mut h = q.register();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut fut: WaitFuture<'_, u64, OptimalQueue, PanicsOnReattempt> =
+                q.wait(&mut h, PanicsOnReattempt(0), TimeLimit::Forever);
+            let _ = Pin::new(&mut fut).poll(&mut Context::from_waker(Waker::noop()));
+        }));
+        assert!(unwound.is_err(), "the re-attempt panicked");
+        assert!(!q.is_closed(), "nothing drained the registration for us");
+        let ec = q.not_empty_event();
+        assert_eq!(ec.registered_wakers(), 0, "registration released");
+        assert_eq!((ec.waiter_count(), ec.sleeper_count()), (0, 0));
     }
 }

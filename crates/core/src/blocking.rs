@@ -1267,6 +1267,9 @@ mod tests {
                         q.not_full_event().wake_all(); // content-free wake: retry
                         assert!(sender.join().is_err(), "the panic is re-thrown");
                     });
+                    let ec = q.not_full_event();
+                    assert_eq!(ec.waiter_count(), 0, "the unwind un-announced");
+                    assert_eq!(ec.sleeper_count(), 0);
                     assert!(q.is_poisoned());
                     assert_eq!(q.recv_many(&mut q.register(), 8).len(), 2, "prefix drains");
                 },

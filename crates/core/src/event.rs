@@ -21,19 +21,24 @@
 //!    generation is still unchanged under the gate lock; a task simply
 //!    returns `Pending`, its waker already registered;
 //! 2. a notifier that completes a state transition checks `waiters`;
-//!    when non-zero it bumps the generation *under the gate lock*,
-//!    notifies the condvar, and drains-and-wakes every registered waker.
+//!    when non-zero it bumps the generation, and only if a **sleeper** is
+//!    counted — a thread inside the gate for its locked re-check and
+//!    park, or a registered waker — does it take the gate lock, drain
+//!    and wake every registered waker, and notify the condvar.
 //!
 //! If the transition lands before the waiter's announcement, the
 //! waiter's re-attempt (which follows the announcement) observes it. If
 //! it lands after, the notifier is guaranteed to see `waiters > 0` and
-//! publish a wake — which a thread either sees as a generation change
-//! before sleeping (and skips the park) or is woken from, because the
-//! bump happens under the lock the thread holds until the moment it
-//! sleeps; a task is in the waker list by then, so the drain calls its
-//! waker and the executor re-polls it. Either way no wake is lost, no
-//! wait polls on a timer, and the uncontended notifier fast path is one
-//! atomic load (`waiters == 0`).
+//! bump the generation. A spinning thread sees the bump and needs
+//! nothing else. A sleeper counts itself in `sleepers` *before* it loads
+//! the generation, and the notifier loads `sleepers` *after* its bump —
+//! a Dekker pair, all `SeqCst` — so either the sleeper sees the bump and
+//! does not sleep, or the notifier sees the sleeper and takes the gate,
+//! which a thread holds until the moment it sleeps and a registration
+//! holds until its waker is in the list. Either way no wake is lost, no
+//! wait polls on a timer, the uncontended notifier fast path is one
+//! atomic load (`waiters == 0`), and a wake that finds only spinners is
+//! one `fetch_add` and two loads: no lock, no condvar syscall.
 //!
 //! ## Spin, then park
 //!
@@ -46,8 +51,10 @@
 //! the gate lock or the condvar. When the budget runs out, the locked
 //! re-check and the park follow exactly as before, so every ordering
 //! argument above still holds: the spin only adds reads of a word the
-//! protocol already reads. A hand-off between two *running* threads
-//! therefore costs a cache-line transfer, not two futex sleeps. The
+//! protocol already reads. A spinner is announced but not a sleeper, so
+//! the notifier that ends its spin skips the gate too: a hand-off
+//! between two *running* threads costs a cache-line transfer, not two
+//! futex sleeps and not a lock and a syscall on the notifier's side. The
 //! spin watches the word rather than calling `attempt` again: an attempt
 //! is a queue operation (for a boxed send, an allocation) that contends
 //! with the very peer being waited for. Tasks never spin — an executor
@@ -108,11 +115,17 @@ struct WaiterList {
 pub struct EventCount {
     gate: SimMutex<WaiterList>,
     cond: SimCondvar,
-    /// Wake generation: bumped (under `gate`) on every notification.
+    /// Wake generation: bumped (without the gate) on every notification
+    /// that finds `waiters > 0`.
     generation: SimAtomicU64,
-    /// Number of waiters between announcement and un-park — parked (or
-    /// about-to-park) threads plus registered wakers.
+    /// Number of waiters between announcement and un-announcement —
+    /// threads in their re-attempt, spin or park, plus registered
+    /// wakers. Zero means a wake has nobody to tell.
     waiters: SimAtomicUsize,
+    /// The part of `waiters` the generation bump alone does not reach:
+    /// threads inside the gate for the locked re-check and park, plus
+    /// registered wakers. Zero means a wake needs no gate and no condvar.
+    sleepers: SimAtomicUsize,
     /// Waiter statistics (DESIGN.md §14); a ZST with `obs` off. Purely
     /// observational: nothing in the protocol above reads it.
     obs: WaitCounters,
@@ -183,6 +196,7 @@ impl EventCount {
             cond: SimCondvar::new(),
             generation: SimAtomicU64::new(0),
             waiters: SimAtomicUsize::new(0),
+            sleepers: SimAtomicUsize::new(0),
             obs: WaitCounters::new(),
         }
     }
@@ -202,27 +216,36 @@ impl EventCount {
     /// Notifier half: publish a wake to every current waiter. Call after
     /// completing a state transition that could satisfy this direction.
     ///
-    /// Fast path: one atomic load when nobody is waiting.
+    /// Fast path: one atomic load when nobody is waiting; the bump alone
+    /// when every waiter is spinning.
     pub fn wake_all(&self) {
         if self.waiters.load(Ordering::SeqCst) == 0 {
             return;
         }
         self.obs.wakes.hit();
+        self.generation.fetch_add(1, Ordering::SeqCst);
+        // Everyone announced at this moment (spinners, parked threads,
+        // listed wakers) is woken by the bump or the broadcast below.
+        self.obs
+            .woken
+            .add(self.waiters.load(Ordering::SeqCst) as u64);
+        // The notifier half of the Dekker pair: a sleeper that loaded the
+        // generation before the bump counted itself first, so it is seen
+        // here, and it holds the gate until it sleeps or is listed.
+        if self.sleepers.load(Ordering::SeqCst) == 0 {
+            return;
+        }
         let drained: Vec<Waker> = {
             let mut list = self.gate.lock();
-            self.generation.fetch_add(1, Ordering::SeqCst);
-            // Everyone announced at this moment (parked threads + listed
-            // wakers) is woken by the broadcast below.
-            self.obs
-                .woken
-                .add(self.waiters.load(Ordering::SeqCst) as u64);
             if list.entries.is_empty() {
                 Vec::new()
             } else {
-                // Each drained waker leaves the announced state, so the
-                // waiter count drops here (its owner must not double-
-                // decrement: `deregister` only acts on present entries).
-                self.waiters.fetch_sub(list.entries.len(), Ordering::SeqCst);
+                // Each drained waker leaves the announced state, so both
+                // counts drop here (its owner must not double-decrement:
+                // `deregister` only acts on present entries).
+                let n = list.entries.len();
+                self.waiters.fetch_sub(n, Ordering::SeqCst);
+                self.sleepers.fetch_sub(n, Ordering::SeqCst);
                 list.entries.drain(..).map(|(_, w)| w).collect()
             }
         };
@@ -260,8 +283,13 @@ impl EventCount {
             self.waiters.fetch_add(1, Ordering::SeqCst);
             let gen = self.generation.load(Ordering::SeqCst);
             // Re-attempt after announcing: closes the race with a
-            // notifier that read `waiters` before our increment.
-            if let Some(r) = attempt() {
+            // notifier that read `waiters` before our increment. An
+            // attempt that unwinds un-announces through the guard; every
+            // other exit below does it itself.
+            let announced = Unannounce(&self.waiters);
+            let retried = attempt();
+            std::mem::forget(announced);
+            if let Some(r) = retried {
                 self.waiters.fetch_sub(1, Ordering::SeqCst);
                 break Some(r);
             }
@@ -288,7 +316,12 @@ impl EventCount {
             let deadline = limit.deadline();
             let woke = {
                 let mut guard = self.gate.lock();
-                if self.generation.load(Ordering::SeqCst) != gen {
+                // The sleeper half of the Dekker pair: counted before the
+                // re-check, so a notifier whose bump this load misses
+                // sees us and waits for the gate, which we hold until
+                // the condvar has us.
+                self.sleepers.fetch_add(1, Ordering::SeqCst);
+                let woke = if self.generation.load(Ordering::SeqCst) != gen {
                     true
                 } else {
                     self.obs.thread_parks.hit();
@@ -301,7 +334,9 @@ impl EventCount {
                             true
                         }
                     }
-                }
+                };
+                self.sleepers.fetch_sub(1, Ordering::SeqCst);
+                woke
             };
             self.waiters.fetch_sub(1, Ordering::SeqCst);
             if !woke {
@@ -329,13 +364,19 @@ impl EventCount {
     /// already moved past `gen`: a wake was published since the caller's
     /// snapshot, so it should re-attempt its operation instead of
     /// sleeping. On `Some(id)`, the waker is in the list and counted in
-    /// `waiters`; the caller must make **one more attempt** before
-    /// returning `Pending` (the announce-then-re-attempt step of the
-    /// protocol), and must [`deregister`](Self::deregister) on success or
-    /// cancellation.
+    /// `waiters` and `sleepers`; the caller must make **one more
+    /// attempt** before returning `Pending` (the announce-then-re-attempt
+    /// step of the protocol), and must [`deregister`](Self::deregister)
+    /// on success or cancellation.
     pub fn register(&self, gen: u64, waker: &Waker) -> Option<WaiterId> {
         let mut list = self.gate.lock();
+        // Counted before the stale-snapshot check, the parking thread's
+        // rule: a notifier whose bump the load misses takes the gate
+        // after the waker is listed. (For a task the re-attempt after
+        // `register` covers that wake as well; DESIGN.md §9.1.)
+        self.sleepers.fetch_add(1, Ordering::SeqCst);
         if self.generation.load(Ordering::SeqCst) != gen {
+            self.sleepers.fetch_sub(1, Ordering::SeqCst);
             return None;
         }
         let id = list.next_id;
@@ -354,6 +395,7 @@ impl EventCount {
         if let Some(pos) = list.entries.iter().position(|(i, _)| *i == id.0) {
             list.entries.swap_remove(pos);
             self.waiters.fetch_sub(1, Ordering::SeqCst);
+            self.sleepers.fetch_sub(1, Ordering::SeqCst);
         }
     }
 
@@ -367,6 +409,27 @@ impl EventCount {
     /// Number of announced waiters (threads + tasks) not yet un-parked.
     pub fn waiter_count(&self) -> usize {
         self.waiters.load(Ordering::SeqCst)
+    }
+
+    /// Number of counted sleepers: threads inside the gate for the
+    /// locked re-check and park, plus registered wakers. Tests: every
+    /// quiescence check that reads [`waiter_count`](Self::waiter_count)
+    /// reads this too.
+    #[doc(hidden)]
+    pub fn sleeper_count(&self) -> usize {
+        self.sleepers.load(Ordering::SeqCst)
+    }
+}
+
+/// Un-announces one waiter when dropped: armed around the announced
+/// re-attempt, so an `attempt` that unwinds does not leave `waiters`
+/// raised for the eventcount's life. The normal path disarms it with
+/// `mem::forget` and un-announces where the protocol says.
+struct Unannounce<'a>(&'a SimAtomicUsize);
+
+impl Drop for Unannounce<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -666,6 +729,104 @@ mod tests {
             assert_eq!(snap.get("ec.spin_wakes"), Some(1), "{snap}");
             assert_eq!(snap.get("ec.thread_parks"), Some(0), "{snap}");
             assert_eq!(snap.get("ec.spurious_wakes"), Some(0), "{snap}");
+        }
+    }
+
+    #[test]
+    fn wake_to_a_spinner_alone_skips_the_gate() {
+        // The announced re-attempt is a waiter with `waiters` 1 and
+        // `sleepers` 0. While it holds the gate, a wake from another
+        // thread must still return — it bumps and leaves — and the spin
+        // that follows sees the bump.
+        let ec = EventCount::new();
+        let mut calls = 0;
+        ec.wait_until(|| {
+            calls += 1;
+            if calls == 2 {
+                assert_eq!((ec.waiter_count(), ec.sleeper_count()), (1, 0));
+                let gen = ec.generation();
+                let gate = ec.gate.lock();
+                let (tx, rx) = std::sync::mpsc::channel();
+                std::thread::scope(|s| {
+                    s.spawn(|| {
+                        ec.wake_all();
+                        tx.send(()).unwrap();
+                    });
+                    let returned = rx.recv_timeout(Duration::from_secs(10));
+                    drop(gate);
+                    returned.expect("wake_all waited for a gate no sleeper needed");
+                });
+                assert_eq!(ec.generation(), gen + 1, "the bump was published");
+            }
+            (calls == 3).then_some(())
+        });
+        assert_eq!((ec.waiter_count(), ec.sleeper_count()), (0, 0));
+    }
+
+    /// Every way out of the sleeper count gives back what it took.
+    #[test]
+    fn sleepers_return_to_zero_after_every_exit() {
+        type Case = fn(&EventCount);
+        let cases: [(&str, Case); 6] = [
+            ("spin exit", |ec| {
+                let mut calls = 0;
+                ec.wait_until(|| {
+                    calls += 1;
+                    if calls == 2 {
+                        ec.wake_all();
+                    }
+                    (calls == 3).then_some(())
+                });
+            }),
+            ("park, then a wake", |ec| {
+                let go = AtomicBool::new(false);
+                std::thread::scope(|s| {
+                    s.spawn(|| ec.wait_until(|| go.load(Ordering::SeqCst).then_some(())));
+                    while ec.sleeper_count() == 0 {
+                        std::thread::yield_now();
+                    }
+                    go.store(true, Ordering::SeqCst);
+                    ec.wake_all();
+                });
+            }),
+            ("park, then a timeout", |ec| {
+                assert!(ec
+                    .wait(Duration::from_millis(5).into(), || None::<()>)
+                    .is_none());
+            }),
+            ("refused register", |ec| {
+                let (_f, w) = flag_waker();
+                let gen = ec.generation();
+                let id = ec.register(gen, &w).unwrap();
+                ec.wake_all();
+                assert!(ec.register(gen, &w).is_none(), "stale snapshot");
+                ec.deregister(id);
+            }),
+            ("deregister", |ec| {
+                let (_f, w) = flag_waker();
+                let id = ec.register(ec.generation(), &w).unwrap();
+                assert_eq!(ec.sleeper_count(), 1);
+                ec.deregister(id);
+            }),
+            ("drain by wake_all", |ec| {
+                let (f, w) = flag_waker();
+                ec.register(ec.generation(), &w).unwrap();
+                ec.wake_all();
+                assert!(f.0.load(Ordering::SeqCst), "the drain woke it");
+            }),
+        ];
+        for (name, run) in cases {
+            let ec = EventCount::new();
+            run(&ec);
+            assert_eq!(
+                (
+                    ec.waiter_count(),
+                    ec.sleeper_count(),
+                    ec.registered_wakers()
+                ),
+                (0, 0, 0),
+                "{name}"
+            );
         }
     }
 

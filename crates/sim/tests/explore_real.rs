@@ -23,6 +23,7 @@ use bq_baselines::TwoNullQueue;
 use bq_core::{
     AsyncQueue, BlockingQueue, ConcurrentQueue, DcssQueue, DistinctQueue, EventCount, NaiveQueue,
     OptimalQueue, RecvTimeoutError, RelocBox, RelocRing, SegmentQueue, ShardedQueue, SimAtomicU64,
+    SimCondvar, SimMutex,
 };
 use bq_sim::explore::{explore, replay, ExploreConfig, Report, RunOutcomeKind, RunSpec};
 use bq_sim::{check_history, check_history_pool, History, HistoryEvent, Op, Ret};
@@ -1084,11 +1085,15 @@ fn eventcount_waiters_never_park_past_the_publish() {
                 Box::new(bumper),
             ],
             check: Box::new(move |_h| {
-                if wc.ec.waiter_count() != 0 || wc.ec.registered_wakers() != 0 {
+                let (waiters, sleepers, wakers) = (
+                    wc.ec.waiter_count(),
+                    wc.ec.sleeper_count(),
+                    wc.ec.registered_wakers(),
+                );
+                if (waiters, sleepers, wakers) != (0, 0, 0) {
                     return Err(format!(
-                        "eventcount not quiescent: {} waiters, {} wakers",
-                        wc.ec.waiter_count(),
-                        wc.ec.registered_wakers()
+                        "eventcount not quiescent: {waiters} waiters, {sleepers} \
+                         sleepers, {wakers} wakers"
                     ));
                 }
                 Ok(())
@@ -1116,8 +1121,14 @@ fn eventcount_waiters_never_park_past_the_publish() {
 /// sees the generation moved leaves through a `waiters` decrement
 /// instead of the lock. Before the spin the loop read 311 and
 /// (177, 88, 89) — the values of the separate untimed and timed loops it
-/// had replaced; no other access changed.
-const EVENTCOUNT_PINNED_EXECUTIONS: u64 = 373;
+/// had replaced; no other access changed. The `sleepers` count moved
+/// both pins once more, 373 → 556 and (160, 78, 82) → (164, 78, 86): a
+/// parking round increments and decrements it inside the gate around its
+/// generation re-check, `register` increments it before its generation
+/// load (and a refusal decrements it), `deregister` and the drain
+/// decrement it, and the notifier loads it after its bump — taking the
+/// gate, and calling `notify_all`, only when it reads non-zero.
+const EVENTCOUNT_PINNED_EXECUTIONS: u64 = 556;
 /// Timed recv vs send: `(executions, timeout-first, wake-first)`. The
 /// spin added two wake-first executions (the send's wake landing on the
 /// spin's load instead of the locked re-check): (179, 88, 91). Four
@@ -1126,8 +1137,9 @@ const EVENTCOUNT_PINNED_EXECUTIONS: u64 = 373;
 /// scan alone leaves this count where it was, too): (175, 88, 87). The
 /// three-word descriptor (same place) took ten timeout-first and five
 /// wake-first executions with the sender's two claim stores and the
-/// receiver's `i` and `status` loads.
-const TIMED_RECV_PINNED: (u64, usize, usize) = (160, 78, 82);
+/// receiver's `i` and `status` loads. The `sleepers` count (above) added
+/// four wake-first executions: (164, 78, 86).
+const TIMED_RECV_PINNED: (u64, usize, usize) = (164, 78, 86);
 /// The pins for the two `RelocRing` grant scenarios, likewise asserted in
 /// both lanes. Recorded on `RelocRing::claim`, the one scan → claim loop.
 /// The six hand-written loops it replaced read 1 894 and 239: on a miss
@@ -1226,8 +1238,9 @@ fn blocking_close_always_wakes_a_parked_receiver() {
         RunSpec {
             bodies: vec![Box::new(receiver), Box::new(closer)],
             check: Box::new(move |_h| {
-                if qc.not_empty_event().waiter_count() != 0 {
-                    return Err("receiver finished but waiter count leaked".into());
+                let ne = qc.not_empty_event();
+                if ne.waiter_count() != 0 || ne.sleeper_count() != 0 {
+                    return Err("receiver finished but waiter or sleeper count leaked".into());
                 }
                 Ok(())
             }),
@@ -1295,7 +1308,8 @@ fn timed_recv_vs_send_enumerates_both_outcomes() {
             RunSpec {
                 bodies: vec![Box::new(receiver), Box::new(sender)],
                 check: Box::new(move |h| {
-                    if qc.not_empty_event().waiter_count() != 0 {
+                    let ne = qc.not_empty_event();
+                    if ne.waiter_count() != 0 || ne.sleeper_count() != 0 {
                         return Err("timed receiver leaked its waiter announce".into());
                     }
                     let mut dh = qc.register();
@@ -1522,8 +1536,12 @@ fn async_recv_cancel_never_swallows_the_wake() {
                         ne.registered_wakers()
                     ));
                 }
-                if ne.waiter_count() != 0 {
-                    return Err(format!("leaked waiter count {}", ne.waiter_count()));
+                if ne.waiter_count() != 0 || ne.sleeper_count() != 0 {
+                    return Err(format!(
+                        "leaked waiter count {}, sleeper count {}",
+                        ne.waiter_count(),
+                        ne.sleeper_count()
+                    ));
                 }
                 // The survivor must have received the (possibly re-sent)
                 // value.
@@ -1543,6 +1561,101 @@ fn async_recv_cancel_never_swallows_the_wake() {
     assert_passed(&report, "async recv cancellation");
     eprintln!(
         "async cancel: {} executions, {} pruned",
+        report.executions, report.pruned
+    );
+}
+
+/// A waker the explorer can see: firing it sets a flag under a
+/// `SimMutex` and notifies a `SimCondvar`, which the task body blocks on
+/// between polls — so a wake that never fires is a deadlock, not a hang.
+struct Latch {
+    fired: SimMutex<bool>,
+    cv: SimCondvar,
+}
+
+impl Wake for Latch {
+    fn wake(self: Arc<Self>) {
+        *self.fired.lock() = true;
+        self.cv.notify_all();
+    }
+}
+
+impl Latch {
+    fn wait(&self) {
+        let mut fired = self.fired.lock();
+        while !*fired {
+            self.cv.wait(&mut fired);
+        }
+        *fired = false;
+    }
+}
+
+/// The task half of the protocol, alone: a `recv` future registers its
+/// waker and goes `Pending`, a sender publishes one value. In every
+/// interleaving the registered waker must fire — the notifier reaches a
+/// listed waker only through the gate, which it takes only when it counts
+/// a sleeper — and the future, re-polled, must resolve to the value.
+/// Pass-only, like the cancellation scenario above.
+#[test]
+fn registered_task_is_always_woken() {
+    let mk = || {
+        let q: Arc<AsyncQueue<u64, OptimalQueue>> = Arc::new(AsyncQueue::new(
+            OptimalQueue::with_capacity_and_threads(2, 2),
+        ));
+        let mut hr = q.register();
+        let mut hp = q.register();
+        let task = {
+            let q = Arc::clone(&q);
+            move |ctx: &mut bq_sim::explore::Ctx| {
+                let latch = Arc::new(Latch {
+                    fired: SimMutex::new(false),
+                    cv: SimCondvar::new(),
+                });
+                let waker = Waker::from(Arc::clone(&latch));
+                let mut cx = Context::from_waker(&waker);
+                let id = ctx.invoke(Op::Dequeue);
+                let mut fut = std::pin::pin!(q.recv(&mut hr));
+                let v = loop {
+                    match fut.as_mut().poll(&mut cx) {
+                        Poll::Ready(v) => break v.expect("never closed"),
+                        Poll::Pending => latch.wait(),
+                    }
+                };
+                ctx.ret(id, Ret::DeqVal(v));
+            }
+        };
+        let sender = {
+            let q = Arc::clone(&q);
+            move |ctx: &mut bq_sim::explore::Ctx| {
+                let id = ctx.invoke(Op::Enqueue(77));
+                q.try_send(&mut hp, 77).unwrap();
+                ctx.ret(id, Ret::EnqOk);
+            }
+        };
+        let qc = Arc::clone(&q);
+        RunSpec {
+            bodies: vec![Box::new(task), Box::new(sender)],
+            check: Box::new(move |h| {
+                let ne = qc.blocking().not_empty_event();
+                let (waiters, sleepers, wakers) = (
+                    ne.waiter_count(),
+                    ne.sleeper_count(),
+                    ne.registered_wakers(),
+                );
+                if (waiters, sleepers, wakers) != (0, 0, 0) {
+                    return Err(format!(
+                        "eventcount not quiescent: {waiters} waiters, {sleepers} \
+                         sleepers, {wakers} wakers"
+                    ));
+                }
+                conservation(h, &[])
+            }),
+        }
+    };
+    let report = explore(&cfg(3), mk);
+    assert_passed(&report, "registered task vs sender");
+    eprintln!(
+        "registered task: {} executions, {} pruned",
         report.executions, report.pruned
     );
 }

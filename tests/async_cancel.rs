@@ -66,6 +66,7 @@ fn ec_quiescent(ec: &EventCount, what: &str) {
         "{what}: leaked waker registrations"
     );
     assert_eq!(ec.waiter_count(), 0, "{what}: leaked waiter count");
+    assert_eq!(ec.sleeper_count(), 0, "{what}: leaked sleeper count");
 }
 
 // ---------------------------------------------------------------------------
