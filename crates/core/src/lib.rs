@@ -98,7 +98,7 @@ pub use queue::{ConcurrentQueue, EnqueueError, Full, SeqRingQueue};
 pub use relocatable::{
     byte_record_size, AnnounceBoard, BadLayout, ByteReadGrant, ByteRingHdr, ByteWriteGrant,
     PadAtomicU64, PadSimAtomicU64, Pod, RelocBox, RelocBuf, RelocByteRing, RelocEnqOp, RelocLayout,
-    RelocRing, RelocSeqRing, RingReadGrant, RingWriteGrant, SeqReadGrant, SeqWriteGrant,
+    RelocRing, RingReadGrant, RingWriteGrant,
 };
 pub use segment::{SegmentHandle, SegmentQueue};
 pub use sharded::{ShardedHandle, ShardedQueue};

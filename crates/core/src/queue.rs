@@ -1,7 +1,6 @@
 //! The common bounded-queue interface and the sequential reference queue
 //! (the paper's Figure 1).
 
-use crate::relocatable::{RelocBox, RelocSeqRing, SeqReadGrant, SeqWriteGrant};
 use crate::token::InvalidToken;
 use bq_memtrack::{FootprintBreakdown, MemoryFootprint, OverheadClass};
 
@@ -142,15 +141,16 @@ pub trait ConcurrentQueue: Send + Sync {
 /// two positioning counters, total overhead Θ(1).
 ///
 /// This is the specification object: the linearizability checker and the
-/// property tests replay concurrent histories against it.
-///
-/// Since the relocatable refactor (DESIGN.md §10) this is a thin wrapper
-/// over a [`RelocSeqRing`] layout in a [`RelocBox`]; `Clone` is a literal
-/// `memcpy` of those bytes, which doubles as a continuous proof of
-/// relocatability. All mutation goes through `&mut self`.
+/// property tests replay concurrent histories against it. `head` and
+/// `tail` count successful dequeues and enqueues; position `pos` lives in
+/// slot `pos % C`. All mutation goes through `&mut self`.
 #[derive(Clone)]
 pub struct SeqRingQueue {
-    ring: RelocBox<RelocSeqRing>,
+    slots: Box<[u64]>,
+    /// Total successful dequeues.
+    head: u64,
+    /// Total successful enqueues.
+    tail: u64,
 }
 
 impl std::fmt::Debug for SeqRingQueue {
@@ -165,39 +165,55 @@ impl std::fmt::Debug for SeqRingQueue {
 impl SeqRingQueue {
     /// Create a queue of capacity `c > 0`.
     pub fn with_capacity(c: usize) -> Self {
+        assert!(c > 0, "capacity must be positive");
         SeqRingQueue {
-            ring: RelocBox::new(c),
+            slots: vec![0; c].into_boxed_slice(),
+            head: 0,
+            tail: 0,
         }
+    }
+
+    /// The slot of absolute position `pos`.
+    fn slot(&self, pos: u64) -> usize {
+        (pos % self.slots.len() as u64) as usize
     }
 
     /// The capacity `C`.
     pub fn capacity(&self) -> usize {
-        self.ring.capacity()
+        self.slots.len()
     }
 
     /// Current number of elements.
     pub fn len(&self) -> usize {
-        self.ring.len()
+        (self.tail - self.head) as usize
     }
 
     /// Is the queue empty?
     pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
+        self.head == self.tail
     }
 
     /// Is the queue full?
     pub fn is_full(&self) -> bool {
-        self.ring.is_full()
+        self.len() == self.capacity()
     }
 
     /// Enqueue; returns the value back when full.
     pub fn enqueue(&mut self, v: u64) -> Result<(), Full> {
-        self.ring.view_mut().enqueue(v)
+        if self.is_full() {
+            return Err(Full(v));
+        }
+        let i = self.slot(self.tail);
+        self.slots[i] = v;
+        self.tail += 1;
+        Ok(())
     }
 
     /// Dequeue the oldest element.
     pub fn dequeue(&mut self) -> Option<u64> {
-        self.ring.view_mut().dequeue()
+        let v = self.peek()?;
+        self.head += 1;
+        Some(v)
     }
 
     /// Enqueue a prefix of `vs`; returns how many fit. The sequential
@@ -232,38 +248,19 @@ impl SeqRingQueue {
 
     /// Peek at the oldest element without removing it.
     pub fn peek(&self) -> Option<u64> {
-        self.ring.peek()
-    }
-
-    /// Reserve up to `n` slots for a zero-copy in-place write (DESIGN.md
-    /// §12). The grant exposes `&mut [MaybeUninit<u64>]` over the slot
-    /// memory; nothing is published until
-    /// [`commit`](crate::relocatable::SeqWriteGrant::commit), and
-    /// dropping the grant aborts with no state change. `None` when full
-    /// or `n == 0`.
-    pub fn try_reserve(&mut self, n: usize) -> Option<SeqWriteGrant<'_>> {
-        self.ring.view_mut().try_reserve(n)
-    }
-
-    /// Borrow up to `n` queued elements in place as `&[u64]` (DESIGN.md
-    /// §12). Elements leave the queue only via
-    /// [`release`](crate::relocatable::SeqReadGrant::release); dropping
-    /// the grant leaves them queued. `None` when empty or `n == 0`.
-    pub fn try_read(&mut self, n: usize) -> Option<SeqReadGrant<'_>> {
-        self.ring.view_mut().try_read(n)
+        (!self.is_empty()).then(|| self.slots[self.slot(self.head)])
     }
 
     /// Iterate over the current elements, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
-        (self.ring.head()..self.ring.tail()).map(move |i| self.ring.get_abs(i))
+        (self.head..self.tail).map(move |pos| self.slots[self.slot(pos)])
     }
 }
 
 impl MemoryFootprint for SeqRingQueue {
     fn footprint(&self) -> FootprintBreakdown {
-        // The algorithmic overhead is the two Figure 1 counters. The
-        // relocatable framing words (magic + capacity) play the role the
-        // old Vec header played and are likewise not billed.
+        // The algorithmic overhead is the two Figure 1 counters; the
+        // boxed slice's pointer and length are not billed.
         FootprintBreakdown::with_elements(self.capacity() * 8).add(
             "head + tail counters",
             16,
@@ -361,9 +358,8 @@ mod tests {
     }
 
     #[test]
-    fn clone_is_memcpy_relocation_and_diverges() {
-        // `Clone` duplicates the relocatable bytes at a new address; the
-        // copy must carry the full state and then evolve independently.
+    fn clone_diverges() {
+        // The copy carries the full state and then evolves independently.
         let mut q = SeqRingQueue::with_capacity(3);
         q.enqueue(1).unwrap();
         q.enqueue(2).unwrap();

@@ -6,8 +6,7 @@
 //! caller-provided memory at one address is therefore byte-for-byte valid
 //! at any other address — in particular inside an `mmap`-shared segment
 //! that different processes map at different virtual addresses (`bq-shm`),
-//! or memcpy'd wholesale (how [`SeqRingQueue`](crate::SeqRingQueue) now
-//! implements `Clone`).
+//! or memcpy'd wholesale.
 //!
 //! The split is: **shared state** (the `#[repr(C)]` header + trailing
 //! arrays, all offset-addressed) vs **view** (a per-process accessor like
@@ -17,13 +16,11 @@
 //! `Clone`: it lives beside the allocation or mapping it addresses, inside
 //! its owner, and is lent out by reference — so it cannot outlive the bytes.
 //!
-//! Four layouts are provided, each placed through the one
+//! Three layouts are provided, each placed through the one
 //! [`RelocLayout`] path (`layout` / `init_at` / checked `attach`) and
-//! owned by [`RelocBox`] on the heap or `bq-shm`'s `ShmBox` in a segment:
+//! owned by [`RelocBox`] on the heap or `bq-shm`'s `ShmBox` in a segment.
+//! Every view is `&self`-only over atomics:
 //!
-//! * [`RelocSeqRing`] — the Figure 1 sequential ring
-//!   ([`SeqRingQueue`](crate::SeqRingQueue) is now a thin heap-backed
-//!   wrapper over it);
 //! * [`RelocRing<T>`] — the Vyukov-style sequenced MPMC ring
 //!   (`bq-baselines`' `VyukovQueue` wraps `RelocRing<u64>`; `bq-shm`'s
 //!   `ShmQueue<T>` reuses the identical layout under a crash-consistent
@@ -95,7 +92,6 @@ use std::mem::MaybeUninit;
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::queue::Full;
 use crate::simx::SimAtomicU64;
 
 /// Marker for **plain-old-data** element types that may live in
@@ -278,8 +274,9 @@ fn recorded(word: u64) -> Result<usize, BadLayout> {
 ///   `try_layout(args)?.size()` bytes starting there;
 /// * every *safe* method reachable through `&Self` may be called from
 ///   several threads at once (it touches atomics only, or reads plain
-///   words that only `&mut self` methods write) — this is what lets the
-///   owners be `Send + Sync` without an argument of their own;
+///   words nothing writes after [`init_at`](Self::init_at)) — this is
+///   what lets the owners be `Send + Sync` without an argument of their
+///   own;
 /// * `try_layout` and `recorded_args` never panic and never read outside
 ///   the header.
 pub unsafe trait RelocLayout: Sized {
@@ -355,7 +352,8 @@ pub unsafe trait RelocLayout: Sized {
 /// plus the view addressing it. Derefs to the view.
 pub struct RelocBox<V: RelocLayout> {
     view: V,
-    buf: RelocBuf,
+    /// Keeps the bytes `view` addresses alive.
+    _buf: RelocBuf,
 }
 
 impl<V: RelocLayout> RelocBox<V> {
@@ -366,13 +364,7 @@ impl<V: RelocLayout> RelocBox<V> {
         // SAFETY: `buf` is a fresh zeroed allocation of exactly
         // `layout(args)`, owned by the box for as long as the view.
         let view = unsafe { V::init_at(buf.base(), args) };
-        RelocBox { view, buf }
-    }
-
-    /// The view, mutably. Crate-private: swapping two boxes' views would
-    /// leave each addressing the other's allocation.
-    pub(crate) fn view_mut(&mut self) -> &mut V {
-        &mut self.view
+        RelocBox { view, _buf: buf }
     }
 }
 
@@ -383,20 +375,6 @@ impl<V: RelocLayout> std::ops::Deref for RelocBox<V> {
     }
 }
 
-/// `Clone` is a literal `memcpy` of the region plus a checked
-/// [`attach`](RelocLayout::attach). Only the sequential ring offers it:
-/// its `&self` methods write nothing, so the bytes cannot change under the
-/// copy.
-impl Clone for RelocBox<RelocSeqRing> {
-    fn clone(&self) -> Self {
-        let buf = self.buf.duplicate();
-        // SAFETY: `buf` is the box's own allocation, `buf.len()` long.
-        let view = unsafe { RelocSeqRing::attach(buf.base(), buf.len()) }
-            .expect("a byte copy of a valid region is valid");
-        RelocBox { view, buf }
-    }
-}
-
 // SAFETY: `buf` is uniquely owned and outlives `view`, whose pointers
 // target it; `RelocLayout`'s contract makes every safe `&V` method
 // thread-safe, and the view's `unsafe` methods carry their own.
@@ -404,35 +382,8 @@ unsafe impl<V: RelocLayout> Send for RelocBox<V> {}
 unsafe impl<V: RelocLayout> Sync for RelocBox<V> {}
 
 // ---------------------------------------------------------------------------
-// RelocSeqRing — the Figure 1 sequential ring, relocatable
+// RelocRing<T> — the Vyukov-style sequenced MPMC ring, relocatable (SoA)
 // ---------------------------------------------------------------------------
-
-/// Header of the sequential ring: magic + capacity + the two Figure 1
-/// positioning counters. `C` value slots (`u64`) follow immediately.
-#[repr(C)]
-pub struct SeqRingHdr {
-    /// [`SEQ_RING_MAGIC`].
-    pub magic: u64,
-    /// Capacity `C`.
-    pub capacity: u64,
-    /// Total successful enqueues.
-    pub tail: u64,
-    /// Total successful dequeues.
-    pub head: u64,
-}
-
-/// Magic word identifying an initialized [`RelocSeqRing`] region.
-pub const SEQ_RING_MAGIC: u64 = 0x4d42_5153_4551_5231; // "MBQSEQR1"
-
-/// View over a Figure 1 sequential bounded ring placed in caller-provided
-/// memory. Single-owner (`&mut` API); the heap-backed owner is
-/// [`SeqRingQueue`](crate::SeqRingQueue).
-pub struct RelocSeqRing {
-    hdr: NonNull<SeqRingHdr>,
-    cap: u64,
-    /// `C - 1` when `C` is a power of two, else 0 (mod fallback).
-    mask: u64,
-}
 
 /// `C - 1` if `c` is a power of two, else the 0 sentinel selecting the
 /// `%` slow path. `c ≥ 1` everywhere this is used, so a real mask is
@@ -444,279 +395,6 @@ const fn mask_of(c: u64) -> u64 {
         0
     }
 }
-
-// SAFETY: the view addresses the header and the `C` slots behind it;
-// `&self` methods read plain words that only `&mut self` methods write.
-unsafe impl RelocLayout for RelocSeqRing {
-    /// Capacity `C > 0`.
-    type Args = usize;
-    const HDR_BYTES: usize = std::mem::size_of::<SeqRingHdr>();
-
-    fn try_layout(c: usize) -> Result<Layout, BadLayout> {
-        if c == 0 {
-            return Err(BadLayout("capacity must be positive"));
-        }
-        layout_of(
-            span(Self::HDR_BYTES, c, std::mem::size_of::<u64>()),
-            std::mem::align_of::<SeqRingHdr>(),
-        )
-    }
-
-    /// An empty ring. Slots stay as handed over (zeroed): the counters
-    /// make them unreachable until written.
-    unsafe fn init_at(base: *mut u8, c: usize) -> RelocSeqRing {
-        let _ = Self::layout(c); // validates c > 0
-        base.cast::<SeqRingHdr>().write(SeqRingHdr {
-            magic: SEQ_RING_MAGIC,
-            capacity: c as u64,
-            tail: 0,
-            head: 0,
-        });
-        Self::view(base, c)
-    }
-
-    unsafe fn recorded_args(base: *const u8) -> Result<usize, BadLayout> {
-        let hdr = base.cast::<SeqRingHdr>();
-        if (*hdr).magic != SEQ_RING_MAGIC {
-            return Err(BadLayout("not a RelocSeqRing region"));
-        }
-        recorded((*hdr).capacity)
-    }
-
-    unsafe fn view(base: *mut u8, c: usize) -> RelocSeqRing {
-        RelocSeqRing {
-            hdr: NonNull::new_unchecked(base.cast()),
-            cap: c as u64,
-            mask: mask_of(c as u64),
-        }
-    }
-}
-
-impl RelocSeqRing {
-    fn hdr(&self) -> &SeqRingHdr {
-        // SAFETY: view invariant — hdr points at an initialized header.
-        unsafe { self.hdr.as_ref() }
-    }
-
-    fn hdr_mut(&mut self) -> &mut SeqRingHdr {
-        // SAFETY: &mut self — the single-owner discipline gives
-        // exclusive access.
-        unsafe { self.hdr.as_mut() }
-    }
-
-    fn slots(&self) -> *mut u64 {
-        // SAFETY: slots follow the header per `layout`.
-        unsafe { self.hdr.as_ptr().add(1).cast::<u64>() }
-    }
-
-    /// Slot index of absolute position `pos` — mask fast path when the
-    /// capacity is a power of two.
-    #[inline]
-    fn slot_of(&self, pos: u64) -> usize {
-        if self.mask != 0 {
-            (pos & self.mask) as usize
-        } else {
-            (pos % self.cap) as usize
-        }
-    }
-
-    /// Capacity `C`.
-    pub fn capacity(&self) -> usize {
-        self.cap as usize
-    }
-
-    /// Current number of elements.
-    pub fn len(&self) -> usize {
-        (self.hdr().tail - self.hdr().head) as usize
-    }
-
-    /// Is the ring empty?
-    pub fn is_empty(&self) -> bool {
-        self.hdr().head == self.hdr().tail
-    }
-
-    /// Is the ring full?
-    pub fn is_full(&self) -> bool {
-        self.hdr().tail == self.hdr().head + self.cap
-    }
-
-    /// The value at absolute position `pos` (`head ≤ pos < tail`).
-    pub fn get_abs(&self, pos: u64) -> u64 {
-        debug_assert!(self.hdr().head <= pos && pos < self.hdr().tail);
-        // SAFETY: pos mod C is in bounds.
-        unsafe { self.slots().add(self.slot_of(pos)).read() }
-    }
-
-    /// Total successful enqueues (the Figure 1 `tail` counter).
-    pub fn tail(&self) -> u64 {
-        self.hdr().tail
-    }
-
-    /// Total successful dequeues (the Figure 1 `head` counter).
-    pub fn head(&self) -> u64 {
-        self.hdr().head
-    }
-
-    /// Enqueue; hands the value back when full.
-    pub fn enqueue(&mut self, v: u64) -> Result<(), Full> {
-        if self.is_full() {
-            return Err(Full(v));
-        }
-        let tail = self.hdr().tail;
-        let slot = self.slot_of(tail);
-        // SAFETY: tail mod C is in bounds; &mut self gives exclusivity.
-        unsafe { self.slots().add(slot).write(v) };
-        self.hdr_mut().tail += 1;
-        Ok(())
-    }
-
-    /// Dequeue the oldest element.
-    pub fn dequeue(&mut self) -> Option<u64> {
-        if self.is_empty() {
-            return None;
-        }
-        let head = self.hdr().head;
-        let slot = self.slot_of(head);
-        // SAFETY: head mod C is in bounds.
-        let v = unsafe { self.slots().add(slot).read() };
-        self.hdr_mut().head += 1;
-        Some(v)
-    }
-
-    /// Peek at the oldest element without removing it.
-    pub fn peek(&self) -> Option<u64> {
-        if self.is_empty() {
-            None
-        } else {
-            Some(self.get_abs(self.hdr().head))
-        }
-    }
-
-    /// Reserve up to `n` slots for an in-place write. Returns `None` when
-    /// the ring is full or `n == 0`; otherwise the grant covers
-    /// `min(n, free, distance-to-wrap)` slots (a grant never wraps, so
-    /// its memory is contiguous). Nothing is published until
-    /// [`SeqWriteGrant::commit`]; dropping the grant aborts with no
-    /// state change.
-    pub fn try_reserve(&mut self, n: usize) -> Option<SeqWriteGrant<'_>> {
-        let free = self.capacity() - self.len();
-        let to_wrap = self.capacity() - self.slot_of(self.hdr().tail);
-        let run = n.min(free).min(to_wrap);
-        if run == 0 {
-            return None;
-        }
-        Some(SeqWriteGrant {
-            ring: self,
-            len: run,
-        })
-    }
-
-    /// Borrow up to `n` queued elements in place. Returns `None` when the
-    /// ring is empty or `n == 0`; otherwise the grant covers
-    /// `min(n, len, distance-to-wrap)` contiguous elements. Elements
-    /// leave the queue only on [`SeqReadGrant::release`]; dropping the
-    /// grant leaves them queued.
-    pub fn try_read(&mut self, n: usize) -> Option<SeqReadGrant<'_>> {
-        let queued = self.len();
-        let to_wrap = self.capacity() - self.slot_of(self.hdr().head);
-        let run = n.min(queued).min(to_wrap);
-        if run == 0 {
-            return None;
-        }
-        Some(SeqReadGrant {
-            ring: self,
-            len: run,
-        })
-    }
-}
-
-/// A reserved, contiguous, not-yet-published run of slots in a
-/// [`RelocSeqRing`]. Fill [`uninit_slice`](Self::uninit_slice) in place,
-/// then [`commit`](Self::commit) a prefix; dropping the grant publishes
-/// nothing (abort is free here — the tail was never moved).
-pub struct SeqWriteGrant<'a> {
-    ring: &'a mut RelocSeqRing,
-    len: usize,
-}
-
-impl SeqWriteGrant<'_> {
-    /// Number of reserved slots.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` iff the grant is empty (never, by construction).
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The reserved payload memory, to be filled in place.
-    pub fn uninit_slice(&mut self) -> &mut [MaybeUninit<u64>] {
-        let slot0 = self.ring.slot_of(self.ring.hdr().tail);
-        // SAFETY: try_reserve bounded the run to not wrap, so
-        // slots[slot0 .. slot0+len] is in bounds; the &mut borrow of the
-        // ring makes the access exclusive.
-        unsafe {
-            std::slice::from_raw_parts_mut(
-                self.ring.slots().add(slot0).cast::<MaybeUninit<u64>>(),
-                self.len,
-            )
-        }
-    }
-
-    /// Publish the first `k ≤ len` reserved slots (they must have been
-    /// initialized through [`uninit_slice`](Self::uninit_slice)).
-    pub fn commit(self, k: usize) {
-        assert!(k <= self.len, "commit beyond reservation");
-        self.ring.hdr_mut().tail += k as u64;
-    }
-}
-
-/// A borrowed, contiguous run of queued elements in a [`RelocSeqRing`].
-/// Consume a prefix with [`release`](Self::release); dropping the grant
-/// releases nothing (the elements stay queued).
-pub struct SeqReadGrant<'a> {
-    ring: &'a mut RelocSeqRing,
-    len: usize,
-}
-
-impl SeqReadGrant<'_> {
-    /// Number of borrowed elements.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` iff the grant is empty (never, by construction).
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The borrowed elements, oldest first.
-    pub fn slice(&self) -> &[u64] {
-        let slot0 = self.ring.slot_of(self.ring.hdr().head);
-        // SAFETY: try_read bounded the run to queued, non-wrapping
-        // elements; the &mut borrow of the ring makes the access
-        // exclusive.
-        unsafe { std::slice::from_raw_parts(self.ring.slots().add(slot0), self.len) }
-    }
-
-    /// Dequeue the first `k ≤ len` borrowed elements.
-    pub fn release(self, k: usize) {
-        assert!(k <= self.len, "release beyond grant");
-        self.ring.hdr_mut().head += k as u64;
-    }
-}
-
-impl std::ops::Deref for SeqReadGrant<'_> {
-    type Target = [u64];
-    fn deref(&self) -> &[u64] {
-        self.slice()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// RelocRing<T> — the Vyukov-style sequenced MPMC ring, relocatable (SoA)
-// ---------------------------------------------------------------------------
 
 /// Header of the sequenced ring: magic + capacity, then the two
 /// cache-padded positioning counters. The `C` sequence words follow
@@ -1765,14 +1443,6 @@ const _: () = {
     assert!(align_of::<PadAtomicU64>() == 128);
     assert!(size_of::<PadSimAtomicU64>() == 128);
     assert!(align_of::<PadSimAtomicU64>() == 128);
-
-    // SeqRingHdr: four plain u64 words, in order.
-    assert!(size_of::<SeqRingHdr>() == 32);
-    assert!(align_of::<SeqRingHdr>() == 8);
-    assert!(offset_of!(SeqRingHdr, magic) == 0);
-    assert!(offset_of!(SeqRingHdr, capacity) == 8);
-    assert!(offset_of!(SeqRingHdr, tail) == 16);
-    assert!(offset_of!(SeqRingHdr, head) == 24);
 
     // RingHdr: magic+capacity share the first padded unit; the counters
     // get one each.

@@ -1,124 +1,6 @@
 use super::*;
 
 #[test]
-fn seq_ring_basic_and_wraparound() {
-    let buf = RelocBuf::zeroed(RelocSeqRing::layout(3));
-    // SAFETY: buf satisfies layout(3), exclusively owned.
-    let mut r = unsafe { RelocSeqRing::init_at(buf.base(), 3) };
-    for round in 0..50u64 {
-        for i in 0..3 {
-            r.enqueue(round * 3 + i).unwrap();
-        }
-        assert!(r.is_full());
-        assert_eq!(r.enqueue(99), Err(Full(99)));
-        for i in 0..3 {
-            assert_eq!(r.dequeue(), Some(round * 3 + i));
-        }
-        assert!(r.is_empty());
-    }
-}
-
-#[test]
-fn seq_ring_survives_memcpy_relocation() {
-    let buf = RelocBuf::zeroed(RelocSeqRing::layout(4));
-    // SAFETY: buf satisfies layout(4).
-    let mut r = unsafe { RelocSeqRing::init_at(buf.base(), 4) };
-    r.enqueue(10).unwrap();
-    r.enqueue(20).unwrap();
-    r.dequeue().unwrap();
-    r.enqueue(30).unwrap();
-
-    let copy = buf.duplicate();
-    assert_ne!(copy.base(), buf.base(), "relocated to a new address");
-    // SAFETY: copy holds a byte-identical initialized region.
-    let mut r2 = unsafe { RelocSeqRing::attach(copy.base(), copy.len()).unwrap() };
-    assert_eq!(r2.len(), 2);
-    assert_eq!(r2.dequeue(), Some(20));
-    assert_eq!(r2.dequeue(), Some(30));
-    assert_eq!(r2.dequeue(), None);
-    // The original is untouched by operations on the copy.
-    assert_eq!(r.len(), 2);
-}
-
-#[test]
-#[should_panic(expected = "not a RelocSeqRing")]
-fn seq_ring_rejects_uninitialized_memory() {
-    let buf = RelocBuf::zeroed(RelocSeqRing::layout(2));
-    // SAFETY: the pointer is valid; the magic check is the subject.
-    let _ = unsafe { RelocSeqRing::attach(buf.base(), buf.len()).unwrap() };
-}
-
-#[test]
-fn seq_ring_write_grant_commit_and_abort() {
-    let buf = RelocBuf::zeroed(RelocSeqRing::layout(4));
-    // SAFETY: buf satisfies layout(4).
-    let mut r = unsafe { RelocSeqRing::init_at(buf.base(), 4) };
-
-    // Reserve 3, fill, commit only 2.
-    {
-        let mut g = r.try_reserve(3).unwrap();
-        assert_eq!(g.len(), 3);
-        for (i, s) in g.uninit_slice().iter_mut().enumerate() {
-            s.write(10 + i as u64);
-        }
-        g.commit(2);
-    }
-    assert_eq!(r.len(), 2);
-
-    // Abort by drop: nothing published.
-    {
-        let _g = r.try_reserve(2).unwrap();
-    }
-    assert_eq!(r.len(), 2);
-    assert_eq!(r.dequeue(), Some(10));
-    assert_eq!(r.dequeue(), Some(11));
-    assert_eq!(r.dequeue(), None);
-}
-
-#[test]
-fn seq_ring_grants_never_wrap_and_read_releases_prefix() {
-    let buf = RelocBuf::zeroed(RelocSeqRing::layout(4));
-    // SAFETY: buf satisfies layout(4).
-    let mut r = unsafe { RelocSeqRing::init_at(buf.base(), 4) };
-    // Advance to slot 3 so a 2-slot reservation must stop at the wrap.
-    for v in 0..3 {
-        r.enqueue(v).unwrap();
-        r.dequeue().unwrap();
-    }
-    {
-        let mut g = r.try_reserve(4).unwrap();
-        assert_eq!(g.len(), 1, "run stops at the wrap point");
-        g.uninit_slice()[0].write(7);
-        g.commit(1);
-    }
-    {
-        let mut g = r.try_reserve(4).unwrap();
-        assert_eq!(g.len(), 3, "post-wrap run limited by free slots");
-        for (i, s) in g.uninit_slice().iter_mut().enumerate() {
-            s.write(8 + i as u64);
-        }
-        g.commit(3);
-    }
-    assert!(r.is_full());
-    assert!(r.try_reserve(1).is_none());
-
-    {
-        let g = r.try_read(8).unwrap();
-        assert_eq!(g.slice(), &[7], "read run also stops at the wrap");
-        g.release(1);
-    }
-    {
-        let g = r.try_read(2).unwrap();
-        assert_eq!(&*g, &[8, 9]);
-        g.release(1); // partial release keeps element 9 queued
-    }
-    assert_eq!(r.dequeue(), Some(9));
-    assert_eq!(r.dequeue(), Some(10));
-    assert!(r.is_empty());
-    assert!(r.try_read(1).is_none());
-}
-
-#[test]
 fn vy_ring_fifo_and_relaxed_full() {
     let buf = RelocBuf::zeroed(RelocRing::<u64>::layout(4));
     // SAFETY: buf satisfies layout(4).
@@ -494,7 +376,6 @@ fn board_lane_holds_a_threads_slot_and_descriptor_pair() {
 
 #[test]
 fn layouts_are_contiguous_and_aligned() {
-    assert_eq!(RelocSeqRing::layout(8).size(), 32 + 64);
     // SoA: 384-byte header, 8 seq words (64 B) padded to the 128-byte
     // payload boundary, then 8 u64 payloads.
     let l = RelocRing::<u64>::layout(8);

@@ -9,48 +9,11 @@
 //! what static assertions cannot: arbitrary capacities, arbitrary
 //! operation sequences, and actual relocation.
 
-use bq_core::relocatable::{
-    align_up, AnnounceBoard, RelocBuf, RelocLayout, RelocRing, RelocSeqRing,
-};
+use bq_core::relocatable::{align_up, AnnounceBoard, RelocBuf, RelocLayout, RelocRing};
 use proptest::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// `RelocSeqRing`: run a random enqueue/dequeue script, then memcpy
-    /// the segment elsewhere — offsets must resolve to identical state.
-    #[test]
-    fn seq_ring_state_survives_relocation(
-        cap in 1usize..24,
-        script in prop::collection::vec((any::<bool>(), any::<u64>()), 0..64),
-    ) {
-        let buf = RelocBuf::zeroed(RelocSeqRing::layout(cap));
-        // SAFETY: buf sized by the matching layout, exclusively owned.
-        let mut ring = unsafe { RelocSeqRing::init_at(buf.base(), cap) };
-        let mut model = std::collections::VecDeque::new();
-        for (is_enq, v) in script {
-            if is_enq {
-                if ring.enqueue(v).is_ok() {
-                    model.push_back(v);
-                }
-            } else {
-                prop_assert_eq!(ring.dequeue(), model.pop_front());
-            }
-        }
-
-        let moved = buf.duplicate();
-        prop_assert_ne!(moved.base(), buf.base(), "duplicate gets a new base");
-        // SAFETY: the bytes at the new base are a complete image.
-        let mut ring2 = unsafe { RelocSeqRing::attach(moved.base(), moved.len()).unwrap() };
-        prop_assert_eq!(ring2.capacity(), cap);
-        prop_assert_eq!(ring2.len(), model.len());
-        // Drain the *relocated* queue against the model: every offset in
-        // the moved image resolves exactly as a reference did pre-move.
-        while let Some(expect) = model.pop_front() {
-            prop_assert_eq!(ring2.dequeue(), Some(expect));
-        }
-        prop_assert!(ring2.is_empty());
-    }
 
     /// `RelocRing` (Vyukov layout): per-slot sequence words and values
     /// read back identically through a relocated view.

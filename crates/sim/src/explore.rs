@@ -29,8 +29,10 @@
 //!
 //! The engine explores *sequentially consistent* interleavings only: it
 //! cannot reorder the effects of a single thread the way real weak
-//! memory can (every `bq-core` shared access is `SeqCst`, so for these
-//! algorithms SC exploration is the right model). Preemption bounding
+//! memory can. The `bq-core` sites that ship weaker orderings
+//! (`RelocRing::claim`/`resolve`, the byte ring) are therefore checked
+//! under a stronger model than the one they run under, and `spsc.rs` is
+//! not instrumented at all; DESIGN.md §11.4 lists them. Preemption bounding
 //! (Musuvathi & Qadeer's iterative context bounding) is exhaustive *up
 //! to the bound*; state-hash pruning and the conflict filter are
 //! heuristics on top — hash collisions can in principle drop distinct

@@ -39,7 +39,6 @@ pub mod adversary;
 pub mod algos;
 pub mod controller;
 pub mod explore;
-pub mod fuzz;
 pub mod lincheck;
 pub mod machine;
 pub mod mem;
@@ -51,7 +50,6 @@ pub use adversary::{
 };
 pub use controller::{OpId, RunOutcome, Sim};
 pub use explore::{run_machine_schedule, token_domain_violations, MachinePlan, Schedule};
-pub use fuzz::{fuzz_round, FuzzConfig};
 pub use lincheck::{check_history, check_history_pool, History, HistoryEvent, LinResult};
 pub use machine::{Access, Op, OpMachine, Ret, Status};
 pub use mem::{Loc, LocKind, SimMemory};

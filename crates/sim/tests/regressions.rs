@@ -288,8 +288,6 @@ fn shipped_examples_use_the_15bit_checksum_mask() {
 
 /// Source scan over `bq-sim`: schedules must replay bit-identically, so
 /// no wall-clock reads or entropy-seeded RNGs anywhere in the crate.
-/// (`fuzz.rs` uses `StdRng::seed_from_u64`, which is deterministic by
-/// construction.)
 #[test]
 fn sim_crate_has_no_wallclock_or_ambient_randomness() {
     let src_dir = concat!(env!("CARGO_MANIFEST_DIR"), "/src");

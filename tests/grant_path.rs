@@ -7,24 +7,19 @@
 //! grants — including aborted ones — and read grants, checked step by
 //! step against a `VecDeque` oracle.
 //!
-//! Two queues under test:
+//! The queue under test is `VyukovQueue` (the concurrent ring): a dropped
+//! write grant *aborts* its slots (seq jumps a full round) and dequeues
+//! skip them, so aborted slots transiently occupy capacity — the oracle
+//! checks values and order exactly but treats `Full` as advisory.
 //!
-//! * `SeqRingQueue` (the single-threaded ring): grants are pure cursor
-//!   arithmetic, and `Full`/`None` reports are exact, so the oracle
-//!   comparison is total;
-//! * `VyukovQueue` (the concurrent ring): a dropped write grant *aborts*
-//!   its slots (seq jumps a full round) and dequeues skip them, so
-//!   aborted slots transiently occupy capacity — the oracle checks
-//!   values and order exactly but treats `Full` as advisory.
-//!
-//! Both runs end with a full drain, so every sequence also proves
+//! Every run ends with a full drain, so every sequence also proves
 //! conservation: exactly the committed values come out, in FIFO order,
 //! and aborted grants leak nothing.
 
 use std::collections::VecDeque;
 
 use membq::baselines::VyukovQueue;
-use membq::core::{ConcurrentQueue, SeqRingQueue};
+use membq::core::ConcurrentQueue;
 use proptest::prelude::*;
 
 /// Smoke-sized case counts under `MEMBQ_SMOKE=1` (CI short path).
@@ -48,8 +43,8 @@ enum Op {
     Grant { ask: usize, commit: usize },
     /// Reserve up to `ask` slots and drop the grant without committing.
     GrantAbort { ask: usize },
-    /// Read up to `ask` elements in place, then consume a prefix.
-    Read { ask: usize, release: usize },
+    /// Read up to `ask` elements in place, then consume them.
+    Read { ask: usize },
     /// Batch enqueue of `n` fresh tokens (a prefix is accepted).
     EnqMany { n: usize },
     /// Batch dequeue of up to `max` elements.
@@ -63,7 +58,7 @@ fn op_strategy() -> impl Strategy<Value = Vec<Op>> {
             Just(Op::Deq),
             (1usize..6, 0usize..6).prop_map(|(ask, commit)| Op::Grant { ask, commit }),
             (1usize..6).prop_map(|ask| Op::GrantAbort { ask }),
-            (1usize..6, 1usize..6).prop_map(|(ask, release)| Op::Read { ask, release }),
+            (1usize..6).prop_map(|ask| Op::Read { ask }),
             (1usize..9).prop_map(|n| Op::EnqMany { n }),
             (1usize..9).prop_map(|max| Op::DeqMany { max }),
         ],
@@ -74,92 +69,7 @@ fn op_strategy() -> impl Strategy<Value = Vec<Op>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases(256)))]
 
-    /// `SeqRingQueue`: grants interleaved with moves match the oracle
-    /// exactly — including `Full`/empty reports and wrap-limited run
-    /// lengths.
-    #[test]
-    fn seq_ring_grants_match_oracle(cap in 2usize..17, ops in op_strategy()) {
-        let mut q = SeqRingQueue::with_capacity(cap);
-        let mut model: VecDeque<u64> = VecDeque::new();
-        let mut next = 1u64;
-        for op in &ops {
-            match *op {
-                Op::Enq => {
-                    match q.enqueue(next) {
-                        Ok(()) => {
-                            prop_assert!(model.len() < cap);
-                            model.push_back(next);
-                        }
-                        Err(_) => prop_assert_eq!(model.len(), cap),
-                    }
-                    next += 1;
-                }
-                Op::Deq => {
-                    prop_assert_eq!(q.dequeue(), model.pop_front());
-                }
-                Op::Grant { ask, commit } => match q.try_reserve(ask) {
-                    Some(mut g) => {
-                        let run = g.len();
-                        prop_assert!(run >= 1 && run <= ask);
-                        prop_assert!(model.len() + run <= cap);
-                        let k = commit.min(run);
-                        for i in 0..k {
-                            g.uninit_slice()[i].write(next + i as u64);
-                        }
-                        g.commit(k);
-                        for i in 0..k {
-                            model.push_back(next + i as u64);
-                        }
-                        next += k as u64;
-                    }
-                    // Reserve refuses only an empty run: zero ask or full.
-                    None => prop_assert!(ask == 0 || model.len() == cap),
-                },
-                Op::GrantAbort { ask } => {
-                    if let Some(g) = q.try_reserve(ask) {
-                        let _ = g; // abort: nothing published, nothing leaked
-                    }
-                    prop_assert_eq!(q.len(), model.len());
-                }
-                Op::Read { ask, release } => match q.try_read(ask) {
-                    Some(g) => {
-                        let run = g.len();
-                        prop_assert!(run >= 1 && run <= ask && run <= model.len());
-                        for (i, v) in g.slice().iter().enumerate() {
-                            prop_assert_eq!(*v, model[i]);
-                        }
-                        let k = release.min(run);
-                        g.release(k);
-                        for _ in 0..k {
-                            model.pop_front();
-                        }
-                    }
-                    None => prop_assert!(ask == 0 || model.is_empty()),
-                },
-                Op::EnqMany { n } => {
-                    let vals: Vec<u64> = (next..next + n as u64).collect();
-                    let sent = q.enqueue_many(&vals);
-                    prop_assert_eq!(sent, n.min(cap - model.len()));
-                    model.extend(&vals[..sent]);
-                    next += n as u64;
-                }
-                Op::DeqMany { max } => {
-                    let mut out = Vec::new();
-                    let got = q.dequeue_many(max, &mut out);
-                    prop_assert_eq!(got, max.min(model.len()));
-                    prop_assert_eq!(out, model.drain(..got).collect::<Vec<_>>());
-                }
-            }
-            prop_assert_eq!(q.len(), model.len());
-        }
-        // Conservation: drain everything, in order.
-        while let Some(v) = q.dequeue() {
-            prop_assert_eq!(Some(v), model.pop_front());
-        }
-        prop_assert!(model.is_empty());
-    }
-
-    /// `VyukovQueue`: same interleavings on the concurrent ring. Aborted
+    /// `VyukovQueue`: moves, batches and grants interleaved. Aborted
     /// write grants burn their slots for one round (capacity is
     /// transiently reduced, so `Full` is advisory), but every value
     /// committed is delivered exactly once, in FIFO order, and dequeues
@@ -203,7 +113,7 @@ proptest! {
                         drop(g); // aborts the whole run
                     }
                 }
-                Op::Read { ask, .. } => match q.try_read(ask) {
+                Op::Read { ask } => match q.try_read(ask) {
                     Some(g) => {
                         let run = g.len();
                         prop_assert!(run >= 1 && run <= ask && run <= model.len());
@@ -276,7 +186,7 @@ proptest! {
                         drop(g);
                     }
                 }
-                Op::Read { ask, .. } => {
+                Op::Read { ask } => {
                     if let Some(g) = q.try_read(ask) {
                         g.release();
                     }
