@@ -8,7 +8,7 @@
 //! The per-slot sequence word of the Vyukov layout is re-encoded as
 //!
 //! ```text
-//! bits 0..=47   round     (the global position the slot serves)
+//! bits 0..=47   round     (the global position the slot serves, mod 2⁴⁸)
 //! bits 48..=49  state     FREE → CLAIMED → PUB → CONSUMING → FREE(+C)
 //! bits 50..=57  owner     process-table index of the claimant
 //! ```
@@ -19,6 +19,12 @@
 //! publish CAS (W4)**, a **dequeue at its claim CAS (V1)**. Everything a
 //! process does between claiming and publishing is private-until-published,
 //! so a death in the window aborts the op cleanly instead of tearing it.
+//!
+//! `head` and `tail` are full 64-bit positions. A slot's round is
+//! compared with them mod 2⁴⁸, and every position the protocol writes
+//! back (a help CAS, a reclaim's `FREE(pos + C)`) is rebuilt from the
+//! full position the caller read, so the queue runs through the 2⁴⁸ edge
+//! (DESIGN.md §10.3).
 //!
 //! ## Per-write crash-consistency argument (enqueue path)
 //!
@@ -78,12 +84,21 @@ const CLAIMED: u64 = 1;
 const PUB: u64 = 2;
 const CONSUMING: u64 = 3;
 
+/// The slot word for full position `pos`: its round is `pos` mod 2⁴⁸.
 #[inline]
-fn pack(round: u64, state: u64, owner: usize) -> u64 {
-    debug_assert!(round <= ROUND_MASK);
+fn pack(pos: u64, state: u64, owner: usize) -> u64 {
     debug_assert!(state <= 3);
     debug_assert!(owner < 256);
-    round | (state << STATE_SHIFT) | ((owner as u64) << OWNER_SHIFT)
+    (pos & ROUND_MASK) | (state << STATE_SHIFT) | ((owner as u64) << OWNER_SHIFT)
+}
+
+/// `round − pos` mod 2⁴⁸, sign-extended: how far the slot's round is
+/// ahead of (> 0) or behind (< 0) the full position `pos`. Every round a
+/// slot can hold is within a few `C` of the positions read beside it,
+/// far inside ±2⁴⁷, so the sign is always the true order.
+#[inline]
+fn delta(round: u64, pos: u64) -> i64 {
+    ((round.wrapping_sub(pos) << (64 - ROUND_BITS)) as i64) >> (64 - ROUND_BITS)
 }
 
 #[inline]
@@ -104,6 +119,11 @@ pub fn layout_tag<T>() -> u64 {
 /// Per-process (per-registrant) handle: the owner identity baked into
 /// claim words, plus the fault-injection state used by the soak and
 /// crash tests (see [`FaultPlan`](crate::FaultPlan)).
+///
+/// Not `Clone`, and every operation takes it `&mut`: the handle is the
+/// only writer of its process-table slot's `attempts` and `claims`
+/// words, which is what lets it count with plain stores (DESIGN.md
+/// §14.3).
 #[derive(Debug)]
 pub struct ShmHandle {
     proc_idx: usize,
@@ -215,7 +235,8 @@ impl<T: Pod> ShmQueue<T> {
     }
 
     /// Reclaim a slot whose owner died mid-transition: CAS the observed
-    /// word to `FREE(round + C)` and help `head` past `round`. Correct for
+    /// word to `FREE(pos + C)` and help `head` past `pos`, the full
+    /// position the observed word's round stands for. Correct for
     /// both orphan kinds (see the table in the module docs): an orphaned
     /// `CLAIMED` never linearized (the position yields no element), an
     /// orphaned `CONSUMING` linearized at its claim (the element is gone).
@@ -223,13 +244,13 @@ impl<T: Pod> ShmQueue<T> {
     /// per-process reclaim counter); `None` from an unregistered caller
     /// (e.g. a bare `recover` sweep) leaves the reclaim unattributed —
     /// the segment-wide poison count records it either way.
-    fn reclaim(&self, slot: usize, observed: u64, round: u64, by: Option<usize>) -> bool {
+    fn reclaim(&self, slot: usize, observed: u64, pos: u64, by: Option<usize>) -> bool {
         let won = self
             .ring
             .seq(slot)
             .compare_exchange(
                 observed,
-                pack(round + self.capacity() as u64, FREE, 0),
+                pack(pos + self.capacity() as u64, FREE, 0),
                 Ordering::SeqCst,
                 Ordering::SeqCst,
             )
@@ -239,23 +260,19 @@ impl<T: Pod> ShmQueue<T> {
             if let Some(idx) = by {
                 self.segment().note_proc_reclaim(idx);
             }
-            let _ = self.ring.head().compare_exchange(
-                round,
-                round + 1,
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            );
-            // Also help `tail` past the round: an owner that died right
+            let _ =
+                self.ring
+                    .head()
+                    .compare_exchange(pos, pos + 1, Ordering::SeqCst, Ordering::SeqCst);
+            // Also help `tail` past the position: an owner that died right
             // after its claim CAS (W1) never ran its tail help (W2), and
-            // once this slot says `round + C` nothing else would ever
+            // once this slot says `pos + C` nothing else would ever
             // advance `tail` — producers would spin on a position no slot
             // serves. Benign when `tail` already moved (the CAS fails).
-            let _ = self.ring.tail().compare_exchange(
-                round,
-                round + 1,
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            );
+            let _ =
+                self.ring
+                    .tail()
+                    .compare_exchange(pos, pos + 1, Ordering::SeqCst, Ordering::SeqCst);
         }
         won
     }
@@ -273,6 +290,9 @@ impl<T: Pod> ShmQueue<T> {
     pub fn recover(&self) -> usize {
         let mut reclaimed = 0;
         for slot in 0..self.capacity() {
+            // Every in-flight round is within a few `C` of `head`, so
+            // `head` rebuilds the slot's full position from its round.
+            let hd = self.ring.head().load(Ordering::SeqCst);
             let w = self.ring.seq(slot).load(Ordering::SeqCst);
             let (r, st, owner) = unpack(w);
             if (st == CLAIMED || st == CONSUMING)
@@ -280,7 +300,7 @@ impl<T: Pod> ShmQueue<T> {
                 // The same verdict-then-CAS as the lazy path; `reclaim`
                 // only CASes on the observed word, so a slot a racing
                 // survivor already handled is left alone (and uncounted).
-                && self.reclaim(slot, w, r, None)
+                && self.reclaim(slot, w, hd.wrapping_add_signed(delta(r, hd)), None)
             {
                 reclaimed += 1;
             }
@@ -301,15 +321,17 @@ impl<T: Pod> ShmQueue<T> {
         // Per-process attempt count in the segment (DESIGN.md §14): one
         // tick per real protocol entry, attributed to this handle's slot
         // so it survives the process. Injected refusals stay uncounted —
-        // they touch no shared state by contract.
-        self.segment().note_proc_attempt(h.proc_idx);
+        // they touch no shared state by contract. The handle is the
+        // slot's only writer: a plain store, no locked RMW (§14.3).
+        self.segment().note_own_attempt(h.proc_idx);
         h.crash_gate(); // kill point 0: before any shared write
         loop {
             let t = self.ring.tail().load(Ordering::SeqCst);
             let slot = self.ring.slot_of(t);
             let w = self.ring.seq(slot).load(Ordering::SeqCst);
             let (r, st, owner) = unpack(w);
-            if r == t && st == FREE {
+            let d = delta(r, t);
+            if d == 0 && st == FREE {
                 if self
                     .ring
                     .seq(slot)
@@ -322,7 +344,7 @@ impl<T: Pod> ShmQueue<T> {
                     .is_ok()
                 {
                     // W1 done: the claim names us; the value is still ours.
-                    self.segment().note_proc_claim(h.proc_idx);
+                    self.segment().note_own_claim(h.proc_idx);
                     h.crash_gate();
                     let _ = self.ring.tail().compare_exchange(
                         t,
@@ -360,7 +382,7 @@ impl<T: Pod> ShmQueue<T> {
                 }
                 continue; // lost the claim race
             }
-            if r == t {
+            if d == 0 {
                 // Someone claimed round `t` but its tail help hasn't
                 // landed; help and retry on the next position.
                 let _ =
@@ -369,17 +391,18 @@ impl<T: Pod> ShmQueue<T> {
                         .compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::SeqCst);
                 continue;
             }
-            if r > t {
+            if d > 0 {
                 continue; // stale tail read; reload
             }
             // r < t: the slot still serves round `t - C`.
+            let pos = t.wrapping_add_signed(d);
             match st {
                 PUB => return Err(v), // element awaiting dequeue: full
                 CLAIMED => {
                     if self.dead(owner) {
                         // Orphaned enqueue from the previous round blocks
                         // the slot; reclaim it (it never linearized).
-                        self.reclaim(slot, w, r, Some(h.proc_idx));
+                        self.reclaim(slot, w, pos, Some(h.proc_idx));
                         continue;
                     }
                     return Err(v); // in-flight enqueue: transiently full
@@ -388,7 +411,7 @@ impl<T: Pod> ShmQueue<T> {
                     if self.dead(owner) {
                         // Orphaned dequeue: it linearized at its claim;
                         // finish its release.
-                        self.reclaim(slot, w, r, Some(h.proc_idx));
+                        self.reclaim(slot, w, pos, Some(h.proc_idx));
                         continue;
                     }
                     return Err(v); // consumer mid-dequeue: transiently full
@@ -409,7 +432,7 @@ impl<T: Pod> ShmQueue<T> {
             return None; // injected refusal: empty, nothing touched
         }
         // Per-process attempt count, as in `enqueue`.
-        self.segment().note_proc_attempt(h.proc_idx);
+        self.segment().note_own_attempt(h.proc_idx);
         let c = self.capacity() as u64;
         h.crash_gate(); // kill point 0: before any shared access
         loop {
@@ -417,7 +440,8 @@ impl<T: Pod> ShmQueue<T> {
             let slot = self.ring.slot_of(hd);
             let w = self.ring.seq(slot).load(Ordering::SeqCst);
             let (r, st, owner) = unpack(w);
-            if r == hd {
+            let d = delta(r, hd);
+            if d == 0 {
                 match st {
                     PUB => {
                         if self
@@ -432,7 +456,7 @@ impl<T: Pod> ShmQueue<T> {
                             .is_ok()
                         {
                             // V1 done: linearized — the element is ours.
-                            self.segment().note_proc_claim(h.proc_idx);
+                            self.segment().note_own_claim(h.proc_idx);
                             h.crash_gate();
                             let _ = self.ring.head().compare_exchange(
                                 hd,
@@ -490,7 +514,7 @@ impl<T: Pod> ShmQueue<T> {
                     _ => return None, // FREE(hd): nothing ever enqueued here — empty
                 }
             }
-            if r > hd {
+            if d > 0 {
                 // Slot already recycled past `hd` (consumed + released)
                 // but `head` lags; help it.
                 let _ = self.ring.head().compare_exchange(
@@ -522,6 +546,12 @@ mod tests {
         }
         // Initial Vyukov seeding (seq = i) decodes as FREE(i) owner 0.
         assert_eq!(unpack(5), (5, FREE, 0));
+        // A stored round orders against full positions across 2⁴⁸.
+        let edge = 1u64 << ROUND_BITS;
+        assert_eq!(delta(unpack(pack(edge, FREE, 0)).0, edge), 0);
+        assert_eq!(delta(unpack(pack(edge + 3, FREE, 0)).0, edge - 1), 4);
+        assert_eq!(delta(unpack(pack(edge - 2, PUB, 5)).0, edge + 2), -4);
+        assert_eq!(delta(3, 7), -4);
     }
 
     #[test]
@@ -824,6 +854,143 @@ mod tests {
             Some(2),
             "a refused op records no attempt"
         );
+    }
+
+    /// 2⁴⁸: the first position whose round reads 0 again.
+    const EDGE: u64 = 1 << ROUND_BITS;
+
+    /// An empty queue of capacity `c` whose next position is `start`:
+    /// `head` = `tail` = `start`, each slot `FREE` for the first round it
+    /// serves from there — the state `start` operations would leave, so
+    /// the wrap-edge tests need not run 2⁴⁸ of them.
+    fn queue_starting_at(c: usize, start: u64) -> ShmQueue<u64> {
+        let q = ShmQueue::<u64>::create_anon(c).unwrap();
+        for pos in start..start + c as u64 {
+            q.ring
+                .seq(q.ring.slot_of(pos))
+                .store(pack(pos, FREE, 0), Ordering::SeqCst);
+        }
+        q.ring.head().store(start, Ordering::SeqCst);
+        q.ring.tail().store(start, Ordering::SeqCst);
+        q
+    }
+
+    #[test]
+    fn round_wrap_at_two_to_the_48() {
+        let c = 4;
+        // One element at a time: three pairs below the edge, the pair at
+        // 2⁴⁸ (where a 48-bit round used to bleed into the state bits: an
+        // empty queue reported full, and an empty dequeue spun), and more
+        // beyond it.
+        let q = queue_starting_at(c, EDGE - 3);
+        let mut h = q.register();
+        for v in 0..3 * c as u64 {
+            assert_eq!(q.enqueue(&mut h, v), Ok(()), "empty queue refused {v}");
+            assert_eq!(q.dequeue(&mut h), Some(v));
+        }
+        assert_eq!(q.dequeue(&mut h), None);
+        assert_eq!(q.ring.head().load(Ordering::SeqCst), EDGE + 9);
+
+        // A full ring straddling the edge: `C` in, relaxed full, FIFO out,
+        // twice over.
+        let q = queue_starting_at(c, EDGE - 2);
+        let mut h = q.register();
+        for lap in 0..2u64 {
+            for i in 0..c as u64 {
+                q.enqueue(&mut h, lap * 10 + i).unwrap();
+            }
+            assert_eq!(q.len(), c);
+            assert_eq!(q.enqueue(&mut h, 99), Err(99));
+            for i in 0..c as u64 {
+                assert_eq!(q.dequeue(&mut h), Some(lap * 10 + i));
+            }
+            assert_eq!(q.dequeue(&mut h), None);
+        }
+    }
+
+    #[test]
+    fn orphans_at_the_round_wrap_are_reclaimed() {
+        // A ghost dies right after W1 at position 2⁴⁸, before its tail
+        // help. The sweep must help `head` and `tail` from the full
+        // position: helped from the 48-bit round (0), both CASes miss and
+        // producers spin on a position no slot serves.
+        let q = queue_starting_at(4, EDGE);
+        let mut h = q.register();
+        let ghost = q.segment().register_proc(u32::MAX - 6); // ESRCH ⇒ dead
+        let slot = q.ring.slot_of(EDGE);
+        let w = q.ring.seq(slot).load(Ordering::SeqCst);
+        q.ring
+            .seq(slot)
+            .compare_exchange(
+                w,
+                pack(EDGE, CLAIMED, ghost),
+                Ordering::SeqCst,
+                Ordering::SeqCst,
+            )
+            .unwrap();
+        assert_eq!(q.recover(), 1);
+        assert_eq!(q.ring.head().load(Ordering::SeqCst), EDGE + 1);
+        assert_eq!(q.ring.tail().load(Ordering::SeqCst), EDGE + 1);
+        q.enqueue(&mut h, 7).unwrap();
+        assert_eq!(q.dequeue(&mut h), Some(7));
+
+        // The lazy path: the ghost claims the dequeue of position 2⁴⁸ − 1
+        // (V1) and dies; the producer wanting that slot at 2⁴⁸ + 1 reclaims
+        // it to `FREE(2⁴⁸ + 1)`, not to a round that overflows its bits.
+        let q = queue_starting_at(2, EDGE - 1);
+        let mut h = q.register();
+        let ghost = q.segment().register_proc(u32::MAX - 6);
+        q.enqueue(&mut h, 1).unwrap();
+        q.enqueue(&mut h, 2).unwrap();
+        let slot = q.ring.slot_of(EDGE - 1);
+        let w = q.ring.seq(slot).load(Ordering::SeqCst);
+        q.ring
+            .seq(slot)
+            .compare_exchange(
+                w,
+                pack(EDGE - 1, CONSUMING, ghost),
+                Ordering::SeqCst,
+                Ordering::SeqCst,
+            )
+            .unwrap();
+        q.enqueue(&mut h, 3).unwrap();
+        assert_eq!(q.dequeue(&mut h), Some(2));
+        assert_eq!(q.dequeue(&mut h), Some(3));
+        assert_eq!(q.dequeue(&mut h), None);
+        assert_eq!(q.segment().poison_count(), 1);
+    }
+
+    #[test]
+    fn threaded_conservation_across_the_round_wrap() {
+        // One producer, one consumer, a small ring, 2⁴⁸ crossed halfway:
+        // every element arrives once, in order, and nothing else does.
+        let total = 6_000u64;
+        let q = queue_starting_at(4, EDGE - total / 2);
+        let producer = {
+            let q = q.clone();
+            std::thread::spawn(move || {
+                let mut h = q.register();
+                for v in 1..=total {
+                    while q.enqueue(&mut h, v).is_err() {
+                        std::thread::yield_now();
+                    }
+                }
+            })
+        };
+        let mut h = q.register();
+        let mut next = 1;
+        while next <= total {
+            match q.dequeue(&mut h) {
+                Some(v) => {
+                    assert_eq!(v, next, "FIFO across the wrap");
+                    next += 1;
+                }
+                None => std::thread::yield_now(),
+            }
+        }
+        producer.join().unwrap();
+        assert_eq!(q.dequeue(&mut h), None, "exact conservation");
+        assert_eq!(q.ring.head().load(Ordering::SeqCst), EDGE + total / 2);
     }
 
     #[test]

@@ -83,13 +83,18 @@ pub struct ProcSlot {
     /// Statistics only — `Relaxed`, read by nothing in the protocols —
     /// but stored here rather than in process memory so the count
     /// survives a SIGKILL and tells the post-mortem how far the victim
-    /// got.
+    /// got. In a slot a [`ShmHandle`](crate::ShmHandle) holds, the
+    /// handle is the only writer (DESIGN.md §14.3) and counts with a
+    /// plain load and store; a byte ring's per-pid slot has several
+    /// writers and counts with `fetch_add`.
     pub attempts: AtomicU64,
     /// Slot transitions this process won: enqueue claims (W1) and
-    /// dequeue claims (V1) alike.
+    /// dequeue claims (V1) alike. Written like `attempts`: by the
+    /// holding handle alone, or with `fetch_add` in a byte ring's slot.
     pub claims: AtomicU64,
     /// Dead-owner reclaims this process performed as a *survivor*
-    /// (lazy reclaims and `recover` sweeps).
+    /// (lazy reclaims and `recover` sweeps). Always `fetch_add`: off the
+    /// hot path.
     pub reclaims: AtomicU64,
     /// Reserved (keeps the slot a power-of-two 64 bytes; always 0 in
     /// version 3).
@@ -432,16 +437,33 @@ impl ShmSegment {
 
     /// Count one queue-operation attempt by the process in slot `idx`.
     /// `Relaxed`: a pure statistic, read by no protocol decision, living
-    /// in the segment only so it survives the owner's death.
-    pub fn note_proc_attempt(&self, idx: usize) {
+    /// in the segment only so it survives the owner's death. Crate-only,
+    /// so that nothing outside it can write a slot a
+    /// [`ShmHandle`](crate::ShmHandle) counts into with plain stores.
+    pub(crate) fn note_proc_attempt(&self, idx: usize) {
         self.hdr().procs[idx]
             .attempts
             .fetch_add(1, Ordering::Relaxed);
     }
 
     /// Count one successful slot/record claim by slot `idx`.
-    pub fn note_proc_claim(&self, idx: usize) {
+    pub(crate) fn note_proc_claim(&self, idx: usize) {
         self.hdr().procs[idx].claims.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// [`note_proc_attempt`](Self::note_proc_attempt) for a caller that
+    /// is the word's **only writer**: the [`ShmHandle`](crate::ShmHandle)
+    /// that registered slot `idx` (DESIGN.md §14.3).
+    #[inline]
+    pub(crate) fn note_own_attempt(&self, idx: usize) {
+        tick_single_writer(&self.hdr().procs[idx].attempts);
+    }
+
+    /// [`note_proc_claim`](Self::note_proc_claim) for the slot's only
+    /// writer, as in [`note_own_attempt`](Self::note_own_attempt).
+    #[inline]
+    pub(crate) fn note_own_claim(&self, idx: usize) {
+        tick_single_writer(&self.hdr().procs[idx].claims);
     }
 
     /// Count one dead-owner reclaim performed *by* slot `idx` (the
@@ -498,6 +520,18 @@ impl ShmSegment {
     pub fn poison_count(&self) -> u64 {
         self.hdr().poisoned.load(Ordering::Acquire)
     }
+}
+
+/// Add one to a counter that has a single writer: a `Relaxed` load and
+/// store, not a locked RMW. With one writer nothing can land between the
+/// two, so the count stays exact — and, being in the segment, survives
+/// the writer.
+#[inline]
+fn tick_single_writer(word: &AtomicU64) {
+    word.store(
+        word.load(Ordering::Relaxed).wrapping_add(1),
+        Ordering::Relaxed,
+    );
 }
 
 /// `CLOCK_MONOTONIC` in nanoseconds — the heartbeat clock. Monotonic (so
