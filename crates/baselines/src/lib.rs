@@ -3,7 +3,7 @@
 //! The paper positions its bounds against the standard ways practitioners
 //! build lock-free bounded queues. This crate implements those baselines
 //! over the same [`bq_core::ConcurrentQueue`] token interface so that the
-//! overhead table (experiment E9) and the throughput benches (E10) compare
+//! overhead table (experiment E9) and the time experiments (E10) compare
 //! like for like:
 //!
 //! | Type | Lineage | Overhead |
@@ -13,7 +13,6 @@
 //! | [`ScqStyleQueue`] | Nikolaev's SCQ (DISC'19), structural model | Θ(C): a 2C index ring over C data slots |
 //! | [`TwoNullQueue`] | Tsigas & Zhang 2001, two-null model | Θ(1), **unsound** after a two-round stall |
 //! | [`MutexRingQueue`] | coarse-grained lock | Θ(1) + lock, blocking |
-//! | [`CrossbeamArrayQueue`] | `crossbeam_queue::ArrayQueue` | Θ(C), industrial reference |
 //!
 //! Structural simplifications versus the original publications (faithful in
 //! *memory shape*, the paper's metric, not in every fast-path detail) are
@@ -21,14 +20,12 @@
 
 #![deny(missing_docs)]
 
-pub mod cb;
 pub mod ms;
 pub mod mutex_ring;
 pub mod scq;
 pub mod two_null;
 pub mod vyukov;
 
-pub use cb::CrossbeamArrayQueue;
 pub use ms::MsQueue;
 pub use mutex_ring::MutexRingQueue;
 pub use scq::ScqStyleQueue;

@@ -148,6 +148,6 @@ fn main() {
     print!("{}", render_table(&rows));
     println!(
         "\nExpected ordering (paper): Θ(1) strawmen (unsound) < Θ(T) descriptor designs \
-         (Listings 4/5) < Θ(C) per-slot designs (Vyukov/SCQ/crossbeam/LLSC-emulated) < Θ(n) MS."
+         (Listings 4/5) < Θ(C) per-slot designs (Vyukov/SCQ/LLSC-emulated) < Θ(n) MS."
     );
 }

@@ -1,23 +1,19 @@
-//! The waiting-façade registry and workloads (experiment **E12**): the
-//! blocking and async façades over the *same* lock-free queue and the
-//! same [`bq_core::EventCount`] pair, driven through the pairs workload
-//! so their wake paths can be compared head-to-head.
+//! The waiting-façade registry and workloads: the blocking and async
+//! façades over the *same* lock-free queue and the same
+//! [`bq_core::EventCount`] pair, driven through the pairs workload (the
+//! soak's façade rounds, and E16/E17's timed cells).
 //!
 //! The registry's [`QueueKind`](crate::registry::QueueKind) rows cover
 //! the non-blocking implementations; the façades add a *waiting* layer
 //! on top, so they get their own small kind enum here instead of fake
 //! `DynQueue` rows (a blocking `send` has no "full" outcome to report).
-//!
-//! Hardware note (same as E11): on a single-core host both façades
-//! serialize onto one CPU, so the numbers measure wake-path overhead
-//! under preemption — condvar unpark vs waker re-poll — not parallel
-//! speedup.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use bq_core::{AsyncQueue, BlockingQueue, OptimalQueue, RecvTimeoutError, ShardedQueue, TimeLimit};
 
+use crate::measure::run_threads;
 use crate::workload::WorkloadResult;
 
 /// Values per `send_all` in [`FacadeKind::batch_round`]: one full run of
@@ -147,7 +143,7 @@ impl FacadeKind {
 
 /// Pairs workload over the blocking façade (see [`FacadeKind::pairs`]),
 /// every operation under `limit`. With [`TimeLimit::Forever`] it is the
-/// E12/E17 workload; experiment **E16** runs it a second time under a
+/// E17 workload; experiment **E16** runs it a second time under a
 /// timeout generous enough never to fire and compares the two. Timed
 /// and untimed are the same wait loop, and a timeout is pinned to the
 /// clock lazily at the *first park*, so on an uncontended run a timed
@@ -166,27 +162,22 @@ pub fn blocking_pairs_throughput(
     for i in 0..(c / 2) as u64 {
         q.try_send(&mut h, 1 + i).expect("pre-fill failed");
     }
-    let token_base = AtomicU64::new(1_000_000);
-    let start = Instant::now();
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            let q = &q;
-            let token_base = &token_base;
-            s.spawn(move || {
-                let mut h = q.register();
-                for _ in 0..ops_per_thread {
-                    let v = token_base.fetch_add(1, Ordering::Relaxed);
-                    q.send_within(&mut h, v, limit)
-                        .expect("open queue, limit never fires");
-                    q.recv_within(&mut h, limit)
-                        .expect("open queue, limit never fires");
-                }
-            });
+    // Spawn, registration and the token ranges stay outside the clock.
+    let elapsed = run_threads(threads, |tid| {
+        let (q, mut h) = (&q, q.register());
+        let first = (tid as u64 + 1) << 40;
+        move || {
+            for v in first..first + ops_per_thread {
+                q.send_within(&mut h, v, limit)
+                    .expect("open queue, limit never fires");
+                q.recv_within(&mut h, limit)
+                    .expect("open queue, limit never fires");
+            }
         }
     });
     WorkloadResult {
         ops: 2 * threads as u64 * ops_per_thread,
-        secs: start.elapsed().as_secs_f64(),
+        secs: elapsed.as_secs_f64(),
     }
 }
 

@@ -16,14 +16,18 @@
 //! Every message is filled with a seq-derived pattern and the consumer
 //! keeps a running checksum, so the runs *prove* they moved the bytes
 //! they claim to have moved (a zero-copy path that loses data would be
-//! very fast indeed). 1-core caveat as everywhere: producer and consumer
-//! interleave under preemption; the copy savings are per-operation work
-//! and show up regardless.
+//! very fast indeed). Producer and consumer are the two threads of one
+//! `measure::run_threads` cell: the ring is built and both are parked at
+//! the barrier before the clock starts.
 
-use std::time::Instant;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use parking_lot::Mutex;
 
 use bq_core::byte_ring;
 use bq_core::relocatable::{RelocBox, RelocRing};
+
+use crate::measure::run_threads;
 
 /// Message size for E15 — io_uring-register-buffer territory: big enough
 /// that copies dominate protocol cost, small enough to stay cache-warm.
@@ -85,40 +89,38 @@ fn expected_total(msgs: u64) -> u64 {
 /// (local buffer → slot on enqueue, slot → local buffer on dequeue).
 pub fn payload_pairs_move(slots: usize, msgs: u64) -> PayloadResult {
     let ring = RelocBox::<RelocRing<Payload>>::new(slots);
-    let start = Instant::now();
-    let total = std::thread::scope(|s| {
-        let ring = &ring;
-        s.spawn(move || {
-            for i in 0..msgs {
-                let mut m: Payload = [fill_byte(i); PAYLOAD_BYTES];
-                loop {
-                    match ring.vy_enqueue(m) {
-                        Ok(()) => break,
-                        Err(back) => {
-                            m = back;
-                            std::thread::yield_now();
-                        }
+    let total = AtomicU64::new(0);
+    let elapsed = run_threads(2, |tid| {
+        let (ring, total) = (&ring, &total);
+        move || {
+            if tid == 0 {
+                for i in 0..msgs {
+                    let mut m: Payload = [fill_byte(i); PAYLOAD_BYTES];
+                    while let Err(back) = ring.vy_enqueue(m) {
+                        m = back;
+                        std::thread::yield_now();
                     }
                 }
+                return;
             }
-        });
-        let mut total = 0u64;
-        let mut seen = 0u64;
-        while seen < msgs {
-            match ring.vy_dequeue() {
-                Some(m) => {
-                    total = total.wrapping_add(checksum(&m));
-                    seen += 1;
+            let (mut sum, mut seen) = (0u64, 0u64);
+            while seen < msgs {
+                match ring.vy_dequeue() {
+                    Some(m) => {
+                        sum = sum.wrapping_add(checksum(&m));
+                        seen += 1;
+                    }
+                    None => std::thread::yield_now(),
                 }
-                None => std::thread::yield_now(),
             }
+            total.store(sum, Ordering::Relaxed);
         }
-        total
     });
+    let total = total.into_inner();
     assert_eq!(total, expected_total(msgs), "move path lost payload bytes");
     PayloadResult {
         msgs,
-        secs: start.elapsed().as_secs_f64(),
+        secs: elapsed.as_secs_f64(),
     }
 }
 
@@ -126,44 +128,47 @@ pub fn payload_pairs_move(slots: usize, msgs: u64) -> PayloadResult {
 /// and read once (from the slot); no copies.
 pub fn payload_pairs_grant(slots: usize, msgs: u64) -> PayloadResult {
     let ring = RelocBox::<RelocRing<Payload>>::new(slots);
-    let start = Instant::now();
-    let total = std::thread::scope(|s| {
-        let ring = &ring;
-        s.spawn(move || {
-            let mut i = 0u64;
-            while i < msgs {
-                let Some(mut g) = ring.try_reserve((msgs - i) as usize) else {
+    let total = AtomicU64::new(0);
+    let elapsed = run_threads(2, |tid| {
+        let (ring, total) = (&ring, &total);
+        move || {
+            if tid == 0 {
+                let mut i = 0u64;
+                while i < msgs {
+                    let Some(mut g) = ring.try_reserve((msgs - i) as usize) else {
+                        std::thread::yield_now();
+                        continue;
+                    };
+                    let n = g.len();
+                    for (k, slot) in g.uninit_slice().iter_mut().enumerate() {
+                        // Fill the slot in place — this is the whole point.
+                        slot.write([fill_byte(i + k as u64); PAYLOAD_BYTES]);
+                    }
+                    g.commit(n);
+                    i += n as u64;
+                }
+                return;
+            }
+            let (mut sum, mut seen) = (0u64, 0u64);
+            while seen < msgs {
+                let Some(g) = ring.try_read((msgs - seen) as usize) else {
                     std::thread::yield_now();
                     continue;
                 };
-                let n = g.len();
-                for (k, slot) in g.uninit_slice().iter_mut().enumerate() {
-                    // Fill the slot in place — this is the whole point.
-                    slot.write([fill_byte(i + k as u64); PAYLOAD_BYTES]);
+                for m in g.slice() {
+                    sum = sum.wrapping_add(checksum(m));
                 }
-                g.commit(n);
-                i += n as u64;
+                seen += g.len() as u64;
+                g.release();
             }
-        });
-        let mut total = 0u64;
-        let mut seen = 0u64;
-        while seen < msgs {
-            let Some(g) = ring.try_read((msgs - seen) as usize) else {
-                std::thread::yield_now();
-                continue;
-            };
-            for m in g.slice() {
-                total = total.wrapping_add(checksum(m));
-            }
-            seen += g.len() as u64;
-            g.release();
+            total.store(sum, Ordering::Relaxed);
         }
-        total
     });
+    let total = total.into_inner();
     assert_eq!(total, expected_total(msgs), "grant path lost payload bytes");
     PayloadResult {
         msgs,
-        secs: start.elapsed().as_secs_f64(),
+        secs: elapsed.as_secs_f64(),
     }
 }
 
@@ -172,38 +177,47 @@ pub fn payload_pairs_grant(slots: usize, msgs: u64) -> PayloadResult {
 pub fn payload_pairs_bytering(slots: usize, msgs: u64) -> PayloadResult {
     // Match the slot rings' capacity in *messages*: each record is
     // 8 + PAYLOAD_BYTES bytes, both multiples of 8 so records never pad.
-    let (mut tx, mut rx) = byte_ring(slots * (8 + PAYLOAD_BYTES), PAYLOAD_BYTES);
-    let start = Instant::now();
-    let total = std::thread::scope(|s| {
-        s.spawn(move || {
-            for i in 0..msgs {
-                loop {
-                    if let Some(mut g) = tx.try_grant(PAYLOAD_BYTES) {
-                        g.buf().fill(fill_byte(i));
-                        g.commit(PAYLOAD_BYTES);
-                        break;
+    let (tx, rx) = byte_ring(slots * (8 + PAYLOAD_BYTES), PAYLOAD_BYTES);
+    // Each endpoint goes to the one thread that uses it.
+    let (tx, rx) = (Mutex::new(Some(tx)), Mutex::new(Some(rx)));
+    let total = AtomicU64::new(0);
+    let elapsed = run_threads(2, |tid| {
+        let mut tx = (tid == 0).then(|| tx.lock().take().expect("one producer"));
+        let mut rx = (tid == 1).then(|| rx.lock().take().expect("one consumer"));
+        let total = &total;
+        move || {
+            if let Some(tx) = tx.as_mut() {
+                for i in 0..msgs {
+                    loop {
+                        if let Some(mut g) = tx.try_grant(PAYLOAD_BYTES) {
+                            g.buf().fill(fill_byte(i));
+                            g.commit(PAYLOAD_BYTES);
+                            break;
+                        }
+                        std::thread::yield_now();
                     }
-                    std::thread::yield_now();
+                }
+                return;
+            }
+            let rx = rx.as_mut().expect("thread 1 consumes");
+            let (mut sum, mut seen) = (0u64, 0u64);
+            while seen < msgs {
+                match rx.try_read() {
+                    Some(g) => {
+                        sum = sum.wrapping_add(checksum(&g));
+                        seen += 1;
+                    }
+                    None => std::thread::yield_now(),
                 }
             }
-        });
-        let mut total = 0u64;
-        let mut seen = 0u64;
-        while seen < msgs {
-            match rx.try_read() {
-                Some(g) => {
-                    total = total.wrapping_add(checksum(&g));
-                    seen += 1;
-                }
-                None => std::thread::yield_now(),
-            }
+            total.store(sum, Ordering::Relaxed);
         }
-        total
     });
+    let total = total.into_inner();
     assert_eq!(total, expected_total(msgs), "byte ring lost payload bytes");
     PayloadResult {
         msgs,
-        secs: start.elapsed().as_secs_f64(),
+        secs: elapsed.as_secs_f64(),
     }
 }
 

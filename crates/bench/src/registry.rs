@@ -9,9 +9,7 @@
 
 use parking_lot::Mutex;
 
-use bq_baselines::{
-    CrossbeamArrayQueue, MsQueue, MutexRingQueue, ScqStyleQueue, TwoNullQueue, VyukovQueue,
-};
+use bq_baselines::{MsQueue, MutexRingQueue, ScqStyleQueue, TwoNullQueue, VyukovQueue};
 use bq_core::{
     byte_ring, ByteConsumer, ByteProducer, ConcurrentQueue, DcssQueue, DistinctQueue, LlScQueue,
     NaiveQueue, OptimalQueue, SegmentQueue, ShardedQueue,
@@ -273,8 +271,6 @@ pub enum QueueKind {
     TwoNull,
     /// Mutex ring.
     MutexRing,
-    /// crossbeam ArrayQueue.
-    Crossbeam,
     /// Scale layer: 4 shards of Listing 5 — Θ(S·T) overhead, per-shard
     /// FIFO (DESIGN.md §8).
     ShardedOptimal,
@@ -307,15 +303,14 @@ pub const ALL_KINDS: &[QueueKind] = &[
     QueueKind::Scq,
     QueueKind::TwoNull,
     QueueKind::MutexRing,
-    QueueKind::Crossbeam,
     QueueKind::ShardedOptimal,
     QueueKind::ShardedSegment,
     QueueKind::Shm,
     QueueKind::ByteRing,
 ];
 
-/// Default shard count for the registry's sharded kinds (the sweep binary
-/// varies `S` explicitly via [`sharded_optimal`]).
+/// Default shard count for the registry's sharded kinds ([`sharded_optimal`]
+/// takes `S` explicitly).
 pub const DEFAULT_SHARDS: usize = 4;
 
 impl QueueKind {
@@ -334,7 +329,6 @@ impl QueueKind {
             QueueKind::Scq => "scq-style",
             QueueKind::TwoNull => "tsigas-zhang-2null",
             QueueKind::MutexRing => "mutex-ring",
-            QueueKind::Crossbeam => "crossbeam-array",
             QueueKind::ShardedOptimal => "sharded4-optimal",
             QueueKind::ShardedSegment => "sharded4-segment",
             QueueKind::Shm => "shm-mpmc",
@@ -358,7 +352,6 @@ impl QueueKind {
             QueueKind::Scq => "Θ(C)",
             QueueKind::TwoNull => "Θ(1) [unsound]",
             QueueKind::MutexRing => "Θ(1) [blocking]",
-            QueueKind::Crossbeam => "Θ(C)",
             QueueKind::ShardedOptimal => "Θ(S·T)",
             QueueKind::ShardedSegment => "Θ(C/K + S·T·K)",
             QueueKind::Shm => "Θ(C) [multi-proc]",
@@ -441,12 +434,6 @@ impl QueueKind {
                 MutexRingQueue::with_capacity(c),
                 t,
             )),
-            QueueKind::Crossbeam => Box::new(Registered::new(
-                self.name(),
-                true,
-                CrossbeamArrayQueue::with_capacity(c),
-                t,
-            )),
             QueueKind::ShardedOptimal => Box::new(Registered::with_fifo(
                 self.name(),
                 true,
@@ -475,8 +462,8 @@ impl QueueKind {
 }
 
 /// Build a `ShardedQueue<OptimalQueue>` with an explicit shard count `s`
-/// behind the `DynQueue` interface — the shard/batch sweep binary (E11)
-/// varies `S` beyond the registry's fixed default.
+/// behind the `DynQueue` interface, for an `S` other than the registry's
+/// fixed default.
 pub fn sharded_optimal(c: usize, s: usize, t: usize) -> Box<dyn DynQueue> {
     Box::new(Registered::with_fifo(
         "sharded-optimal",

@@ -1,13 +1,12 @@
 //! Fork-based **multi-process** workloads over the `bq-shm` backend —
-//! the drivers behind experiment E13 and the soak's crash rounds.
+//! the soak's cross-process pairs and crash rounds.
 //!
 //! These mirror [`crate::workload`] but place each worker in its own
 //! forked *process*: the queue lives in an anonymous `MAP_SHARED`
 //! segment, so the only coordination between workers is the shared
-//! protocol itself. On a single-core host the numbers measure the
-//! protocol's cost under preemption and context switching (plus fork
-//! overhead amortized over the run), not parallel speedup — the same
-//! caveat as every other throughput table in this workspace.
+//! protocol itself. The times they return include fork and reap; the
+//! benchmark's `shm_procs` workload and `shm.*` rungs price the protocol
+//! (EXPERIMENTS.md E13).
 
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};

@@ -1,4 +1,5 @@
-//! Workload drivers for the throughput experiments (E10).
+//! Contended workload drivers over the [`DynQueue`] registry — the soak's
+//! and the test suites' way to run every queue through the same traffic.
 //!
 //! Two canonical workloads from the bounded-queue literature:
 //!
@@ -8,10 +9,10 @@
 //!   half drain, modelling the task-scheduler / io_uring-style usage the
 //!   paper's introduction motivates.
 //!
-//! Hardware note: on a single-core host these measure contention behaviour
-//! under preemption (retry rates, helping cost), not parallel speedup —
-//! the relative *shape* across algorithms is still informative, and the
-//! memory results (the paper's subject) are unaffected.
+//! They check conservation and liveness; the times they return include
+//! thread spawn and the registry's handle locks, so no table reports
+//! them (the time experiments go through [`crate::measure`], with static
+//! dispatch and a barrier start).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -74,8 +75,8 @@ pub fn pairs_throughput(q: &dyn DynQueue, threads: usize, ops_per_thread: u64) -
 /// `rounds_per_thread` iterations of `enqueue_many(batch)` followed by
 /// `dequeue_many(batch)` on a half-full queue. With `batch == 1` this
 /// degenerates to the single-element path (same call overhead shape), so
-/// `batched_pairs_throughput(q, t, r, b)` vs `…(q, t, r·b, 1)` isolates
-/// the amortization win of batching (experiment E11).
+/// `batched_pairs_throughput(q, t, r, b)` vs `…(q, t, r·b, 1)` runs the
+/// same element count through both paths.
 pub fn batched_pairs_throughput(
     q: &dyn DynQueue,
     threads: usize,
@@ -136,42 +137,6 @@ pub fn batched_pairs_throughput(
     WorkloadResult {
         ops: 2 * threads as u64 * rounds_per_thread * batch as u64,
         secs: start.elapsed().as_secs_f64(),
-    }
-}
-
-/// Print the batched-vs-single comparison table shared by
-/// `throughput_table` (E10d) and `shard_sweep` (E11b): for each kind,
-/// move `elems_per_thread` elements per thread through the pairs
-/// workload once with `B = 1` and once with `B = batch`, and report the
-/// speedup. One implementation so the two published tables cannot drift
-/// methodologically.
-pub fn print_batch_win_table(
-    kinds: &[crate::registry::QueueKind],
-    c: usize,
-    threads: usize,
-    elems_per_thread: u64,
-    batch: usize,
-) {
-    println!(
-        "{:<24} {:>12} {:>12} {:>9}",
-        "queue",
-        "single Mops",
-        format!("B={batch} Mops"),
-        "speedup"
-    );
-    for kind in kinds {
-        let q1 = kind.build(c, threads);
-        let single = batched_pairs_throughput(&*q1, threads, elems_per_thread, 1);
-        let qb = kind.build(c, threads);
-        let batched =
-            batched_pairs_throughput(&*qb, threads, elems_per_thread / batch as u64, batch);
-        println!(
-            "{:<24} {:>12.3} {:>12.3} {:>8.2}x",
-            kind.name(),
-            single.mops(),
-            batched.mops(),
-            batched.mops() / single.mops()
-        );
     }
 }
 

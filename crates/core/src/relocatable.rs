@@ -1064,7 +1064,15 @@ impl RelocByteRing {
     pub fn bytes_used(&self) -> usize {
         let t = self.tail().load(Ordering::SeqCst);
         let h = self.head().load(Ordering::SeqCst);
-        t.saturating_sub(h) as usize
+        // `head`, read second, may have passed the `tail` read first; the
+        // ring never holds more than `cap`, so a larger difference is that
+        // race and reads as empty.
+        let used = t.wrapping_sub(h);
+        if used > self.cap {
+            0
+        } else {
+            used as usize
+        }
     }
 
     /// Record header word at byte offset `off` (8-aligned, in bounds).
@@ -1096,9 +1104,19 @@ impl RelocByteRing {
         let rec = byte_record_size(len) as u64;
         let mut t = self.tail().load(Ordering::Relaxed);
         let h = self.head().load(Ordering::Acquire);
-        let free = self.cap - (t - h);
+        let free = self.cap - t.wrapping_sub(h);
         let mut off = t % self.cap;
         let room = self.cap - off; // contiguous bytes to the wrap point
+
+        // Offsets are `counter % cap`, which stays continuous across the
+        // counters' 2⁶⁴ wrap only when `cap` divides 2⁶⁴: a ring whose
+        // capacity is not a power of two carries at most 2⁶⁴ bytes in its
+        // lifetime (DESIGN.md §12.2). `t` advances by at most `room + rec`.
+        debug_assert!(
+            self.cap.is_power_of_two() || t.checked_add(room + rec).is_some(),
+            "byte ring of capacity {} would carry its 2^64th byte",
+            self.cap
+        );
         if rec > room {
             // The record will not fit before the wrap: lay down a pad
             // record covering the remainder and start at offset 0.
@@ -1106,8 +1124,8 @@ impl RelocByteRing {
                 return None;
             }
             self.header_write(off, BYTE_PAD_BIT | (room - 8));
-            self.tail().store(t + room, Ordering::Release);
-            t += room;
+            t = t.wrapping_add(room);
+            self.tail().store(t, Ordering::Release);
             off = 0;
         } else if free < rec {
             return None;
@@ -1155,7 +1173,8 @@ impl RelocByteRing {
             let body = word & BYTE_LEN_MASK;
             if word & BYTE_PAD_BIT != 0 {
                 // Wrap padding: consume it and look again at offset 0.
-                self.head().store(h + 8 + body, Ordering::Release);
+                self.head()
+                    .store(h.wrapping_add(8 + body), Ordering::Release);
                 continue;
             }
             return Some(ByteReadGrant {
@@ -1224,9 +1243,8 @@ impl ByteWriteGrant<'_> {
         assert!(used <= self.len, "commit beyond reservation");
         // SAFETY: same bounds as `buf`; header word precedes the body.
         unsafe { self.ring.header_write(self.off, used as u64) };
-        self.ring
-            .tail()
-            .store(self.pos + byte_record_size(used) as u64, Ordering::Release);
+        let end = self.pos.wrapping_add(byte_record_size(used) as u64);
+        self.ring.tail().store(end, Ordering::Release);
     }
 }
 
@@ -1275,10 +1293,8 @@ impl std::ops::Deref for ByteReadGrant<'_> {
 
 impl Drop for ByteReadGrant<'_> {
     fn drop(&mut self) {
-        self.ring.head().store(
-            self.pos + byte_record_size(self.len) as u64,
-            Ordering::Release,
-        );
+        let end = self.pos.wrapping_add(byte_record_size(self.len) as u64);
+        self.ring.head().store(end, Ordering::Release);
     }
 }
 

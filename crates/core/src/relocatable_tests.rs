@@ -308,6 +308,107 @@ fn byte_ring_survives_memcpy_relocation() {
     assert_eq!(&*g, b"second");
 }
 
+/// An empty byte ring whose two byte counters both start at `pos` (a
+/// multiple of 8, as every record boundary is).
+fn byte_ring_starting_at(cap: usize, max_msg: usize, pos: u64) -> RelocBox<RelocByteRing> {
+    let r = RelocBox::<RelocByteRing>::new((cap, max_msg));
+    r.tail().store(pos, Ordering::SeqCst);
+    r.head().store(pos, Ordering::SeqCst);
+    r
+}
+
+/// Push and pop messages of 1…`max_msg` bytes from 40 bytes below 2⁶⁴
+/// through the counters' wrap and a few laps past it, one or two
+/// messages resident, every byte checked in order.
+fn cross_the_byte_counter_edge(r: &RelocByteRing) {
+    let (mut sent, mut got) = (0u8, 0u8);
+    let mut check = |g: ByteReadGrant<'_>| {
+        for b in g.msg() {
+            got = got.wrapping_add(1);
+            assert_eq!(*b, got);
+        }
+    };
+    for round in 0..60 {
+        let len = round % r.max_msg() + 1;
+        let msg: Vec<u8> = (0..len)
+            .map(|_| {
+                sent = sent.wrapping_add(1);
+                sent
+            })
+            .collect();
+        // SAFETY: single-threaded SPSC.
+        while !unsafe { r.producer_push(&msg) } {
+            assert!(r.bytes_used() > 0, "refused on an empty ring");
+            check(unsafe { r.consumer_read() }.unwrap());
+        }
+        assert!(r.bytes_used() <= r.capacity_bytes());
+        if round % 2 == 1 {
+            check(unsafe { r.consumer_read() }.unwrap());
+        }
+    }
+    // SAFETY: single-threaded SPSC.
+    while let Some(g) = unsafe { r.consumer_read() } {
+        check(g);
+    }
+    assert_eq!(got, sent, "every byte delivered exactly once, in order");
+    assert_eq!(r.bytes_used(), 0);
+    let (h, t) = (
+        r.head().load(Ordering::SeqCst),
+        r.tail().load(Ordering::SeqCst),
+    );
+    assert_eq!(h, t);
+}
+
+const BYTE_EDGE: u64 = u64::MAX - 39;
+
+#[test]
+fn byte_ring_counters_cross_two_to_the_64_at_a_power_of_two_capacity() {
+    let r = byte_ring_starting_at(64, 24, BYTE_EDGE);
+    cross_the_byte_counter_edge(&r);
+    assert!(
+        r.tail().load(Ordering::SeqCst) < 4096,
+        "the counters wrapped"
+    );
+    // Both ends on opposite sides of the edge at once: a producer thread
+    // streams sequence-numbered messages to this thread across it.
+    let r = byte_ring_starting_at(64, 24, BYTE_EDGE);
+    let n = 2_000u64;
+    std::thread::scope(|s| {
+        let r = &r;
+        s.spawn(move || {
+            for i in 0..n {
+                // SAFETY: this thread is the only producer.
+                while !unsafe { r.producer_push(&i.to_le_bytes()[..(i % 8 + 1) as usize]) } {
+                    std::thread::yield_now();
+                }
+            }
+        });
+        for i in 0..n {
+            let g = loop {
+                // SAFETY: this thread is the only consumer.
+                match unsafe { r.consumer_read() } {
+                    Some(g) => break g,
+                    None => std::thread::yield_now(),
+                }
+            };
+            assert_eq!(*g, i.to_le_bytes()[..(i % 8 + 1) as usize]);
+        }
+    });
+    assert_eq!(r.bytes_used(), 0);
+}
+
+/// A capacity that does not divide 2⁶⁴ cannot cross the edge: the offset
+/// `counter % cap` would jump. The stated bound trips in a debug build
+/// on the grant that would cross it, after every earlier message arrived
+/// intact.
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "would carry its 2^64th byte")]
+fn byte_ring_counters_stop_at_two_to_the_64_at_other_capacities() {
+    let r = byte_ring_starting_at(96, 24, BYTE_EDGE);
+    cross_the_byte_counter_edge(&r);
+}
+
 #[test]
 #[should_panic(expected = "wrap-pad progress bound")]
 fn byte_ring_rejects_too_small_capacity() {

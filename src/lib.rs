@@ -14,7 +14,7 @@
 //! * [`llsc`](bq_llsc) / [`dcss`](bq_dcss) — synchronization substrates;
 //! * [`memtrack`](bq_memtrack) — the memory-overhead accounting;
 //! * [`baselines`](bq_baselines) — Michael–Scott, Vyukov, SCQ-style,
-//!   Tsigas–Zhang model, mutex ring, crossbeam;
+//!   Tsigas–Zhang model, mutex ring;
 //! * [`sim`](bq_sim) — the adversary + linearizability checker;
 //! * [`shm`](bq_shm) — the shared-memory multi-process backend (mmap
 //!   segments, crash-consistent `ShmQueue`, fork harness).

@@ -252,7 +252,6 @@ fn repeated_value_storm_on_value_independent_queues() {
         QueueKind::Vyukov,
         QueueKind::Scq,
         QueueKind::MutexRing,
-        QueueKind::Crossbeam,
         QueueKind::Ms,
         QueueKind::ShardedOptimal,
         QueueKind::ShardedSegment,

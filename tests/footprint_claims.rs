@@ -146,10 +146,9 @@ fn listing5_crosses_a_vyukov_ring_near_eight_slots_per_thread() {
 
 #[test]
 fn per_slot_designs_are_theta_c() {
-    // E9: Vyukov / SCQ-style / crossbeam pay per slot.
+    // E9: Vyukov / SCQ-style pay per slot.
     assert_linear_in_c(QueueKind::Vyukov);
     assert_linear_in_c(QueueKind::Scq);
-    assert_linear_in_c(QueueKind::Crossbeam);
 }
 
 #[test]
@@ -181,9 +180,7 @@ fn e9_ordering_holds_at_reference_point() {
     // Θ(1) designs < Θ(T) designs < Θ(C) designs (C ≫ T).
     let theta1 = overhead(QueueKind::Distinct, 1024, 8);
     let theta_t = overhead(QueueKind::Optimal, 1024, 8).max(overhead(QueueKind::Dcss, 1024, 8));
-    let theta_c = overhead(QueueKind::Vyukov, 1024, 8)
-        .min(overhead(QueueKind::Scq, 1024, 8))
-        .min(overhead(QueueKind::Crossbeam, 1024, 8));
+    let theta_c = overhead(QueueKind::Vyukov, 1024, 8).min(overhead(QueueKind::Scq, 1024, 8));
     assert!(theta1 < theta_t, "Θ(1) < Θ(T): {theta1} vs {theta_t}");
     assert!(
         theta_t < theta_c,
