@@ -9,13 +9,16 @@
 //!
 //! * `cargo run --release -p bq-bench --bin overhead_table` — E1/E3/E5/E6/E7/E9/E18
 //! * `cargo run --release -p bq-bench --bin k_sweep` — E2
-//! * `cargo run --release -p bq-bench --bin adversary` — E4/E8
 //! * `cargo run --release -p bq-bench --bin throughput_table` — E10b/E10c/E11/E15/E16/E17
 //!   (`--features obs` for E17's second build)
 //! * `cargo run --release -p bq-bench --bin soak [rounds]` — liveness soak
 //!
 //! The other time rows (E10, E10a, E10d, E12, E13) are priced by the
-//! benchmark package's layer ladder (`BENCHMARK.json`).
+//! benchmark package's layer ladder (`BENCHMARK.json`). E4/E8, the
+//! lower-bound adversary, is `bq-sim`'s `adversary` example: it needs the
+//! explorer, and this crate does not enable `bq-sim/explore`, so neither
+//! it nor the benchmark build compiles the `sim-explore` seam into the
+//! queues it measures.
 
 pub mod facade;
 pub mod measure;

@@ -85,6 +85,10 @@ pub use blocking::{
     BlockingQueue, RecvTimeoutError, SendError, SendTimeoutError, TryRecvError, TrySendError,
 };
 pub use boxed::{BoxedHandle, BoxedQueue, PointerCapable};
+/// `bq-sim`'s adversary reads the value/metadata split of a queue from its
+/// `footprint()`; this saves that crate a dependency of its own.
+#[cfg(feature = "sim-explore")]
+pub use bq_memtrack::{FootprintBreakdown, MemoryFootprint};
 pub use bytering::{byte_ring, ByteConsumer, ByteProducer};
 pub use counter::{CounterQueue, SlotRule};
 pub use dcss_queue::{DcssHandle, DcssQueue};
@@ -93,6 +97,8 @@ pub use event::{EventCount, TimeLimit, WaiterId};
 pub use llsc_queue::{LlScHandle, LlScQueue};
 pub use naive::{NaiveHandle, NaiveQueue};
 pub use obs::{MetricsSnapshot, TraceEvent, TraceRing};
+#[cfg(feature = "sim-explore")]
+pub use optimal::HelpMode;
 pub use optimal::{OptimalHandle, OptimalQueue};
 pub use queue::{ConcurrentQueue, EnqueueError, Full, SeqRingQueue};
 pub use relocatable::{

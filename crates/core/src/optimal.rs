@@ -212,6 +212,22 @@ pub struct OptimalQueue {
     /// and fold in here on handle drop / flush — this shared block is
     /// off the hot path entirely.
     obs: SharedQueueCounters,
+    #[cfg(feature = "sim-explore")]
+    help: HelpMode,
+}
+
+/// How a failed enqueue attempt helps the counter: the one decision in
+/// which this queue departs from Listing 5 as printed (module docs,
+/// DESIGN.md §7). Only the schedule explorer can select the paper's rule,
+/// to replay the Lemma A.2 interleaving against it.
+#[cfg(feature = "sim-explore")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum HelpMode {
+    /// Listing 5's line 40: every failed attempt helps `CAS(enqueues, e, e + 1)`.
+    PaperFaithful,
+    /// Help only after observing a successful descriptor with `op.e ≥ e`
+    /// (the shipped rule).
+    Evidence,
 }
 
 /// Per-thread handle: the thread id into the announcement machinery,
@@ -252,12 +268,32 @@ impl OptimalQueue {
             active_op: HotWord(SimAtomicU64::new(0)),
             next_tid: SimAtomicUsize::new(0),
             obs: SharedQueueCounters::new(),
+            #[cfg(feature = "sim-explore")]
+            help: HelpMode::Evidence,
         }
     }
 
     /// The thread bound `T`.
     pub fn max_threads(&self) -> usize {
         self.board.threads()
+    }
+
+    /// The same queue with failed attempts helping the counter by `mode`.
+    #[cfg(feature = "sim-explore")]
+    pub fn with_help_mode(mut self, mode: HelpMode) -> Self {
+        self.help = mode;
+        self
+    }
+
+    /// The addresses of the `C` value-locations and of the `T`
+    /// announcement slots, as the explorer's `simyield::Access::loc` names
+    /// them: how `bq-sim`'s adversary poises a thread before a write-back
+    /// or a replacement CAS.
+    #[cfg(feature = "sim-explore")]
+    pub fn value_cells_and_slots(&self) -> (Vec<usize>, Vec<usize>) {
+        let addr = |w: &SimAtomicU64| w as *const _ as usize;
+        let slots = (0..self.board.threads()).map(|i| addr(self.board.op(i)));
+        (self.a.iter().map(addr).collect(), slots.collect())
     }
 
     /// The value-location of position `pos`: `a[pos % C]`.
@@ -622,6 +658,10 @@ impl OptimalQueue {
     /// A failed attempt whose descriptor ended in `state`: helping the
     /// counter is safe only with observed evidence (module docs).
     fn failed(&self, view: OpView, state: u64) -> Outcome {
+        #[cfg(feature = "sim-explore")]
+        if self.help == HelpMode::PaperFaithful {
+            return Outcome::FailHelp(state);
+        }
         match self.find_op(view.e) {
             Some((c2, _)) if c2.e >= view.e => Outcome::FailHelp(state),
             _ => Outcome::FailNoHelp(state),

@@ -82,39 +82,15 @@ use bq_memtrack::{FootprintBreakdown, FootprintEntry, MemoryFootprint, OverheadC
 pub struct ShardedQueue<Q: ConcurrentQueue> {
     shards: Box<[Q]>,
     next_tid: SimAtomicUsize,
-    /// Fault-containment state, one entry per shard (DESIGN.md §13).
-    health: Box<[ShardHealth]>,
+    /// Fault containment (DESIGN.md §13): one quarantine flag per shard
+    /// (0 = healthy, 1 = quarantined; a `usize` so the claim can be a CAS).
+    quarantined: Box<[SimAtomicUsize]>,
     /// Number of currently quarantined shards; the quarantine claim
     /// protocol keeps this strictly below `S` (the last healthy shard
     /// can never be quarantined, so enqueues always have a target).
     quarantined_count: SimAtomicUsize,
-    /// Consecutive-refusal threshold for *automatic* quarantine; 0 (the
-    /// default) disables it — see [`set_quarantine_threshold`]
-    /// (ShardedQueue::set_quarantine_threshold) for why it is opt-in.
-    quarantine_threshold: SimAtomicUsize,
     /// Scale-layer statistics (DESIGN.md §14); a ZST with `obs` off.
-    /// Per-shard *refusals* are deliberately not duplicated here: the
-    /// quarantine health counter below is the one refusal mechanism and
-    /// [`metrics`](ConcurrentQueue::metrics) reports it directly.
     obs: ShardCounters,
-}
-
-/// Per-shard health: a consecutive-refusal counter (enqueue-side only —
-/// an empty shard is normal, a persistently full one may be wedged) and
-/// the quarantine flag (0 = healthy, 1 = quarantined; a `usize` so the
-/// claim can be a CAS).
-struct ShardHealth {
-    refusals: SimAtomicUsize,
-    quarantined: SimAtomicUsize,
-}
-
-impl ShardHealth {
-    fn new() -> Self {
-        ShardHealth {
-            refusals: SimAtomicUsize::new(0),
-            quarantined: SimAtomicUsize::new(0),
-        }
-    }
 }
 
 /// Per-thread handle: the home-shard index plus one sub-handle per shard
@@ -130,13 +106,12 @@ impl<Q: ConcurrentQueue> ShardedQueue<Q> {
     /// every thread that will register here (rotation touches all shards).
     pub fn from_shards(shards: Vec<Q>) -> Self {
         assert!(!shards.is_empty(), "at least one shard required");
-        let health = shards.iter().map(|_| ShardHealth::new()).collect();
+        let quarantined = shards.iter().map(|_| SimAtomicUsize::new(0)).collect();
         ShardedQueue {
             shards: shards.into_boxed_slice(),
             next_tid: SimAtomicUsize::new(0),
-            health,
+            quarantined,
             quarantined_count: SimAtomicUsize::new(0),
-            quarantine_threshold: SimAtomicUsize::new(0),
             obs: ShardCounters::new(),
         }
     }
@@ -196,25 +171,19 @@ impl<Q: ConcurrentQueue> ShardedQueue<Q> {
         None
     }
 
-    // ---- fault containment: per-shard health + quarantine (§13) ---------
+    // ---- fault containment: quarantine (§13) ------------------------------
 
     /// Is shard `i` quarantined? Quarantined shards are skipped by the
     /// enqueue rotation (home-shard affinity remaps to the next healthy
     /// shard) but still visited by dequeues, so nothing inside them is
     /// stranded.
     pub fn is_quarantined(&self, i: usize) -> bool {
-        self.health[i].quarantined.load(Ordering::SeqCst) != 0
+        self.quarantined[i].load(Ordering::SeqCst) != 0
     }
 
     /// Number of currently quarantined shards (always `< S`).
     pub fn quarantined_count(&self) -> usize {
         self.quarantined_count.load(Ordering::SeqCst)
-    }
-
-    /// Consecutive enqueue refusals by shard `i` since its last accept
-    /// (health instrumentation; reset on success and on un-quarantine).
-    pub fn shard_refusals(&self, i: usize) -> usize {
-        self.health[i].refusals.load(Ordering::SeqCst)
     }
 
     /// Quarantine shard `i`: enqueues stop targeting it (dequeues keep
@@ -243,8 +212,7 @@ impl<Q: ConcurrentQueue> ShardedQueue<Q> {
         }
         // Claim the shard's flag; on a lost race (someone else already
         // quarantined `i`), hand the slot back.
-        if self.health[i]
-            .quarantined
+        if self.quarantined[i]
             .compare_exchange(0, 1, Ordering::SeqCst, Ordering::SeqCst)
             .is_err()
         {
@@ -256,48 +224,16 @@ impl<Q: ConcurrentQueue> ShardedQueue<Q> {
     }
 
     /// Lift a quarantine (e.g. after an operator verified the shard is
-    /// live again). Resets the refusal counter so a stale count does not
-    /// immediately re-trip an automatic threshold. Returns `false` if
-    /// the shard was not quarantined.
+    /// live again). Returns `false` if the shard was not quarantined.
     pub fn un_quarantine(&self, i: usize) -> bool {
-        if self.health[i]
-            .quarantined
+        if self.quarantined[i]
             .compare_exchange(1, 0, Ordering::SeqCst, Ordering::SeqCst)
             .is_ok()
         {
-            self.health[i].refusals.store(0, Ordering::SeqCst);
             self.quarantined_count.fetch_sub(1, Ordering::SeqCst);
             true
         } else {
             false
-        }
-    }
-
-    /// Arm automatic quarantine: a shard that refuses `threshold`
-    /// consecutive enqueues is quarantined (subject to the last-healthy
-    /// rule). **Opt-in and off by default (0)**: a bounded queue cannot
-    /// distinguish "legitimately full under load" from "wedged" without
-    /// timing information, so auto-quarantine is only sound for
-    /// deployments where a persistently full shard is known to indicate
-    /// a fault (e.g. a crashed consumer bound to that shard).
-    pub fn set_quarantine_threshold(&self, threshold: usize) {
-        self.quarantine_threshold.store(threshold, Ordering::SeqCst);
-    }
-
-    /// Health bookkeeping after shard `i` refused an enqueue.
-    fn note_refusal(&self, i: usize) {
-        let n = self.health[i].refusals.fetch_add(1, Ordering::SeqCst) + 1;
-        let threshold = self.quarantine_threshold.load(Ordering::SeqCst);
-        if threshold > 0 && n >= threshold && !self.is_quarantined(i) {
-            self.quarantine(i);
-        }
-    }
-
-    /// Health bookkeeping after shard `i` accepted an enqueue.
-    fn note_accept(&self, i: usize) {
-        // Cheap fast path: only clear a dirtied counter.
-        if self.health[i].refusals.load(Ordering::SeqCst) != 0 {
-            self.health[i].refusals.store(0, Ordering::SeqCst);
         }
     }
 }
@@ -338,14 +274,8 @@ impl<Q: ConcurrentQueue> ConcurrentQueue for ShardedQueue<Q> {
                 return ControlFlow::Continue(());
             }
             match q.enqueue(sh, v) {
-                Ok(()) => {
-                    self.note_accept(i);
-                    ControlFlow::Break(())
-                }
-                Err(_) => {
-                    self.note_refusal(i);
-                    ControlFlow::Continue(())
-                }
+                Ok(()) => ControlFlow::Break(()),
+                Err(_) => ControlFlow::Continue(()),
             }
         })
         .ok_or(Full(v))
@@ -368,15 +298,10 @@ impl<Q: ConcurrentQueue> ConcurrentQueue for ShardedQueue<Q> {
             if self.is_quarantined(i) {
                 return ControlFlow::Continue(());
             }
-            let accepted = q.enqueue_many(sh, &vs[done..]);
-            done += accepted;
-            if accepted > 0 {
-                self.note_accept(i);
-            }
+            done += q.enqueue_many(sh, &vs[done..]);
             if done == vs.len() {
                 ControlFlow::Break(())
             } else {
-                self.note_refusal(i);
                 ControlFlow::Continue(())
             }
         });
@@ -409,12 +334,8 @@ impl<Q: ConcurrentQueue> ConcurrentQueue for ShardedQueue<Q> {
     }
 
     /// Scale-layer view: steal/rotation/quarantine counters, then — per
-    /// shard — the live quarantine health state and the sub-queue's own
-    /// metrics under a `shardN.` prefix. The `shardN.refusals` entries
-    /// read the **same** `SeqCst` health counter the auto-quarantine
-    /// threshold reads (DESIGN.md §14: one mechanism, two readers — obs
-    /// never keeps a parallel refusal count that could drift from the
-    /// one the containment protocol acts on).
+    /// shard — the live quarantine flag and the sub-queue's own metrics
+    /// under a `shardN.` prefix (a sub-queue's refusals are among them).
     fn metrics(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::new();
         self.obs.snapshot_into("", &mut snap);
@@ -424,14 +345,10 @@ impl<Q: ConcurrentQueue> ConcurrentQueue for ShardedQueue<Q> {
                 "quarantined_count",
                 self.quarantined_count.load(Ordering::SeqCst) as u64,
             );
-            for (i, health) in self.health.iter().enumerate() {
-                snap.push(
-                    format!("shard{i}.refusals"),
-                    health.refusals.load(Ordering::SeqCst) as u64,
-                );
+            for (i, flag) in self.quarantined.iter().enumerate() {
                 snap.push(
                     format!("shard{i}.quarantined"),
-                    health.quarantined.load(Ordering::SeqCst) as u64,
+                    flag.load(Ordering::SeqCst) as u64,
                 );
             }
             for (i, q) in self.shards.iter().enumerate() {
@@ -492,10 +409,9 @@ impl<Q: ConcurrentQueue + MemoryFootprint> MemoryFootprint for ShardedQueue<Q> {
             OverheadClass::Other,
         )
         .add(
-            format!("fault containment: {s} shard health entries + quarantine words"),
-            std::mem::size_of::<Box<[ShardHealth]>>()
-                + s * std::mem::size_of::<ShardHealth>()
-                + 2 * std::mem::size_of::<SimAtomicUsize>(),
+            format!("fault containment: {s} quarantine flags + quarantined count"),
+            std::mem::size_of::<Box<[SimAtomicUsize]>>()
+                + (s + 1) * std::mem::size_of::<SimAtomicUsize>(),
             OverheadClass::Other,
         )
     }
@@ -604,9 +520,9 @@ mod tests {
         let q = sharded(c, s, t);
         let single = OptimalQueue::with_capacity_and_threads(c / s, t);
         // Directory: boxed-slice fat pointer + tid counter (24 bytes),
-        // plus the fault-containment state — a health fat pointer, S
-        // two-word health entries, and the two global quarantine words.
-        let health = 16 + s * std::mem::size_of::<super::ShardHealth>() + 16;
+        // plus the fault-containment state — a fat pointer to S one-word
+        // quarantine flags, and the quarantined count.
+        let health = 16 + s * 8 + 8;
         assert_eq!(
             q.overhead_bytes(),
             s * single.overhead_bytes() + 24 + health,
@@ -625,6 +541,13 @@ mod tests {
         assert!(q.quarantine(0), "shard 0 quarantined");
         assert!(q.is_quarantined(0));
         assert_eq!(q.quarantined_count(), 1);
+        #[cfg(feature = "obs")]
+        {
+            let snap = q.metrics();
+            assert_eq!(snap.get("quarantines"), Some(1));
+            assert_eq!(snap.get("shard0.quarantined"), Some(1));
+            assert_eq!(snap.get("quarantined_count"), Some(1));
+        }
         // Home shard is quarantined: affinity remaps to shard 1.
         q.enqueue(&mut h, 3).unwrap();
         assert_eq!(q.shard(0).len(), 2, "no new elements into shard 0");
@@ -656,85 +579,6 @@ mod tests {
         // Single-shard queues can never quarantine at all.
         let solo = sharded(2, 1, 1);
         assert!(!solo.quarantine(0));
-    }
-
-    #[test]
-    fn auto_quarantine_trips_after_consecutive_refusals() {
-        let q = sharded(4, 2, 1);
-        let mut h = q.register();
-        for v in 1..=4 {
-            q.enqueue(&mut h, v).unwrap(); // both shards full
-        }
-        q.set_quarantine_threshold(2);
-        // Two failing sweeps: every shard refuses twice; shard 0 trips
-        // the threshold, shard 1 survives as the last healthy shard.
-        assert_eq!(q.enqueue(&mut h, 9), Err(Full(9)));
-        assert_eq!(q.enqueue(&mut h, 9), Err(Full(9)));
-        assert!(q.is_quarantined(0), "threshold reached");
-        assert!(!q.is_quarantined(1), "last healthy shard protected");
-        assert!(q.shard_refusals(1) >= 2, "refusals recorded regardless");
-        // Draining + accepting resets the counter on the healthy shard.
-        while q.dequeue(&mut h).is_some() {}
-        q.enqueue(&mut h, 10).unwrap(); // lands in shard 1 (0 quarantined)
-        assert_eq!(q.shard(1).len(), 1);
-        assert_eq!(q.shard_refusals(1), 0, "accept resets the counter");
-        assert!(q.un_quarantine(0));
-        assert_eq!(q.shard_refusals(0), 0, "un-quarantine resets too");
-    }
-
-    /// S2 seam regression: the metrics snapshot and the quarantine
-    /// threshold read the *same* per-shard refusal counter, and the
-    /// last-healthy-shard invariant holds identically with `obs` on and
-    /// off (this test compiles both ways and is run in both CI lanes).
-    #[test]
-    fn quarantine_and_metrics_share_one_refusal_counter() {
-        let q = sharded(4, 2, 1);
-        let mut h = q.register();
-        for v in 1..=4 {
-            q.enqueue(&mut h, v).unwrap(); // both shards full
-        }
-        assert_eq!(q.enqueue(&mut h, 9), Err(Full(9))); // each shard refuses once
-        #[cfg(feature = "obs")]
-        {
-            let snap = q.metrics();
-            assert_eq!(
-                snap.get("shard0.refusals"),
-                Some(q.shard_refusals(0) as u64),
-                "snapshot reads the quarantine counter, not a copy"
-            );
-            assert_eq!(
-                snap.get("shard1.refusals"),
-                Some(q.shard_refusals(1) as u64)
-            );
-            assert!(snap.get("rotations").unwrap() >= 1, "full sweep rotated");
-            assert_eq!(snap.get("quarantined_count"), Some(0));
-            assert!(
-                snap.get("shard0.enq_attempts").is_some(),
-                "sub-queue metrics nest under the shard prefix"
-            );
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            assert!(q.metrics().is_empty(), "obs off: no fabricated zeros");
-            assert!(q.shard_refusals(0) >= 1, "functional counter still live");
-        }
-        // The containment invariant is identical in both configurations:
-        // the threshold trips shard 0, and the last healthy shard
-        // survives no matter how many refusals it records.
-        q.set_quarantine_threshold(1);
-        assert_eq!(q.enqueue(&mut h, 9), Err(Full(9)));
-        assert!(q.is_quarantined(0), "threshold tripped");
-        assert!(
-            !q.is_quarantined(1),
-            "last healthy shard protected, obs on or off"
-        );
-        #[cfg(feature = "obs")]
-        {
-            let snap = q.metrics();
-            assert_eq!(snap.get("quarantines"), Some(1));
-            assert_eq!(snap.get("shard0.quarantined"), Some(1));
-            assert_eq!(snap.get("quarantined_count"), Some(1));
-        }
     }
 
     #[test]

@@ -18,9 +18,7 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use bq_shm::{fork_child, ChildExit, OpKind, OpLog, RetKind, ShmQueue};
-use bq_sim::controller::OpId;
-use bq_sim::lincheck::{check_history_pool, History, HistoryEvent};
-use bq_sim::machine::{Op, Ret};
+use bq_sim::lincheck::{check_history_pool, History, HistoryEvent, Op, OpId, Ret};
 
 /// Forky tests share a binary with the std test harness's threads, so
 /// they are serialized (see `bq_shm::harness` docs on fork discipline).

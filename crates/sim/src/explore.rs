@@ -4,17 +4,18 @@
 //! Two layers live here:
 //!
 //! * **Unconditional** (always compiled): the serializable [`Schedule`]
-//!   artifact, the token-domain invariant
-//!   ([`token_domain_violations`]), and a deterministic
-//!   [`run_machine_schedule`] runner that drives the step-machine models
-//!   (`Sim`) from a pinned `Schedule` — this is what the regression
-//!   fixtures in `tests/regressions.rs` replay in tier-1 runs.
+//!   artifact and the token-domain invariant
+//!   ([`token_domain_violations`]).
 //! * **Feature `explore`**: the loom/CHESS-style engine that runs the
-//!   *real* `bq-core` algorithms on cooperative OS threads, enumerating
-//!   interleavings by iterative preemption bounding with state-hash
-//!   pruning. Every shared access in `bq-core` (under its `sim-explore`
-//!   feature) calls back through the `simyield` seam, which is where the
-//!   engine suspends and resumes threads.
+//!   *real* `bq-core` algorithms on cooperative OS threads. Every shared
+//!   access in `bq-core` (under its `sim-explore` feature) calls back
+//!   through the `simyield` seam, which is where the engine suspends and
+//!   resumes threads. A scheduling choice comes from one of three
+//!   sources: a schedule prefix (`replay`, and the DFS of `explore`,
+//!   which enumerates interleavings by iterative preemption bounding with
+//!   state-hash pruning), a `Chooser` closure that is *told* the
+//!   schedule (`tell`: the adversary of `bq_sim::adversary` poises
+//!   threads before the accesses it names), or the default policy.
 //!
 //! ## The schedule artifact
 //!
@@ -43,13 +44,10 @@
 //! keeps enumeration finite and is *not* charged to the preemption
 //! budget (reported per execution instead).
 
-use std::collections::VecDeque;
 use std::fmt;
 use std::str::FromStr;
 
-use crate::controller::Sim;
-use crate::lincheck::History;
-use crate::machine::{Op, SimQueue};
+use crate::lincheck::{History, HistoryEvent, Op, Ret};
 
 // ---------------------------------------------------------------------------
 // Schedule — the replayable artifact
@@ -123,8 +121,6 @@ impl FromStr for Schedule {
 /// bit 63, colliding with the DCSS descriptor mark and escaping the
 /// token domain.
 pub fn token_domain_violations(h: &History) -> Vec<String> {
-    use crate::lincheck::HistoryEvent;
-    use crate::machine::Ret;
     let ok = |v: u64| v != 0 && v < (1u64 << 63);
     let mut out = Vec::new();
     for e in h.events() {
@@ -155,80 +151,19 @@ pub fn token_domain_violations(h: &History) -> Vec<String> {
 }
 
 // ---------------------------------------------------------------------------
-// Machine-level schedule runner (unconditional; used by regressions)
-// ---------------------------------------------------------------------------
-
-/// Per-thread operation plan for [`run_machine_schedule`]: thread `t`
-/// performs `plan[t]` in order, invoking the next operation lazily at its
-/// first scheduled step after going idle.
-pub type MachinePlan = Vec<VecDeque<Op>>;
-
-/// Drive a step-machine simulation from a pinned [`Schedule`].
-///
-/// Entry `k` of the schedule executes one primitive of that thread,
-/// invoking its next planned operation first if it is idle. Schedule
-/// entries for threads that are idle with an exhausted plan are skipped.
-/// After the schedule is consumed, every thread is run to completion in
-/// thread-id order (the deterministic completion tail), so the returned
-/// history is complete. Panics if a thread fails to finish within
-/// `max_tail_steps` — machine models are obstruction-free, so that marks
-/// a progress bug, not a long schedule.
-pub fn run_machine_schedule<Q: SimQueue>(
-    queue: Q,
-    mem: crate::mem::SimMemory,
-    threads: usize,
-    schedule: &Schedule,
-    plan: &MachinePlan,
-    max_tail_steps: usize,
-) -> History {
-    assert_eq!(plan.len(), threads, "one op list per thread");
-    let mut sim = Sim::new(queue, mem, threads);
-    let mut plan: MachinePlan = plan.clone();
-    for &tid in &schedule.0 {
-        assert!(tid < threads, "schedule names thread {tid} of {threads}");
-        if !sim.is_busy(tid) {
-            match plan[tid].pop_front() {
-                Some(op) => {
-                    sim.invoke(tid, op);
-                }
-                None => continue, // plan exhausted: nothing to step
-            }
-        }
-        sim.step(tid);
-    }
-    // Deterministic completion tail.
-    for (tid, ops) in plan.iter_mut().enumerate() {
-        loop {
-            if sim.is_busy(tid) {
-                sim.run_to_completion(tid, max_tail_steps);
-            }
-            match ops.pop_front() {
-                Some(op) => {
-                    sim.invoke(tid, op);
-                }
-                None => break,
-            }
-        }
-    }
-    sim.history().clone()
-}
-
-// ---------------------------------------------------------------------------
 // The real-code exploration engine (feature `explore`)
 // ---------------------------------------------------------------------------
 
 #[cfg(feature = "explore")]
 pub use engine::{
-    explore, replay, Ctx, ExploreConfig, Failure, Recorder, Report, RunOutcomeKind, RunResult,
-    RunSpec,
+    explore, replay, tell, Choice, Chooser, Ctx, ExploreConfig, Failure, Recorder, Report,
+    RunOutcomeKind, RunResult, RunSpec, ThreadStatus, ThreadView,
 };
 
 #[cfg(feature = "explore")]
 mod engine {
     use super::Schedule;
-    use crate::controller::OpId;
-    use crate::lincheck::{History, HistoryEvent};
-    use crate::machine::{Op, Ret};
+    use crate::lincheck::{History, HistoryEvent, Op, OpId, Ret};
     use std::collections::{HashMap, HashSet};
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::rc::Rc;
@@ -310,6 +245,15 @@ mod engine {
         pub fn ret(&mut self, id: OpId, ret: Ret) {
             self.rec.lock().hist.push(HistoryEvent::Return { id, ret });
         }
+
+        /// A scheduling point that touches no shared word, announced as a
+        /// load of this context: a [`Chooser`] sees the thread between two
+        /// operations, before the next one is invoked.
+        pub fn pause(&mut self) {
+            let a = simyield::Access::new(simyield::Kind::Load, self as *const Ctx as usize, 0, 0);
+            simyield::before(&a);
+            simyield::after(&a, 0);
+        }
     }
 
     /// A thread body run under the explorer's control.
@@ -390,21 +334,60 @@ mod engine {
         DepthExceeded,
         /// A body (or queue code) panicked.
         Panicked(String),
-        /// A pinned choice named a thread that was not runnable —
+        /// A pinned or told choice named a thread that was not runnable —
         /// nondeterminism or a foreign schedule.
         Diverged(String),
+        /// The chooser of [`tell`] ended the run: threads still inside
+        /// their bodies unwound, and the history is partial.
+        Stopped,
     }
 
-    /// Result of [`replay`].
+    /// A thread's state at a scheduling point, as a [`Chooser`] sees it.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum ThreadStatus {
+        /// May be granted the next step.
+        Ready,
+        /// Waiting for a mutex release or a condvar notification.
+        Blocked,
+        /// Its body returned.
+        Finished,
+    }
+
+    /// One thread at a scheduling point, as a [`Chooser`] sees it.
+    #[derive(Debug, Clone, Copy)]
+    pub struct ThreadView {
+        /// Whether it may be granted.
+        pub status: ThreadStatus,
+        /// The access it executes when granted next; `None` before its
+        /// first access and right after a condvar wake.
+        pub next: Option<simyield::Access>,
+    }
+
+    /// A told scheduling decision.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum Choice {
+        /// Run this thread's announced access.
+        Grant(usize),
+        /// End the run here ([`RunOutcomeKind::Stopped`]).
+        Stop,
+    }
+
+    /// The third source of scheduling choices, beside a schedule prefix
+    /// and the default policy: called at every scheduling point with
+    /// every thread's view and the history recorded so far.
+    pub type Chooser = Box<dyn FnMut(&[ThreadView], &History) -> Choice + Send>;
+
+    /// Result of [`replay`] and [`tell`].
     #[derive(Debug)]
     pub struct RunResult {
         /// How the execution ended.
         pub outcome: RunOutcomeKind,
-        /// Full choice list actually taken (equals the requested prefix
-        /// followed by default-policy choices).
+        /// Full choice list actually taken (the requested prefix followed
+        /// by default-policy choices, or the told choices).
         pub schedule: Schedule,
-        /// Rendered history (byte-comparable across replays).
-        pub history: String,
+        /// The recorded history (`render()` is byte-comparable across
+        /// replays).
+        pub history: History,
         /// Oracle verdict (`None` when the oracle did not run).
         pub check: Option<Result<(), String>>,
     }
@@ -457,6 +440,8 @@ mod engine {
 
     struct Inner {
         prefix: Vec<usize>,
+        chooser: Option<Chooser>,
+        rec: Recorder,
         statuses: Vec<TStatus>,
         /// Pending grant per thread: set by the chooser, consumed by the
         /// grantee right before it executes one access.
@@ -483,15 +468,22 @@ mod engine {
         /// Per-thread announced (loc, epoch) between cv_announce and
         /// cv_block.
         cv_ann: Vec<Option<(u32, u64)>>,
-        /// Per-thread announced next access (loc, is_write); `None`
+        /// Per-thread announced next access and its location id; `None`
         /// while unknown (start gate, or freshly woken from a condvar).
-        pending: Vec<Option<(u32, bool)>>,
+        pending: Vec<Option<(u32, simyield::Access)>>,
     }
 
     impl Inner {
-        fn new(threads: usize, prefix: Vec<usize>) -> Self {
+        fn new(
+            threads: usize,
+            prefix: Vec<usize>,
+            chooser: Option<Chooser>,
+            rec: Recorder,
+        ) -> Self {
             Inner {
                 prefix,
+                chooser,
+                rec,
                 statuses: vec![TStatus::NotStarted; threads],
                 grant: vec![false; threads],
                 trace: Vec::new(),
@@ -602,6 +594,34 @@ mod engine {
                     return;
                 }
                 p
+            } else if self.chooser.is_some() {
+                let views: Vec<ThreadView> = (self.statuses.iter().zip(&self.pending))
+                    .map(|(s, p)| ThreadView {
+                        status: match s {
+                            TStatus::NotStarted | TStatus::Ready => ThreadStatus::Ready,
+                            TStatus::BlockedMutex(_) | TStatus::BlockedCv(_) => {
+                                ThreadStatus::Blocked
+                            }
+                            TStatus::Finished => ThreadStatus::Finished,
+                        },
+                        next: p.map(|(_, a)| a),
+                    })
+                    .collect();
+                let chooser = self.chooser.as_mut().expect("checked above");
+                let choice = chooser(&views, &self.rec.lock().hist);
+                match choice {
+                    Choice::Grant(t) if (enabled >> t) & 1 == 1 => t,
+                    Choice::Grant(t) => {
+                        self.set_abort(RunOutcomeKind::Diverged(format!(
+                            "chooser granted T{t} at step {pos}, but it is not runnable"
+                        )));
+                        return;
+                    }
+                    Choice::Stop => {
+                        self.set_abort(RunOutcomeKind::Stopped);
+                        return;
+                    }
+                }
             } else if prev_enabled && self.slice_run < GRANT_SLICE {
                 prev
             } else {
@@ -628,7 +648,9 @@ mod engine {
             };
             self.cum_cost += cost;
             let hash_before = self.state_hash();
-            let pend = self.pending.clone();
+            let pend = (self.pending.iter())
+                .map(|p| p.map(|(l, a)| (l, !matches!(a.kind, simyield::Kind::Load))))
+                .collect();
             self.trace.push(TraceStep {
                 tid: chosen,
                 enabled,
@@ -710,7 +732,7 @@ mod engine {
                 abort_panic();
             }
             let lid = g.intern(a.loc);
-            g.pending[self.tid] = Some((lid, !matches!(a.kind, simyield::Kind::Load)));
+            g.pending[self.tid] = Some((lid, *a));
             if g.grant[self.tid] {
                 // Pending grant from the start gate or a block wake-up:
                 // consume it and execute without a new choice.
@@ -763,7 +785,8 @@ mod engine {
             let lid = g.intern(loc);
             g.statuses[self.tid] = TStatus::BlockedMutex(lid);
             // Next access on wake-up is the lock retry.
-            g.pending[self.tid] = Some((lid, true));
+            let retry = simyield::Access::new(simyield::Kind::LockAcq, loc, 0, 0);
+            g.pending[self.tid] = Some((lid, retry));
             g.choose_and_grant();
             exec.cv.notify_all();
             // Keep the grant set: it is consumed at the retry's before().
@@ -934,13 +957,19 @@ mod engine {
         check: Option<Result<(), String>>,
     }
 
-    fn run_one(pool: &Pool, prefix: &[usize], spec: RunSpec) -> ExecResult {
+    fn run_one(
+        pool: &Pool,
+        prefix: &[usize],
+        chooser: Option<Chooser>,
+        spec: RunSpec,
+    ) -> ExecResult {
         install_quiet_abort_hook();
         let threads = spec.bodies.len();
         assert!((1..=64).contains(&threads), "1..=64 explored threads");
         let rec = Recorder::default();
+        let inner = Inner::new(threads, prefix.to_vec(), chooser, rec.clone());
         let exec = Arc::new(Exec {
-            m: Mutex::new(Inner::new(threads, prefix.to_vec())),
+            m: Mutex::new(inner),
             cv: Condvar::new(),
         });
         for (tid, body) in spec.bodies.into_iter().enumerate() {
@@ -1053,7 +1082,7 @@ mod engine {
             }
             let spec = mk();
             let pool = pool.get_or_insert_with(|| Pool::new(spec.bodies.len()));
-            let r = run_one(pool, &prefix, spec);
+            let r = run_one(pool, &prefix, None, spec);
             report.executions += 1;
             if r.sliced {
                 report.sliced += 1;
@@ -1071,6 +1100,7 @@ mod engine {
                     report.truncated += 1;
                     None
                 }
+                RunOutcomeKind::Stopped => unreachable!("explore tells no chooser"),
             };
             if let Some(reason) = fail_reason {
                 report.failure = Some(Failure {
@@ -1132,12 +1162,29 @@ mod engine {
     /// byte-for-byte comparison.
     pub fn replay(schedule: &Schedule, spec: RunSpec) -> RunResult {
         let pool = Pool::new(spec.bodies.len());
-        let r = run_one(&pool, &schedule.0, spec);
-        RunResult {
-            outcome: r.outcome,
-            schedule: Schedule(r.trace.iter().map(|s| s.tid).collect()),
-            history: r.history.render(),
-            check: r.check,
+        run_one(&pool, &schedule.0, None, spec).into()
+    }
+
+    /// Run `spec` once with `chooser` making every scheduling choice — a
+    /// schedule that is *told*, where [`explore`] enumerates. The result's
+    /// schedule is the artifact that [`replay`] re-runs; the oracle runs
+    /// only if every body finished.
+    pub fn tell(
+        spec: RunSpec,
+        chooser: impl FnMut(&[ThreadView], &History) -> Choice + Send + 'static,
+    ) -> RunResult {
+        let pool = Pool::new(spec.bodies.len());
+        run_one(&pool, &[], Some(Box::new(chooser)), spec).into()
+    }
+
+    impl From<ExecResult> for RunResult {
+        fn from(r: ExecResult) -> RunResult {
+            RunResult {
+                outcome: r.outcome,
+                schedule: Schedule(r.trace.iter().map(|s| s.tid).collect()),
+                history: r.history,
+                check: r.check,
+            }
         }
     }
 }
@@ -1145,10 +1192,6 @@ mod engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algos::counter_queue::naive;
-    use crate::lincheck::check_history;
-    use crate::machine::Ret;
-    use crate::mem::SimMemory;
 
     #[test]
     fn schedule_round_trips_through_text() {
@@ -1164,8 +1207,7 @@ mod tests {
 
     #[test]
     fn token_domain_flags_bit63_and_zero() {
-        use crate::controller::OpId;
-        use crate::lincheck::HistoryEvent;
+        use crate::lincheck::OpId;
         let mut h = History::new();
         h.push(HistoryEvent::Invoke {
             id: OpId(0),
@@ -1194,43 +1236,5 @@ mod tests {
             op: Op::Enqueue((1 << 63) - 1),
         });
         assert!(token_domain_violations(&ok).is_empty());
-    }
-
-    #[test]
-    fn machine_schedule_runner_is_deterministic_and_complete() {
-        let mk = || {
-            let mut mem = SimMemory::new();
-            let q = naive(2, &mut mem);
-            (q, mem)
-        };
-        let plan: MachinePlan = vec![
-            VecDeque::from([Op::Enqueue(1), Op::Dequeue]),
-            VecDeque::from([Op::Enqueue(2)]),
-        ];
-        let sched = Schedule(vec![0, 0, 1, 0, 1, 1, 0, 0]);
-        let (q1, m1) = mk();
-        let h1 = run_machine_schedule(q1, m1, 2, &sched, &plan, 10_000);
-        let (q2, m2) = mk();
-        let h2 = run_machine_schedule(q2, m2, 2, &sched, &plan, 10_000);
-        assert_eq!(
-            h1.render(),
-            h2.render(),
-            "identical schedule, identical history"
-        );
-        // Complete: every op invoked and returned.
-        assert_eq!(h1.events().len(), 6);
-        assert!(check_history(&h1, 2).is_linearizable());
-    }
-
-    #[test]
-    fn machine_schedule_skips_idle_threads_with_empty_plans() {
-        let mut mem = SimMemory::new();
-        let q = naive(2, &mut mem);
-        // Thread 1 has no ops; scheduling it is a harmless skip.
-        let plan: MachinePlan = vec![VecDeque::from([Op::Enqueue(5)]), VecDeque::new()];
-        let sched = Schedule(vec![1, 1, 0, 1, 0]);
-        let h = run_machine_schedule(q, mem, 2, &sched, &plan, 10_000);
-        assert_eq!(h.events().len(), 2);
-        assert!(check_history(&h, 2).is_linearizable());
     }
 }

@@ -1,4 +1,5 @@
-//! # bq-sim — deterministic execution simulation of bounded-queue algorithms
+//! # bq-sim — linearizability checking, schedule exploration, and the
+//! lower-bound adversary on the shipped queues
 //!
 //! The lower bound of *Memory Bounds for Concurrent Bounded Queues*
 //! (Theorem 3.12) is proved by an **adversary argument**: threads are run
@@ -7,50 +8,34 @@
 //! algorithm with fewer than Θ(T) extra value-locations a non-linearizable
 //! execution is constructed (Figure 3).
 //!
-//! Real OS threads cannot be paused at exact instructions, so this crate
-//! rebuilds the paper's model executably:
+//! This crate runs that argument on the compiled `bq-core` queues, through
+//! one execution engine:
 //!
-//! * [`mem`] — simulated shared memory whose locations are labelled
-//!   *value-locations* vs *metadata-locations* (the paper's §3.3 split),
-//!   supporting `read`/`write`/`CAS` and (for the Listing 4 control) an
-//!   atomic `DCSS` primitive.
-//! * [`machine`] — queue operations as explicit step machines that expose
-//!   their *next* primitive before executing it, which is exactly the
-//!   capability the adversary needs to poise a thread before a CAS.
-//! * [`algos`] — simulator ports of the naive constant-overhead strawman,
-//!   Listing 2 (versioned nulls) and Listing 4 (DCSS).
-//! * [`controller`] — the adversary API: invoke operations, run threads to
-//!   poise points, resume them, record the resulting history.
 //! * [`lincheck`] — a Wing–Gong-style linearizability checker for bounded
-//!   queue histories, used both to certify the adversary's executions as
-//!   non-linearizable and to validate stress-test histories.
-//! * [`adversary`] — the packaged experiments E4/E8: the Figure 3
-//!   middle-steal and the enqueue-into-hole constructions, run against each
-//!   simulated algorithm.
-//! * [`explore`] — the schedule explorer (DESIGN.md §11): a replayable
-//!   [`Schedule`](explore::Schedule) artifact, a machine-level schedule
-//!   runner used by the pinned regression fixtures, and — under the
-//!   `explore` feature — bounded enumeration of interleavings of the
-//!   *real* `bq-core` algorithms through their `simyield` hook seam.
+//!   queue histories (strict FIFO and the pool relaxation), used to
+//!   certify the adversary's executions and to validate stress-test and
+//!   explored histories.
+//! * [`explore`] — the schedule explorer (DESIGN.md §11): the replayable
+//!   [`Schedule`] artifact and — under the `explore` feature — an engine
+//!   that runs the real `bq-core` algorithms on cooperative threads
+//!   through their `simyield` hook seam. It takes each scheduling choice
+//!   from a schedule prefix (bounded enumeration of interleavings, or a
+//!   replay), from a chooser closure that is told the schedule, or from
+//!   its default policy.
+//! * `adversary` (feature `explore`) — the packaged experiments E4/E8 and
+//!   Theorem 3.12's Step 1: the Figure 3 constructions, Lemma 3.7's poised
+//!   victim and the Lemma A.2 interleaving, told to the chooser as
+//!   per-thread operation plans on the shipped queues, printed by the
+//!   `adversary` example.
 
 #![deny(missing_docs)]
 
+#[cfg(feature = "explore")]
 pub mod adversary;
-pub mod algos;
-pub mod controller;
 pub mod explore;
 pub mod lincheck;
-pub mod machine;
-pub mod mem;
-pub mod theorem;
 
-pub use adversary::{
-    run_enqueue_hole, run_lemma_a2_interleaving, run_middle_steal, run_two_round_sleep,
-    AdversaryReport,
+pub use explore::{token_domain_violations, Schedule};
+pub use lincheck::{
+    check_history, check_history_pool, History, HistoryEvent, LinResult, Op, OpId, Ret,
 };
-pub use controller::{OpId, RunOutcome, Sim};
-pub use explore::{run_machine_schedule, token_domain_violations, MachinePlan, Schedule};
-pub use lincheck::{check_history, check_history_pool, History, HistoryEvent, LinResult};
-pub use machine::{Access, Op, OpMachine, Ret, Status};
-pub use mem::{Loc, LocKind, SimMemory};
-pub use theorem::{step1_catch, CatchReport};

@@ -16,8 +16,31 @@
 use std::collections::HashSet;
 use std::collections::VecDeque;
 
-use crate::controller::OpId;
-use crate::machine::{Op, Ret};
+/// A queue operation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Op {
+    /// `enqueue(value)`.
+    Enqueue(u64),
+    /// `dequeue()`.
+    Dequeue,
+}
+
+/// An operation's result.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Ret {
+    /// `enqueue` succeeded (`true` in the paper).
+    EnqOk,
+    /// `enqueue` observed a full queue (`false`).
+    EnqFull,
+    /// `dequeue` returned an element.
+    DeqVal(u64),
+    /// `dequeue` observed an empty queue (`⊥`).
+    DeqEmpty,
+}
+
+/// Identifier of an invoked operation within a history.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct OpId(pub usize);
 
 /// One history event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,7 +64,7 @@ pub enum HistoryEvent {
 }
 
 /// A recorded concurrent history.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct History {
     events: Vec<HistoryEvent>,
 }

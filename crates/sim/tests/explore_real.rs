@@ -25,7 +25,10 @@ use bq_core::{
     OptimalQueue, RecvTimeoutError, RelocBox, RelocRing, SegmentQueue, ShardedQueue, SimAtomicU64,
     SimCondvar, SimMutex,
 };
-use bq_sim::explore::{explore, replay, ExploreConfig, Report, RunOutcomeKind, RunSpec};
+use bq_sim::explore::{
+    explore, replay, tell, Choice, ExploreConfig, Report, RunOutcomeKind, RunSpec, ThreadStatus,
+    ThreadView,
+};
 use bq_sim::{check_history, check_history_pool, History, HistoryEvent, Op, Ret};
 
 fn smoke() -> bool {
@@ -616,7 +619,7 @@ const OBS_INVARIANCE_PINNED_EXECUTIONS: u64 = 47;
 /// Two explored threads each running a fixed operation script on one
 /// shipped queue of capacity `c`; the oracle is conservation plus strict
 /// FIFO linearizability. The scripts below are `bq_sim::adversary`'s,
-/// which the step-machine controller drives by *poising* a victim; here
+/// whose constructions *tell* the chooser where to poise a victim; here
 /// the explorer has to find the poising interleaving by itself, in the
 /// compiled `CounterQueue` loop.
 fn script_spec<Q>(mk: fn(usize) -> Q, c: usize, scripts: [Vec<Op>; 2]) -> RunSpec
@@ -790,6 +793,39 @@ fn two_round_sleep_on_the_shipped_counter_queues() {
     assert_all_pass("DistinctQueue two-round sleep", TWO_ROUND_PINNED.1, || {
         script_spec(DistinctQueue::with_capacity, 2, two_round_sleep())
     });
+}
+
+/// Teeth for the chooser of `tell`: ending a run while a thread is inside
+/// an operation unwinds every body through the abort path and returns the
+/// partial history — an invocation with no response — with the oracle
+/// not run; the same choices then replay, and run on to completion.
+#[test]
+fn told_stop_mid_operation_returns_the_partial_history() {
+    use Op::{Dequeue as D, Enqueue as E};
+    let mk = || script_spec(NaiveQueue::with_capacity, 2, [vec![E(1), D], vec![D]]);
+    let mut grants = 0;
+    let r = tell(mk(), move |threads: &[ThreadView], _: &History| {
+        if grants < 3 {
+            grants += 1;
+            return Choice::Grant(0);
+        }
+        // Three accesses into its enqueue (two tail loads and a head
+        // load), T0 has announced its slot CAS; T1 has not started.
+        let next = threads[0].next.expect("T0 announced its next access");
+        assert_eq!(next.kind, simyield::Kind::Cas);
+        assert_eq!(threads[1].status, ThreadStatus::Ready);
+        assert!(threads[1].next.is_none());
+        Choice::Stop
+    });
+    assert_eq!(r.outcome, RunOutcomeKind::Stopped);
+    assert!(r.check.is_none(), "the oracle runs only on completed runs");
+    assert_eq!(r.schedule, bq_sim::Schedule(vec![0, 0, 0]));
+    let partial = r.history.render();
+    assert_eq!(partial, "[T0] invoke #0 enq(1)\n");
+    let again = replay(&r.schedule, mk());
+    assert_eq!(again.outcome, RunOutcomeKind::Completed);
+    assert!(again.history.render().starts_with(&partial));
+    assert_eq!(again.check, Some(Ok(())));
 }
 
 /// Execution counts of the scenarios above at preemption bound 2, asserted

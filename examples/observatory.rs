@@ -40,8 +40,8 @@ fn show(title: &str, m: &MetricsSnapshot) {
 }
 
 /// Phase 1: a 2-shard queue, two producers, two consumers, and a mid-run
-/// quarantine of shard 0 — steals, rotations, and the health layer's
-/// refusal counts all move.
+/// quarantine of shard 0 — steals, rotations, and each shard's own
+/// refusal count (`shardN.enq_full`) all move.
 fn sharded_phase(per: u64) {
     let q = Arc::new(ShardedQueue::<OptimalQueue>::optimal(8, 2, 5));
     let total = 2 * per;

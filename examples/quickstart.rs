@@ -77,6 +77,6 @@ fn main() {
 
     // And the impossibility the paper proves: don't reach for a Θ(1)
     // CAS queue without assumptions — `NaiveQueue` exists only to be
-    // broken by the adversary experiment (`--bin adversary`).
+    // broken by the adversary experiment (`bq-sim`'s `adversary` example).
     println!("done — see EXPERIMENTS.md for the full reproduction story");
 }

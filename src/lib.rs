@@ -4,9 +4,9 @@
 //! *Memory Bounds for Concurrent Bounded Queues* (PPoPP 2024,
 //! arXiv:2104.15003): every algorithm from the paper, the substrates they
 //! need (software LL/SC, recyclable-descriptor DCSS, allocation tracking),
-//! the related-work baselines, and an execution simulator that replays the
-//! paper's lower-bound adversary and certifies its non-linearizable
-//! executions.
+//! the related-work baselines, and a schedule explorer that plays the
+//! paper's lower-bound adversary on the shipped queues and certifies its
+//! non-linearizable executions.
 //!
 //! This facade crate re-exports the workspace:
 //!
@@ -15,7 +15,9 @@
 //! * [`memtrack`](bq_memtrack) — the memory-overhead accounting;
 //! * [`baselines`](bq_baselines) — Michael–Scott, Vyukov, SCQ-style,
 //!   Tsigas–Zhang model, mutex ring;
-//! * [`sim`](bq_sim) — the adversary + linearizability checker;
+//! * [`sim`](bq_sim) — the linearizability checker and schedule explorer
+//!   (its lower-bound adversary needs `bq-sim`'s `explore` feature, which
+//!   this crate leaves off);
 //! * [`shm`](bq_shm) — the shared-memory multi-process backend (mmap
 //!   segments, crash-consistent `ShmQueue`, fork harness).
 //!

@@ -16,7 +16,6 @@ const EXAMPLES: &[&str] = &[
     "pipeline",
     "async_pipeline",
     "task_scheduler",
-    "adversary_demo",
     "multi_process",
     "observatory",
 ];
