@@ -98,7 +98,7 @@ pub use llsc_queue::{LlScHandle, LlScQueue};
 pub use naive::{NaiveHandle, NaiveQueue};
 pub use obs::{MetricsSnapshot, TraceEvent, TraceRing};
 #[cfg(feature = "sim-explore")]
-pub use optimal::HelpMode;
+pub use optimal::{HelpMode, OrderingMutant};
 pub use optimal::{OptimalHandle, OptimalQueue};
 pub use queue::{ConcurrentQueue, EnqueueError, Full, SeqRingQueue};
 pub use relocatable::{

@@ -202,7 +202,8 @@ pub struct OptimalQueue {
     /// (DESIGN.md §10): descriptor references were already
     /// position-independent packed `(index, seq)` words, so the board
     /// relocates wholesale. Its atomics carry all cross-thread
-    /// communication (`SeqCst`).
+    /// communication; all are `SeqCst` but a descriptor's `e` and `x`
+    /// stores, which are `Release` (DESIGN.md §7.3).
     board: RelocBox<AnnounceBoard>,
     next_tid: SimAtomicUsize,
     /// Observability counter block (DESIGN.md §14). A ZST with `obs`
@@ -214,6 +215,8 @@ pub struct OptimalQueue {
     obs: SharedQueueCounters,
     #[cfg(feature = "sim-explore")]
     help: HelpMode,
+    #[cfg(feature = "sim-explore")]
+    mutant: OrderingMutant,
 }
 
 /// How a failed enqueue attempt helps the counter: the one decision in
@@ -228,6 +231,41 @@ pub enum HelpMode {
     /// Help only after observing a successful descriptor with `op.e ≥ e`
     /// (the shipped rule).
     Evidence,
+}
+
+/// A weakened ordering, planted for the schedule explorer's
+/// happens-before check to find (DESIGN.md §11.4): each names one `SeqCst`
+/// access that publishes one of the three `Release` stores to the threads
+/// that use what they wrote. Only the explorer can select one; outside it
+/// the type only names the access to `site_ord`.
+#[cfg_attr(not(feature = "sim-explore"), allow(dead_code))]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OrderingMutant {
+    /// The shipped orderings.
+    Shipped,
+    /// `put_op`'s announce CAS `Relaxed`: a reader that finds the
+    /// descriptor in the slot no longer acquires its `e`/`x` stores.
+    RelaxedAnnounce,
+    /// `read_op`'s slot load `Relaxed`: the reader no longer acquires the
+    /// announce (nor, finding the slot cleared, the cell write-back).
+    RelaxedSlotLoad,
+    /// `complete_op`'s clearing CAS `Relaxed`: a dequeuer that finds the
+    /// slot cleared no longer acquires the cell write-back.
+    RelaxedClear,
+}
+
+/// Under the explorer, whether the store this thread's last load of `w`
+/// returned was published to it (`SimAtomicU64::published`); `true`
+/// everywhere else, where the checks that ask compile away.
+#[inline]
+fn published(w: &SimAtomicU64) -> bool {
+    #[cfg(feature = "sim-explore")]
+    return w.published();
+    #[cfg(not(feature = "sim-explore"))]
+    {
+        let _ = w;
+        true
+    }
 }
 
 /// Per-thread handle: the thread id into the announcement machinery,
@@ -270,6 +308,8 @@ impl OptimalQueue {
             obs: SharedQueueCounters::new(),
             #[cfg(feature = "sim-explore")]
             help: HelpMode::Evidence,
+            #[cfg(feature = "sim-explore")]
+            mutant: OrderingMutant::Shipped,
         }
     }
 
@@ -283,6 +323,25 @@ impl OptimalQueue {
     pub fn with_help_mode(mut self, mode: HelpMode) -> Self {
         self.help = mode;
         self
+    }
+
+    /// The same queue with the planted ordering `mutant`.
+    #[cfg(feature = "sim-explore")]
+    pub fn with_ordering_mutant(mut self, mutant: OrderingMutant) -> Self {
+        self.mutant = mutant;
+        self
+    }
+
+    /// The ordering of the access `mutant` weakens: `SeqCst` as shipped,
+    /// `Relaxed` when the explorer planted `mutant`.
+    #[inline]
+    fn site_ord(&self, mutant: OrderingMutant) -> Ordering {
+        #[cfg(feature = "sim-explore")]
+        if self.mutant == mutant {
+            return Ordering::Relaxed;
+        }
+        let _ = mutant;
+        Ordering::SeqCst
     }
 
     /// The addresses of the `C` value-locations and of the `T`
@@ -308,10 +367,14 @@ impl OptimalQueue {
 
     // ---- descriptor pool -------------------------------------------------
 
-    /// Claim a free descriptor and publish incarnation fields for
-    /// `(e, x)`. Always succeeds: at most `T` descriptors are parked in
-    /// `ops` and at most one is claimed per other thread, so a pool of `2T`
-    /// always has a free entry for the claimant. Thread `tid` tries its own
+    /// Claim a free descriptor and write incarnation fields for `(e, x)`.
+    /// The two stores are `Release`, not `SeqCst`: the announce CAS (or a
+    /// replacement CAS) publishes them to whoever finds the descriptor in
+    /// a slot, the `active_op` CAS to whoever finds it there, and `Release`
+    /// keeps them after the claim CAS for `view_packed`'s validation
+    /// (DESIGN.md §7.3). Always succeeds: at most `T` descriptors are
+    /// parked in `ops` and at most one is claimed per other thread, so a
+    /// pool of `2T` always has a free entry for the claimant. Thread `tid` tries its own
     /// pair `2·tid`, `2·tid + 1` first — its own lane, where no other
     /// thread starts — and wraps over the whole pool, because both can be
     /// parked in *other* threads' slots (`retained_in_ops`).
@@ -337,8 +400,8 @@ impl OptimalQueue {
                 {
                     continue;
                 }
-                d.e.store(e, Ordering::SeqCst);
-                d.x.store(x, Ordering::SeqCst);
+                d.e.store(e, Ordering::Release);
+                d.x.store(x, Ordering::Release);
                 return OpView {
                     packed: pack_ref(index, seq),
                     index,
@@ -372,7 +435,8 @@ impl OptimalQueue {
     /// Reconstruct a validated view from a packed reference. `None` means
     /// the incarnation ended (the descriptor was freed, possibly reused).
     /// One load of the descriptor's word both validates the incarnation and
-    /// reads its verdict.
+    /// reads its verdict. A view it returns used its `e` and `x` loads, so
+    /// under the explorer both must have read published stores.
     fn view_packed(&self, packed: u64) -> Option<OpView> {
         if packed == 0 {
             return None;
@@ -383,7 +447,14 @@ impl OptimalQueue {
         let e = d.e.load(Ordering::SeqCst);
         let x = d.x.load(Ordering::SeqCst);
         let w = d.word.load(Ordering::SeqCst);
-        (w >> 2 == seq).then_some(OpView {
+        if w >> 2 != seq {
+            return None;
+        }
+        assert!(
+            published(&d.e) && published(&d.x),
+            "unpublished read: descriptor {index}'s e/x did not happen-before their loads"
+        );
+        Some(OpView {
             packed,
             index,
             seq,
@@ -432,7 +503,10 @@ impl OptimalQueue {
     /// if it is successful, else `None`.
     fn read_op(&self, slot: usize) -> Option<OpView> {
         loop {
-            let p = self.board.op(slot).load(Ordering::SeqCst);
+            let p = self
+                .board
+                .op(slot)
+                .load(self.site_ord(OrderingMutant::RelaxedSlotLoad));
             if p == 0 {
                 return None;
             }
@@ -524,10 +598,11 @@ impl OptimalQueue {
     /// `put_op`/`complete_op` only once its clearing CAS won, and nobody
     /// else fills an empty slot).
     fn put_op(&self, slot: usize, view: OpView) -> bool {
+        let announce = self.site_ord(OrderingMutant::RelaxedAnnounce);
         let announced = self
             .board
             .op(slot)
-            .compare_exchange(0, view.packed, Ordering::SeqCst, Ordering::SeqCst)
+            .compare_exchange(0, view.packed, announce, announce)
             .is_ok();
         assert!(announced, "own announcement slot {slot} is occupied");
         self.start_put_op(view);
@@ -586,17 +661,20 @@ impl OptimalQueue {
             // decided before `complete_op`, and replacements are pre-marked
             // successful before installation.
             debug_assert_eq!(view.state, ST_SUCCESS);
-            self.cell(view.e).store(view.x, Ordering::SeqCst);
+            // `Release`: the `enqueues` CAS and the clearing CAS below
+            // publish it (DESIGN.md §7.3).
+            self.cell(view.e).store(view.x, Ordering::Release);
             let _ = self.enqueues.compare_exchange(
                 view.e,
                 view.e + 1,
                 Ordering::SeqCst,
                 Ordering::SeqCst,
             );
+            let clear = self.site_ord(OrderingMutant::RelaxedClear);
             if self
                 .board
                 .op(slot)
-                .compare_exchange(view.packed, 0, Ordering::SeqCst, Ordering::SeqCst)
+                .compare_exchange(view.packed, 0, clear, clear)
                 .is_ok()
             {
                 // We removed it from `ops`; we free it.
@@ -683,19 +761,24 @@ impl OptimalQueue {
 
     /// The paper's `readElem` (lines 96–99): look through the announcement
     /// array for an in-flight element destined for the cell of position
-    /// `d`; fall back to the array.
-    fn read_elem(&self, d: u64) -> u64 {
+    /// `d`; fall back to the array. Also says whether the value was
+    /// published to this thread — always, outside the explorer.
+    fn read_elem(&self, d: u64) -> (u64, bool) {
         if let Some((view, _)) = self.find_op(d) {
-            return view.x;
+            return (view.x, true);
         }
-        self.cell(d).load(Ordering::SeqCst)
+        let cell = self.cell(d);
+        (cell.load(Ordering::SeqCst), published(cell))
     }
 
     /// `read_elem` for the `k` positions `d..d + k` at once, appended to
     /// `out`: one board scan, in which a successful descriptor whose `e`
     /// falls in the run supplies its `x`, then a load of the cell of every
     /// position the scan did not cover — in that order (DESIGN.md §8.1).
-    fn read_run(&self, d: u64, k: usize, out: &mut Vec<u64>) {
+    /// Says whether every cell it loaded read a published value, as
+    /// [`read_elem`](Self::read_elem) does.
+    fn read_run(&self, d: u64, k: usize, out: &mut Vec<u64>) -> bool {
+        let mut all_published = true;
         let base = out.len();
         out.resize(base + k, NULL);
         let run = &mut out[base..];
@@ -708,9 +791,12 @@ impl OptimalQueue {
         }
         for (pos, x) in (d..).zip(run) {
             if *x == NULL {
-                *x = self.cell(pos).load(Ordering::SeqCst);
+                let cell = self.cell(pos);
+                *x = cell.load(Ordering::SeqCst);
+                all_published &= published(cell);
             }
         }
+        all_published
     }
 }
 
@@ -783,7 +869,7 @@ impl ConcurrentQueue for OptimalQueue {
             // Counters + element snapshot (paper lines 29–31).
             let d = self.dequeues.load(Ordering::SeqCst);
             let e = self.enqueues.load(Ordering::SeqCst);
-            let x = self.read_elem(d);
+            let (x, x_published) = self.read_elem(d);
             if d != self.dequeues.load(Ordering::SeqCst) {
                 h.obs.deq_retry();
                 continue;
@@ -799,6 +885,10 @@ impl ConcurrentQueue for OptimalQueue {
                 .compare_exchange(d, d + 1, Ordering::SeqCst, Ordering::SeqCst)
                 .is_ok()
             {
+                assert!(
+                    x_published,
+                    "unpublished read: dequeue returned cell {d}'s value"
+                );
                 h.obs.deq_success();
                 return Some(x);
             }
@@ -822,9 +912,7 @@ impl ConcurrentQueue for OptimalQueue {
             let e = self.enqueues.load(Ordering::SeqCst);
             let k = (e - d).min((max - n) as u64) as usize;
             let base = out.len();
-            if k > 0 {
-                self.read_run(d, k, out);
-            }
+            let run_published = k == 0 || self.read_run(d, k, out);
             if d != self.dequeues.load(Ordering::SeqCst) {
                 out.truncate(base);
                 h.obs.deq_retry();
@@ -848,6 +936,10 @@ impl ConcurrentQueue for OptimalQueue {
                 h.obs.deq_retry();
                 continue;
             }
+            assert!(
+                run_published,
+                "unpublished read: a run from {d} returned a cell's value"
+            );
             for _ in 0..k {
                 h.obs.deq_attempt();
                 h.obs.deq_success();
@@ -1433,6 +1525,111 @@ mod tests {
         assert_eq!(q.view_packed(live.packed).unwrap().state, ST_FAILURE);
         q.free_desc(live, ST_FAILURE);
         assert_eq!(claimed(&q), [0usize; 0]);
+    }
+
+    /// `MAX_TOKEN` through both of a dequeue's sources: the cell
+    /// `complete_op` wrote back, and an announced descriptor `read_elem`
+    /// finds before the cell is written — one by one and in a run.
+    #[test]
+    fn max_token_through_the_cell_and_the_descriptor() {
+        let q = OptimalQueue::with_capacity_and_threads(2, 2);
+        let _h0 = q.register();
+        let mut h1 = q.register();
+        q.enqueue(&mut h1, MAX_TOKEN).unwrap();
+        assert_eq!(q.a[0].load(Ordering::SeqCst), MAX_TOKEN, "written back");
+        assert_eq!(q.dequeue(&mut h1), Some(MAX_TOKEN));
+        for batch in [false, true] {
+            // Thread 0's descriptor for the next position is decided and
+            // the counter helped past it; its cell is not written yet and
+            // holds no earlier round's value, so only the board has it.
+            let e = q.enqueues.load(Ordering::SeqCst);
+            q.cell(e).store(NULL, Ordering::SeqCst);
+            let v = q.claim_desc(0, e, MAX_TOKEN);
+            assert!(q.put_op(0, v));
+            q.help_enqueues(e);
+            assert_eq!(q.read_elem(e), (MAX_TOKEN, true), "found on the board");
+            if batch {
+                let mut out = Vec::new();
+                assert_eq!(q.dequeue_many(&mut h1, 2, &mut out), 1);
+                assert_eq!(out, [MAX_TOKEN]);
+            } else {
+                assert_eq!(q.dequeue(&mut h1), Some(MAX_TOKEN));
+            }
+            q.complete_op(0);
+            assert_eq!(q.cell(e).load(Ordering::SeqCst), MAX_TOKEN);
+        }
+        q.enqueue(&mut h1, MAX_TOKEN).unwrap();
+        let mut out = Vec::new();
+        assert_eq!(q.dequeue_many(&mut h1, 2, &mut out), 1);
+        assert_eq!(out, [MAX_TOKEN], "a run from the cell");
+        assert_eq!(claimed(&q), [0usize; 0]);
+    }
+
+    /// The largest thread bound, `2¹⁵ − 1`.
+    const T_MAX: usize = (1 << 15) - 1;
+
+    #[test]
+    #[should_panic(expected = "thread bound must be in 1..2^15")]
+    fn thread_bound_two_to_the_15_is_rejected() {
+        OptimalQueue::with_capacity_and_threads(1, 1 << 15);
+    }
+
+    /// A queue at `T = 2¹⁵ − 1` with every lane registered, and a handle on
+    /// the top lane whose claims land on the pool's last descriptor,
+    /// `2T − 1 = 65 533`: its own first one, `2T − 2`, is held (as if
+    /// parked in another thread's slot).
+    fn top_lane_queue(c: usize) -> (OptimalQueue, OptimalHandle) {
+        let q = OptimalQueue::with_capacity_and_threads(c, T_MAX);
+        q.next_tid.store(T_MAX, Ordering::SeqCst);
+        let held = q.board.desc(2 * T_MAX - 2).unwrap();
+        held.word.store(pack_word(1, ST_SUCCESS), Ordering::SeqCst);
+        let h = OptimalHandle {
+            tid: T_MAX - 1,
+            obs: SharedQueueCounters::new().local(),
+        };
+        (q, h)
+    }
+
+    #[test]
+    fn top_lane_claims_the_last_descriptor() {
+        let (q, h) = top_lane_queue(1);
+        assert_eq!(q.board.pool_len(), 2 * T_MAX);
+        let v = q.claim_desc(h.tid, 0, 5);
+        assert_eq!(v.index, 65_533);
+        assert!(v.packed >> 63 == 1, "the index fills bits 48..64");
+        assert_eq!((unpack_index(v.packed), unpack_seq(v.packed)), (65_533, 1));
+        assert_eq!(q.view_packed(v.packed), Some(v));
+        q.free_desc(v, ST_UNDECIDED);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(8))]
+
+        /// The same spec at the thread bound's edge, from the top lane of
+        /// a full board (`top_lane_queue`): every scan reads all `T` slots,
+        /// so 8 cases, not 64.
+        #[test]
+        fn sequential_spec_on_the_top_lane(
+            c in 1usize..4,
+            script in proptest::collection::vec(proptest::prelude::any::<bool>(), 1..40),
+        ) {
+            let (q, mut h) = top_lane_queue(c);
+            let mut model = std::collections::VecDeque::new();
+            let mut next = 1u64;
+            for is_enq in script {
+                if is_enq {
+                    let accepted = q.enqueue(&mut h, next).is_ok();
+                    proptest::prop_assert_eq!(accepted, model.len() < c);
+                    if accepted {
+                        model.push_back(next);
+                    }
+                    next += 1;
+                } else {
+                    proptest::prop_assert_eq!(q.dequeue(&mut h), model.pop_front());
+                }
+            }
+            proptest::prop_assert_eq!(seq_of(&q, 2 * T_MAX - 1) % 2, 0, "returned to the pool");
+        }
     }
 
     /// Where the padding went, as addresses on a live queue: `enqueues`,

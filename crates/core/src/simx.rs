@@ -8,7 +8,9 @@
 //!   wrappers compile to exactly the underlying primitive, and
 //!   `#[repr(transparent)]` keeps every relocatable layout byte-stable;
 //! * with the `sim-explore` feature: every operation is bracketed by
-//!   `simyield` hook calls. On threads without an installed hook
+//!   `simyield` hook calls, and the `simyield::Access` it reports carries
+//!   the operation's `Ordering` (both of a CAS's). On threads without an
+//!   installed hook
 //!   (everything outside the explorer) the bracket is one thread-local
 //!   check; on explorer-controlled threads it is a cooperative
 //!   scheduling point, which is how `bq_sim::explore` enumerates
@@ -30,8 +32,11 @@ use parking_lot::{Condvar as PlCondvar, Mutex as PlMutex, MutexGuard as PlMutexG
 #[cfg(feature = "sim-explore")]
 use simyield::{Access, Kind};
 
+/// Run `$run` (which yields `(result, observed)`) bracketed as one
+/// explorer step of kind `$kind` with operands `$op1`, `$op2` and orderings
+/// `$ord` (a CAS's `$fail` when it fails).
 macro_rules! bracketed {
-    ($self:ident, $kind:ident, $op1:expr, $op2:expr, $run:expr) => {{
+    ($self:ident, $kind:ident, $op1:expr, $op2:expr, $ord:expr, $fail:expr, $run:expr) => {{
         #[cfg(feature = "sim-explore")]
         {
             let a = Access::new(
@@ -39,7 +44,8 @@ macro_rules! bracketed {
                 &$self.0 as *const _ as usize,
                 $op1 as u64,
                 $op2 as u64,
-            );
+            )
+            .ordered($ord, $fail);
             simyield::before(&a);
             let (ret, observed) = $run;
             simyield::after(&a, observed);
@@ -47,7 +53,7 @@ macro_rules! bracketed {
         }
         #[cfg(not(feature = "sim-explore"))]
         {
-            let _ = ($op1, $op2);
+            let _ = ($op1, $op2, $ord, $fail);
             let (ret, _observed) = $run;
             ret
         }
@@ -68,7 +74,7 @@ impl SimAtomicU64 {
     /// Atomic load.
     #[inline]
     pub fn load(&self, o: Ordering) -> u64 {
-        bracketed!(self, Load, 0u64, 0u64, {
+        bracketed!(self, Load, 0u64, 0u64, o, o, {
             let v = self.0.load(o);
             (v, v)
         })
@@ -77,7 +83,7 @@ impl SimAtomicU64 {
     /// Atomic store.
     #[inline]
     pub fn store(&self, v: u64, o: Ordering) {
-        bracketed!(self, Store, v, 0u64, {
+        bracketed!(self, Store, v, 0u64, o, o, {
             self.0.store(v, o);
             ((), v)
         })
@@ -92,7 +98,7 @@ impl SimAtomicU64 {
         success: Ordering,
         failure: Ordering,
     ) -> Result<u64, u64> {
-        bracketed!(self, Cas, current, new, {
+        bracketed!(self, Cas, current, new, success, failure, {
             let r = self.0.compare_exchange(current, new, success, failure);
             let old = match r {
                 Ok(v) | Err(v) => v,
@@ -115,7 +121,7 @@ impl SimAtomicU64 {
         success: Ordering,
         failure: Ordering,
     ) -> Result<u64, u64> {
-        bracketed!(self, Cas, current, new, {
+        bracketed!(self, Cas, current, new, success, failure, {
             let r = if cfg!(feature = "sim-explore") {
                 self.0.compare_exchange(current, new, success, failure)
             } else {
@@ -131,7 +137,7 @@ impl SimAtomicU64 {
     /// Atomic add returning the previous value.
     #[inline]
     pub fn fetch_add(&self, v: u64, o: Ordering) -> u64 {
-        bracketed!(self, FetchAdd, v, 0u64, {
+        bracketed!(self, FetchAdd, v, 0u64, o, o, {
             let old = self.0.fetch_add(v, o);
             (old, old)
         })
@@ -140,10 +146,20 @@ impl SimAtomicU64 {
     /// Atomic subtract returning the previous value.
     #[inline]
     pub fn fetch_sub(&self, v: u64, o: Ordering) -> u64 {
-        bracketed!(self, FetchAdd, v.wrapping_neg(), 0u64, {
+        bracketed!(self, FetchAdd, v.wrapping_neg(), 0u64, o, o, {
             let old = self.0.fetch_sub(v, o);
             (old, old)
         })
+    }
+
+    /// The explorer's happens-before query (`simyield::published`): did
+    /// the store this thread's last load of `self` returned happen-before
+    /// that load, not counting the load's own acquire? Not a scheduling
+    /// point; `true` on a thread the explorer does not control.
+    #[cfg(feature = "sim-explore")]
+    #[inline]
+    pub fn published(&self) -> bool {
+        simyield::published(&self.0 as *const _ as usize)
     }
 
     /// Non-atomic read through exclusive access (not a scheduling point).
@@ -164,10 +180,18 @@ impl SimAtomicU64 {
     /// issue any number of raw accesses and returns the value read.
     #[inline]
     pub fn read_step(&self, f: impl FnOnce(&AtomicU64) -> u64) -> u64 {
-        bracketed!(self, Load, 0u64, 0u64, {
-            let v = f(&self.0);
-            (v, v)
-        })
+        bracketed!(
+            self,
+            Load,
+            0u64,
+            0u64,
+            Ordering::SeqCst,
+            Ordering::SeqCst,
+            {
+                let v = f(&self.0);
+                (v, v)
+            }
+        )
     }
 
     /// A compound **conditional update** `current → new` of this location
@@ -176,10 +200,18 @@ impl SimAtomicU64 {
     /// `current` on success and something else on failure.
     #[inline]
     pub fn update_step(&self, current: u64, new: u64, f: impl FnOnce(&AtomicU64) -> bool) -> bool {
-        bracketed!(self, Cas, current, new, {
-            let ok = f(&self.0);
-            (ok, if ok { current } else { !current })
-        })
+        bracketed!(
+            self,
+            Cas,
+            current,
+            new,
+            Ordering::SeqCst,
+            Ordering::SeqCst,
+            {
+                let ok = f(&self.0);
+                (ok, if ok { current } else { !current })
+            }
+        )
     }
 }
 
@@ -197,7 +229,7 @@ impl SimAtomicUsize {
     /// Atomic load.
     #[inline]
     pub fn load(&self, o: Ordering) -> usize {
-        bracketed!(self, Load, 0u64, 0u64, {
+        bracketed!(self, Load, 0u64, 0u64, o, o, {
             let v = self.0.load(o);
             (v, v as u64)
         })
@@ -206,7 +238,7 @@ impl SimAtomicUsize {
     /// Atomic store.
     #[inline]
     pub fn store(&self, v: usize, o: Ordering) {
-        bracketed!(self, Store, v as u64, 0u64, {
+        bracketed!(self, Store, v as u64, 0u64, o, o, {
             self.0.store(v, o);
             ((), v as u64)
         })
@@ -215,7 +247,7 @@ impl SimAtomicUsize {
     /// Atomic add returning the previous value.
     #[inline]
     pub fn fetch_add(&self, v: usize, o: Ordering) -> usize {
-        bracketed!(self, FetchAdd, v as u64, 0u64, {
+        bracketed!(self, FetchAdd, v as u64, 0u64, o, o, {
             let old = self.0.fetch_add(v, o);
             (old, old as u64)
         })
@@ -224,7 +256,7 @@ impl SimAtomicUsize {
     /// Atomic subtract returning the previous value.
     #[inline]
     pub fn fetch_sub(&self, v: usize, o: Ordering) -> usize {
-        bracketed!(self, FetchAdd, (v as u64).wrapping_neg(), 0u64, {
+        bracketed!(self, FetchAdd, (v as u64).wrapping_neg(), 0u64, o, o, {
             let old = self.0.fetch_sub(v, o);
             (old, old as u64)
         })
@@ -239,7 +271,7 @@ impl SimAtomicUsize {
         success: Ordering,
         failure: Ordering,
     ) -> Result<usize, usize> {
-        bracketed!(self, Cas, current as u64, new as u64, {
+        bracketed!(self, Cas, current as u64, new as u64, success, failure, {
             let r = self.0.compare_exchange(current, new, success, failure);
             let old = match r {
                 Ok(v) | Err(v) => v,
@@ -263,7 +295,7 @@ impl SimAtomicBool {
     /// Atomic load.
     #[inline]
     pub fn load(&self, o: Ordering) -> bool {
-        bracketed!(self, Load, 0u64, 0u64, {
+        bracketed!(self, Load, 0u64, 0u64, o, o, {
             let v = self.0.load(o);
             (v, v as u64)
         })
@@ -272,7 +304,7 @@ impl SimAtomicBool {
     /// Atomic store.
     #[inline]
     pub fn store(&self, v: bool, o: Ordering) {
-        bracketed!(self, Store, v as u64, 0u64, {
+        bracketed!(self, Store, v as u64, 0u64, o, o, {
             self.0.store(v, o);
             ((), v as u64)
         })
@@ -306,7 +338,8 @@ impl<T> SimMutex<T> {
         {
             if simyield::hooked() {
                 loop {
-                    let a = Access::new(Kind::LockAcq, self.loc(), 0, 0);
+                    let a = Access::new(Kind::LockAcq, self.loc(), 0, 0)
+                        .ordered(Ordering::Acquire, Ordering::Relaxed);
                     simyield::before(&a);
                     if let Some(g) = self.inner.try_lock() {
                         simyield::after(&a, 1);
@@ -403,7 +436,8 @@ impl SimCondvar {
                 simyield::cv_block(self.loc());
                 // Re-acquire cooperatively.
                 loop {
-                    let a = Access::new(Kind::LockAcq, guard.mx.loc(), 0, 0);
+                    let a = Access::new(Kind::LockAcq, guard.mx.loc(), 0, 0)
+                        .ordered(Ordering::Acquire, Ordering::Relaxed);
                     simyield::before(&a);
                     if let Some(g) = guard.mx.inner.try_lock() {
                         simyield::after(&a, 1);
@@ -444,7 +478,8 @@ impl SimCondvar {
                 let woke = simyield::cv_block_timed(self.loc());
                 // Re-acquire cooperatively.
                 loop {
-                    let a = Access::new(Kind::LockAcq, guard.mx.loc(), 0, 0);
+                    let a = Access::new(Kind::LockAcq, guard.mx.loc(), 0, 0)
+                        .ordered(Ordering::Acquire, Ordering::Relaxed);
                     simyield::before(&a);
                     if let Some(g) = guard.mx.inner.try_lock() {
                         simyield::after(&a, 1);

@@ -30,10 +30,16 @@
 //!
 //! The engine explores *sequentially consistent* interleavings only: it
 //! cannot reorder the effects of a single thread the way real weak
-//! memory can. The `bq-core` sites that ship weaker orderings
-//! (`RelocRing::claim`/`resolve`, the byte ring) are therefore checked
-//! under a stronger model than the one they run under, and `spsc.rs` is
-//! not instrumented at all; DESIGN.md §11.4 lists them. Preemption bounding
+//! memory can. Over those interleavings it keeps happens-before vector
+//! clocks from each access's `Ordering` (FastTrack's, over SC runs), and
+//! `simyield::published` asks whether the store a thread's last load
+//! returned had already happened-before that load — a use-site check
+//! that `OptimalQueue` asserts. No load ever returns an older store, so a
+//! validating load is still checked under SC, and the `bq-core` sites
+//! that ship weaker orderings without such a check
+//! (`RelocRing::claim`/`resolve`, the byte ring) are checked under a
+//! stronger model than the one they run under; `spsc.rs` is not
+//! instrumented at all. DESIGN.md §11.4 lists them. Preemption bounding
 //! (Musuvathi & Qadeer's iterative context bounding) is exhaustive *up
 //! to the bound*; state-hash pruning and the conflict filter are
 //! heuristics on top — hash collisions can in principle drop distinct
@@ -438,6 +444,132 @@ mod engine {
         pend: Vec<Option<(u32, bool)>>,
     }
 
+    /// Happens-before over the explored interleaving (FastTrack's vector
+    /// clocks, Flanagan & Freund, PLDI 2009): a clock per thread, and per
+    /// location the clock its release sequence carries and the epoch
+    /// `(thread, clock)` of its last store. Every access updates them by
+    /// its `Ordering`; a plain load also records whether the store it
+    /// returned already happened-before it, which is what
+    /// [`simyield::published`] answers. Nothing here is a scheduling point
+    /// or enters the state hash, so no execution count depends on it.
+    struct Clocks {
+        /// Vector clock per thread; entry `t` of thread `t`'s starts at 1.
+        threads: Vec<Vec<u32>>,
+        /// Per location id: the clock of its release sequence, empty when
+        /// none is running (a relaxed plain store ended it, or no release
+        /// store was seen). A mutex's is its last unlock's.
+        rel: Vec<Vec<u32>>,
+        /// Per location id: the epoch of the last store the explorer saw;
+        /// `None` for a value written before exploration (set-up), which
+        /// happened-before every explored access.
+        last: Vec<Option<(usize, u32)>>,
+        /// Per thread and location id: did its last plain load return a
+        /// store that happened-before it? Absent reads `true`.
+        seen: Vec<Vec<bool>>,
+    }
+
+    fn acquires(o: std::sync::atomic::Ordering) -> bool {
+        use std::sync::atomic::Ordering::*;
+        matches!(o, Acquire | AcqRel | SeqCst)
+    }
+
+    fn releases(o: std::sync::atomic::Ordering) -> bool {
+        use std::sync::atomic::Ordering::*;
+        matches!(o, Release | AcqRel | SeqCst)
+    }
+
+    fn join(into: &mut [u32], from: &[u32]) {
+        for (a, b) in into.iter_mut().zip(from) {
+            *a = (*a).max(*b);
+        }
+    }
+
+    impl Clocks {
+        fn new(threads: usize) -> Self {
+            Clocks {
+                threads: (0..threads)
+                    .map(|t| {
+                        let mut c = vec![0; threads];
+                        c[t] = 1;
+                        c
+                    })
+                    .collect(),
+                rel: Vec::new(),
+                last: Vec::new(),
+                seen: vec![Vec::new(); threads],
+            }
+        }
+
+        fn grow(&mut self, lid: u32) {
+            let n = lid as usize + 1;
+            if self.last.len() < n {
+                self.rel.resize(n, Vec::new());
+                self.last.resize(n, None);
+            }
+        }
+
+        /// Thread `t` ran access `a` on location `lid` and observed
+        /// `observed` (the convention of `simyield::Hook::after`).
+        fn access(&mut self, t: usize, lid: u32, a: &simyield::Access, observed: u64) {
+            use simyield::Kind;
+            self.grow(lid);
+            let l = lid as usize;
+            let (reads, writes, ord) = match a.kind {
+                Kind::Load => (true, false, a.ord),
+                Kind::Store => (false, true, a.ord),
+                Kind::Cas if observed == a.operand => (true, true, a.ord),
+                Kind::Cas => (true, false, a.ord_fail),
+                Kind::FetchAdd => (true, true, a.ord),
+                Kind::LockAcq if observed == 1 => (true, false, a.ord),
+                Kind::LockAcq => (false, false, a.ord_fail),
+            };
+            if a.kind == Kind::Load {
+                // Only a plain load can return an older store: an RMW reads
+                // the latest one by atomicity.
+                let ok = self.last[l].is_none_or(|(w, c)| c <= self.threads[t][w]);
+                let seen = &mut self.seen[t];
+                if seen.len() <= l {
+                    seen.resize(l + 1, true);
+                }
+                seen[l] = ok;
+            }
+            if reads && acquires(ord) {
+                join(&mut self.threads[t], &self.rel[l]);
+            }
+            if writes {
+                self.last[l] = Some((t, self.threads[t][t]));
+                let (rel, vc) = (&mut self.rel[l], &self.threads[t]);
+                if releases(ord) {
+                    if reads && !rel.is_empty() {
+                        // An RMW continues the release sequence it reads.
+                        join(rel, vc);
+                    } else {
+                        rel.clear();
+                        rel.extend_from_slice(vc);
+                    }
+                    self.threads[t][t] += 1;
+                } else if !reads {
+                    // A relaxed plain store ends the release sequence; a
+                    // relaxed RMW continues it unchanged.
+                    rel.clear();
+                }
+            }
+        }
+
+        /// Thread `t` unlocked the mutex `lid`: the next lock acquires it.
+        fn unlock(&mut self, t: usize, lid: u32) {
+            self.grow(lid);
+            let rel = &mut self.rel[lid as usize];
+            rel.clear();
+            rel.extend_from_slice(&self.threads[t]);
+            self.threads[t][t] += 1;
+        }
+
+        fn published(&self, t: usize, lid: u32) -> bool {
+            self.seen[t].get(lid as usize).copied().unwrap_or(true)
+        }
+    }
+
     struct Inner {
         prefix: Vec<usize>,
         chooser: Option<Chooser>,
@@ -471,6 +603,8 @@ mod engine {
         /// Per-thread announced next access and its location id; `None`
         /// while unknown (start gate, or freshly woken from a condvar).
         pending: Vec<Option<(u32, simyield::Access)>>,
+        /// Happens-before clocks, for `simyield::published`.
+        hb: Clocks,
     }
 
     impl Inner {
@@ -500,6 +634,7 @@ mod engine {
                 cv_epoch: HashMap::new(),
                 cv_ann: vec![None; threads],
                 pending: vec![None; threads],
+                hb: Clocks::new(threads),
             }
         }
 
@@ -770,6 +905,7 @@ mod engine {
                 g.shadow[lid as usize] = new;
             }
             g.pcs[self.tid] += 1;
+            g.hb.access(self.tid, lid, a, observed);
         }
 
         fn block_mutex(&self, loc: usize) {
@@ -799,6 +935,7 @@ mod engine {
             // contenders (so they can observe an abort and unwind too).
             let mut g = self.exec.lock();
             let lid = g.intern(loc);
+            g.hb.unlock(self.tid, lid);
             for s in g.statuses.iter_mut() {
                 if *s == TStatus::BlockedMutex(lid) {
                     *s = TStatus::Ready;
@@ -900,6 +1037,12 @@ mod engine {
                 }
             }
             self.exec.cv.notify_all();
+        }
+
+        fn published(&self, loc: usize) -> bool {
+            let g = self.exec.lock();
+            let lid = g.locs.get(&loc).copied();
+            lid.is_none_or(|lid| g.hb.published(self.tid, lid))
         }
     }
 
@@ -1185,6 +1328,76 @@ mod engine {
                 history: r.history,
                 check: r.check,
             }
+        }
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::Clocks;
+        use simyield::{Access, Kind};
+        use std::sync::atomic::Ordering::{self, Acquire, Relaxed, Release};
+
+        const DATA: u32 = 0;
+        const FLAG: u32 = 1;
+
+        fn step(c: &mut Clocks, t: usize, lid: u32, kind: Kind, ord: Ordering, seen: u64) {
+            let a = Access::new(kind, lid as usize, 1, 2).ordered(ord, ord);
+            c.access(t, lid, &a, seen);
+        }
+
+        /// Message passing: thread 0 stores the data `Relaxed`, then the
+        /// flag with `publish`; thread 2 runs `between` on the flag, if
+        /// anything; thread 1 loads the flag with `take`, then the data.
+        fn data_published(publish: Ordering, between: Option<Kind>, take: Ordering) -> bool {
+            let mut c = Clocks::new(3);
+            step(&mut c, 0, DATA, Kind::Store, Relaxed, 1);
+            step(&mut c, 0, FLAG, Kind::Store, publish, 1);
+            if let Some(kind) = between {
+                step(&mut c, 2, FLAG, kind, Relaxed, 1);
+            }
+            step(&mut c, 1, FLAG, Kind::Load, take, 1);
+            step(&mut c, 1, DATA, Kind::Load, Relaxed, 1);
+            c.published(1, DATA)
+        }
+
+        #[test]
+        fn release_acquire_publishes_and_relaxed_does_not() {
+            assert!(data_published(Release, None, Acquire));
+            assert!(!data_published(Relaxed, None, Acquire));
+            assert!(!data_published(Release, None, Relaxed));
+        }
+
+        #[test]
+        fn an_rmw_continues_the_release_sequence_and_a_plain_store_ends_it() {
+            assert!(data_published(Release, Some(Kind::FetchAdd), Acquire));
+            assert!(!data_published(Release, Some(Kind::Store), Acquire));
+        }
+
+        /// The load's own acquire does not count: the first `Acquire` load
+        /// of a `Release` store from another thread is unpublished, a
+        /// second load after it is, and a thread's own store always is.
+        #[test]
+        fn a_load_is_judged_before_its_own_acquire() {
+            let mut c = Clocks::new(2);
+            step(&mut c, 0, DATA, Kind::Store, Release, 1);
+            assert!(c.published(1, DATA), "nothing loaded yet");
+            step(&mut c, 1, DATA, Kind::Load, Acquire, 1);
+            assert!(!c.published(1, DATA));
+            step(&mut c, 1, DATA, Kind::Load, Acquire, 1);
+            assert!(c.published(1, DATA));
+            step(&mut c, 0, DATA, Kind::Load, Relaxed, 1);
+            assert!(c.published(0, DATA));
+        }
+
+        #[test]
+        fn an_unlock_publishes_to_the_next_lock() {
+            const LOCK: u32 = 2;
+            let mut c = Clocks::new(2);
+            step(&mut c, 0, DATA, Kind::Store, Relaxed, 1);
+            c.unlock(0, LOCK);
+            step(&mut c, 1, LOCK, Kind::LockAcq, Acquire, 1);
+            step(&mut c, 1, DATA, Kind::Load, Relaxed, 1);
+            assert!(c.published(1, DATA));
         }
     }
 }

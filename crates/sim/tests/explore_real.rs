@@ -22,8 +22,8 @@ use std::time::Duration;
 use bq_baselines::TwoNullQueue;
 use bq_core::{
     AsyncQueue, BlockingQueue, ConcurrentQueue, DcssQueue, DistinctQueue, EventCount, NaiveQueue,
-    OptimalQueue, RecvTimeoutError, RelocBox, RelocRing, SegmentQueue, ShardedQueue, SimAtomicU64,
-    SimCondvar, SimMutex,
+    OptimalQueue, OrderingMutant, RecvTimeoutError, RelocBox, RelocRing, SegmentQueue,
+    ShardedQueue, SimAtomicU64, SimCondvar, SimMutex,
 };
 use bq_sim::explore::{
     explore, replay, tell, Choice, ExploreConfig, Report, RunOutcomeKind, RunSpec, ThreadStatus,
@@ -157,9 +157,10 @@ fn engine_finds_planted_lost_update() {
 /// `OptimalQueue` of capacity `c`, `T` = 4 (the oracle's drain takes the
 /// fourth handle). With `late`, the first producer calls `register()`
 /// inside its explored body instead of before it, so the registered count
-/// that bounds `find_op`'s scan moves *under exploration*.
-fn optimal_2p1c(c: usize, late: bool) -> RunSpec {
-    let q = Arc::new(OptimalQueue::with_capacity_and_threads(c, 4));
+/// that bounds `find_op`'s scan moves *under exploration*. `mutant` plants
+/// a weakened ordering ([`OrderingMutant::Shipped`] for none).
+fn optimal_2p1c(c: usize, late: bool, mutant: OrderingMutant) -> RunSpec {
+    let q = Arc::new(OptimalQueue::with_capacity_and_threads(c, 4).with_ordering_mutant(mutant));
     let h0 = (!late).then(|| q.register());
     let h1 = Some(q.register());
     let hc = q.register();
@@ -211,13 +212,14 @@ fn optimal_2p1c(c: usize, late: bool) -> RunSpec {
 }
 
 fn optimal_2p1c_spec() -> RunSpec {
-    optimal_2p1c(2, false)
+    optimal_2p1c(2, false, OrderingMutant::Shipped)
 }
 
 /// The acceptance criterion: 2 producers + 1 consumer on the real
 /// `OptimalQueue`, every interleaving up to preemption bound 3, each
 /// completed history checked for FIFO linearizability and element
-/// conservation.
+/// conservation (bound 2 under `MEMBQ_SMOKE`), the count pinned at both
+/// bounds in both explorer lanes.
 #[test]
 fn optimal_2p1c_all_interleavings_to_bound3() {
     let report = explore(&cfg(3), optimal_2p1c_spec);
@@ -230,7 +232,18 @@ fn optimal_2p1c_all_interleavings_to_bound3() {
         "OptimalQueue 2P+1C: {} executions, {} pruned, {} sliced",
         report.executions, report.pruned, report.sliced
     );
+    let (full, smoke_pin) = OPTIMAL_2P1C_PINNED_EXECUTIONS;
+    assert_eq!(
+        report.executions,
+        if smoke() { smoke_pin } else { full },
+        "execution count drifted: `enqueue` or `dequeue` no longer issue \
+         the access sequence they had when the pin was recorded"
+    );
 }
+
+/// The pins for [`optimal_2p1c_all_interleavings_to_bound3`], (bound 3,
+/// bound 2), asserted identically in the obs-on and obs-off explorer lanes.
+const OPTIMAL_2P1C_PINNED_EXECUTIONS: (u64, u64) = (18_641, 8_023);
 
 /// The race the bounded scan introduces (DESIGN.md §7.2): `find_op` reads
 /// the registered count and scans that prefix of the announcement array,
@@ -258,7 +271,9 @@ fn optimal_2p1c_all_interleavings_to_bound3() {
 /// (The 2P+1C sweep rejects the same mutant: its handles cache 1, 2 and 3.)
 #[test]
 fn optimal_late_registration_races_the_bounded_scan() {
-    let report = explore(&pinned_cfg(3), || optimal_2p1c(1, true));
+    let report = explore(&pinned_cfg(3), || {
+        optimal_2p1c(1, true, OrderingMutant::Shipped)
+    });
     assert_passed(&report, "OptimalQueue late registration");
     assert!(!report.hit_execution_cap, "truncated: {report:?}");
     eprintln!(
@@ -285,8 +300,8 @@ const LATE_REGISTRATION_PINNED_EXECUTIONS: u64 = 11_304;
 /// `Op::Dequeue` spanning the call, a missing one as empty — and a consumer
 /// making one `dequeue`. `T` = 5: the four explored handles and the
 /// oracle's drain.
-fn optimal_run_vs_rival() -> RunSpec {
-    let q = Arc::new(OptimalQueue::with_capacity_and_threads(2, 5));
+fn optimal_run_vs_rival(mutant: OrderingMutant) -> RunSpec {
+    let q = Arc::new(OptimalQueue::with_capacity_and_threads(2, 5).with_ordering_mutant(mutant));
     let mut handles: Vec<_> = (0..4).map(|_| q.register()).collect();
     let (mut hr, mut hb) = (handles.pop().unwrap(), handles.pop().unwrap());
     let producer = |h: bq_core::OptimalHandle, v: u64| {
@@ -369,7 +384,7 @@ fn optimal_run_vs_rival() -> RunSpec {
 /// ```
 #[test]
 fn optimal_run_dequeue_races_a_single_rival() {
-    let report = explore(&cfg(3), optimal_run_vs_rival);
+    let report = explore(&cfg(3), || optimal_run_vs_rival(OrderingMutant::Shipped));
     assert_passed(&report, "OptimalQueue run dequeue");
     assert!(!report.hit_execution_cap, "truncated: {report:?}");
     eprintln!(
@@ -393,8 +408,8 @@ const RUN_DEQUEUE_PINNED_EXECUTIONS: (u64, u64) = (409_900, 62_888);
 /// enqueueing 1, 2 and 3 — the third refused once the first two are in —
 /// against one `dequeue_many(…, 2)`, each element recorded as its own
 /// spanning `Op::Dequeue` and a missing one as empty.
-fn optimal_short_run() -> RunSpec {
-    let q = Arc::new(OptimalQueue::with_capacity_and_threads(2, 3));
+fn optimal_short_run(mutant: OrderingMutant) -> RunSpec {
+    let q = Arc::new(OptimalQueue::with_capacity_and_threads(2, 3).with_ordering_mutant(mutant));
     let (mut hp, mut hb) = (q.register(), q.register());
     let producer = {
         let q = Arc::clone(&q);
@@ -458,7 +473,9 @@ fn optimal_short_run() -> RunSpec {
 /// ```
 #[test]
 fn optimal_short_run_reads_empty_before_returning_short() {
-    let report = explore(&pinned_cfg(3), optimal_short_run);
+    let report = explore(&pinned_cfg(3), || {
+        optimal_short_run(OrderingMutant::Shipped)
+    });
     assert_passed(&report, "OptimalQueue short run");
     assert!(!report.hit_execution_cap, "truncated: {report:?}");
     eprintln!(
@@ -475,6 +492,97 @@ fn optimal_short_run_reads_empty_before_returning_short() {
 /// The pin for [`optimal_short_run_reads_empty_before_returning_short`],
 /// asserted identically in the obs-on and obs-off explorer lanes.
 const SHORT_RUN_PINNED_EXECUTIONS: u64 = 88;
+
+/// The happens-before check must *find* a planted ordering mutant — a
+/// panic at one of `OptimalQueue`'s use-site checks, not an oracle
+/// rejection — after exactly `pinned` executions at preemption bound 2,
+/// and the printed artifact must replay to the same panic.
+fn assert_unpublished_found(what: &str, pinned: u64, mk: impl Fn() -> RunSpec) {
+    let report = explore(&pinned_cfg(2), &mk);
+    let failure = report.failure.as_ref().unwrap_or_else(|| {
+        panic!(
+            "{what}: all {} executions passed, an unpublished read was expected",
+            report.executions
+        )
+    });
+    assert!(
+        failure.reason.contains("unpublished read"),
+        "{what}: expected the happens-before check, got {}",
+        failure.render()
+    );
+    eprintln!(
+        "{what}: found after {} executions ({})\n{}",
+        report.executions, failure.reason, failure.schedule
+    );
+    assert_eq!(report.executions, pinned, "{what}: execution count drifted");
+    let parsed: bq_sim::Schedule = failure.schedule.to_string().parse().unwrap();
+    match replay(&parsed, mk()).outcome {
+        RunOutcomeKind::Panicked(m) if failure.reason.ends_with(&m) => {}
+        other => panic!("{what}: artifact replayed to {other:?}"),
+    }
+}
+
+/// Teeth for the happens-before check (DESIGN.md §11.4). Listing 5's
+/// descriptor `e`/`x` stores are `Release`, published by the announce CAS
+/// and acquired by `read_op`'s slot load; weaken either end to `Relaxed`
+/// and every `OptimalQueue` scenario here finds a reader that used `e`/`x`
+/// values no synchronization delivered. The cell write-back is `Release`
+/// too, published to a dequeuer that finds the slot cleared by the
+/// clearing CAS; weaken that CAS and a dequeue returns a cell's value
+/// unpublished. The same scenarios pass the shipped orderings: each test
+/// above runs with the check armed.
+#[test]
+fn optimal_ordering_mutants_are_found_and_replayed() {
+    type Scenario = fn(OrderingMutant) -> RunSpec;
+    let scenarios: [(&str, Scenario); 4] = [
+        ("2P+1C", |m| optimal_2p1c(2, false, m)),
+        ("late registration", |m| optimal_2p1c(1, true, m)),
+        ("run vs rival", optimal_run_vs_rival),
+        ("short run", optimal_short_run),
+    ];
+    for (mutant, pins) in MUTANT_PINNED {
+        for ((name, mk), pin) in scenarios.into_iter().zip(pins) {
+            let what = format!("{mutant:?} in {name}");
+            match pin {
+                MutantPin::Found(n) => assert_unpublished_found(&what, n, || mk(mutant)),
+                MutantPin::Passes(n) => assert_all_pass(&what, n, || mk(mutant)),
+            }
+        }
+    }
+}
+
+/// What [`optimal_ordering_mutants_are_found_and_replayed`] expects of one
+/// mutant in one scenario at preemption bound 2.
+enum MutantPin {
+    /// Found on this execution.
+    Found(u64),
+    /// Every one of this many executions passes.
+    Passes(u64),
+}
+
+/// The pins for [`optimal_ordering_mutants_are_found_and_replayed`], per
+/// mutant in 2P+1C, late registration, run vs rival and short run,
+/// asserted identically in the obs-on and obs-off explorer lanes. Short
+/// run has one producer, whose own `enqueues` CAS after the write-back
+/// publishes it to every dequeuer: there a `Relaxed` clearing CAS is no
+/// bug, and none is reported.
+const MUTANT_PINNED: [(OrderingMutant, [MutantPin; 4]); 3] = {
+    use MutantPin::{Found, Passes};
+    [
+        (
+            OrderingMutant::RelaxedAnnounce,
+            [Found(7), Found(12), Found(115), Found(10)],
+        ),
+        (
+            OrderingMutant::RelaxedSlotLoad,
+            [Found(7), Found(12), Found(115), Found(10)],
+        ),
+        (
+            OrderingMutant::RelaxedClear,
+            [Found(281), Found(131), Found(3_047), Passes(81)],
+        ),
+    ]
+};
 
 /// Replay determinism, byte for byte: any printed `Schedule` artifact
 /// re-runs to the identical history. This is what makes a red CI log
@@ -1469,13 +1577,23 @@ fn quarantine_racing_enqueues_conserves_elements() {
             }),
         }
     };
-    let report = explore(&cfg(2), mk);
+    let report = explore(&pinned_cfg(2), mk);
     assert_passed(&report, "quarantine vs enqueue");
     eprintln!(
         "quarantine race: {} executions, {} pruned",
         report.executions, report.pruned
     );
+    assert_eq!(
+        report.executions, QUARANTINE_PINNED_EXECUTIONS,
+        "execution count drifted: the sharded enqueue, `quarantine` or \
+         Listing 5 no longer issue the access sequence they had when the pin \
+         was recorded"
+    );
 }
+
+/// The pin for [`quarantine_racing_enqueues_conserves_elements`], asserted
+/// identically in the obs-on and obs-off explorer lanes.
+const QUARANTINE_PINNED_EXECUTIONS: u64 = 4_013;
 
 // ---------------------------------------------------------------------------
 // Async cancellation: drop a pending recv future at every yield point
@@ -1751,13 +1869,22 @@ fn segment_queue_1p1c_bound2() {
             }),
         }
     };
-    let report = explore(&cfg(2), mk);
+    let report = explore(&pinned_cfg(2), mk);
     assert_passed(&report, "SegmentQueue 1P+1C");
     eprintln!(
         "SegmentQueue 1P+1C: {} executions, {} pruned",
         report.executions, report.pruned
     );
+    assert_eq!(
+        report.executions, SEGMENT_PINNED_EXECUTIONS,
+        "execution count drifted: `SegmentQueue` no longer issues the access \
+         sequence it had when the pin was recorded"
+    );
 }
+
+/// The pin for [`segment_queue_1p1c_bound2`], asserted identically in the
+/// obs-on and obs-off explorer lanes.
+const SEGMENT_PINNED_EXECUTIONS: u64 = 29;
 
 /// Two threads on a 2-shard `ShardedQueue<OptimalQueue>`: the scale
 /// layer relaxes global FIFO to per-shard FIFO, so completed histories
@@ -1821,10 +1948,19 @@ fn sharded_queue_2threads_pool_spec_bound2() {
             }),
         }
     };
-    let report = explore(&cfg(2), mk);
+    let report = explore(&pinned_cfg(2), mk);
     assert_passed(&report, "ShardedQueue 2-thread pool spec");
     eprintln!(
         "ShardedQueue: {} executions, {} pruned",
         report.executions, report.pruned
     );
+    assert_eq!(
+        report.executions, SHARDED_PINNED_EXECUTIONS,
+        "execution count drifted: the sharded paths or Listing 5 no longer \
+         issue the access sequence they had when the pin was recorded"
+    );
 }
+
+/// The pin for [`sharded_queue_2threads_pool_spec_bound2`], asserted
+/// identically in the obs-on and obs-off explorer lanes.
+const SHARDED_PINNED_EXECUTIONS: u64 = 148;

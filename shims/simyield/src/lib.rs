@@ -24,6 +24,7 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::sync::atomic::Ordering;
 
 /// What kind of shared-memory primitive is about to run / just ran.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,16 +55,35 @@ pub struct Access {
     pub operand: u64,
     /// Second operand (CAS replacement), 0 otherwise.
     pub operand2: u64,
+    /// The memory ordering the access runs with; a CAS's ordering when it
+    /// succeeds, a lock acquisition's (`Acquire`) when it takes the lock.
+    pub ord: Ordering,
+    /// A CAS's ordering when it fails, a lock acquisition's when it does
+    /// not take the lock; `ord` for every other kind.
+    pub ord_fail: Ordering,
 }
 
 impl Access {
-    /// Convenience constructor.
+    /// An access with `SeqCst` orderings; [`ordered`](Self::ordered) sets
+    /// others.
     pub fn new(kind: Kind, loc: usize, operand: u64, operand2: u64) -> Self {
         Access {
             kind,
             loc,
             operand,
             operand2,
+            ord: Ordering::SeqCst,
+            ord_fail: Ordering::SeqCst,
+        }
+    }
+
+    /// The same access with orderings `ord` and, for a failing CAS,
+    /// `ord_fail`.
+    pub fn ordered(self, ord: Ordering, ord_fail: Ordering) -> Self {
+        Access {
+            ord,
+            ord_fail,
+            ..self
         }
     }
 }
@@ -114,6 +134,16 @@ pub trait Hook {
 
     /// `notify_all` on condvar `loc`. Does not suspend.
     fn cv_notify(&self, loc: usize);
+
+    /// Did the store this thread's last load of `loc` returned already
+    /// happen-before that load, not counting the load's own acquire? A
+    /// `false` means a weaker execution than the explored one could have
+    /// returned an older value. Not a scheduling point; the default (a
+    /// hook that tracks no clocks) answers `true`.
+    fn published(&self, loc: usize) -> bool {
+        let _ = loc;
+        true
+    }
 }
 
 thread_local! {
@@ -214,6 +244,16 @@ pub fn cv_notify(loc: usize) {
     }
 }
 
+/// The happens-before query of [`Hook::published`] for `loc`: `true`
+/// without a hook.
+#[inline]
+pub fn published(loc: usize) -> bool {
+    match current() {
+        Some(h) => h.published(loc),
+        None => true,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,6 +277,16 @@ mod tests {
         assert!(!hooked());
         before(&Access::new(Kind::Load, 1, 0, 0));
         after(&Access::new(Kind::Load, 1, 0, 0), 7);
+        assert!(published(1));
+    }
+
+    #[test]
+    fn orderings_default_to_seqcst() {
+        let a = Access::new(Kind::Cas, 3, 1, 2);
+        assert_eq!((a.ord, a.ord_fail), (Ordering::SeqCst, Ordering::SeqCst));
+        let r = a.ordered(Ordering::Release, Ordering::Relaxed);
+        assert_eq!((r.ord, r.ord_fail), (Ordering::Release, Ordering::Relaxed));
+        assert_eq!((r.kind, r.loc, r.operand, r.operand2), (Kind::Cas, 3, 1, 2));
     }
 
     #[test]
