@@ -131,45 +131,39 @@ pub struct EventCount {
     obs: WaitCounters,
 }
 
+/// Whether [`ParkTimer`] reads the clock: only with `obs` on, and never
+/// under `sim-explore`.
+const PARK_CLOCK: bool = cfg!(all(feature = "obs", not(feature = "sim-explore")));
+
 /// Lazily-armed park-latency timer: the clock is read only when a park
-/// actually happens, and only with `obs` on outside `sim-explore` — so
-/// the success path stays clock-free (the E16 property) and explored
-/// schedules stay deterministic (samples are 0 there).
+/// actually happens, and only when [`PARK_CLOCK`] is set — so the
+/// success path stays clock-free (the E16 property) and explored
+/// schedules stay deterministic (samples are 0 there). Otherwise it is
+/// never armed, and the optimizer deletes it.
 struct ParkTimer {
-    #[cfg(all(feature = "obs", not(feature = "sim-explore")))]
     start: Option<Instant>,
 }
 
 impl ParkTimer {
     fn new() -> ParkTimer {
-        ParkTimer {
-            #[cfg(all(feature = "obs", not(feature = "sim-explore")))]
-            start: None,
-        }
+        ParkTimer { start: None }
     }
 
     /// Called at the first actual park.
     #[inline]
     fn arm(&mut self) {
-        #[cfg(all(feature = "obs", not(feature = "sim-explore")))]
-        if self.start.is_none() {
+        if PARK_CLOCK && self.start.is_none() {
             self.start = Some(Instant::now());
         }
     }
 
-    /// Nanoseconds since the first park (0 when never armed, when `obs`
-    /// is off, or under `sim-explore`).
+    /// Nanoseconds since the first park (0 when never armed).
     #[inline]
     fn elapsed_ns(&self) -> u64 {
-        #[cfg(all(feature = "obs", not(feature = "sim-explore")))]
-        {
-            return self
-                .start
-                .map(|s| s.elapsed().as_nanos().min(u64::MAX as u128) as u64)
-                .unwrap_or(0);
+        match self.start {
+            Some(s) if PARK_CLOCK => s.elapsed().as_nanos().min(u64::MAX as u128) as u64,
+            _ => 0,
         }
-        #[allow(unreachable_code)]
-        0
     }
 }
 
@@ -219,16 +213,17 @@ impl EventCount {
     /// Fast path: one atomic load when nobody is waiting; the bump alone
     /// when every waiter is spinning.
     pub fn wake_all(&self) {
-        if self.waiters.load(Ordering::SeqCst) == 0 {
+        let waiters = self.waiters.load(Ordering::SeqCst);
+        if waiters == 0 {
             return;
         }
         self.obs.wakes.hit();
         self.generation.fetch_add(1, Ordering::SeqCst);
-        // Everyone announced at this moment (spinners, parked threads,
-        // listed wakers) is woken by the bump or the broadcast below.
-        self.obs
-            .woken
-            .add(self.waiters.load(Ordering::SeqCst) as u64);
+        // Everyone announced when `waiters` was loaded (spinners, parked
+        // threads, listed wakers) is woken by the bump or the broadcast
+        // below. The count reuses that load: a counter makes no access
+        // of its own (DESIGN.md §14.5).
+        self.obs.woken.add(waiters as u64);
         // The notifier half of the Dekker pair: a sleeper that loaded the
         // generation before the bump counted itself first, so it is seen
         // here, and it holds the gate until it sleeps or is listed.

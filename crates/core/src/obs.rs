@@ -8,28 +8,27 @@
 //!
 //! 1. **Counter blocks** ([`QueueCounters`], [`WaitCounters`],
 //!    [`ShardCounters`]) — cache-padded groups of `Relaxed` atomics
-//!    embedded in the hot structures. With the `obs` feature off every
-//!    type here is a ZST and every recording method an empty
-//!    `#[inline(always)]` body, so the instrumented code compiles to
-//!    exactly the uninstrumented code (the same zero-cost contract as
-//!    `simx`, asserted by the tests at the bottom). Per-operation hot
-//!    paths do not touch the shared block at all: they accumulate in a
-//!    [`LocalQueueCounters`] carried by the per-thread handle (plain
-//!    unsynchronized `u64`s, one register-width add each) and fold into
-//!    the shared [`SharedQueueCounters`] block on handle drop, on an
-//!    explicit `flush_metrics`, or every [`LOCAL_FLUSH_PERIOD`] calls —
-//!    so `obs` *on* costs no atomic RMW per operation either (the E17
-//!    budget, DESIGN.md §14.5).
+//!    embedded in the hot structures. A private storage word is the one
+//!    type with an on and an off form (with the queue's shared block): an
+//!    `AtomicU64` with the `obs` feature on, a ZST with no storage off.
+//!    The rest is written once over it, so off, every type here is a ZST
+//!    and the instrumented code compiles to exactly the uninstrumented
+//!    code (the same zero-cost contract as `simx`, asserted by the tests
+//!    at the bottom). Hot paths accumulate in a [`LocalQueueCounters`]
+//!    carried by the per-thread handle (plain adds) and fold into the
+//!    shared [`SharedQueueCounters`] block on handle drop, on an explicit
+//!    `flush_metrics`, or every [`LOCAL_FLUSH_PERIOD`] calls — so `obs`
+//!    *on* costs no atomic RMW per operation either (the E17 budget,
+//!    DESIGN.md §14.5).
 //! 2. **[`MetricsSnapshot`]** — a cold-path, always-compiled view:
 //!    ordered `(name, value)` pairs with delta arithmetic, a `Display`
 //!    table, and serde-shim JSON. Reachable from every queue via
 //!    [`ConcurrentQueue::metrics`](crate::ConcurrentQueue::metrics).
-//! 3. **[`TraceRing`]** — fixed-size binary events over the repo's own
-//!    [`byte_ring`](crate::byte_ring) (dog-fooding DESIGN.md §12),
-//!    dumped as a replayable `trace:v1:` artifact when a harness round
-//!    fails. Events are stamped from a process-local monotonic counter —
-//!    never a wall clock — and stamp 0 under `sim-explore` so explored
-//!    schedules stay deterministic.
+//! 3. **[`TraceRing`]** — fixed-size binary events in a bounded deque
+//!    that drops the oldest, dumped as a replayable `trace:v1:` artifact
+//!    when a harness round fails. Events are stamped from a
+//!    process-local monotonic counter — never a wall clock — and stamp
+//!    0 under `sim-explore` so explored schedules stay deterministic.
 //!
 //! ## Why `Relaxed` ordering is enough (and required)
 //!
@@ -43,84 +42,140 @@
 //! scheduling points, so the §11 explorer enumerates *identical*
 //! execution sets (and state hashes) with the feature on or off.
 
+use std::collections::VecDeque;
 use std::fmt;
-
-#[cfg(feature = "obs")]
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use word::{SharedBlock, Word};
+
 // ---------------------------------------------------------------------------
-// Counter — one relaxed u64, the unit every block is built from
+// Counter — one relaxed u64 over the one storage word with two forms
 // ---------------------------------------------------------------------------
 
-/// A single relaxed event counter. With `obs` off this is a ZST and all
-/// methods are no-ops.
+/// `obs` on: a relaxed `AtomicU64`. Shared counters use it atomically; a
+/// handle's own tallies reach it through `&mut` (`get_mut`), which is
+/// plain memory, so they stay one register-width add.
 #[cfg(feature = "obs")]
-#[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
+mod word {
+    use super::{AtomicU64, QueueCounters};
 
-/// A single relaxed event counter. With `obs` off this is a ZST and all
-/// methods are no-ops.
+    /// A queue's shared block: each handle holds a clone of the `Arc`.
+    pub(super) type SharedBlock = std::sync::Arc<QueueCounters>;
+    #[derive(Debug, Default)]
+    pub(super) struct Word(AtomicU64);
+    impl Word {
+        pub(super) const ON: bool = true;
+        pub(super) const fn new() -> Word {
+            Word(AtomicU64::new(0))
+        }
+        #[inline(always)]
+        pub(super) fn shared(&self) -> Option<&AtomicU64> {
+            Some(&self.0)
+        }
+        #[inline(always)]
+        pub(super) fn local(&mut self) -> Option<&mut u64> {
+            Some(self.0.get_mut())
+        }
+    }
+}
+
+/// `obs` off: a ZST with no storage, so every recording method folds away.
 #[cfg(not(feature = "obs"))]
-#[derive(Debug, Default)]
-pub struct Counter;
+mod word {
+    use super::{AtomicU64, QueueCounters};
 
-#[cfg(feature = "obs")]
+    /// Nothing to share: a clone is a fresh empty (ZST) block.
+    #[derive(Debug, Default)]
+    pub(super) struct SharedBlock(QueueCounters);
+    impl Clone for SharedBlock {
+        fn clone(&self) -> SharedBlock {
+            SharedBlock::default()
+        }
+    }
+    impl std::ops::Deref for SharedBlock {
+        type Target = QueueCounters;
+        fn deref(&self) -> &QueueCounters {
+            &self.0
+        }
+    }
+    #[derive(Debug, Default)]
+    pub(super) struct Word;
+    impl Word {
+        pub(super) const ON: bool = false;
+        pub(super) const fn new() -> Word {
+            Word
+        }
+        #[inline(always)]
+        pub(super) fn shared(&self) -> Option<&AtomicU64> {
+            None
+        }
+        #[inline(always)]
+        pub(super) fn local(&mut self) -> Option<&mut u64> {
+            None
+        }
+    }
+}
+
+/// A single relaxed event counter. With `obs` off this is a ZST and all
+/// methods are no-ops.
+#[derive(Debug, Default)]
+pub struct Counter(Word);
+
 impl Counter {
     /// A counter at zero.
     pub const fn new() -> Self {
-        Counter(AtomicU64::new(0))
+        Counter(Word::new())
     }
 
     /// Count one event.
     #[inline]
     pub fn hit(&self) {
-        self.0.fetch_add(1, Ordering::Relaxed);
+        self.add(1);
     }
 
     /// Count `n` events.
     #[inline]
     pub fn add(&self, n: u64) {
-        if n != 0 {
-            self.0.fetch_add(n, Ordering::Relaxed);
+        if let Some(a) = self.0.shared().filter(|_| n != 0) {
+            a.fetch_add(n, Ordering::Relaxed);
         }
     }
 
     /// Raise the recorded high-watermark to `v` if it is higher.
     #[inline]
     pub fn record_max(&self, v: u64) {
-        self.0.fetch_max(v, Ordering::Relaxed);
+        if let Some(a) = self.0.shared() {
+            a.fetch_max(v, Ordering::Relaxed);
+        }
     }
 
-    /// Current value.
+    /// Current value (always 0 with `obs` off).
     #[inline]
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
+        self.0.shared().map_or(0, |a| a.load(Ordering::Relaxed))
+    }
+
+    // A handle's own tallies: plain adds and read-and-zeroes.
+    #[inline]
+    fn bump(&mut self) -> u64 {
+        self.0.local().map_or(0, |n| {
+            *n += 1;
+            *n
+        })
+    }
+    #[inline]
+    fn take(&mut self) -> u64 {
+        self.0.local().map_or(0, std::mem::take)
     }
 }
 
-#[cfg(not(feature = "obs"))]
-impl Counter {
-    /// A counter at zero.
-    pub const fn new() -> Self {
-        Counter
-    }
-
-    /// Count one event. (No-op: `obs` is off.)
-    #[inline(always)]
-    pub fn hit(&self) {}
-
-    /// Count `n` events. (No-op: `obs` is off.)
-    #[inline(always)]
-    pub fn add(&self, _n: u64) {}
-
-    /// Raise the recorded high-watermark. (No-op: `obs` is off.)
-    #[inline(always)]
-    pub fn record_max(&self, _v: u64) {}
-
-    /// Current value — always 0 with `obs` off.
-    #[inline(always)]
-    pub fn get(&self) -> u64 {
-        0
+/// Append `counters` to `snap` under `prefix`. With `obs` off nothing is
+/// appended (no fabricated zeros).
+fn push_counters(prefix: &str, snap: &mut MetricsSnapshot, counters: &[(&str, &Counter)]) {
+    if Word::ON {
+        for (name, c) in counters {
+            snap.push(format!("{prefix}{name}"), c.get());
+        }
     }
 }
 
@@ -134,17 +189,10 @@ pub const HIST_BUCKETS: usize = 32;
 
 /// A log2-bucket histogram of `u64` samples (park latencies in
 /// nanoseconds). With `obs` off this is a ZST and recording is a no-op.
-#[cfg(feature = "obs")]
-#[derive(Debug)]
-pub struct Hist32 {
-    buckets: [AtomicU64; HIST_BUCKETS],
-}
-
-/// A log2-bucket histogram of `u64` samples (park latencies in
-/// nanoseconds). With `obs` off this is a ZST and recording is a no-op.
-#[cfg(not(feature = "obs"))]
 #[derive(Debug, Default)]
-pub struct Hist32;
+pub struct Hist32 {
+    buckets: [Counter; HIST_BUCKETS],
+}
 
 /// Bucket index for a sample: its bit length, saturated to the last
 /// bucket. 0 → 0, 1 → 1, 2..3 → 2, 4..7 → 3, …
@@ -152,48 +200,25 @@ pub fn hist_bucket(v: u64) -> usize {
     ((64 - v.leading_zeros()) as usize).min(HIST_BUCKETS - 1)
 }
 
-#[cfg(feature = "obs")]
 impl Hist32 {
     /// An empty histogram.
     pub fn new() -> Self {
-        Hist32 {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+        Hist32::default()
+    }
+
+    /// Record one sample. With `obs` off not even the bucket index is
+    /// computed.
+    #[inline]
+    pub fn record(&self, v: u64) {
+        if Word::ON {
+            self.buckets[hist_bucket(v)].hit();
         }
     }
 
-    /// Record one sample.
-    #[inline]
-    pub fn record(&self, v: u64) {
-        self.buckets[hist_bucket(v)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Bucket counts, index = bit length of the sample.
+    /// Bucket counts, index = bit length of the sample (all zero with
+    /// `obs` off).
     pub fn buckets(&self) -> [u64; HIST_BUCKETS] {
-        std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed))
-    }
-}
-
-#[cfg(feature = "obs")]
-impl Default for Hist32 {
-    fn default() -> Self {
-        Hist32::new()
-    }
-}
-
-#[cfg(not(feature = "obs"))]
-impl Hist32 {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Hist32
-    }
-
-    /// Record one sample. (No-op: `obs` is off.)
-    #[inline(always)]
-    pub fn record(&self, _v: u64) {}
-
-    /// Bucket counts — all zero with `obs` off.
-    pub fn buckets(&self) -> [u64; HIST_BUCKETS] {
-        [0; HIST_BUCKETS]
+        std::array::from_fn(|i| self.buckets[i].get())
     }
 }
 
@@ -246,14 +271,8 @@ impl QueueCounters {
 
     /// Append this block's counters to `snap` under `prefix`. With `obs`
     /// off nothing is appended (no fabricated zeros).
-    #[cfg(not(feature = "obs"))]
-    pub fn snapshot_into(&self, _prefix: &str, _snap: &mut MetricsSnapshot) {}
-
-    /// Append this block's counters to `snap` under `prefix`. With `obs`
-    /// off nothing is appended (no fabricated zeros).
-    #[cfg(feature = "obs")]
     pub fn snapshot_into(&self, prefix: &str, snap: &mut MetricsSnapshot) {
-        for (name, c) in [
+        let counters = [
             ("enq_attempts", &self.enq_attempts),
             ("enq_success", &self.enq_success),
             ("enq_full", &self.enq_full),
@@ -264,9 +283,8 @@ impl QueueCounters {
             ("deq_retries", &self.deq_retries),
             ("helps", &self.helps),
             ("occupancy_hwm", &self.occupancy_hwm),
-        ] {
-            snap.push(format!("{prefix}{name}"), c.get());
-        }
+        ];
+        push_counters(prefix, snap, &counters);
     }
 }
 
@@ -279,71 +297,39 @@ impl QueueCounters {
 /// clone, so a handle outliving its registration scope can still fold
 /// its deltas in safely. Derefs to the block for cold-path reads
 /// (`snapshot_into`) and for the rare counters recorded without a
-/// handle in scope (`helps`). With `obs` off this is a ZST.
-#[cfg(feature = "obs")]
+/// handle in scope (`helps`). With `obs` off this is a ZST that derefs
+/// to a static empty block.
 #[derive(Debug, Clone, Default)]
-pub struct SharedQueueCounters(std::sync::Arc<QueueCounters>);
-
-/// Shared ownership of a queue's [`QueueCounters`] block. With `obs`
-/// off this is a ZST and derefs to a static empty block.
-#[cfg(not(feature = "obs"))]
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SharedQueueCounters;
+pub struct SharedQueueCounters(SharedBlock);
 
 impl SharedQueueCounters {
     /// A zeroed shared block.
-    #[cfg(feature = "obs")]
     pub fn new() -> Self {
         SharedQueueCounters::default()
     }
 
-    /// A zeroed shared block. (ZST: `obs` is off.)
-    #[cfg(not(feature = "obs"))]
-    pub const fn new() -> Self {
-        SharedQueueCounters
-    }
-
     /// Start a handle-local accumulator bound to this block.
     pub fn local(&self) -> LocalQueueCounters {
-        #[cfg(feature = "obs")]
-        {
-            LocalQueueCounters {
-                shared: self.clone(),
-                ..LocalQueueCounters::default()
-            }
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            LocalQueueCounters
+        LocalQueueCounters {
+            shared: self.clone(),
+            since_flush: Counter::new(),
+            enq_attempts: Counter::new(),
+            enq_success: Counter::new(),
+            enq_full: Counter::new(),
+            enq_retries: Counter::new(),
+            deq_attempts: Counter::new(),
+            deq_success: Counter::new(),
+            deq_empty: Counter::new(),
+            deq_retries: Counter::new(),
+            occupancy_hwm: Counter::new(),
         }
     }
 }
 
-#[cfg(feature = "obs")]
 impl std::ops::Deref for SharedQueueCounters {
     type Target = QueueCounters;
     fn deref(&self) -> &QueueCounters {
         &self.0
-    }
-}
-
-#[cfg(not(feature = "obs"))]
-impl std::ops::Deref for SharedQueueCounters {
-    type Target = QueueCounters;
-    fn deref(&self) -> &QueueCounters {
-        static ZERO: QueueCounters = QueueCounters {
-            enq_attempts: Counter,
-            enq_success: Counter,
-            enq_full: Counter,
-            enq_retries: Counter,
-            deq_attempts: Counter,
-            deq_success: Counter,
-            deq_empty: Counter,
-            deq_retries: Counter,
-            helps: Counter,
-            occupancy_hwm: Counter,
-        };
-        &ZERO
     }
 }
 
@@ -353,41 +339,31 @@ impl std::ops::Deref for SharedQueueCounters {
 /// once handles are dropped or `flush_metrics` has run.)
 pub const LOCAL_FLUSH_PERIOD: u64 = 1024;
 
-/// The hot half of [`QueueCounters`]: plain unsynchronized `u64`s
-/// carried by the per-thread handle, so recording an operation is one
-/// register-width add — no atomic RMW, no shared cache line. Deltas
-/// fold into the [`SharedQueueCounters`] block (where `metrics()`
-/// reads) on drop, on [`flush`](LocalQueueCounters::flush), and every
-/// [`LOCAL_FLUSH_PERIOD`] operations. With `obs` off this is a ZST and
-/// every method an empty `#[inline(always)]` body.
-#[cfg(feature = "obs")]
+/// The hot half of [`QueueCounters`]: tallies carried by the per-thread
+/// handle, so recording an operation is one plain add — no atomic RMW,
+/// no shared cache line. Deltas fold into the [`SharedQueueCounters`]
+/// block (where `metrics()` reads) on drop, on
+/// [`flush`](LocalQueueCounters::flush), and every [`LOCAL_FLUSH_PERIOD`]
+/// operations. With `obs` off this is a ZST and does nothing.
 #[derive(Debug, Default)]
 pub struct LocalQueueCounters {
     shared: SharedQueueCounters,
-    since_flush: u64,
-    enq_attempts: u64,
-    enq_success: u64,
-    enq_full: u64,
-    enq_retries: u64,
-    deq_attempts: u64,
-    deq_success: u64,
-    deq_empty: u64,
-    deq_retries: u64,
-    occupancy_hwm: u64,
+    since_flush: Counter,
+    enq_attempts: Counter,
+    enq_success: Counter,
+    enq_full: Counter,
+    enq_retries: Counter,
+    deq_attempts: Counter,
+    deq_success: Counter,
+    deq_empty: Counter,
+    deq_retries: Counter,
+    occupancy_hwm: Counter,
 }
 
-/// The hot half of [`QueueCounters`]. With `obs` off this is a ZST and
-/// every method an empty `#[inline(always)]` body.
-#[cfg(not(feature = "obs"))]
-#[derive(Debug, Default)]
-pub struct LocalQueueCounters;
-
-#[cfg(feature = "obs")]
 impl LocalQueueCounters {
     #[inline]
     fn tick(&mut self) {
-        self.since_flush += 1;
-        if self.since_flush >= LOCAL_FLUSH_PERIOD {
+        if self.since_flush.bump() >= LOCAL_FLUSH_PERIOD {
             self.flush();
         }
     }
@@ -395,117 +371,79 @@ impl LocalQueueCounters {
     /// An `enqueue` call was entered.
     #[inline]
     pub fn enq_attempt(&mut self) {
-        self.enq_attempts += 1;
+        self.enq_attempts.bump();
         self.tick();
     }
 
     /// An `enqueue` linearized at the given occupancy (post-increment).
     #[inline]
     pub fn enq_success(&mut self, occupancy: u64) {
-        self.enq_success += 1;
-        if occupancy > self.occupancy_hwm {
-            self.occupancy_hwm = occupancy;
+        self.enq_success.bump();
+        if let Some(hwm) = self.occupancy_hwm.0.local() {
+            *hwm = (*hwm).max(occupancy);
         }
     }
 
     /// An `enqueue` was refused with `Full`.
     #[inline]
     pub fn enq_full(&mut self) {
-        self.enq_full += 1;
+        self.enq_full.bump();
     }
 
     /// An extra enqueue loop iteration (failed CAS / stale reload).
     #[inline]
     pub fn enq_retry(&mut self) {
-        self.enq_retries += 1;
+        self.enq_retries.bump();
     }
 
     /// A `dequeue` call was entered.
     #[inline]
     pub fn deq_attempt(&mut self) {
-        self.deq_attempts += 1;
+        self.deq_attempts.bump();
         self.tick();
     }
 
     /// A `dequeue` returned an element.
     #[inline]
     pub fn deq_success(&mut self) {
-        self.deq_success += 1;
+        self.deq_success.bump();
     }
 
     /// A `dequeue` observed empty.
     #[inline]
     pub fn deq_empty(&mut self) {
-        self.deq_empty += 1;
+        self.deq_empty.bump();
     }
 
     /// An extra dequeue loop iteration (failed CAS on `dequeues`).
     #[inline]
     pub fn deq_retry(&mut self) {
-        self.deq_retries += 1;
+        self.deq_retries.bump();
     }
 
     /// Fold the accumulated deltas into the shared block and zero the
     /// locals. Relaxed `fetch_add`s — cold by construction.
     pub fn flush(&mut self) {
         let s: &QueueCounters = &self.shared;
-        s.enq_attempts.add(std::mem::take(&mut self.enq_attempts));
-        s.enq_success.add(std::mem::take(&mut self.enq_success));
-        s.enq_full.add(std::mem::take(&mut self.enq_full));
-        s.enq_retries.add(std::mem::take(&mut self.enq_retries));
-        s.deq_attempts.add(std::mem::take(&mut self.deq_attempts));
-        s.deq_success.add(std::mem::take(&mut self.deq_success));
-        s.deq_empty.add(std::mem::take(&mut self.deq_empty));
-        s.deq_retries.add(std::mem::take(&mut self.deq_retries));
-        s.occupancy_hwm.record_max(self.occupancy_hwm);
-        self.since_flush = 0;
+        s.enq_attempts.add(self.enq_attempts.take());
+        s.enq_success.add(self.enq_success.take());
+        s.enq_full.add(self.enq_full.take());
+        s.enq_retries.add(self.enq_retries.take());
+        s.deq_attempts.add(self.deq_attempts.take());
+        s.deq_success.add(self.deq_success.take());
+        s.deq_empty.add(self.deq_empty.take());
+        s.deq_retries.add(self.deq_retries.take());
+        s.occupancy_hwm.record_max(self.occupancy_hwm.take());
+        self.since_flush.take();
     }
 }
 
+/// Only the `obs` build has deltas to lose, so only it has drop glue.
 #[cfg(feature = "obs")]
 impl Drop for LocalQueueCounters {
     fn drop(&mut self) {
         self.flush();
     }
-}
-
-#[cfg(not(feature = "obs"))]
-impl LocalQueueCounters {
-    /// An `enqueue` call was entered. (No-op: `obs` is off.)
-    #[inline(always)]
-    pub fn enq_attempt(&mut self) {}
-
-    /// An `enqueue` linearized. (No-op: `obs` is off.)
-    #[inline(always)]
-    pub fn enq_success(&mut self, _occupancy: u64) {}
-
-    /// An `enqueue` was refused. (No-op: `obs` is off.)
-    #[inline(always)]
-    pub fn enq_full(&mut self) {}
-
-    /// An extra enqueue loop iteration. (No-op: `obs` is off.)
-    #[inline(always)]
-    pub fn enq_retry(&mut self) {}
-
-    /// A `dequeue` call was entered. (No-op: `obs` is off.)
-    #[inline(always)]
-    pub fn deq_attempt(&mut self) {}
-
-    /// A `dequeue` returned an element. (No-op: `obs` is off.)
-    #[inline(always)]
-    pub fn deq_success(&mut self) {}
-
-    /// A `dequeue` observed empty. (No-op: `obs` is off.)
-    #[inline(always)]
-    pub fn deq_empty(&mut self) {}
-
-    /// An extra dequeue loop iteration. (No-op: `obs` is off.)
-    #[inline(always)]
-    pub fn deq_retry(&mut self) {}
-
-    /// Fold deltas into the shared block. (No-op: `obs` is off.)
-    #[inline(always)]
-    pub fn flush(&mut self) {}
 }
 
 /// Waiter-subsystem counters: one block per [`EventCount`](crate::EventCount)
@@ -543,15 +481,8 @@ impl WaitCounters {
     /// Append this block's counters (and histogram buckets with nonzero
     /// counts, as `{prefix}park_ns_p2_{bits}`) to `snap` under `prefix`.
     /// With `obs` off nothing is appended.
-    #[cfg(not(feature = "obs"))]
-    pub fn snapshot_into(&self, _prefix: &str, _snap: &mut MetricsSnapshot) {}
-
-    /// Append this block's counters (and histogram buckets with nonzero
-    /// counts, as `{prefix}park_ns_p2_{bits}`) to `snap` under `prefix`.
-    /// With `obs` off nothing is appended.
-    #[cfg(feature = "obs")]
     pub fn snapshot_into(&self, prefix: &str, snap: &mut MetricsSnapshot) {
-        for (name, c) in [
+        let counters = [
             ("thread_parks", &self.thread_parks),
             ("spin_wakes", &self.spin_wakes),
             ("task_parks", &self.task_parks),
@@ -559,9 +490,8 @@ impl WaitCounters {
             ("woken", &self.woken),
             ("spurious_wakes", &self.spurious_wakes),
             ("timeout_expiries", &self.timeout_expiries),
-        ] {
-            snap.push(format!("{prefix}{name}"), c.get());
-        }
+        ];
+        push_counters(prefix, snap, &counters);
         for (bits, n) in self.park_ns.buckets().into_iter().enumerate() {
             if n != 0 {
                 snap.push(format!("{prefix}park_ns_p2_{bits}"), n);
@@ -593,20 +523,13 @@ impl ShardCounters {
 
     /// Append this block's counters to `snap` under `prefix`. With `obs`
     /// off nothing is appended.
-    #[cfg(not(feature = "obs"))]
-    pub fn snapshot_into(&self, _prefix: &str, _snap: &mut MetricsSnapshot) {}
-
-    /// Append this block's counters to `snap` under `prefix`. With `obs`
-    /// off nothing is appended.
-    #[cfg(feature = "obs")]
     pub fn snapshot_into(&self, prefix: &str, snap: &mut MetricsSnapshot) {
-        for (name, c) in [
+        let counters = [
             ("steals", &self.steals),
             ("rotations", &self.rotations),
             ("quarantines", &self.quarantines),
-        ] {
-            snap.push(format!("{prefix}{name}"), c.get());
-        }
+        ];
+        push_counters(prefix, snap, &counters);
     }
 }
 
@@ -703,7 +626,7 @@ impl fmt::Display for MetricsSnapshot {
 }
 
 // ---------------------------------------------------------------------------
-// Trace ring — fixed-size binary events over the repo's own byte ring
+// Trace ring — fixed-size binary events in a bounded deque
 // ---------------------------------------------------------------------------
 
 /// Trace event kinds recorded by the harnesses. A `u8` namespace; the
@@ -761,77 +684,46 @@ impl TraceEvent {
 /// artifacts must replay identically and sim builds must stay
 /// deterministic (stamp 0 there).
 fn next_stamp() -> u64 {
-    #[cfg(feature = "sim-explore")]
-    {
-        0
+    static STAMP: AtomicU64 = AtomicU64::new(1);
+    if cfg!(feature = "sim-explore") {
+        return 0;
     }
-    #[cfg(not(feature = "sim-explore"))]
-    {
-        use std::sync::atomic::{AtomicU64 as StdAtomicU64, Ordering as StdOrdering};
-        static STAMP: StdAtomicU64 = StdAtomicU64::new(1);
-        STAMP.fetch_add(1, StdOrdering::Relaxed)
-    }
+    STAMP.fetch_add(1, Ordering::Relaxed)
 }
 
-/// A bounded binary trace recorder over the repo's own
-/// [`byte_ring`](crate::byte_ring) (DESIGN.md §12): fixed-size events,
-/// drop-oldest on overflow, multi-thread recording serialized by two
-/// uncontended-in-practice mutexes (recording happens on harness control
-/// paths, not inside queue operations). Always compiled — the hot-path
-/// cost question belongs to the counter blocks, not the trace ring.
+/// A bounded binary trace recorder: a deque of the most recent events
+/// that drops the oldest when full, behind one mutex (recording happens
+/// on harness control paths, not inside queue operations). Always
+/// compiled — the hot-path cost question belongs to the counter blocks.
+#[derive(Debug)]
 pub struct TraceRing {
-    prod: parking_lot::Mutex<crate::bytering::ByteProducer>,
-    cons: parking_lot::Mutex<crate::bytering::ByteConsumer>,
-}
-
-impl fmt::Debug for TraceRing {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TraceRing").finish_non_exhaustive()
-    }
+    events: parking_lot::Mutex<VecDeque<TraceEvent>>,
+    cap: usize,
 }
 
 impl TraceRing {
-    /// A ring holding on the order of `events` most-recent events
-    /// (rounded up to the byte ring's record geometry).
+    /// A ring holding the `events` most recent events (at least one).
     pub fn with_capacity(events: usize) -> TraceRing {
-        let events = events.max(2);
-        let rec = crate::relocatable::byte_record_size(TRACE_EVENT_BYTES);
-        let (prod, cons) = crate::byte_ring(events * rec, TRACE_EVENT_BYTES);
+        let cap = events.max(1);
         TraceRing {
-            prod: parking_lot::Mutex::new(prod),
-            cons: parking_lot::Mutex::new(cons),
+            events: parking_lot::Mutex::new(VecDeque::with_capacity(cap)),
+            cap,
         }
     }
 
-    /// Record one event, stamped; evicts the oldest events if full.
+    /// Record one event, stamped; evicts the oldest event if full.
     pub fn record(&self, kind: u8, arg: u64) {
-        let ev = TraceEvent {
-            kind,
-            arg,
-            stamp: next_stamp(),
-        };
-        let mut prod = self.prod.lock();
-        while !prod.push(&ev.encode()) {
-            // Full: drop the oldest event to keep the most recent window.
-            let mut cons = self.cons.lock();
-            if cons.try_read().is_none() {
-                return; // geometry exhausted some other way; drop new event
-            }
+        let stamp = next_stamp();
+        let mut events = self.events.lock();
+        if events.len() == self.cap {
+            events.pop_front();
         }
+        events.push_back(TraceEvent { kind, arg, stamp });
     }
 
     /// Drain every recorded event, oldest first.
     pub fn drain(&self) -> Vec<TraceEvent> {
-        let mut cons = self.cons.lock();
-        let mut out = Vec::new();
-        while let Some(g) = cons.try_read() {
-            let mut b = [0u8; TRACE_EVENT_BYTES];
-            if g.len() == TRACE_EVENT_BYTES {
-                b.copy_from_slice(&g);
-                out.push(TraceEvent::decode(&b));
-            }
-        }
-        out
+        self.events.lock().drain(..).collect()
     }
 
     /// Drain and render the replayable one-line artifact.
@@ -994,6 +886,8 @@ mod tests {
         assert_eq!(std::mem::size_of::<ShardCounters>(), 0);
         assert_eq!(std::mem::size_of::<SharedQueueCounters>(), 0);
         assert_eq!(std::mem::size_of::<LocalQueueCounters>(), 0);
+        assert!(!std::mem::needs_drop::<LocalQueueCounters>());
+        assert!(!std::mem::needs_drop::<SharedQueueCounters>());
         let c = Counter::new();
         c.hit();
         c.add(5);

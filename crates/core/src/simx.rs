@@ -331,28 +331,34 @@ impl<T> SimMutex<T> {
         self as *const _ as usize
     }
 
+    /// The cooperative acquisition under exploration: announce a
+    /// `LockAcq`, try the lock, and block in the explorer (not on the OS)
+    /// until the holder releases, as often as it takes.
+    #[cfg(feature = "sim-explore")]
+    fn lock_explored(&self) -> PlMutexGuard<'_, T> {
+        loop {
+            let a = Access::new(Kind::LockAcq, self.loc(), 0, 0)
+                .ordered(Ordering::Acquire, Ordering::Relaxed);
+            simyield::before(&a);
+            if let Some(g) = self.inner.try_lock() {
+                simyield::after(&a, 1);
+                return g;
+            }
+            simyield::after(&a, 0);
+            simyield::block_mutex(self.loc());
+        }
+    }
+
     /// Acquire the mutex.
     #[inline]
     pub fn lock(&self) -> SimMutexGuard<'_, T> {
         #[cfg(feature = "sim-explore")]
-        {
-            if simyield::hooked() {
-                loop {
-                    let a = Access::new(Kind::LockAcq, self.loc(), 0, 0)
-                        .ordered(Ordering::Acquire, Ordering::Relaxed);
-                    simyield::before(&a);
-                    if let Some(g) = self.inner.try_lock() {
-                        simyield::after(&a, 1);
-                        return SimMutexGuard {
-                            mx: self,
-                            inner: Some(g),
-                            hooked: true,
-                        };
-                    }
-                    simyield::after(&a, 0);
-                    simyield::block_mutex(self.loc());
-                }
-            }
+        if simyield::hooked() {
+            return SimMutexGuard {
+                mx: self,
+                inner: Some(self.lock_explored()),
+                hooked: true,
+            };
         }
         SimMutexGuard {
             mx: self,
@@ -425,29 +431,16 @@ impl SimCondvar {
     /// their condition in a loop (the eventcount protocol does).
     pub fn wait<T>(&self, guard: &mut SimMutexGuard<'_, T>) {
         #[cfg(feature = "sim-explore")]
-        {
-            if guard.hooked {
-                // Announce *before* unlocking so a notify landing in the
-                // unlock→wait window is recorded, not lost — the same
-                // reasoning as the eventcount's own announce step.
-                simyield::cv_announce(self.loc());
-                drop(guard.inner.take());
-                simyield::mutex_released(guard.mx.loc());
-                simyield::cv_block(self.loc());
-                // Re-acquire cooperatively.
-                loop {
-                    let a = Access::new(Kind::LockAcq, guard.mx.loc(), 0, 0)
-                        .ordered(Ordering::Acquire, Ordering::Relaxed);
-                    simyield::before(&a);
-                    if let Some(g) = guard.mx.inner.try_lock() {
-                        simyield::after(&a, 1);
-                        guard.inner = Some(g);
-                        return;
-                    }
-                    simyield::after(&a, 0);
-                    simyield::block_mutex(guard.mx.loc());
-                }
-            }
+        if guard.hooked {
+            // Announce *before* unlocking so a notify landing in the
+            // unlock→wait window is recorded, not lost — the same
+            // reasoning as the eventcount's own announce step.
+            simyield::cv_announce(self.loc());
+            drop(guard.inner.take());
+            simyield::mutex_released(guard.mx.loc());
+            simyield::cv_block(self.loc());
+            guard.inner = Some(guard.mx.lock_explored());
+            return;
         }
         self.inner
             .wait(guard.inner.as_mut().expect("guard holds the lock"));
@@ -468,28 +461,15 @@ impl SimCondvar {
         deadline: std::time::Instant,
     ) -> bool {
         #[cfg(feature = "sim-explore")]
-        {
-            if guard.hooked {
-                // Same unlock→wait window reasoning as `wait`; the
-                // deadline itself is delegated to the scheduler.
-                simyield::cv_announce(self.loc());
-                drop(guard.inner.take());
-                simyield::mutex_released(guard.mx.loc());
-                let woke = simyield::cv_block_timed(self.loc());
-                // Re-acquire cooperatively.
-                loop {
-                    let a = Access::new(Kind::LockAcq, guard.mx.loc(), 0, 0)
-                        .ordered(Ordering::Acquire, Ordering::Relaxed);
-                    simyield::before(&a);
-                    if let Some(g) = guard.mx.inner.try_lock() {
-                        simyield::after(&a, 1);
-                        guard.inner = Some(g);
-                        return woke;
-                    }
-                    simyield::after(&a, 0);
-                    simyield::block_mutex(guard.mx.loc());
-                }
-            }
+        if guard.hooked {
+            // Same unlock→wait window reasoning as `wait`; the
+            // deadline itself is delegated to the scheduler.
+            simyield::cv_announce(self.loc());
+            drop(guard.inner.take());
+            simyield::mutex_released(guard.mx.loc());
+            let woke = simyield::cv_block_timed(self.loc());
+            guard.inner = Some(guard.mx.lock_explored());
+            return woke;
         }
         let timeout = deadline.saturating_duration_since(std::time::Instant::now());
         if timeout.is_zero() {

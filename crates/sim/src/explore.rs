@@ -170,6 +170,7 @@ pub use engine::{
 mod engine {
     use super::Schedule;
     use crate::lincheck::{History, HistoryEvent, Op, OpId, Ret};
+    use std::cell::Cell;
     use std::collections::{HashMap, HashSet};
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::rc::Rc;
@@ -403,15 +404,28 @@ mod engine {
     /// Panic payload used to unwind explored threads on abort.
     struct AbortExecution;
 
-    fn install_quiet_abort_hook() {
+    thread_local! {
+        /// Set while an explorer worker runs explored code. A panic there
+        /// is either an abort unwind or a verdict the engine reports in
+        /// its `Failure` artifact, so the default report is not printed.
+        static IN_EXPLORED_CODE: Cell<bool> = const { Cell::new(false) };
+        /// `file:line` of the last panic in explored code on this thread,
+        /// carried into its `Panicked` verdict.
+        static PANICKED_AT: Cell<Option<String>> = const { Cell::new(None) };
+    }
+
+    fn install_quiet_panic_hook() {
         static ONCE: Once = Once::new();
         ONCE.call_once(|| {
             let prev = std::panic::take_hook();
             std::panic::set_hook(Box::new(move |info| {
-                if info.payload().downcast_ref::<AbortExecution>().is_some() {
-                    return; // expected unwind of an explored thread
+                if !IN_EXPLORED_CODE.with(Cell::get) {
+                    return prev(info);
                 }
-                prev(info);
+                let at = info
+                    .location()
+                    .map(|l| format!("{}:{}", l.file(), l.line()));
+                PANICKED_AT.with(|p| p.set(at));
             }));
         });
     }
@@ -1106,7 +1120,7 @@ mod engine {
         chooser: Option<Chooser>,
         spec: RunSpec,
     ) -> ExecResult {
-        install_quiet_abort_hook();
+        install_quiet_panic_hook();
         let threads = spec.bodies.len();
         assert!((1..=64).contains(&threads), "1..=64 explored threads");
         let rec = Recorder::default();
@@ -1125,6 +1139,7 @@ mod engine {
                         exec: Arc::clone(&exec),
                         tid,
                     });
+                    IN_EXPLORED_CODE.with(|e| e.set(true));
                     let result = catch_unwind(AssertUnwindSafe(|| {
                         simyield::with_hook(hook, || {
                             // Start gate: arrive, wait for the first grant
@@ -1148,6 +1163,8 @@ mod engine {
                             body(&mut ctx);
                         })
                     }));
+                    IN_EXPLORED_CODE.with(|e| e.set(false));
+                    let panicked_at = PANICKED_AT.with(Cell::take);
                     let mut g = exec.lock();
                     g.statuses[tid] = TStatus::Finished;
                     g.grant[tid] = false;
@@ -1158,6 +1175,10 @@ mod engine {
                                 .map(|s| s.to_string())
                                 .or_else(|| payload.downcast_ref::<String>().cloned())
                                 .unwrap_or_else(|| "non-string panic payload".into());
+                            let msg = match panicked_at {
+                                Some(at) => format!("{msg} (at {at})"),
+                                None => msg,
+                            };
                             g.set_abort(RunOutcomeKind::Panicked(msg));
                         }
                     }

@@ -232,3 +232,78 @@ fn obs_off_counters_are_zero_sized() {
         assert_eq!(Counter::new().get(), 0, "obs-off reads are constant 0");
     }
 }
+
+/// A [`QueueCounters`](membq::core::obs::QueueCounters) block's readings,
+/// in `snapshot_into` order.
+const QUEUE_NAMES: [&str; 10] = [
+    "enq_attempts",
+    "enq_success",
+    "enq_full",
+    "enq_retries",
+    "deq_attempts",
+    "deq_success",
+    "deq_empty",
+    "deq_retries",
+    "helps",
+    "occupancy_hwm",
+];
+
+/// A [`WaitCounters`](membq::core::obs::WaitCounters) block's counter
+/// readings, in order; its `park_ns_p2_*` buckets follow them only when
+/// nonzero, so they depend on the run and are not pinned.
+const WAIT_NAMES: [&str; 7] = [
+    "thread_parks",
+    "spin_wakes",
+    "task_parks",
+    "wakes",
+    "woken",
+    "spurious_wakes",
+    "timeout_expiries",
+];
+
+/// The names `metrics()` reports, in order, without the data-dependent
+/// park-latency buckets.
+fn metric_names(m: &MetricsSnapshot) -> Vec<String> {
+    m.entries()
+        .iter()
+        .map(|(n, _)| n.clone())
+        .filter(|n| !n.contains("park_ns_p2_"))
+        .collect()
+}
+
+/// The full, ordered name list of `metrics()` on the paper's queue, the
+/// scale layer over it and the blocking façade over that: the names the
+/// benchmark's traced build reads. With obs off every list is empty.
+#[test]
+fn metrics_name_lists_are_pinned() {
+    let prefixed = |prefix: &str, names: &[&str]| -> Vec<String> {
+        names.iter().map(|n| format!("{prefix}{n}")).collect()
+    };
+    let optimal = prefixed("", &QUEUE_NAMES);
+    let mut sharded = prefixed("", &["steals", "rotations", "quarantines"]);
+    sharded.push("quarantined_count".into());
+    sharded.extend(prefixed("", &["shard0.quarantined", "shard1.quarantined"]));
+    sharded.extend(prefixed("shard0.", &QUEUE_NAMES));
+    sharded.extend(prefixed("shard1.", &QUEUE_NAMES));
+    let mut blocking = sharded.clone();
+    blocking.extend(prefixed("not_full.", &WAIT_NAMES));
+    blocking.extend(prefixed("not_empty.", &WAIT_NAMES));
+
+    let q = OptimalQueue::with_capacity_and_threads(4, 2);
+    let s = ShardedQueue::<OptimalQueue>::optimal(8, 2, 2);
+    let b = BlockingQueue::<u64, _>::new(ShardedQueue::<OptimalQueue>::optimal(8, 2, 2));
+    let mut h = b.register();
+    b.send(&mut h, 1).unwrap();
+    assert_eq!(b.recv(&mut h), Some(1));
+    for (what, m, expect) in [
+        ("OptimalQueue", q.metrics(), optimal),
+        ("ShardedQueue<OptimalQueue>", s.metrics(), sharded),
+        ("BlockingQueue over it", b.metrics(), blocking),
+    ] {
+        if cfg!(feature = "obs") {
+            assert_eq!(metric_names(&m), expect, "{what}: {m}");
+        } else {
+            assert!(m.is_empty(), "{what}: obs is off: {m}");
+        }
+    }
+}
