@@ -26,7 +26,7 @@ use bq_memtrack::{FootprintBreakdown, MemoryFootprint, OverheadClass};
 /// Since the relocatable refactor (DESIGN.md §10) this is a thin wrapper:
 /// the sequenced-slot array and the cache-padded counters live in a
 /// [`RelocRing<u64>`](bq_core::relocatable::RelocRing) layout in a
-/// [`RelocBox`](bq_core::relocatable::RelocBox), and the protocol itself is
+/// [`RelocBox`], and the protocol itself is
 /// the ring's `vy_*` methods — the same bytes `bq-shm` places into an
 /// `mmap`-shared segment. The sequence protocol gives each slot a unique
 /// writer per round; readers synchronize through `seq` (Acquire/Release

@@ -3,7 +3,7 @@
 //! monomorphizing each combination.
 //!
 //! [`ConcurrentQueue`] is not object safe (associated `Handle`), so
-//! [`Registered`] pre-registers `T` handles behind mutexes; each benchmark
+//! `Registered` pre-registers `T` handles behind mutexes; each benchmark
 //! thread locks only its own handle, so the lock is always uncontended and
 //! adds a uniform constant to every implementation.
 

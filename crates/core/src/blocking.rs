@@ -48,8 +48,8 @@ use std::sync::atomic::Ordering;
 
 use crate::simx::SimAtomicBool;
 
-use crate::boxed::{take_all, BoxedHandle, BoxedQueue, PointerCapable};
-use crate::event::{EventCount, TimeLimit};
+use crate::boxed::{take_all, take_one, BoxedHandle, BoxedQueue, PointerCapable};
+use crate::event::{EventCount, Spin, TimeLimit};
 
 /// Error returned by a blocking/async `send` on a closed queue: carries
 /// the unsent value(s) back to the caller.
@@ -156,6 +156,12 @@ pub trait WaitOp<T: Send, Q: PointerCapable> {
     /// methods map it onto their narrower types ([`FromOutcome`]).
     type Out;
 
+    /// How a thread spends its spin before parking (DESIGN.md §9.1):
+    /// [`Spin::Attempt`] for an operation one peer transition satisfies,
+    /// [`Spin::Generation`] for a batch, whose peer publishes once per
+    /// batch.
+    const SPIN: Spin;
+
     /// The eventcount this operation parks on.
     fn event(q: &BlockingQueue<T, Q>) -> &EventCount;
 
@@ -218,43 +224,79 @@ impl<T> FromOutcome<Result<Vec<T>, RecvTimeoutError>> for Vec<T> {
     }
 }
 
-/// `send`: the value waiting for a slot. Each attempt takes it out and a
-/// `Full` refusal puts it back, so whatever ends the wait — an error
-/// return, a cancelled future's drop — still owns it.
-pub struct SendOp<T>(pub(crate) Option<T>);
+/// `send`: the value, boxed **once** into its token, waiting for a slot.
+/// A refused attempt keeps the token for the next, so a wait costs no
+/// allocation per attempt; the token belongs to this value until the queue
+/// takes it — handed back on close or expiry, dropped with it when the wait
+/// is abandoned (a cancelled future, a panic unwinding through the wait).
+pub struct SendOp<T: Send, Q: PointerCapable> {
+    token: Option<u64>,
+    _owns: PhantomData<(T, fn() -> Q)>,
+}
 
-impl<T> SendOp<T> {
-    fn value(&mut self) -> T {
-        self.0
+impl<T: Send, Q: PointerCapable> SendOp<T, Q> {
+    pub(crate) fn new(q: &BlockingQueue<T, Q>, value: T) -> Self {
+        SendOp {
+            token: Some(q.inner.box_one(value)),
+            _owns: PhantomData,
+        }
+    }
+
+    /// Move the value out; it is disowned first, as in
+    /// [`SendAllOp::take_unsent`].
+    fn value(&mut self, q: Option<&BlockingQueue<T, Q>>) -> T {
+        let token = self
+            .token
             .take()
-            .expect("the value is present until the send ends")
+            .expect("the value is owned until the send ends");
+        // SAFETY: the queue never accepted the token, and taking it out of
+        // `self.token` above disowned it.
+        unsafe { take_one(token, q.map(|q| &q.inner)) }
     }
 }
 
-impl<T: Send, Q: PointerCapable> WaitOp<T, Q> for SendOp<T> {
+impl<T: Send, Q: PointerCapable> Drop for SendOp<T, Q> {
+    fn drop(&mut self) {
+        if self.token.is_some() {
+            drop(self.value(None));
+        }
+    }
+}
+
+impl<T: Send, Q: PointerCapable> WaitOp<T, Q> for SendOp<T, Q> {
     type Out = Result<(), SendTimeoutError<T>>;
+
+    const SPIN: Spin = Spin::Attempt;
 
     fn event(q: &BlockingQueue<T, Q>) -> &EventCount {
         &q.not_full
     }
 
     fn attempt(&mut self, q: &BlockingQueue<T, Q>, h: &mut BoxedHandle<Q>) -> Option<Self::Out> {
-        match q.try_send(h, self.value()) {
-            Ok(()) => Some(Ok(())),
-            Err(TrySendError::Closed(v)) => Some(Err(SendTimeoutError::Closed(v))),
-            Err(TrySendError::Full(v)) => {
-                self.0 = Some(v);
-                None
-            }
+        if q.is_closed() {
+            return Some(self.closed(q, h));
         }
+        // Disowned for the call, as `SendAllOp` disowns its run: after a
+        // panic in the inner queue nobody can say whether it took the
+        // token, so it leaks rather than risk a second free.
+        let token = self
+            .token
+            .take()
+            .expect("the value is owned until the send ends");
+        if q.contain(|| q.inner.enqueue_token(h, token)) {
+            q.not_empty.wake_all();
+            return Some(Ok(()));
+        }
+        self.token = Some(token);
+        None
     }
 
-    fn closed(&mut self, _q: &BlockingQueue<T, Q>, _h: &mut BoxedHandle<Q>) -> Self::Out {
-        Err(SendTimeoutError::Closed(self.value()))
+    fn closed(&mut self, q: &BlockingQueue<T, Q>, _h: &mut BoxedHandle<Q>) -> Self::Out {
+        Err(SendTimeoutError::Closed(self.value(Some(q))))
     }
 
     fn timed_out(&mut self) -> Self::Out {
-        Err(SendTimeoutError::Timeout(self.value()))
+        Err(SendTimeoutError::Timeout(self.value(None)))
     }
 }
 
@@ -264,6 +306,8 @@ pub struct RecvOp;
 
 impl<T: Send, Q: PointerCapable> WaitOp<T, Q> for RecvOp {
     type Out = Result<T, RecvTimeoutError>;
+
+    const SPIN: Spin = Spin::Attempt;
 
     fn event(q: &BlockingQueue<T, Q>) -> &EventCount {
         &q.not_empty
@@ -330,6 +374,8 @@ impl<T: Send, Q: PointerCapable> Drop for SendAllOp<T, Q> {
 impl<T: Send, Q: PointerCapable> WaitOp<T, Q> for SendAllOp<T, Q> {
     type Out = Result<(), SendTimeoutError<Vec<T>>>;
 
+    const SPIN: Spin = Spin::Generation;
+
     fn event(q: &BlockingQueue<T, Q>) -> &EventCount {
         &q.not_full
     }
@@ -374,6 +420,8 @@ impl RecvManyOp {
 
 impl<T: Send, Q: PointerCapable> WaitOp<T, Q> for RecvManyOp {
     type Out = Result<Vec<T>, RecvTimeoutError>;
+
+    const SPIN: Spin = Spin::Generation;
 
     fn event(q: &BlockingQueue<T, Q>) -> &EventCount {
         &q.not_empty
@@ -520,16 +568,14 @@ impl<T: Send, Q: PointerCapable> BlockingQueue<T, Q> {
         mut op: Op,
         limit: TimeLimit,
     ) -> R {
-        R::from_outcome(match Op::event(self).wait(limit, || op.attempt(self, h)) {
-            Some(out) => out,
-            None => op.expired(self, h),
-        })
+        let out = Op::event(self).wait(Op::SPIN, limit, || op.attempt(self, h));
+        R::from_outcome(out.unwrap_or_else(|| op.expired(self, h)))
     }
 
     /// Enqueue, waiting while the queue is full. Fails only when the
     /// queue is (or becomes) closed, returning the value.
     pub fn send(&self, h: &mut BoxedHandle<Q>, value: T) -> Result<(), SendError<T>> {
-        self.wait(h, SendOp(Some(value)), TimeLimit::Forever)
+        self.wait(h, SendOp::new(self, value), TimeLimit::Forever)
     }
 
     /// [`send`](Self::send) under a [`TimeLimit`]: pass an `Instant`
@@ -546,7 +592,7 @@ impl<T: Send, Q: PointerCapable> BlockingQueue<T, Q> {
         value: T,
         limit: impl Into<TimeLimit>,
     ) -> Result<(), SendTimeoutError<T>> {
-        self.wait(h, SendOp(Some(value)), limit.into())
+        self.wait(h, SendOp::new(self, value), limit.into())
     }
 
     /// Non-blocking dequeue.
@@ -1007,6 +1053,48 @@ mod tests {
         );
     }
 
+    /// DESIGN.md §9.1: the operation's type fixes its spin. Before it
+    /// parks, a batch receive on an empty queue fails exactly twice (its
+    /// attempt and the announced re-attempt: it watches the generation in
+    /// between), and a single receive polls its whole budget in between.
+    #[cfg(feature = "obs")]
+    #[test]
+    fn failed_attempts_before_a_park_follow_the_spin_kind() {
+        for (batch, before_park) in [(true, 2), (false, 2 + Spin::Attempt.budget() as u64)] {
+            let q = make(2, 2);
+            std::thread::scope(|s| {
+                let receiver = s.spawn(|| {
+                    let mut h = q.register();
+                    if batch {
+                        q.recv_many(&mut h, 4)
+                    } else {
+                        q.recv(&mut h).into_iter().collect()
+                    }
+                });
+                while q.metrics().get("not_empty.thread_parks") != Some(1) {
+                    std::thread::yield_now();
+                }
+                q.send(&mut q.register(), 7).unwrap();
+                assert_eq!(receiver.join().unwrap(), vec![7]);
+            });
+            // The wake's round finds the element at its first attempt; a
+            // batch that returns short then ends on a snapshot that reads
+            // the queue empty (DESIGN.md §8.1), one more `deq_empty`.
+            let m = q.metrics();
+            let after_wake = u64::from(batch);
+            assert_eq!(
+                m.get("deq_empty"),
+                Some(before_park + after_wake),
+                "batch {batch}: {m}"
+            );
+            assert_eq!(
+                m.get("not_empty.thread_parks"),
+                Some(1),
+                "batch {batch}: {m}"
+            );
+        }
+    }
+
     #[test]
     fn close_racing_a_parked_timed_receiver_reports_closed() {
         // The racing half: a receiver parked under a long deadline is
@@ -1032,16 +1120,18 @@ mod tests {
 
     #[test]
     fn close_landing_in_the_spin_reports_closed() {
-        // close() the moment the receiver announces: with a core each,
-        // that is inside its spin. Whichever step of the round the wake
-        // lands on, the wait ends Closed — never Timeout, never a hang.
+        // close() the moment the receiver announces: with a core each, a
+        // batch receive is then inside its generation spin. (A `recv`
+        // polls before it announces, so a close in its spin is any close
+        // that lands early.) Whichever step of the round the wake lands
+        // on, the wait ends Closed — never Timeout, never a hang.
         const ROUNDS: u64 = 200;
         let mut spin_wakes = 0;
         for _ in 0..ROUNDS {
             let q = make(4, 1);
             std::thread::scope(|s| {
                 let receiver =
-                    s.spawn(|| q.recv_within(&mut q.register(), Duration::from_secs(60)));
+                    s.spawn(|| q.recv_many_within(&mut q.register(), 4, Duration::from_secs(60)));
                 while q.not_empty_event().waiter_count() == 0 {
                     std::hint::spin_loop();
                 }
@@ -1281,6 +1371,92 @@ mod tests {
             run((0..5).map(|id| Counted(id, Arc::clone(&drops))).collect());
             let seen: Vec<usize> = drops.iter().map(|d| d.load(Ordering::SeqCst)).collect();
             assert_eq!(seen, expected, "{name}");
+        }
+    }
+
+    /// `SendOp` owns its boxed value until the queue takes it: however a
+    /// waiting `send` ends — close, expiry, a cancelled future, a send on
+    /// a closed queue, or success — its value is dropped exactly once.
+    #[test]
+    fn send_drops_its_value_exactly_once() {
+        use std::future::Future;
+        use std::sync::atomic::AtomicUsize;
+        use std::task::{Context, Waker};
+
+        struct Counted(Arc<AtomicUsize>);
+        impl Drop for Counted {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        // A full queue (its one slot taken by a value of its own) whose
+        // waiting `send` the case ends; the case returns the value sent.
+        type Q = crate::AsyncQueue<Counted, OptimalQueue>;
+        type Case = fn(&Q, Counted) -> Option<Counted>;
+        let cases: [(&str, Case); 5] = [
+            ("close() while parked", |q, v| {
+                let q = q.blocking();
+                std::thread::scope(|s| {
+                    let sender = s.spawn(|| q.send(&mut q.register(), v));
+                    while q.not_full_event().sleeper_count() == 0 {
+                        std::thread::yield_now();
+                    }
+                    q.close();
+                    Some(sender.join().unwrap().unwrap_err().0)
+                })
+            }),
+            ("send_within timing out", |q, v| {
+                let q = q.blocking();
+                match q.send_within(&mut q.register(), v, Duration::from_millis(5)) {
+                    Err(SendTimeoutError::Timeout(v)) => Some(v),
+                    _ => panic!("a full open queue times the send out"),
+                }
+            }),
+            ("on a closed queue", |q, v| {
+                let q = q.blocking();
+                q.close();
+                Some(q.send(&mut q.register(), v).unwrap_err().0)
+            }),
+            ("async send polled to Pending, then dropped", |q, v| {
+                let mut h = q.register();
+                let mut fut = q.send(&mut h, v);
+                let mut cx = Context::from_waker(Waker::noop());
+                assert!(std::pin::Pin::new(&mut fut).poll(&mut cx).is_pending());
+                drop(fut);
+                assert_eq!(q.not_full_event().registered_wakers(), 0);
+                None
+            }),
+            ("sent after a recv made room", |q, v| {
+                let q = q.blocking();
+                std::thread::scope(|s| {
+                    let sender = s.spawn(|| q.send(&mut q.register(), v));
+                    while q.not_full_event().waiter_count() == 0 {
+                        std::thread::yield_now();
+                    }
+                    let mut h = q.register();
+                    drop(q.recv(&mut h));
+                    sender.join().unwrap().ok().unwrap();
+                    q.recv(&mut h)
+                })
+            }),
+        ];
+        for (name, run) in cases {
+            let q: Q = crate::AsyncQueue::new(OptimalQueue::with_capacity_and_threads(1, 3));
+            let (filler, sent) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
+            q.try_send(&mut q.register(), Counted(Arc::clone(&filler)))
+                .ok()
+                .unwrap();
+            let back = run(&q, Counted(Arc::clone(&sent)));
+            let dropped = usize::from(back.is_none());
+            assert_eq!(
+                sent.load(Ordering::SeqCst),
+                dropped,
+                "{name}: handed back whole"
+            );
+            drop(back);
+            drop(q);
+            let drops = (filler.load(Ordering::SeqCst), sent.load(Ordering::SeqCst));
+            assert_eq!(drops, (1, 1), "{name}");
         }
     }
 

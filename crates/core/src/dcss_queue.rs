@@ -348,4 +348,75 @@ mod tests {
             assert!(seen.contains(&v), "missing {v}");
         }
     }
+
+    /// A queue whose descriptors start `2 · below` incarnations below the
+    /// 2⁴⁸ edge of `bq-dcss`'s packed references and status words.
+    fn near_the_seq_edge(c: usize, t: usize, below: u64) -> DcssQueue {
+        let arena = DcssArena::with_seq_start(t, (1 << 48) - 2 * below);
+        DcssQueue::with_shared_arena(c, Arc::new(arena))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// The sequential spec across the descriptor `seq` edge: an
+        /// arbitrary script behaves like a bounded `VecDeque` (before the
+        /// `status` word was masked, the first DCSS past 2⁴⁸ refused an
+        /// enqueue whose guard held and wedged the next read of its cell).
+        #[test]
+        fn sequential_spec_across_the_seq_edge(
+            c in 1usize..5,
+            below in 1u64..8,
+            script in proptest::collection::vec(proptest::prelude::any::<bool>(), 1..120),
+        ) {
+            let q = near_the_seq_edge(c, 1, below);
+            let mut h = q.register();
+            let mut model = std::collections::VecDeque::new();
+            let mut next = 1u64;
+            for is_enq in script {
+                if is_enq {
+                    let accepted = q.enqueue(&mut h, next).is_ok();
+                    proptest::prop_assert_eq!(accepted, model.len() < c);
+                    if accepted {
+                        model.push_back(next);
+                    }
+                    next += 1;
+                } else {
+                    proptest::prop_assert_eq!(q.dequeue(&mut h), model.pop_front());
+                }
+                proptest::prop_assert_eq!(q.len(), model.len());
+            }
+        }
+    }
+
+    /// Conservation across the edge: two producers and a consumer, every
+    /// descriptor starting three reuses below 2⁴⁸, each value exactly once.
+    #[test]
+    fn concurrent_values_conserved_across_the_seq_edge() {
+        let q = near_the_seq_edge(4, 3, 3);
+        let (per, producers) = (2_000u64, 2u64);
+        let mut seen = std::collections::HashSet::new();
+        std::thread::scope(|s| {
+            for p in 0..producers {
+                let q = &q;
+                s.spawn(move || {
+                    let mut h = q.register();
+                    for v in 1 + p * per..=(p + 1) * per {
+                        while q.enqueue(&mut h, v).is_err() {
+                            std::thread::yield_now();
+                        }
+                    }
+                });
+            }
+            let mut h = q.register();
+            while (seen.len() as u64) < per * producers {
+                match q.dequeue(&mut h) {
+                    Some(v) => assert!(seen.insert(v), "duplicate {v}"),
+                    None => std::thread::yield_now(),
+                }
+            }
+            assert_eq!(q.dequeue(&mut h), None, "exact conservation");
+        });
+        assert!((1..=per * producers).all(|v| seen.contains(&v)));
+    }
 }

@@ -16,10 +16,10 @@
 //! 1. a waiter **announces** itself (`waiters += 1`, or for a task:
 //!    registers its waker in the list under the gate lock, which also
 //!    bumps `waiters`), snapshots the **generation**, **re-attempts** the
-//!    operation, and only then parks — a thread first **spins** on the
-//!    generation for a bounded budget (below), then parks only if the
-//!    generation is still unchanged under the gate lock; a task simply
-//!    returns `Pending`, its waker already registered;
+//!    operation, and only then parks — a thread first **spins** for a
+//!    bounded budget (below), then parks only if the generation is still
+//!    unchanged under the gate lock; a task simply returns `Pending`, its
+//!    waker already registered;
 //! 2. a notifier that completes a state transition checks `waiters`;
 //!    when non-zero it bumps the generation, and only if a **sleeper** is
 //!    counted — a thread inside the gate for its locked re-check and
@@ -42,30 +42,35 @@
 //!
 //! ## Spin, then park
 //!
-//! Between the announced re-attempt and the park, a thread watches the
-//! generation word for at most `SPIN_BUDGET` iterations — about as long
-//! as one park + wake hop costs, the classic bound. The spinner is
-//! already announced, so a notifier that lands in the window *must* bump
-//! the word being watched; when it does, the waiter un-announces and
-//! goes round again (announce → snapshot → re-attempt) without touching
-//! the gate lock or the condvar. When the budget runs out, the locked
-//! re-check and the park follow exactly as before, so every ordering
-//! argument above still holds: the spin only adds reads of a word the
-//! protocol already reads. A spinner is announced but not a sleeper, so
-//! the notifier that ends its spin skips the gate too: a hand-off
-//! between two *running* threads costs a cache-line transfer, not two
-//! futex sleeps and not a lock and a syscall on the notifier's side. The
-//! spin watches the word rather than calling `attempt` again: an attempt
-//! is a queue operation (for a boxed send, an allocation) that contends
-//! with the very peer being waited for. Tasks never spin — an executor
-//! thread has other tasks to run.
+//! A thread spends at most one budget per round spinning — about as long
+//! as one park + wake hop costs, the classic bound — in one of two ways,
+//! fixed by what it waits for ([`Spin`]):
+//!
+//! * **Poll, then announce** ([`Spin::Attempt`], one element or one
+//!   slot): before announcing, re-attempt the operation each iteration.
+//!   Nobody is announced yet, so a notifier in the window stays on its
+//!   one-load path, and a hand-off between two *running* threads costs
+//!   the peer nothing but the cache line it writes anyway. Only when the
+//!   poll runs out does the round announce, snapshot, re-attempt and
+//!   park, exactly as above: the poll adds attempts before a step the
+//!   protocol already starts from, so every ordering argument holds.
+//! * **Announce, then watch the word** ([`Spin::Generation`], batches):
+//!   between the announced re-attempt and the park, watch the generation.
+//!   The spinner is announced, so a notifier that lands in the window
+//!   *must* bump the word being watched; when it does, the waiter
+//!   un-announces and goes round again without touching the gate lock or
+//!   the condvar. A spinner is announced but not a sleeper, so that
+//!   notifier skips the gate too. A batch's producer publishes once per
+//!   batch, and a polling consumer would take the first sliver of it.
+//!
+//! Tasks never spin — an executor thread has other tasks to run.
 //!
 //! A wait may carry a [`TimeLimit`]. It is a *parameter* of the one
 //! thread loop ([`EventCount::wait`]), not a second loop: the limit
 //! decides only which condvar wait the park step is, and a waiter whose
 //! deadline fires makes one final attempt before reporting expiry. The
 //! clock is read only on the way into a park, i.e. *after* that round's
-//! spin: a deadline can be overshot by at most one budget (≈ 15 µs), and
+//! spin: a deadline can be overshot by at most one budget (≈ 15–20 µs), and
 //! a relative timeout starts counting when the first spin has run out.
 //! (As before the spin, a round that a wake ends re-checks the
 //! condition, not the clock: the deadline is looked at when a round
@@ -167,17 +172,39 @@ impl ParkTimer {
     }
 }
 
-/// Iterations (one generation load + one CPU relax hint each) a thread
-/// watches the generation before parking: ≈ 15 µs at the 14–16
-/// ns/iteration measured on the reference host, about the cost of the
-/// park + wake hop it can save (DESIGN.md §9.1 has the sweep). Under
-/// `sim-explore` the budget is 1, so the explorer enumerates both exits
-/// of the spin while the schedule tree stays bounded.
-const SPIN_BUDGET: u32 = if cfg!(feature = "sim-explore") {
-    1
-} else {
-    1024
-};
+/// How a waiting thread spends its spin before it parks (DESIGN.md §9.1).
+/// What is waited for decides it, not the caller's taste: each façade
+/// operation names its kind as a constant
+/// ([`WaitOp::SPIN`](crate::blocking::WaitOp::SPIN)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Spin {
+    /// Poll, then announce: re-attempt the operation unannounced, up to
+    /// the budget, and announce only once polling has failed. For an
+    /// operation that one peer transition satisfies (one element, one
+    /// slot): a failed attempt is a few loads, and a notifier that finds
+    /// nobody announced stays on its one-load path.
+    Attempt,
+    /// Announce, then watch the generation word. For batch operations:
+    /// the peer publishes once per batch, and a polling attempt would
+    /// take the first sliver of it.
+    Generation,
+}
+
+impl Spin {
+    /// Iterations (one CPU relax hint plus one failed attempt, or plus
+    /// one generation load) a round spins before parking: each budget
+    /// about one park + wake hop (16–20 µs), at the iteration costs
+    /// measured on the reference host (DESIGN.md §9.1 has the figures).
+    /// Under `sim-explore` both are 1, so the explorer enumerates both
+    /// exits of the spin while the schedule tree stays bounded.
+    pub(crate) const fn budget(self) -> u32 {
+        match self {
+            _ if cfg!(feature = "sim-explore") => 1,
+            Spin::Attempt => 640,
+            Spin::Generation => 1024,
+        }
+    }
+}
 
 impl EventCount {
     /// A fresh eventcount at generation 0 with no waiters.
@@ -254,9 +281,11 @@ impl EventCount {
     /// Thread-parking waiter half, the **one wait loop**: run `attempt`
     /// until it returns `Some(r)` or `limit` passes, parking between
     /// failed attempts with the announce → snapshot → re-attempt →
-    /// spin → park-if-unchanged protocol. Returns `None` on expiry —
-    /// after one final attempt, so a transition racing the deadline is
-    /// still taken, never dropped on the floor.
+    /// park-if-unchanged protocol, each round spun as `spin` says (before
+    /// the announcement for [`Spin::Attempt`], after the re-attempt for
+    /// [`Spin::Generation`]). Returns `None` on expiry — after one final
+    /// attempt, so a transition racing the deadline is still taken, never
+    /// dropped on the floor.
     ///
     /// The limit decides one step only: which condvar wait the park is.
     /// Every instrumented access around it is the same with and without
@@ -266,6 +295,7 @@ impl EventCount {
     /// it (the E16 property).
     pub fn wait<R>(
         &self,
+        spin: Spin,
         mut limit: TimeLimit,
         mut attempt: impl FnMut() -> Option<R>,
     ) -> Option<R> {
@@ -275,6 +305,18 @@ impl EventCount {
         let mut timer = ParkTimer::new();
         let mut parked = false;
         let result = loop {
+            // Poll first: nobody is announced yet, so a notifier in this
+            // window stays on its one-load path, and a success here ends
+            // the wait with no protocol access at all.
+            if spin == Spin::Attempt {
+                if let Some(r) = (0..spin.budget()).find_map(|_| {
+                    std::hint::spin_loop();
+                    attempt()
+                }) {
+                    self.obs.spin_wakes.hit();
+                    break Some(r);
+                }
+            }
             self.waiters.fetch_add(1, Ordering::SeqCst);
             let gen = self.generation.load(Ordering::SeqCst);
             // Re-attempt after announcing: closes the race with a
@@ -293,18 +335,20 @@ impl EventCount {
                 // and the condition is still false.
                 self.obs.spurious_wakes.hit();
             }
-            // Spin, then park: we are announced, so any notifier from
-            // here on must bump the word we watch. A bump inside the
-            // budget ends the round with no gate lock and no sleep.
-            let mut spins = 0;
-            while spins < SPIN_BUDGET && self.generation.load(Ordering::SeqCst) == gen {
-                std::hint::spin_loop();
-                spins += 1;
-            }
-            if spins < SPIN_BUDGET {
-                self.waiters.fetch_sub(1, Ordering::SeqCst);
-                self.obs.spin_wakes.hit();
-                continue;
+            // Watch the word: we are announced, so any notifier from here
+            // on must bump it. A bump inside the budget ends the round
+            // with no gate lock and no sleep.
+            if spin == Spin::Generation {
+                let mut spins = 0;
+                while spins < spin.budget() && self.generation.load(Ordering::SeqCst) == gen {
+                    std::hint::spin_loop();
+                    spins += 1;
+                }
+                if spins < spin.budget() {
+                    self.waiters.fetch_sub(1, Ordering::SeqCst);
+                    self.obs.spin_wakes.hit();
+                    continue;
+                }
             }
             // The single place the clock is read, and only at the first
             // park: later rounds find the limit already pinned.
@@ -347,8 +391,8 @@ impl EventCount {
     }
 
     /// [`wait`](Self::wait) with no limit: parks until `attempt` succeeds.
-    pub fn wait_until<R>(&self, attempt: impl FnMut() -> Option<R>) -> R {
-        self.wait(TimeLimit::Forever, attempt)
+    pub fn wait_until<R>(&self, spin: Spin, attempt: impl FnMut() -> Option<R>) -> R {
+        self.wait(spin, TimeLimit::Forever, attempt)
             .expect("a wait without a limit ends only when the attempt succeeds")
     }
 
@@ -569,7 +613,7 @@ mod tests {
             let ec = Arc::clone(&ec);
             let go = Arc::clone(&go);
             std::thread::spawn(move || {
-                ec.wait_until(|| go.load(Ordering::SeqCst).then_some(()));
+                ec.wait_until(Spin::Generation, || go.load(Ordering::SeqCst).then_some(()));
             })
         };
         std::thread::sleep(std::time::Duration::from_millis(20));
@@ -586,7 +630,7 @@ mod tests {
     #[test]
     fn wait_until_immediate_success_never_announces() {
         let ec = EventCount::new();
-        assert_eq!(ec.wait_until(|| Some(7)), 7);
+        assert_eq!(ec.wait_until(Spin::Generation, || Some(7)), 7);
         assert_eq!(ec.waiter_count(), 0);
     }
 
@@ -595,7 +639,7 @@ mod tests {
         let ec = EventCount::new();
         let mut calls = 0u32;
         let start = Instant::now();
-        let r = ec.wait(Duration::from_millis(30).into(), || {
+        let r = ec.wait(Spin::Generation, Duration::from_millis(30).into(), || {
             calls += 1;
             None::<()>
         });
@@ -615,7 +659,7 @@ mod tests {
             let ec = Arc::clone(&ec);
             std::thread::spawn(move || {
                 let deadline = Instant::now() + Duration::from_millis(80);
-                ec.wait(deadline.into(), || None::<()>)
+                ec.wait(Spin::Generation, deadline.into(), || None::<()>)
             })
         };
         while ec.waiter_count() == 0 {
@@ -637,7 +681,9 @@ mod tests {
         let id = ec.register(ec.generation(), &w).unwrap();
         ec.deregister(id);
         // A timed wait that never succeeds parks and expires.
-        let r = ec.wait(Duration::from_millis(5).into(), || None::<()>);
+        let r = ec.wait(Spin::Generation, Duration::from_millis(5).into(), || {
+            None::<()>
+        });
         assert!(r.is_none());
         let mut snap = MetricsSnapshot::new();
         ec.snapshot_into("ec.", &mut snap);
@@ -674,28 +720,51 @@ mod tests {
 
     #[test]
     fn spin_is_bounded_a_hopeless_wait_parks_and_burns_no_cpu() {
+        for spin in [Spin::Attempt, Spin::Generation] {
+            let ec = EventCount::new();
+            let (start, cpu_start) = (Instant::now(), thread_cpu());
+            let r = ec.wait(spin, Duration::from_millis(50).into(), || None::<()>);
+            let (waited, burnt) = (start.elapsed(), thread_cpu() - cpu_start);
+            assert!(r.is_none(), "condition never became true");
+            assert!(
+                waited >= Duration::from_millis(50),
+                "returned at {waited:?}"
+            );
+            assert!(
+                waited < Duration::from_secs(5),
+                "woke far too late: {waited:?}"
+            );
+            assert!(
+                burnt < Duration::from_millis(5),
+                "a 50 ms wait spent {burnt:?} on the CPU: the {spin:?} spin is not bounded"
+            );
+            assert_eq!(ec.waiter_count(), 0);
+            if cfg!(feature = "obs") {
+                let snap = snapshot(&ec);
+                assert!(snap.get("ec.thread_parks").unwrap() >= 1, "{snap}");
+                assert_eq!(snap.get("ec.spin_wakes"), Some(0), "{snap}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_poll_runs_unannounced_and_wakes_stay_on_the_one_load_path() {
         let ec = EventCount::new();
-        let (start, cpu_start) = (Instant::now(), thread_cpu());
-        let r = ec.wait(Duration::from_millis(50).into(), || None::<()>);
-        let (waited, burnt) = (start.elapsed(), thread_cpu() - cpu_start);
-        assert!(r.is_none(), "condition never became true");
-        assert!(
-            waited >= Duration::from_millis(50),
-            "returned at {waited:?}"
-        );
-        assert!(
-            waited < Duration::from_secs(5),
-            "woke far too late: {waited:?}"
-        );
-        assert!(
-            burnt < Duration::from_millis(5),
-            "a 50 ms wait spent {burnt:?} on the CPU: the spin is not bounded"
-        );
-        assert_eq!(ec.waiter_count(), 0);
+        let mut calls = 0;
+        let r = ec.wait_until(Spin::Attempt, || {
+            calls += 1;
+            assert_eq!(ec.waiter_count(), 0, "the poll has not announced");
+            let gen = ec.generation();
+            ec.wake_all();
+            assert_eq!(ec.generation(), gen, "nobody announced: one-load path");
+            (calls == 3).then_some(calls)
+        });
+        assert_eq!(r, 3, "the initial attempt and two polls");
         if cfg!(feature = "obs") {
             let snap = snapshot(&ec);
-            assert!(snap.get("ec.thread_parks").unwrap() >= 1, "{snap}");
-            assert_eq!(snap.get("ec.spin_wakes"), Some(0), "{snap}");
+            assert_eq!(snap.get("ec.spin_wakes"), Some(1), "{snap}");
+            assert_eq!(snap.get("ec.wakes"), Some(0), "{snap}");
+            assert_eq!(snap.get("ec.thread_parks"), Some(0), "{snap}");
         }
     }
 
@@ -706,7 +775,7 @@ mod tests {
         // must leave through the spin, un-announced, and go round again.
         let ec = EventCount::new();
         let mut calls = 0;
-        let r = ec.wait_until(|| {
+        let r = ec.wait_until(Spin::Generation, || {
             calls += 1;
             if calls == 2 {
                 assert_eq!(ec.waiter_count(), 1, "re-attempt runs announced");
@@ -735,7 +804,7 @@ mod tests {
         // that follows sees the bump.
         let ec = EventCount::new();
         let mut calls = 0;
-        ec.wait_until(|| {
+        ec.wait_until(Spin::Generation, || {
             calls += 1;
             if calls == 2 {
                 assert_eq!((ec.waiter_count(), ec.sleeper_count()), (1, 0));
@@ -765,7 +834,7 @@ mod tests {
         let cases: [(&str, Case); 6] = [
             ("spin exit", |ec| {
                 let mut calls = 0;
-                ec.wait_until(|| {
+                ec.wait_until(Spin::Generation, || {
                     calls += 1;
                     if calls == 2 {
                         ec.wake_all();
@@ -776,7 +845,9 @@ mod tests {
             ("park, then a wake", |ec| {
                 let go = AtomicBool::new(false);
                 std::thread::scope(|s| {
-                    s.spawn(|| ec.wait_until(|| go.load(Ordering::SeqCst).then_some(())));
+                    s.spawn(|| {
+                        ec.wait_until(Spin::Generation, || go.load(Ordering::SeqCst).then_some(()))
+                    });
                     while ec.sleeper_count() == 0 {
                         std::thread::yield_now();
                     }
@@ -786,7 +857,11 @@ mod tests {
             }),
             ("park, then a timeout", |ec| {
                 assert!(ec
-                    .wait(Duration::from_millis(5).into(), || None::<()>)
+                    .wait(
+                        Spin::Generation,
+                        Duration::from_millis(5).into(),
+                        || None::<()>
+                    )
                     .is_none());
             }),
             ("refused register", |ec| {
@@ -831,7 +906,7 @@ mod tests {
         // deadline is still taken, never dropped on the floor.
         let ec = EventCount::new();
         let mut first = true;
-        let r = ec.wait(Instant::now().into(), || {
+        let r = ec.wait(Spin::Generation, Instant::now().into(), || {
             if first {
                 first = false;
                 None

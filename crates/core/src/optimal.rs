@@ -866,10 +866,16 @@ impl ConcurrentQueue for OptimalQueue {
     fn dequeue(&self, h: &mut OptimalHandle) -> Option<u64> {
         h.obs.deq_attempt();
         loop {
-            // Counters + element snapshot (paper lines 29–31).
+            // Counters + element snapshot (paper lines 29–31). An empty
+            // snapshot needs no element: like `dequeue_many` at `k = 0`, it
+            // reads only the two counters (DESIGN.md §8.1).
             let d = self.dequeues.load(Ordering::SeqCst);
             let e = self.enqueues.load(Ordering::SeqCst);
-            let (x, x_published) = self.read_elem(d);
+            let (x, x_published) = if e == d {
+                (NULL, true)
+            } else {
+                self.read_elem(d)
+            };
             if d != self.dequeues.load(Ordering::SeqCst) {
                 h.obs.deq_retry();
                 continue;

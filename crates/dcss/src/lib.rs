@@ -54,10 +54,20 @@ pub const MAX_THREADS: usize = (1 << INDEX_BITS) / 2;
 /// Largest plain value storable in a DCSS-managed location.
 pub const MAX_VALUE: u64 = MARK_BIT - 1;
 
-/// Status-word states (packed as `(seq << 2) | state`).
+/// Status-word states (packed by [`status_word`]).
 const ST_UNDECIDED: u64 = 0;
 const ST_SUCCESS: u64 = 1;
 const ST_FAILURE: u64 = 2;
+
+/// The status word of incarnation `seq` in `state`. The incarnation is
+/// taken mod 2⁴⁸, as in the packed references, so the owner that stores
+/// it and the helper that compares it (from a reference) agree across the
+/// 2⁴⁸ edge; a full `seq` there left every incarnation from 2⁴⁸ on
+/// undecided, and its reference in place.
+#[inline]
+fn status_word(seq: u64, state: u64) -> u64 {
+    ((seq & SEQ_MASK) << 2) | state
+}
 
 #[inline]
 fn pack_ref(index: usize, seq: u64) -> u64 {
@@ -94,7 +104,7 @@ struct Descriptor {
     /// `seq += 1` (odd: fields unstable) → write fields → `seq += 1`
     /// (even: published).
     seq: AtomicU64,
-    /// Verdict for the current incarnation: `(seq << 2) | state`.
+    /// Verdict for the current incarnation: [`status_word`]`(seq, state)`.
     status: AtomicU64,
     addr1: AtomicUsize,
     exp1: AtomicU64,
@@ -199,6 +209,19 @@ impl DcssArena {
         }
     }
 
+    /// Tests only: [`new`](Self::new) with every descriptor's incarnation
+    /// starting at `seq` (even) instead of 0, so a test can cross the 2⁴⁸
+    /// edge of the packed references without 2⁴⁸ calls.
+    #[doc(hidden)]
+    pub fn with_seq_start(max_threads: usize, seq: u64) -> Self {
+        assert_eq!(seq % 2, 0, "a quiescent descriptor's seq is even");
+        let arena = DcssArena::new(max_threads);
+        for d in arena.descriptors.iter() {
+            d.seq.store(seq, Ordering::Relaxed);
+        }
+        arena
+    }
+
     /// Allocate a fresh arena-global thread id.
     ///
     /// # Panics
@@ -274,7 +297,8 @@ impl DcssArena {
             .store(addr2 as *const AtomicU64 as usize, Ordering::SeqCst);
         d.exp2.store(exp2, Ordering::SeqCst);
         let seq = s0 + 2;
-        d.status.store((seq << 2) | ST_UNDECIDED, Ordering::SeqCst);
+        d.status
+            .store(status_word(seq, ST_UNDECIDED), Ordering::SeqCst);
         d.seq.store(seq, Ordering::SeqCst); // published
 
         let packed = pack_ref(index, seq);
@@ -301,7 +325,11 @@ impl DcssArena {
         // the status word so every participant sees the same outcome.
         self.complete(packed);
         let st = d.status.load(Ordering::SeqCst);
-        debug_assert_eq!(st >> 2, seq, "status overwritten before retirement");
+        debug_assert_eq!(
+            st >> 2,
+            seq & SEQ_MASK,
+            "status overwritten before retirement"
+        );
         if st & 0b11 == ST_SUCCESS {
             DcssResult::Success
         } else {
@@ -364,7 +392,7 @@ impl DcssArena {
         let addr1 = unsafe { &*snap.addr1 };
         let addr2 = unsafe { &*snap.addr2 };
 
-        let undecided = (seq << 2) | ST_UNDECIDED;
+        let undecided = status_word(seq, ST_UNDECIDED);
         if d.status.load(Ordering::SeqCst) == undecided {
             let v2 = addr2.load(Ordering::SeqCst);
             let verdict = if v2 == snap.exp2 {
@@ -375,7 +403,7 @@ impl DcssArena {
             // First CAS wins; all later helpers adopt the agreed verdict.
             let _ = d.status.compare_exchange(
                 undecided,
-                (seq << 2) | verdict,
+                status_word(seq, verdict),
                 Ordering::SeqCst,
                 Ordering::SeqCst,
             );
@@ -441,6 +469,43 @@ mod tests {
         let arena = DcssArena::new(1);
         let a = AtomicU64::new(42);
         assert_eq!(arena.read(&a), 42);
+    }
+
+    /// The 2⁴⁸ edge of a descriptor's incarnation: `status` held the full
+    /// `seq` while `complete` compared the masked one, so from 2⁴⁸ on an
+    /// owner whose guard held got `SecondMismatch` and left its marked
+    /// reference in the slot, where every later `read` helped forever.
+    /// Both descriptors of one thread start six below the edge and cross
+    /// it, a guard that holds and one that does not in turn.
+    #[test]
+    fn descriptor_seq_crosses_two_to_the_48() {
+        let arena = DcssArena::with_seq_start(1, (1 << 48) - 6);
+        let (a, b) = (AtomicU64::new(0), AtomicU64::new(0));
+        for i in 0..12u64 {
+            assert_eq!(
+                arena.dcss(0, &a, i, i + 1, &b, 0),
+                DcssResult::Success,
+                "call {i}"
+            );
+            assert_eq!(
+                a.load(Ordering::SeqCst),
+                i + 1,
+                "call {i} left its reference"
+            );
+            let guard_moved = arena.dcss(0, &a, i + 1, 99, &b, 1);
+            assert_eq!(guard_moved, DcssResult::SecondMismatch, "call {i}");
+            assert_eq!(
+                a.load(Ordering::SeqCst),
+                i + 1,
+                "call {i} left its reference"
+            );
+        }
+        for d in arena.descriptors.iter() {
+            assert!(
+                d.seq.load(Ordering::SeqCst) > 1 << 48,
+                "the edge was crossed"
+            );
+        }
     }
 
     #[test]

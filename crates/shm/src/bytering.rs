@@ -1,5 +1,5 @@
 //! **Cross-process variable-length byte ring** — a
-//! [`RelocByteRing`](bq_core::relocatable::RelocByteRing) served out of an
+//! [`RelocByteRing`] served out of an
 //! `mmap`-shared [`ShmSegment`], carrying length-prefixed messages between
 //! one producer *process* and one consumer *process* with zero copies on
 //! either side (DESIGN.md §12; the ARINC 653 queuing-port shape of

@@ -33,7 +33,7 @@
 //!   stamps, feeding the Wing–Gong pool checker in `bq-sim`.
 //!
 //! In-process, `ShmQueue<u64>` also implements the workspace-wide
-//! [`ConcurrentQueue`](bq_core::ConcurrentQueue) interface, which is how
+//! [`ConcurrentQueue`] interface, which is how
 //! it joins the bench registry and inherits the whole conformance suite.
 
 #![deny(missing_docs)]

@@ -23,7 +23,7 @@ use bq_baselines::TwoNullQueue;
 use bq_core::{
     AsyncQueue, BlockingQueue, ConcurrentQueue, DcssQueue, DistinctQueue, EventCount, NaiveQueue,
     OptimalQueue, OrderingMutant, RecvTimeoutError, RelocBox, RelocRing, SegmentQueue,
-    ShardedQueue, SimAtomicU64, SimCondvar, SimMutex,
+    ShardedQueue, SimAtomicU64, SimCondvar, SimMutex, Spin,
 };
 use bq_sim::explore::{
     explore, replay, tell, Choice, ExploreConfig, Report, RunOutcomeKind, RunSpec, ThreadStatus,
@@ -243,7 +243,11 @@ fn optimal_2p1c_all_interleavings_to_bound3() {
 
 /// The pins for [`optimal_2p1c_all_interleavings_to_bound3`], (bound 3,
 /// bound 2), asserted identically in the obs-on and obs-off explorer lanes.
-const OPTIMAL_2P1C_PINNED_EXECUTIONS: (u64, u64) = (18_641, 8_023);
+/// They read (18 641, 8 023) until a dequeue that snapshots `e = d` stopped
+/// calling `read_elem` (DESIGN.md §8.1): per empty dequeue, the scan
+/// bound's `next_tid` load, one load per registered slot and the cell load
+/// are gone.
+const OPTIMAL_2P1C_PINNED_EXECUTIONS: (u64, u64) = (11_272, 5_879);
 
 /// The race the bounded scan introduces (DESIGN.md §7.2): `find_op` reads
 /// the registered count and scans that prefix of the announcement array,
@@ -291,8 +295,10 @@ fn optimal_late_registration_races_the_bounded_scan() {
 /// asserted identically in the obs-on and obs-off explorer lanes. It read
 /// 13 574 while a descriptor was five words: the accesses that left with
 /// the three-word descriptor are named at
-/// [`OBS_INVARIANCE_PINNED_EXECUTIONS`].
-const LATE_REGISTRATION_PINNED_EXECUTIONS: u64 = 11_304;
+/// [`OBS_INVARIANCE_PINNED_EXECUTIONS`]. It read 11 304 until the empty
+/// dequeue stopped scanning (the accesses named at
+/// [`OPTIMAL_2P1C_PINNED_EXECUTIONS`]).
+const LATE_REGISTRATION_PINNED_EXECUTIONS: u64 = 6_540;
 
 /// Listing 5's run dequeue (DESIGN.md §8.1) against a single-element rival:
 /// an `OptimalQueue` with `C = 2`, two producers (11, 22), a consumer
@@ -402,7 +408,9 @@ fn optimal_run_dequeue_races_a_single_rival() {
 
 /// The pins for [`optimal_run_dequeue_races_a_single_rival`], (bound 3,
 /// bound 2), asserted identically in the obs-on and obs-off explorer lanes.
-const RUN_DEQUEUE_PINNED_EXECUTIONS: (u64, u64) = (409_900, 62_888);
+/// They read (409 900, 62 888) until the rival's empty dequeue stopped
+/// scanning (the accesses named at [`OPTIMAL_2P1C_PINNED_EXECUTIONS`]).
+const RUN_DEQUEUE_PINNED_EXECUTIONS: (u64, u64) = (281_704, 50_365);
 
 /// A run that comes up short (DESIGN.md §8.1): `C = 2`, one producer
 /// enqueueing 1, 2 and 3 — the third refused once the first two are in —
@@ -570,21 +578,24 @@ enum MutantPin {
 /// asserted identically in the obs-on and obs-off explorer lanes. Short
 /// run has one producer, whose own `enqueues` CAS after the write-back
 /// publishes it to every dequeuer: there a `Relaxed` clearing CAS is no
-/// bug, and none is reported.
+/// bug, and none is reported. Late registration read 12 (the first two
+/// mutants) and 131, 2P+1C 281 and run vs rival 3 047 for the third,
+/// until the empty dequeue stopped scanning (the accesses named at
+/// [`OPTIMAL_2P1C_PINNED_EXECUTIONS`]): every mutant is still found.
 const MUTANT_PINNED: [(OrderingMutant, [MutantPin; 4]); 3] = {
     use MutantPin::{Found, Passes};
     [
         (
             OrderingMutant::RelaxedAnnounce,
-            [Found(7), Found(12), Found(115), Found(10)],
+            [Found(7), Found(87), Found(115), Found(10)],
         ),
         (
             OrderingMutant::RelaxedSlotLoad,
-            [Found(7), Found(12), Found(115), Found(10)],
+            [Found(7), Found(87), Found(115), Found(10)],
         ),
         (
             OrderingMutant::RelaxedClear,
-            [Found(281), Found(131), Found(3_047), Passes(81)],
+            [Found(245), Found(95), Found(3_026), Passes(81)],
         ),
     ]
 };
@@ -723,7 +734,9 @@ fn obs_counters_add_no_scheduling_points() {
 /// occupied slot, the separate `status` load is gone. `decide`, `put_op`'s
 /// verdict read and `free_desc` are one access each, as before, on the
 /// merged word. The 64-byte lanes and hot words move addresses, no access.
-const OBS_INVARIANCE_PINNED_EXECUTIONS: u64 = 47;
+/// It read 47 until the consumer's empty dequeues stopped scanning (the
+/// accesses named at [`OPTIMAL_2P1C_PINNED_EXECUTIONS`]).
+const OBS_INVARIANCE_PINNED_EXECUTIONS: u64 = 38;
 
 // ---------------------------------------------------------------------------
 // E4/E8 on the shipped counter queues (DESIGN.md §2, §11.4)
@@ -1203,7 +1216,7 @@ fn eventcount_waiters_never_park_past_the_publish() {
         });
         let waiter = |w: Arc<EcWorld>| {
             move |_ctx: &mut bq_sim::explore::Ctx| {
-                w.ec.wait_until(|| {
+                w.ec.wait_until(Spin::Generation, || {
                     if w.flag.load(Ordering::SeqCst) == 1 {
                         Some(())
                     } else {
@@ -1291,8 +1304,13 @@ const EVENTCOUNT_PINNED_EXECUTIONS: u64 = 481;
 /// wake-first executions with the sender's two claim stores and the
 /// receiver's `i` and `status` loads. The `sleepers` count (above) added
 /// four wake-first executions: (164, 78, 86). Dropping the notifier's
-/// second `waiters` load (above) removed two: (162, 78, 84).
-const TIMED_RECV_PINNED: (u64, usize, usize) = (162, 78, 84);
+/// second `waiters` load (above) removed two: (162, 78, 84). The receive
+/// then began to poll before it announces (DESIGN.md §9.1; the budget is
+/// 1 under the explorer): its round's generation load after the
+/// announced re-attempt became one unannounced attempt before the
+/// announcement, and each of its empty dequeues lost the `read_elem`
+/// accesses named at [`OPTIMAL_2P1C_PINNED_EXECUTIONS`]: (139, 66, 73).
+const TIMED_RECV_PINNED: (u64, usize, usize) = (139, 66, 73);
 /// The pins for the two `RelocRing` grant scenarios, likewise asserted in
 /// both lanes. Recorded on `RelocRing::claim`, the one scan → claim loop.
 /// The six hand-written loops it replaced read 1 894 and 239: on a miss
@@ -1317,7 +1335,7 @@ fn eventcount_teeth_wake_before_publish_is_caught() {
         let waiter = {
             let w = Arc::clone(&w);
             move |_ctx: &mut bq_sim::explore::Ctx| {
-                w.ec.wait_until(|| {
+                w.ec.wait_until(Spin::Generation, || {
                     if w.flag.load(Ordering::SeqCst) == 1 {
                         Some(())
                     } else {
@@ -1601,8 +1619,10 @@ fn quarantine_racing_enqueues_conserves_elements() {
 }
 
 /// The pin for [`quarantine_racing_enqueues_conserves_elements`], asserted
-/// identically in the obs-on and obs-off explorer lanes.
-const QUARANTINE_PINNED_EXECUTIONS: u64 = 4_013;
+/// identically in the obs-on and obs-off explorer lanes. It read 4 013
+/// until the drain's empty dequeues stopped scanning (the accesses named
+/// at [`OPTIMAL_2P1C_PINNED_EXECUTIONS`]).
+const QUARANTINE_PINNED_EXECUTIONS: u64 = 2_773;
 
 // ---------------------------------------------------------------------------
 // Async cancellation: drop a pending recv future at every yield point

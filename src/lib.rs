@@ -10,15 +10,15 @@
 //!
 //! This facade crate re-exports the workspace:
 //!
-//! * [`core`](bq_core) — the queue algorithms (Listings 1–5 + strawman);
-//! * [`llsc`](bq_llsc) / [`dcss`](bq_dcss) — synchronization substrates;
-//! * [`memtrack`](bq_memtrack) — the memory-overhead accounting;
-//! * [`baselines`](bq_baselines) — Michael–Scott, Vyukov, SCQ-style,
+//! * [`core`] — the queue algorithms (Listings 1–5 + strawman);
+//! * [`llsc`] / [`dcss`] — synchronization substrates;
+//! * [`memtrack`] — the memory-overhead accounting;
+//! * [`baselines`] — Michael–Scott, Vyukov, SCQ-style,
 //!   Tsigas–Zhang model, mutex ring;
-//! * [`sim`](bq_sim) — the linearizability checker and schedule explorer
+//! * [`sim`] — the linearizability checker and schedule explorer
 //!   (its lower-bound adversary needs `bq-sim`'s `explore` feature, which
 //!   this crate leaves off);
-//! * [`shm`](bq_shm) — the shared-memory multi-process backend (mmap
+//! * [`shm`] — the shared-memory multi-process backend (mmap
 //!   segments, crash-consistent `ShmQueue`, fork harness).
 //!
 //! Start with [`prelude`], the examples in `examples/`, and DESIGN.md /
@@ -41,7 +41,7 @@ pub mod prelude {
     pub use bq_core::{
         byte_ring, spsc_ring, AsyncQueue, BlockingQueue, BoxedQueue, ByteConsumer, ByteProducer,
         ConcurrentQueue, DcssQueue, DistinctQueue, EventCount, Full, LlScQueue, NaiveQueue,
-        OptimalQueue, SegmentQueue, SendError, SeqRingQueue, ShardedQueue, SpscConsumer,
+        OptimalQueue, SegmentQueue, SendError, SeqRingQueue, ShardedQueue, Spin, SpscConsumer,
         SpscProducer, TimeLimit, TokenGen, TryRecvError, TrySendError, WaitFuture,
     };
     pub use bq_memtrack::MemoryFootprint;
