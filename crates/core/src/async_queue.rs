@@ -107,8 +107,8 @@ impl<T: Send, Q: PointerCapable> AsyncQueue<T, Q> {
         &'a self,
         h: &'a mut BoxedHandle<Q>,
         value: T,
-    ) -> WaitFuture<'a, T, Q, SendOp<T, Q>, Result<(), SendError<T>>> {
-        self.wait(h, SendOp::new(&self.sync, value), TimeLimit::Forever)
+    ) -> WaitFuture<'a, T, Q, SendOp<T>, Result<(), SendError<T>>> {
+        self.wait(h, SendOp(Some(value)), TimeLimit::Forever)
     }
 
     /// Dequeue, resolving to `Some(v)` when an element arrives, or
@@ -158,8 +158,8 @@ impl<T: Send, Q: PointerCapable> AsyncQueue<T, Q> {
         h: &'a mut BoxedHandle<Q>,
         value: T,
         limit: impl Into<TimeLimit>,
-    ) -> WaitFuture<'a, T, Q, SendOp<T, Q>> {
-        self.wait(h, SendOp::new(&self.sync, value), limit.into())
+    ) -> WaitFuture<'a, T, Q, SendOp<T>> {
+        self.wait(h, SendOp(Some(value)), limit.into())
     }
 
     /// [`recv`](Self::recv) under a [`TimeLimit`]; see
@@ -353,7 +353,6 @@ impl<T: Send, Q: PointerCapable, Op: WaitOp<T, Q>, R> Drop for WaitFuture<'_, T,
 mod tests {
     use super::*;
     use crate::blocking::{RecvTimeoutError, SendTimeoutError};
-    use crate::event::Spin;
     use crate::optimal::OptimalQueue;
     use crate::sharded::ShardedQueue;
     use pollster::block_on;
@@ -615,7 +614,6 @@ mod tests {
         struct PanicsOnReattempt(u32);
         impl WaitOp<u64, OptimalQueue> for PanicsOnReattempt {
             type Out = ();
-            const SPIN: Spin = Spin::Generation;
             fn event(q: &BlockingQueue<u64, OptimalQueue>) -> &EventCount {
                 q.not_empty_event()
             }

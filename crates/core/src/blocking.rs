@@ -48,7 +48,7 @@ use std::sync::atomic::Ordering;
 
 use crate::simx::SimAtomicBool;
 
-use crate::boxed::{take_all, take_one, BoxedHandle, BoxedQueue, PointerCapable};
+use crate::boxed::{take_all, BoxedHandle, BoxedQueue, PointerCapable};
 use crate::event::{EventCount, Spin, TimeLimit};
 
 /// Error returned by a blocking/async `send` on a closed queue: carries
@@ -156,12 +156,6 @@ pub trait WaitOp<T: Send, Q: PointerCapable> {
     /// methods map it onto their narrower types ([`FromOutcome`]).
     type Out;
 
-    /// How a thread spends its spin before parking (DESIGN.md §9.1):
-    /// [`Spin::Attempt`] for an operation one peer transition satisfies,
-    /// [`Spin::Generation`] for a batch, whose peer publishes once per
-    /// batch.
-    const SPIN: Spin;
-
     /// The eventcount this operation parks on.
     fn event(q: &BlockingQueue<T, Q>) -> &EventCount;
 
@@ -190,6 +184,27 @@ pub trait WaitOp<T: Send, Q: PointerCapable> {
         }
     }
 }
+
+/// How a thread running a [`WaitOp`] spends its spin before it parks
+/// (DESIGN.md §9.1), a constant of the operation's type. Only `recv`
+/// polls (`Spin::Attempt`): one element satisfies it, and a failed
+/// attempt on an empty queue is two counter loads. A batch's peer
+/// publishes once per batch, so a polling `recv_many` would take the
+/// first sliver of it; a blocked `send` keeps the generation spin too,
+/// for no workload has measured a polling one. Tasks never spin.
+pub(crate) trait Spun {
+    const SPIN: Spin = Spin::Generation;
+}
+
+impl<T> Spun for SendOp<T> {}
+
+impl Spun for RecvOp {
+    const SPIN: Spin = Spin::Attempt;
+}
+
+impl<T: Send, Q: PointerCapable> Spun for SendAllOp<T, Q> {}
+
+impl Spun for RecvManyOp {}
 
 /// A result type that a [`WaitOp::Out`] maps onto: itself (the `*_within`
 /// methods), or the narrower type of the untimed method. The map is
@@ -224,79 +239,43 @@ impl<T> FromOutcome<Result<Vec<T>, RecvTimeoutError>> for Vec<T> {
     }
 }
 
-/// `send`: the value, boxed **once** into its token, waiting for a slot.
-/// A refused attempt keeps the token for the next, so a wait costs no
-/// allocation per attempt; the token belongs to this value until the queue
-/// takes it — handed back on close or expiry, dropped with it when the wait
-/// is abandoned (a cancelled future, a panic unwinding through the wait).
-pub struct SendOp<T: Send, Q: PointerCapable> {
-    token: Option<u64>,
-    _owns: PhantomData<(T, fn() -> Q)>,
-}
+/// `send`: the value waiting for a slot. Each attempt takes it out and a
+/// `Full` refusal puts it back, so whatever ends the wait — an error
+/// return, a cancelled future's drop — still owns it.
+pub struct SendOp<T>(pub(crate) Option<T>);
 
-impl<T: Send, Q: PointerCapable> SendOp<T, Q> {
-    pub(crate) fn new(q: &BlockingQueue<T, Q>, value: T) -> Self {
-        SendOp {
-            token: Some(q.inner.box_one(value)),
-            _owns: PhantomData,
-        }
-    }
-
-    /// Move the value out; it is disowned first, as in
-    /// [`SendAllOp::take_unsent`].
-    fn value(&mut self, q: Option<&BlockingQueue<T, Q>>) -> T {
-        let token = self
-            .token
+impl<T> SendOp<T> {
+    fn value(&mut self) -> T {
+        self.0
             .take()
-            .expect("the value is owned until the send ends");
-        // SAFETY: the queue never accepted the token, and taking it out of
-        // `self.token` above disowned it.
-        unsafe { take_one(token, q.map(|q| &q.inner)) }
+            .expect("the value is present until the send ends")
     }
 }
 
-impl<T: Send, Q: PointerCapable> Drop for SendOp<T, Q> {
-    fn drop(&mut self) {
-        if self.token.is_some() {
-            drop(self.value(None));
-        }
-    }
-}
-
-impl<T: Send, Q: PointerCapable> WaitOp<T, Q> for SendOp<T, Q> {
+impl<T: Send, Q: PointerCapable> WaitOp<T, Q> for SendOp<T> {
     type Out = Result<(), SendTimeoutError<T>>;
-
-    const SPIN: Spin = Spin::Attempt;
 
     fn event(q: &BlockingQueue<T, Q>) -> &EventCount {
         &q.not_full
     }
 
     fn attempt(&mut self, q: &BlockingQueue<T, Q>, h: &mut BoxedHandle<Q>) -> Option<Self::Out> {
-        if q.is_closed() {
-            return Some(self.closed(q, h));
+        match q.try_send(h, self.value()) {
+            Ok(()) => Some(Ok(())),
+            Err(TrySendError::Closed(v)) => Some(Err(SendTimeoutError::Closed(v))),
+            Err(TrySendError::Full(v)) => {
+                self.0 = Some(v);
+                None
+            }
         }
-        // Disowned for the call, as `SendAllOp` disowns its run: after a
-        // panic in the inner queue nobody can say whether it took the
-        // token, so it leaks rather than risk a second free.
-        let token = self
-            .token
-            .take()
-            .expect("the value is owned until the send ends");
-        if q.contain(|| q.inner.enqueue_token(h, token)) {
-            q.not_empty.wake_all();
-            return Some(Ok(()));
-        }
-        self.token = Some(token);
-        None
     }
 
-    fn closed(&mut self, q: &BlockingQueue<T, Q>, _h: &mut BoxedHandle<Q>) -> Self::Out {
-        Err(SendTimeoutError::Closed(self.value(Some(q))))
+    fn closed(&mut self, _q: &BlockingQueue<T, Q>, _h: &mut BoxedHandle<Q>) -> Self::Out {
+        Err(SendTimeoutError::Closed(self.value()))
     }
 
     fn timed_out(&mut self) -> Self::Out {
-        Err(SendTimeoutError::Timeout(self.value(None)))
+        Err(SendTimeoutError::Timeout(self.value()))
     }
 }
 
@@ -306,8 +285,6 @@ pub struct RecvOp;
 
 impl<T: Send, Q: PointerCapable> WaitOp<T, Q> for RecvOp {
     type Out = Result<T, RecvTimeoutError>;
-
-    const SPIN: Spin = Spin::Attempt;
 
     fn event(q: &BlockingQueue<T, Q>) -> &EventCount {
         &q.not_empty
@@ -374,8 +351,6 @@ impl<T: Send, Q: PointerCapable> Drop for SendAllOp<T, Q> {
 impl<T: Send, Q: PointerCapable> WaitOp<T, Q> for SendAllOp<T, Q> {
     type Out = Result<(), SendTimeoutError<Vec<T>>>;
 
-    const SPIN: Spin = Spin::Generation;
-
     fn event(q: &BlockingQueue<T, Q>) -> &EventCount {
         &q.not_full
     }
@@ -420,8 +395,6 @@ impl RecvManyOp {
 
 impl<T: Send, Q: PointerCapable> WaitOp<T, Q> for RecvManyOp {
     type Out = Result<Vec<T>, RecvTimeoutError>;
-
-    const SPIN: Spin = Spin::Generation;
 
     fn event(q: &BlockingQueue<T, Q>) -> &EventCount {
         &q.not_empty
@@ -562,20 +535,20 @@ impl<T: Send, Q: PointerCapable> BlockingQueue<T, Q> {
 
     /// Drive `op` to completion on the calling thread: the one place a
     /// blocking method waits. `R` is the caller's result type.
-    fn wait<Op: WaitOp<T, Q>, R: FromOutcome<Op::Out>>(
+    fn wait<Op: WaitOp<T, Q> + Spun, R: FromOutcome<Op::Out>>(
         &self,
         h: &mut BoxedHandle<Q>,
         mut op: Op,
         limit: TimeLimit,
     ) -> R {
-        let out = Op::event(self).wait(Op::SPIN, limit, || op.attempt(self, h));
+        let out = Op::event(self).wait_as(Op::SPIN, limit, || op.attempt(self, h));
         R::from_outcome(out.unwrap_or_else(|| op.expired(self, h)))
     }
 
     /// Enqueue, waiting while the queue is full. Fails only when the
     /// queue is (or becomes) closed, returning the value.
     pub fn send(&self, h: &mut BoxedHandle<Q>, value: T) -> Result<(), SendError<T>> {
-        self.wait(h, SendOp::new(self, value), TimeLimit::Forever)
+        self.wait(h, SendOp(Some(value)), TimeLimit::Forever)
     }
 
     /// [`send`](Self::send) under a [`TimeLimit`]: pass an `Instant`
@@ -592,7 +565,7 @@ impl<T: Send, Q: PointerCapable> BlockingQueue<T, Q> {
         value: T,
         limit: impl Into<TimeLimit>,
     ) -> Result<(), SendTimeoutError<T>> {
-        self.wait(h, SendOp::new(self, value), limit.into())
+        self.wait(h, SendOp(Some(value)), limit.into())
     }
 
     /// Non-blocking dequeue.
@@ -1120,30 +1093,49 @@ mod tests {
 
     #[test]
     fn close_landing_in_the_spin_reports_closed() {
-        // close() the moment the receiver announces: with a core each, a
-        // batch receive is then inside its generation spin. (A `recv`
-        // polls before it announces, so a close in its spin is any close
-        // that lands early.) Whichever step of the round the wake lands
-        // on, the wait ends Closed — never Timeout, never a hang.
+        // close() while the receiver spins. A batch receive spins after it
+        // announces: close the moment it does, and with a core each that
+        // is inside its generation spin. A `recv` polls before it
+        // announces: close the moment it starts (its first attempt or its
+        // poll) or the moment it announces (its re-attempt or its park),
+        // in alternate rounds. Whichever step the wake lands on, the wait
+        // ends Closed — never Timeout, never a hang.
         const ROUNDS: u64 = 200;
-        let mut spin_wakes = 0;
-        for _ in 0..ROUNDS {
-            let q = make(4, 1);
-            std::thread::scope(|s| {
-                let receiver =
-                    s.spawn(|| q.recv_many_within(&mut q.register(), 4, Duration::from_secs(60)));
-                while q.not_empty_event().waiter_count() == 0 {
-                    std::hint::spin_loop();
-                }
-                q.close();
-                assert_eq!(receiver.join().unwrap(), Err(RecvTimeoutError::Closed));
-            });
-            assert_eq!(q.not_empty_event().waiter_count(), 0);
-            spin_wakes += q.metrics().get("not_empty.spin_wakes").unwrap_or(0);
-        }
-        if cfg!(feature = "obs") && std::thread::available_parallelism().is_ok_and(|n| n.get() >= 2)
-        {
-            assert!(spin_wakes > 0, "no close in {ROUNDS} landed in the spin");
+        for batch in [true, false] {
+            let mut spin_wakes = 0;
+            for round in 0..ROUNDS {
+                let q = make(4, 1);
+                let started = std::sync::atomic::AtomicBool::new(false);
+                std::thread::scope(|s| {
+                    let receiver = s.spawn(|| {
+                        let mut h = q.register();
+                        let within = Duration::from_secs(60);
+                        started.store(true, Ordering::SeqCst);
+                        if batch {
+                            q.recv_many_within(&mut h, 4, within).map(drop)
+                        } else {
+                            q.recv_within(&mut h, within).map(drop)
+                        }
+                    });
+                    let at_start = !batch && round % 2 == 0;
+                    while !started.load(Ordering::SeqCst)
+                        || !at_start && q.not_empty_event().waiter_count() == 0
+                    {
+                        std::hint::spin_loop();
+                    }
+                    q.close();
+                    let out = receiver.join().unwrap();
+                    assert_eq!(out, Err(RecvTimeoutError::Closed), "batch {batch}");
+                });
+                assert_eq!(q.not_empty_event().waiter_count(), 0, "batch {batch}");
+                spin_wakes += q.metrics().get("not_empty.spin_wakes").unwrap_or(0);
+            }
+            if batch
+                && cfg!(feature = "obs")
+                && std::thread::available_parallelism().is_ok_and(|n| n.get() >= 2)
+            {
+                assert!(spin_wakes > 0, "no close in {ROUNDS} landed in the spin");
+            }
         }
     }
 
@@ -1374,7 +1366,7 @@ mod tests {
         }
     }
 
-    /// `SendOp` owns its boxed value until the queue takes it: however a
+    /// `SendOp` holds its value until the queue takes it: however a
     /// waiting `send` ends — close, expiry, a cancelled future, a send on
     /// a closed queue, or success — its value is dropped exactly once.
     #[test]

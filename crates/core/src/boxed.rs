@@ -160,17 +160,9 @@ pub(crate) unsafe fn take_all<T, Q: PointerCapable>(
     tokens: &[u64],
     q: Option<&BoxedQueue<T, Q>>,
 ) -> Vec<T> {
+    let slots = q.map_or(&[][..], |q| &q.run_slots[..]);
     // SAFETY: the caller's guarantee, token by token.
-    tokens.iter().map(|&t| unsafe { take_one(t, q) }).collect()
-}
-
-/// [`take_all`] for one token.
-///
-/// # Safety
-/// As for [`take_all`].
-pub(crate) unsafe fn take_one<T, Q: PointerCapable>(token: u64, q: Option<&BoxedQueue<T, Q>>) -> T {
-    // SAFETY: the caller's guarantee.
-    unsafe { take(token, q.map_or(&[][..], |q| &q.run_slots[..])) }
+    tokens.iter().map(|&t| unsafe { take(t, slots) }).collect()
 }
 
 /// A bounded queue of owned `T` values over a pointer-capable token queue.
@@ -229,12 +221,11 @@ impl<T: Send, Q: PointerCapable> BoxedQueue<T, Q> {
 
     /// Enqueue an owned value; returns it back when the queue is full.
     pub fn enqueue(&self, h: &mut BoxedHandle<Q>, value: T) -> Result<(), T> {
-        let token = self.box_one(value);
-        if self.enqueue_token(h, token) {
-            Ok(())
-        } else {
+        let token = self.box_run(&mut std::iter::once(value), 1);
+        match self.inner.enqueue(&mut h.inner, token) {
+            Ok(()) => Ok(()),
             // SAFETY: the token was rejected, so it is still ours to take.
-            Err(unsafe { take(token, &self.run_slots) })
+            Err(_) => Err(unsafe { take(token, &self.run_slots) }),
         }
     }
 
@@ -298,18 +289,6 @@ impl<T: Send, Q: PointerCapable> BoxedQueue<T, Q> {
             "run {first:#x} of {len} leaves the inner queue's token domain"
         );
         first
-    }
-
-    /// Box one value in a run of one; returns its token.
-    pub(crate) fn box_one(&self, value: T) -> u64 {
-        self.box_run(&mut std::iter::once(value), 1)
-    }
-
-    /// Enqueue one already-boxed token; `false` when the queue refused it,
-    /// which leaves it the caller's, as in
-    /// [`enqueue_tokens`](Self::enqueue_tokens).
-    pub(crate) fn enqueue_token(&self, h: &mut BoxedHandle<Q>, token: u64) -> bool {
-        self.inner.enqueue(&mut h.inner, token).is_ok()
     }
 
     /// Box `items` in order, in runs of up to `run_cap::<T>()`: one token

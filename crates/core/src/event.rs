@@ -44,17 +44,19 @@
 //!
 //! A thread spends at most one budget per round spinning — about as long
 //! as one park + wake hop costs, the classic bound — in one of two ways,
-//! fixed by what it waits for ([`Spin`]):
+//! fixed inside the crate by what it waits for (`Spin`; the public
+//! [`EventCount::wait`] always watches the word):
 //!
-//! * **Poll, then announce** ([`Spin::Attempt`], one element or one
-//!   slot): before announcing, re-attempt the operation each iteration.
+//! * **Poll, then announce** (`Spin::Attempt`, a blocking `recv`): before
+//!   announcing, re-attempt the operation each iteration.
 //!   Nobody is announced yet, so a notifier in the window stays on its
 //!   one-load path, and a hand-off between two *running* threads costs
 //!   the peer nothing but the cache line it writes anyway. Only when the
 //!   poll runs out does the round announce, snapshot, re-attempt and
 //!   park, exactly as above: the poll adds attempts before a step the
 //!   protocol already starts from, so every ordering argument holds.
-//! * **Announce, then watch the word** ([`Spin::Generation`], batches):
+//! * **Announce, then watch the word** (`Spin::Generation`, everything
+//!   else):
 //!   between the announced re-attempt and the park, watch the generation.
 //!   The spinner is announced, so a notifier that lands in the window
 //!   *must* bump the word being watched; when it does, the waiter
@@ -175,18 +177,19 @@ impl ParkTimer {
 /// How a waiting thread spends its spin before it parks (DESIGN.md §9.1).
 /// What is waited for decides it, not the caller's taste: each façade
 /// operation names its kind as a constant
-/// ([`WaitOp::SPIN`](crate::blocking::WaitOp::SPIN)).
+/// ([`Spun::SPIN`](crate::blocking::Spun::SPIN)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Spin {
+pub(crate) enum Spin {
     /// Poll, then announce: re-attempt the operation unannounced, up to
-    /// the budget, and announce only once polling has failed. For an
-    /// operation that one peer transition satisfies (one element, one
-    /// slot): a failed attempt is a few loads, and a notifier that finds
-    /// nobody announced stays on its one-load path.
+    /// the budget, and announce only once polling has failed. For a
+    /// `recv`: one element satisfies it, a failed attempt is two counter
+    /// loads, and a notifier that finds nobody announced stays on its
+    /// one-load path.
     Attempt,
-    /// Announce, then watch the generation word. For batch operations:
-    /// the peer publishes once per batch, and a polling attempt would
-    /// take the first sliver of it.
+    /// Announce, then watch the generation word. For everything else: a
+    /// batch's peer publishes once per batch, so a polling attempt would
+    /// take the first sliver of it, and each attempt of a `send` boxes
+    /// its value.
     Generation,
 }
 
@@ -281,11 +284,9 @@ impl EventCount {
     /// Thread-parking waiter half, the **one wait loop**: run `attempt`
     /// until it returns `Some(r)` or `limit` passes, parking between
     /// failed attempts with the announce → snapshot → re-attempt →
-    /// park-if-unchanged protocol, each round spun as `spin` says (before
-    /// the announcement for [`Spin::Attempt`], after the re-attempt for
-    /// [`Spin::Generation`]). Returns `None` on expiry — after one final
-    /// attempt, so a transition racing the deadline is still taken, never
-    /// dropped on the floor.
+    /// spin → park-if-unchanged protocol. Returns `None` on expiry —
+    /// after one final attempt, so a transition racing the deadline is
+    /// still taken, never dropped on the floor.
     ///
     /// The limit decides one step only: which condvar wait the park is.
     /// Every instrumented access around it is the same with and without
@@ -293,7 +294,15 @@ impl EventCount {
     /// pinned to the clock at the **first park** (after that round's
     /// spin), so an operation that succeeds without parking never reads
     /// it (the E16 property).
-    pub fn wait<R>(
+    pub fn wait<R>(&self, limit: TimeLimit, attempt: impl FnMut() -> Option<R>) -> Option<R> {
+        self.wait_as(Spin::Generation, limit, attempt)
+    }
+
+    /// [`wait`](Self::wait) with each round spun as `spin` says: before
+    /// the announcement for `Spin::Attempt`, after the re-attempt for
+    /// `Spin::Generation`. The façade's one driver is the only caller
+    /// that chooses.
+    pub(crate) fn wait_as<R>(
         &self,
         spin: Spin,
         mut limit: TimeLimit,
@@ -391,8 +400,8 @@ impl EventCount {
     }
 
     /// [`wait`](Self::wait) with no limit: parks until `attempt` succeeds.
-    pub fn wait_until<R>(&self, spin: Spin, attempt: impl FnMut() -> Option<R>) -> R {
-        self.wait(spin, TimeLimit::Forever, attempt)
+    pub fn wait_until<R>(&self, attempt: impl FnMut() -> Option<R>) -> R {
+        self.wait(TimeLimit::Forever, attempt)
             .expect("a wait without a limit ends only when the attempt succeeds")
     }
 
@@ -613,7 +622,7 @@ mod tests {
             let ec = Arc::clone(&ec);
             let go = Arc::clone(&go);
             std::thread::spawn(move || {
-                ec.wait_until(Spin::Generation, || go.load(Ordering::SeqCst).then_some(()));
+                ec.wait_until(|| go.load(Ordering::SeqCst).then_some(()));
             })
         };
         std::thread::sleep(std::time::Duration::from_millis(20));
@@ -630,7 +639,7 @@ mod tests {
     #[test]
     fn wait_until_immediate_success_never_announces() {
         let ec = EventCount::new();
-        assert_eq!(ec.wait_until(Spin::Generation, || Some(7)), 7);
+        assert_eq!(ec.wait_until(|| Some(7)), 7);
         assert_eq!(ec.waiter_count(), 0);
     }
 
@@ -639,7 +648,7 @@ mod tests {
         let ec = EventCount::new();
         let mut calls = 0u32;
         let start = Instant::now();
-        let r = ec.wait(Spin::Generation, Duration::from_millis(30).into(), || {
+        let r = ec.wait(Duration::from_millis(30).into(), || {
             calls += 1;
             None::<()>
         });
@@ -659,7 +668,7 @@ mod tests {
             let ec = Arc::clone(&ec);
             std::thread::spawn(move || {
                 let deadline = Instant::now() + Duration::from_millis(80);
-                ec.wait(Spin::Generation, deadline.into(), || None::<()>)
+                ec.wait(deadline.into(), || None::<()>)
             })
         };
         while ec.waiter_count() == 0 {
@@ -681,9 +690,7 @@ mod tests {
         let id = ec.register(ec.generation(), &w).unwrap();
         ec.deregister(id);
         // A timed wait that never succeeds parks and expires.
-        let r = ec.wait(Spin::Generation, Duration::from_millis(5).into(), || {
-            None::<()>
-        });
+        let r = ec.wait(Duration::from_millis(5).into(), || None::<()>);
         assert!(r.is_none());
         let mut snap = MetricsSnapshot::new();
         ec.snapshot_into("ec.", &mut snap);
@@ -723,7 +730,7 @@ mod tests {
         for spin in [Spin::Attempt, Spin::Generation] {
             let ec = EventCount::new();
             let (start, cpu_start) = (Instant::now(), thread_cpu());
-            let r = ec.wait(spin, Duration::from_millis(50).into(), || None::<()>);
+            let r = ec.wait_as(spin, Duration::from_millis(50).into(), || None::<()>);
             let (waited, burnt) = (start.elapsed(), thread_cpu() - cpu_start);
             assert!(r.is_none(), "condition never became true");
             assert!(
@@ -751,7 +758,7 @@ mod tests {
     fn a_poll_runs_unannounced_and_wakes_stay_on_the_one_load_path() {
         let ec = EventCount::new();
         let mut calls = 0;
-        let r = ec.wait_until(Spin::Attempt, || {
+        let r = ec.wait_as(Spin::Attempt, TimeLimit::Forever, || {
             calls += 1;
             assert_eq!(ec.waiter_count(), 0, "the poll has not announced");
             let gen = ec.generation();
@@ -759,7 +766,7 @@ mod tests {
             assert_eq!(ec.generation(), gen, "nobody announced: one-load path");
             (calls == 3).then_some(calls)
         });
-        assert_eq!(r, 3, "the initial attempt and two polls");
+        assert_eq!(r, Some(3), "the initial attempt and two polls");
         if cfg!(feature = "obs") {
             let snap = snapshot(&ec);
             assert_eq!(snap.get("ec.spin_wakes"), Some(1), "{snap}");
@@ -775,7 +782,7 @@ mod tests {
         // must leave through the spin, un-announced, and go round again.
         let ec = EventCount::new();
         let mut calls = 0;
-        let r = ec.wait_until(Spin::Generation, || {
+        let r = ec.wait_until(|| {
             calls += 1;
             if calls == 2 {
                 assert_eq!(ec.waiter_count(), 1, "re-attempt runs announced");
@@ -804,7 +811,7 @@ mod tests {
         // that follows sees the bump.
         let ec = EventCount::new();
         let mut calls = 0;
-        ec.wait_until(Spin::Generation, || {
+        ec.wait_until(|| {
             calls += 1;
             if calls == 2 {
                 assert_eq!((ec.waiter_count(), ec.sleeper_count()), (1, 0));
@@ -834,7 +841,7 @@ mod tests {
         let cases: [(&str, Case); 6] = [
             ("spin exit", |ec| {
                 let mut calls = 0;
-                ec.wait_until(Spin::Generation, || {
+                ec.wait_until(|| {
                     calls += 1;
                     if calls == 2 {
                         ec.wake_all();
@@ -845,9 +852,7 @@ mod tests {
             ("park, then a wake", |ec| {
                 let go = AtomicBool::new(false);
                 std::thread::scope(|s| {
-                    s.spawn(|| {
-                        ec.wait_until(Spin::Generation, || go.load(Ordering::SeqCst).then_some(()))
-                    });
+                    s.spawn(|| ec.wait_until(|| go.load(Ordering::SeqCst).then_some(())));
                     while ec.sleeper_count() == 0 {
                         std::thread::yield_now();
                     }
@@ -857,11 +862,7 @@ mod tests {
             }),
             ("park, then a timeout", |ec| {
                 assert!(ec
-                    .wait(
-                        Spin::Generation,
-                        Duration::from_millis(5).into(),
-                        || None::<()>
-                    )
+                    .wait(Duration::from_millis(5).into(), || None::<()>)
                     .is_none());
             }),
             ("refused register", |ec| {
@@ -906,7 +907,7 @@ mod tests {
         // deadline is still taken, never dropped on the floor.
         let ec = EventCount::new();
         let mut first = true;
-        let r = ec.wait(Spin::Generation, Instant::now().into(), || {
+        let r = ec.wait(Instant::now().into(), || {
             if first {
                 first = false;
                 None

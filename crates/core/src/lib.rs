@@ -93,7 +93,7 @@ pub use bytering::{byte_ring, ByteConsumer, ByteProducer};
 pub use counter::{CounterQueue, SlotRule};
 pub use dcss_queue::{DcssHandle, DcssQueue};
 pub use distinct::{DistinctHandle, DistinctQueue};
-pub use event::{EventCount, Spin, TimeLimit, WaiterId};
+pub use event::{EventCount, TimeLimit, WaiterId};
 pub use llsc_queue::{LlScHandle, LlScQueue};
 pub use naive::{NaiveHandle, NaiveQueue};
 pub use obs::{MetricsSnapshot, TraceEvent, TraceRing};

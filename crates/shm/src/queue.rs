@@ -314,6 +314,7 @@ impl<T: Pod> ShmQueue<T> {
     /// Shared writes, in order: **W1** claim CAS, **W2** tail help CAS,
     /// **W3** value write, **W4** publish CAS (the linearization point).
     /// The crash gate in `h` fires after each.
+    #[inline]
     pub fn enqueue(&self, h: &mut ShmHandle, v: T) -> Result<(), T> {
         if h.faults.take_refusal() {
             return Err(v); // injected refusal: full, nothing touched
@@ -427,6 +428,7 @@ impl<T: Pod> ShmQueue<T> {
     /// Shared accesses, in order: **V1** claim CAS (the linearization
     /// point), **V2** head help CAS, **V3** value read, **V4** release
     /// CAS. The crash gate in `h` fires after each.
+    #[inline]
     pub fn dequeue(&self, h: &mut ShmHandle) -> Option<T> {
         if h.faults.take_refusal() {
             return None; // injected refusal: empty, nothing touched

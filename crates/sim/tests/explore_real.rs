@@ -23,7 +23,7 @@ use bq_baselines::TwoNullQueue;
 use bq_core::{
     AsyncQueue, BlockingQueue, ConcurrentQueue, DcssQueue, DistinctQueue, EventCount, NaiveQueue,
     OptimalQueue, OrderingMutant, RecvTimeoutError, RelocBox, RelocRing, SegmentQueue,
-    ShardedQueue, SimAtomicU64, SimCondvar, SimMutex, Spin,
+    ShardedQueue, SimAtomicU64, SimCondvar, SimMutex,
 };
 use bq_sim::explore::{
     explore, replay, tell, Choice, ExploreConfig, Report, RunOutcomeKind, RunSpec, ThreadStatus,
@@ -1216,7 +1216,7 @@ fn eventcount_waiters_never_park_past_the_publish() {
         });
         let waiter = |w: Arc<EcWorld>| {
             move |_ctx: &mut bq_sim::explore::Ctx| {
-                w.ec.wait_until(Spin::Generation, || {
+                w.ec.wait_until(|| {
                     if w.flag.load(Ordering::SeqCst) == 1 {
                         Some(())
                     } else {
@@ -1335,7 +1335,7 @@ fn eventcount_teeth_wake_before_publish_is_caught() {
         let waiter = {
             let w = Arc::clone(&w);
             move |_ctx: &mut bq_sim::explore::Ctx| {
-                w.ec.wait_until(Spin::Generation, || {
+                w.ec.wait_until(|| {
                     if w.flag.load(Ordering::SeqCst) == 1 {
                         Some(())
                     } else {

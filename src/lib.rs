@@ -41,7 +41,7 @@ pub mod prelude {
     pub use bq_core::{
         byte_ring, spsc_ring, AsyncQueue, BlockingQueue, BoxedQueue, ByteConsumer, ByteProducer,
         ConcurrentQueue, DcssQueue, DistinctQueue, EventCount, Full, LlScQueue, NaiveQueue,
-        OptimalQueue, SegmentQueue, SendError, SeqRingQueue, ShardedQueue, Spin, SpscConsumer,
+        OptimalQueue, SegmentQueue, SendError, SeqRingQueue, ShardedQueue, SpscConsumer,
         SpscProducer, TimeLimit, TokenGen, TryRecvError, TrySendError, WaitFuture,
     };
     pub use bq_memtrack::MemoryFootprint;
