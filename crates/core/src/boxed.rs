@@ -293,6 +293,7 @@ impl<T: Send, Q: PointerCapable> BoxedQueue<T, Q> {
 
     /// Box `items` in order, in runs of up to `run_cap::<T>()`: one token
     /// each.
+    #[inline]
     pub(crate) fn box_all(&self, items: Vec<T>) -> Vec<u64> {
         let mut tokens = Vec::with_capacity(items.len());
         let mut values = items.into_iter();
@@ -315,6 +316,7 @@ impl<T: Send, Q: PointerCapable> BoxedQueue<T, Q> {
 
     /// Batch dequeue passthrough: drains up to `max` values through the
     /// inner queue's `dequeue_many`, appending to `out`; returns the count.
+    #[inline]
     pub fn dequeue_many(&self, h: &mut BoxedHandle<Q>, max: usize, out: &mut Vec<T>) -> usize {
         let n = self.inner.dequeue_many(&mut h.inner, max, &mut h.tokens);
         // SAFETY: as in `dequeue`.

@@ -33,11 +33,9 @@
 //! ## Why `Relaxed` ordering is enough (and required)
 //!
 //! Counters are *statistics*, not synchronization: no protocol decision
-//! reads them (the one functional counter, the shard quarantine refusal
-//! count, stays `SeqCst` in `sharded.rs` and is merely *reported* here).
-//! `Relaxed` increments cannot create happens-before edges, so turning
-//! `obs` on cannot mask or introduce a memory-ordering bug in the
-//! algorithms it observes. For the same reason the counters use plain
+//! reads them. `Relaxed` increments cannot create happens-before edges,
+//! so turning `obs` on cannot mask or introduce a memory-ordering bug in
+//! the algorithms it observes. For the same reason the counters use plain
 //! `std` atomics rather than the `simx` wrappers: they must not become
 //! scheduling points, so the §11 explorer enumerates *identical*
 //! execution sets (and state hashes) with the feature on or off.
@@ -501,9 +499,8 @@ impl WaitCounters {
 }
 
 /// Scale-layer counters: one block per `ShardedQueue`. Per-shard
-/// *refusal* counts are not duplicated here — the quarantine health
-/// counter in `sharded.rs` is the one refusal mechanism (DESIGN.md §14)
-/// and the snapshot reads it directly.
+/// *refusal* counts are not duplicated here: each shard reports its own,
+/// under its `shardN.` prefix (DESIGN.md §14).
 #[cfg_attr(feature = "obs", repr(align(128)))]
 #[derive(Debug, Default)]
 pub struct ShardCounters {
@@ -511,8 +508,6 @@ pub struct ShardCounters {
     pub steals: Counter,
     /// Rotation-scan hops past the home shard (contention signal).
     pub rotations: Counter,
-    /// Shards quarantined.
-    pub quarantines: Counter,
 }
 
 impl ShardCounters {
@@ -524,11 +519,7 @@ impl ShardCounters {
     /// Append this block's counters to `snap` under `prefix`. With `obs`
     /// off nothing is appended.
     pub fn snapshot_into(&self, prefix: &str, snap: &mut MetricsSnapshot) {
-        let counters = [
-            ("steals", &self.steals),
-            ("rotations", &self.rotations),
-            ("quarantines", &self.quarantines),
-        ];
+        let counters = [("steals", &self.steals), ("rotations", &self.rotations)];
         push_counters(prefix, snap, &counters);
     }
 }

@@ -584,11 +584,13 @@ impl<T: Pod> RelocRing<T> {
         self.vals.as_ptr().add(i).read()
     }
 
-    /// Occupancy estimate from the counters (exact when quiescent).
+    /// Occupancy estimate from the counters (exact when quiescent): their
+    /// difference mod 2⁶⁴, read as signed so that a head loaded past a
+    /// stale tail reads 0.
     pub fn counter_len(&self) -> usize {
         let t = self.tail().load(Ordering::SeqCst);
         let h = self.head().load(Ordering::SeqCst);
-        t.saturating_sub(h) as usize
+        (t.wrapping_sub(h) as i64).max(0) as usize
     }
 
     // -- the one claim loop and the one resolve loop ------------------------
@@ -606,6 +608,11 @@ impl<T: Pod> RelocRing<T> {
     /// `Relaxed`: they only arbitrate who owns a run; a stale read costs
     /// a retry, never a wrong claim, because the seq scan is re-done.
     ///
+    /// Positions and seq words are compared and advanced mod 2⁶⁴. A
+    /// power-of-two `C` divides 2⁶⁴, so the position → slot map stays
+    /// continuous through the wrap; any other `C` is bounded at
+    /// `2⁶⁴ − C` positions, a `debug_assert!` (DESIGN.md §12.1).
+    ///
     /// [`resolve`]: Self::resolve
     #[inline(always)]
     fn claim(&self, counter: &SimAtomicU64, ready: u64, n: usize) -> Option<(u64, usize)> {
@@ -617,27 +624,41 @@ impl<T: Pod> RelocRing<T> {
             let (mut m, mut seq) = (0usize, 0u64);
             while m < limit {
                 seq = self.seq(slot0 + m).load(Ordering::Acquire);
-                if seq != pos + m as u64 + ready {
+                if seq != pos.wrapping_add(m as u64 + ready) {
                     break;
                 }
                 m += 1;
             }
             if m > 0 {
+                debug_assert!(
+                    self.mask != 0 || pos.checked_add(m as u64 + self.cap).is_some(),
+                    "RelocRing positions may pass 2^64 only for a power-of-two capacity"
+                );
+                let next = pos.wrapping_add(m as u64);
                 if counter
-                    .compare_exchange(pos, pos + m as u64, Ordering::Relaxed, Ordering::Relaxed)
+                    .compare_exchange(pos, next, Ordering::Relaxed, Ordering::Relaxed)
                     .is_ok()
                 {
                     return Some((pos, m));
                 }
-            } else if seq < pos + ready {
-                return None;
-            } else if ready == 1 && seq >= pos + self.cap {
-                // At head position `pos`, `seq ≥ pos + C` means the
-                // round-`pos` writer aborted (a consumer stores `pos + C`
-                // only *after* moving the head past `pos`): help the head
-                // over it. Fails benignly if another thread already did.
-                let _ =
-                    counter.compare_exchange(pos, pos + 1, Ordering::Relaxed, Ordering::Relaxed);
+            } else {
+                // Where the first slot's seq word stands relative to `pos`:
+                // within a lap either way, so the signed difference orders
+                // it across the wrap.
+                let ahead = seq.wrapping_sub(pos) as i64;
+                if ahead < ready as i64 {
+                    return None;
+                }
+                if ready == 1 && ahead >= self.cap as i64 {
+                    // At head position `pos`, `seq ≥ pos + C` means the
+                    // round-`pos` writer aborted (a consumer stores
+                    // `pos + C` only *after* moving the head past `pos`):
+                    // help the head over it. Fails benignly if another
+                    // thread already did.
+                    let next = pos.wrapping_add(1);
+                    let _ =
+                        counter.compare_exchange(pos, next, Ordering::Relaxed, Ordering::Relaxed);
+                }
             }
             pos = counter.load(Ordering::Relaxed);
         }
@@ -653,7 +674,7 @@ impl<T: Pod> RelocRing<T> {
         for i in 0..len {
             let step = if i < k { 1 } else { self.cap };
             self.seq(slot0 + i)
-                .store(pos + i as u64 + step, Ordering::Release);
+                .store(pos.wrapping_add(i as u64 + step), Ordering::Release);
         }
     }
 

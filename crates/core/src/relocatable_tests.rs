@@ -1,4 +1,5 @@
 use super::*;
+use std::collections::VecDeque;
 
 #[test]
 fn vy_ring_fifo_and_relaxed_full() {
@@ -189,6 +190,201 @@ fn vy_ring_read_grant_frees_slots_on_drop() {
     // Dropped: both slots free again.
     r.vy_enqueue(3).unwrap();
     assert_eq!(r.vy_dequeue(), Some(3));
+}
+
+/// An empty ring of capacity `c` whose two counters start at `pos`: each
+/// slot's seq word holds the position of its next round at or after
+/// `pos`, taken mod 2⁶⁴ (the state `init_at` leaves at `pos = 0`).
+fn ring_starting_at(c: usize, pos: u64) -> RelocBox<RelocRing<u64>> {
+    let r = RelocBox::<RelocRing<u64>>::new(c);
+    for j in 0..c as u64 {
+        let p = pos.wrapping_add(j);
+        r.seq(r.slot_of(p)).store(p, Ordering::SeqCst);
+    }
+    r.tail().store(pos, Ordering::SeqCst);
+    r.head().store(pos, Ordering::SeqCst);
+    r
+}
+
+/// One scripted step on a ring: `kind` picks `vy_enqueue`, `vy_dequeue`,
+/// a write grant of up to `n` slots committing `k` of them, a read grant
+/// of up to `n`, `vy_enqueue_many` of `n` or `vy_dequeue_many` of `n`.
+/// Committed values are pushed to `model` and every value that comes out
+/// must be the model's oldest. Returns what the step saw: the count it
+/// got, the count it committed, the values it read and `counter_len()`.
+fn ring_step(
+    r: &RelocRing<u64>,
+    (kind, n, k): (u8, usize, usize),
+    next: &mut u64,
+    model: &mut VecDeque<u64>,
+) -> (usize, usize, Vec<u64>, usize) {
+    let mut fresh = |m: usize| -> Vec<u64> {
+        let vs: Vec<u64> = (*next..*next + m as u64).collect();
+        *next += m as u64;
+        vs
+    };
+    let (got, committed, out) = match kind {
+        0 => {
+            let v = fresh(1)[0];
+            let ok = r.vy_enqueue(v).is_ok();
+            if ok {
+                model.push_back(v);
+            }
+            (usize::from(ok), usize::from(ok), Vec::new())
+        }
+        1 => {
+            let out: Vec<u64> = r.vy_dequeue().into_iter().collect();
+            (out.len(), 0, out)
+        }
+        2 => match r.try_reserve(n) {
+            Some(mut g) => {
+                let len = g.len();
+                let vs = fresh(len);
+                for (slot, v) in g.uninit_slice().iter_mut().zip(&vs) {
+                    slot.write(*v);
+                }
+                let k = k.min(len);
+                g.commit(k);
+                model.extend(&vs[..k]);
+                (len, k, Vec::new())
+            }
+            None => (0, 0, Vec::new()),
+        },
+        3 => match r.try_read(n) {
+            Some(g) => (g.len(), 0, g.to_vec()),
+            None => (0, 0, Vec::new()),
+        },
+        4 => {
+            let vs = fresh(n);
+            let done = r.vy_enqueue_many(&vs);
+            model.extend(&vs[..done]);
+            (done, done, Vec::new())
+        }
+        _ => {
+            let mut out = Vec::new();
+            (r.vy_dequeue_many(n, &mut out), 0, out)
+        }
+    };
+    for v in &out {
+        assert_eq!(Some(*v), model.pop_front(), "FIFO order, no loss");
+    }
+    (got, committed, out, r.counter_len())
+}
+
+/// Run `script` on a ring of capacity `c` starting at `pos`, then drain
+/// it; returns every step's observation.
+fn ring_script(
+    c: usize,
+    pos: u64,
+    script: &[(u8, usize, usize)],
+) -> Vec<(usize, usize, Vec<u64>, usize)> {
+    let r = ring_starting_at(c, pos);
+    let (mut next, mut model) = (1u64, VecDeque::new());
+    let mut seen: Vec<_> = script
+        .iter()
+        .map(|&op| ring_step(&r, op, &mut next, &mut model))
+        .collect();
+    while !model.is_empty() {
+        let step = ring_step(&r, (1, 1, 0), &mut next, &mut model);
+        assert_eq!(step.0, 1, "a committed value is stranded");
+        seen.push(step);
+    }
+    assert_eq!(r.vy_dequeue(), None);
+    assert_eq!(r.counter_len(), 0);
+    seen
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+    /// The sequential spec across 2⁶⁴, through `vy_*` and both grants
+    /// (aborted slots included), for power-of-two capacities: from up to
+    /// three laps below the wrap, `3C` enqueue/dequeue pairs carry both
+    /// counters past it, then an arbitrary script runs. Values come out in
+    /// commit order and none is lost, and every step sees what the same
+    /// script sees on a ring started at the same slot far from the edge.
+    #[test]
+    fn vy_ring_sequential_spec_across_the_position_wrap(
+        k in 1u32..4,
+        below in 0u64..24,
+        tail in proptest::collection::vec((0u8..6, 1usize..6, 0usize..6), 1..160),
+    ) {
+        let c = 1usize << k;
+        let pos = u64::MAX - below % (3 * c as u64);
+        let crossing = [(0u8, 1usize, 0usize), (1, 1, 0)].repeat(3 * c);
+        let script = [crossing, tail].concat();
+        let far = pos & (c as u64 - 1);
+        assert_eq!(ring_script(c, pos, &script), ring_script(c, far, &script));
+    }
+}
+
+/// Two producers and two consumers on a `C = 4` ring whose counters start
+/// six below 2⁶⁴, through `vy_*` and both grants: every value comes out
+/// exactly once.
+#[test]
+fn vy_ring_position_wrap_conserves_under_contention() {
+    let r = ring_starting_at(4, u64::MAX - 5);
+    let per = 3_000u64;
+    let mut got: Vec<u64> = std::thread::scope(|s| {
+        for p in 0..2u64 {
+            let r = &r;
+            s.spawn(move || {
+                let mut v = p * per + 1;
+                while v <= (p + 1) * per {
+                    if v.is_multiple_of(2) {
+                        let end = (v + 3).min((p + 1) * per + 1);
+                        let batch: Vec<u64> = (v..end).collect();
+                        v += r.vy_enqueue_many(&batch) as u64;
+                    } else if r.vy_enqueue(v).is_ok() {
+                        v += 1;
+                    }
+                    std::thread::yield_now();
+                }
+            });
+        }
+        let consumers: Vec<_> = (0..2)
+            .map(|i| {
+                let r = &r;
+                s.spawn(move || {
+                    let mut mine = Vec::new();
+                    while mine.len() < per as usize {
+                        if i == 0 {
+                            mine.extend(r.vy_dequeue());
+                        } else if let Some(g) = r.try_read(per as usize - mine.len()) {
+                            mine.extend_from_slice(&g);
+                        }
+                        std::thread::yield_now();
+                    }
+                    mine
+                })
+            })
+            .collect();
+        consumers
+            .into_iter()
+            .flat_map(|c| c.join().unwrap())
+            .collect()
+    });
+    got.sort_unstable();
+    assert_eq!(got, (1..=2 * per).collect::<Vec<_>>());
+    assert!(
+        r.tail().load(Ordering::SeqCst) < 2 * per,
+        "the counters crossed 2^64"
+    );
+    assert_eq!(r.counter_len(), 0);
+}
+
+/// A capacity that does not divide 2⁶⁴ has a bound instead: in a debug
+/// build the first claim that would carry a position past `2⁶⁴ − C`
+/// trips its assert.
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "power-of-two capacity")]
+fn vy_ring_other_capacities_stop_before_the_wrap() {
+    let r = ring_starting_at(3, u64::MAX - 2 * 3);
+    for v in 1..=2 * 3 + 2 {
+        r.vy_enqueue(v).unwrap();
+        assert_eq!(r.vy_dequeue(), Some(v));
+    }
 }
 
 #[test]

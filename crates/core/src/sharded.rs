@@ -82,13 +82,6 @@ use bq_memtrack::{FootprintBreakdown, FootprintEntry, MemoryFootprint, OverheadC
 pub struct ShardedQueue<Q: ConcurrentQueue> {
     shards: Box<[Q]>,
     next_tid: SimAtomicUsize,
-    /// Fault containment (DESIGN.md §13): one quarantine flag per shard
-    /// (0 = healthy, 1 = quarantined; a `usize` so the claim can be a CAS).
-    quarantined: Box<[SimAtomicUsize]>,
-    /// Number of currently quarantined shards; the quarantine claim
-    /// protocol keeps this strictly below `S` (the last healthy shard
-    /// can never be quarantined, so enqueues always have a target).
-    quarantined_count: SimAtomicUsize,
     /// Scale-layer statistics (DESIGN.md §14); a ZST with `obs` off.
     obs: ShardCounters,
 }
@@ -106,12 +99,9 @@ impl<Q: ConcurrentQueue> ShardedQueue<Q> {
     /// every thread that will register here (rotation touches all shards).
     pub fn from_shards(shards: Vec<Q>) -> Self {
         assert!(!shards.is_empty(), "at least one shard required");
-        let quarantined = shards.iter().map(|_| SimAtomicUsize::new(0)).collect();
         ShardedQueue {
             shards: shards.into_boxed_slice(),
             next_tid: SimAtomicUsize::new(0),
-            quarantined,
-            quarantined_count: SimAtomicUsize::new(0),
             obs: ShardCounters::new(),
         }
     }
@@ -146,12 +136,12 @@ impl<Q: ConcurrentQueue> ShardedQueue<Q> {
 
     /// The steal-rotation scan shared by all four operation paths: visit
     /// the shards home-first, then rotating through the rest, handing
-    /// `visit` each shard (with its index and per-shard handle) until it
-    /// breaks (operation satisfied) or every shard was tried.
+    /// `visit` each shard (with its per-shard handle) until it breaks
+    /// (operation satisfied) or every shard was tried.
     fn rotate<B>(
         &self,
         h: &mut ShardedHandle<Q>,
-        mut visit: impl FnMut(usize, &Q, &mut Q::Handle) -> ControlFlow<B>,
+        mut visit: impl FnMut(&Q, &mut Q::Handle) -> ControlFlow<B>,
     ) -> Option<B> {
         let s = self.shards.len();
         for off in 0..s {
@@ -161,7 +151,7 @@ impl<Q: ConcurrentQueue> ShardedQueue<Q> {
                 // signal regardless of where it ends up succeeding.
                 self.obs.rotations.hit();
             }
-            if let ControlFlow::Break(b) = visit(i, &self.shards[i], &mut h.handles[i]) {
+            if let ControlFlow::Break(b) = visit(&self.shards[i], &mut h.handles[i]) {
                 if off > 0 {
                     self.obs.steals.hit();
                 }
@@ -169,72 +159,6 @@ impl<Q: ConcurrentQueue> ShardedQueue<Q> {
             }
         }
         None
-    }
-
-    // ---- fault containment: quarantine (§13) ------------------------------
-
-    /// Is shard `i` quarantined? Quarantined shards are skipped by the
-    /// enqueue rotation (home-shard affinity remaps to the next healthy
-    /// shard) but still visited by dequeues, so nothing inside them is
-    /// stranded.
-    pub fn is_quarantined(&self, i: usize) -> bool {
-        self.quarantined[i].load(Ordering::SeqCst) != 0
-    }
-
-    /// Number of currently quarantined shards (always `< S`).
-    pub fn quarantined_count(&self) -> usize {
-        self.quarantined_count.load(Ordering::SeqCst)
-    }
-
-    /// Quarantine shard `i`: enqueues stop targeting it (dequeues keep
-    /// draining it). Refused — returns `false` — when `i` is already
-    /// quarantined or when it is the **last healthy shard**: the logical
-    /// queue never degrades to zero enqueue targets. The claim is
-    /// race-free: a slot below `S - 1` is reserved by CAS on the global
-    /// count before the per-shard flag is taken.
-    pub fn quarantine(&self, i: usize) -> bool {
-        let s = self.shards.len();
-        // Reserve one of the S-1 quarantine slots.
-        let mut c = self.quarantined_count.load(Ordering::SeqCst);
-        loop {
-            if c + 1 >= s {
-                return false; // would quarantine the last healthy shard
-            }
-            match self.quarantined_count.compare_exchange(
-                c,
-                c + 1,
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            ) {
-                Ok(_) => break,
-                Err(cur) => c = cur,
-            }
-        }
-        // Claim the shard's flag; on a lost race (someone else already
-        // quarantined `i`), hand the slot back.
-        if self.quarantined[i]
-            .compare_exchange(0, 1, Ordering::SeqCst, Ordering::SeqCst)
-            .is_err()
-        {
-            self.quarantined_count.fetch_sub(1, Ordering::SeqCst);
-            return false;
-        }
-        self.obs.quarantines.hit();
-        true
-    }
-
-    /// Lift a quarantine (e.g. after an operator verified the shard is
-    /// live again). Returns `false` if the shard was not quarantined.
-    pub fn un_quarantine(&self, i: usize) -> bool {
-        if self.quarantined[i]
-            .compare_exchange(1, 0, Ordering::SeqCst, Ordering::SeqCst)
-            .is_ok()
-        {
-            self.quarantined_count.fetch_sub(1, Ordering::SeqCst);
-            true
-        } else {
-            false
-        }
     }
 }
 
@@ -267,24 +191,15 @@ impl<Q: ConcurrentQueue> ConcurrentQueue for ShardedQueue<Q> {
     }
 
     fn enqueue(&self, h: &mut ShardedHandle<Q>, v: u64) -> Result<(), Full> {
-        self.rotate(h, |i, q, sh| {
-            // Degraded shards are skipped: home-shard affinity remaps to
-            // the next healthy shard in rotation order.
-            if self.is_quarantined(i) {
-                return ControlFlow::Continue(());
-            }
-            match q.enqueue(sh, v) {
-                Ok(()) => ControlFlow::Break(()),
-                Err(_) => ControlFlow::Continue(()),
-            }
+        self.rotate(h, |q, sh| match q.enqueue(sh, v) {
+            Ok(()) => ControlFlow::Break(()),
+            Err(_) => ControlFlow::Continue(()),
         })
         .ok_or(Full(v))
     }
 
     fn dequeue(&self, h: &mut ShardedHandle<Q>) -> Option<u64> {
-        // Dequeues visit quarantined shards too: quarantine only stops
-        // *new* elements, it never strands accepted ones.
-        self.rotate(h, |_, q, sh| match q.dequeue(sh) {
+        self.rotate(h, |q, sh| match q.dequeue(sh) {
             Some(v) => ControlFlow::Break(v),
             None => ControlFlow::Continue(()),
         })
@@ -294,10 +209,7 @@ impl<Q: ConcurrentQueue> ConcurrentQueue for ShardedQueue<Q> {
         // A batch sticks to each shard for as long as it accepts: the
         // rotation advances on refusal, exactly like the single path.
         let mut done = 0;
-        self.rotate(h, |i, q, sh| {
-            if self.is_quarantined(i) {
-                return ControlFlow::Continue(());
-            }
+        self.rotate(h, |q, sh| {
             done += q.enqueue_many(sh, &vs[done..]);
             if done == vs.len() {
                 ControlFlow::Break(())
@@ -310,7 +222,7 @@ impl<Q: ConcurrentQueue> ConcurrentQueue for ShardedQueue<Q> {
 
     fn dequeue_many(&self, h: &mut ShardedHandle<Q>, max: usize, out: &mut Vec<u64>) -> usize {
         let mut done = 0;
-        self.rotate(h, |_, q, sh| {
+        self.rotate(h, |q, sh| {
             done += q.dequeue_many(sh, max - done, out);
             if done == max {
                 ControlFlow::Break(())
@@ -333,24 +245,14 @@ impl<Q: ConcurrentQueue> ConcurrentQueue for ShardedQueue<Q> {
         self.shards.iter().map(|q| q.len()).sum()
     }
 
-    /// Scale-layer view: steal/rotation/quarantine counters, then — per
-    /// shard — the live quarantine flag and the sub-queue's own metrics
-    /// under a `shardN.` prefix (a sub-queue's refusals are among them).
+    /// Scale-layer view: steal and rotation counters, then — per shard —
+    /// the sub-queue's own metrics under a `shardN.` prefix (a sub-queue's
+    /// refusals are among them).
     fn metrics(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::new();
         self.obs.snapshot_into("", &mut snap);
         #[cfg(feature = "obs")]
         {
-            snap.push(
-                "quarantined_count",
-                self.quarantined_count.load(Ordering::SeqCst) as u64,
-            );
-            for (i, flag) in self.quarantined.iter().enumerate() {
-                snap.push(
-                    format!("shard{i}.quarantined"),
-                    flag.load(Ordering::SeqCst) as u64,
-                );
-            }
             for (i, q) in self.shards.iter().enumerate() {
                 for (name, v) in q.metrics().entries() {
                     snap.push(format!("shard{i}.{name}"), *v);
@@ -406,12 +308,6 @@ impl<Q: ConcurrentQueue + MemoryFootprint> MemoryFootprint for ShardedQueue<Q> {
         out.add(
             "shard directory (boxed-slice fat pointer + tid counter)",
             std::mem::size_of::<Box<[Q]>>() + std::mem::size_of::<AtomicUsize>(),
-            OverheadClass::Other,
-        )
-        .add(
-            format!("fault containment: {s} quarantine flags + quarantined count"),
-            std::mem::size_of::<Box<[SimAtomicUsize]>>()
-                + (s + 1) * std::mem::size_of::<SimAtomicUsize>(),
             OverheadClass::Other,
         )
     }
@@ -519,66 +415,43 @@ mod tests {
         let (c, s, t) = (1024, 4, 8);
         let q = sharded(c, s, t);
         let single = OptimalQueue::with_capacity_and_threads(c / s, t);
-        // Directory: boxed-slice fat pointer + tid counter (24 bytes),
-        // plus the fault-containment state — a fat pointer to S one-word
-        // quarantine flags, and the quarantined count.
-        let health = 16 + s * 8 + 8;
+        // Directory: boxed-slice fat pointer + tid counter (24 bytes).
         assert_eq!(
             q.overhead_bytes(),
-            s * single.overhead_bytes() + 24 + health,
+            s * single.overhead_bytes() + 24,
             "Θ(S·T): S sub-queue overheads plus the constant-per-shard directory"
         );
         assert_eq!(q.element_bytes(), c * 8, "element storage stays C slots");
         let _ = q.max_token();
     }
 
+    /// The scale layer's two counters, by value: at S = 2 an enqueue that
+    /// finds its home shard full and a dequeue that finds it empty each
+    /// leave home once and are served once elsewhere.
+    #[cfg(feature = "obs")]
     #[test]
-    fn quarantined_shard_skipped_by_enqueue_but_drained_by_dequeue() {
+    fn a_full_or_empty_home_shard_counts_one_rotation_and_one_steal() {
         let q = sharded(4, 2, 1);
-        let mut h = q.register(); // home shard 0
+        let mut h = q.register(); // home shard 0, capacity 2
+        let counts = |q: &ShardedQueue<OptimalQueue>| {
+            let m = q.metrics();
+            (m.get("rotations"), m.get("steals"))
+        };
         q.enqueue(&mut h, 1).unwrap();
-        q.enqueue(&mut h, 2).unwrap(); // shard 0 now full (cap 2)
-        assert!(q.quarantine(0), "shard 0 quarantined");
-        assert!(q.is_quarantined(0));
-        assert_eq!(q.quarantined_count(), 1);
-        #[cfg(feature = "obs")]
-        {
-            let snap = q.metrics();
-            assert_eq!(snap.get("quarantines"), Some(1));
-            assert_eq!(snap.get("shard0.quarantined"), Some(1));
-            assert_eq!(snap.get("quarantined_count"), Some(1));
-        }
-        // Home shard is quarantined: affinity remaps to shard 1.
+        q.enqueue(&mut h, 2).unwrap();
+        assert_eq!(counts(&q), (Some(0), Some(0)), "home shard took both");
         q.enqueue(&mut h, 3).unwrap();
-        assert_eq!(q.shard(0).len(), 2, "no new elements into shard 0");
-        assert_eq!(q.shard(1).len(), 1);
-        // Dequeue still drains the quarantined shard — nothing stranded.
-        let mut got = vec![
-            q.dequeue(&mut h).unwrap(),
-            q.dequeue(&mut h).unwrap(),
-            q.dequeue(&mut h).unwrap(),
-        ];
-        got.sort_unstable();
-        assert_eq!(got, vec![1, 2, 3], "conservation under quarantine");
-        // Lift: shard 0 is an enqueue target again.
-        assert!(q.un_quarantine(0));
-        assert_eq!(q.quarantined_count(), 0);
-        q.enqueue(&mut h, 4).unwrap();
-        assert_eq!(q.shard(0).len(), 1);
-    }
-
-    #[test]
-    fn last_healthy_shard_cannot_be_quarantined() {
-        let q = sharded(4, 2, 1);
-        assert!(q.quarantine(1));
-        assert!(!q.quarantine(0), "last healthy shard must stay enqueuable");
-        assert!(!q.quarantine(1), "already quarantined");
-        let mut h = q.register();
-        q.enqueue(&mut h, 7).unwrap(); // still has a target
-        assert_eq!(q.shard(0).len(), 1);
-        // Single-shard queues can never quarantine at all.
-        let solo = sharded(2, 1, 1);
-        assert!(!solo.quarantine(0));
+        assert_eq!(q.shard(1).len(), 1, "the full home shard sent 3 on");
+        assert_eq!(counts(&q), (Some(1), Some(1)));
+        assert_eq!(q.dequeue(&mut h), Some(1));
+        assert_eq!(q.dequeue(&mut h), Some(2));
+        assert_eq!(counts(&q), (Some(1), Some(1)), "home shard served both");
+        assert_eq!(
+            q.dequeue(&mut h),
+            Some(3),
+            "the empty home shard sent it on"
+        );
+        assert_eq!(counts(&q), (Some(2), Some(2)));
     }
 
     #[test]

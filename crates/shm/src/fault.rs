@@ -14,8 +14,8 @@
 //!   shared write, widening the crash windows so races that need a slow
 //!   writer actually happen;
 //! * **refuse** — report the first N operations as full/empty without
-//!   touching shared state, exercising callers' refusal paths (shard
-//!   quarantine thresholds, timed-wait retries);
+//!   touching shared state, exercising callers' refusal paths (the
+//!   soak's retry loops, timed-wait retries);
 //! * **drop_wakes** — a *driver-side* fault: the harness running the
 //!   plan withholds its wake notifications, so only deadline-carrying
 //!   waiters make progress. The handle ignores it; drivers honor it.

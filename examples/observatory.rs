@@ -39,15 +39,23 @@ fn show(title: &str, m: &MetricsSnapshot) {
     println!();
 }
 
-/// Phase 1: a 2-shard queue, two producers, two consumers, and a mid-run
-/// quarantine of shard 0 — steals, rotations, and each shard's own
-/// refusal count (`shardN.enq_full`) all move.
+/// Phase 1: a 2-shard queue, two producers and two consumers, after one
+/// handle has filled its home shard and spilled into the other — steals,
+/// rotations, and each shard's own refusal count (`shardN.enq_full`) all
+/// move.
 fn sharded_phase(per: u64) {
     let q = Arc::new(ShardedQueue::<OptimalQueue>::optimal(8, 2, 5));
-    let total = 2 * per;
+    // Home shard 0 holds 4: the fifth value rotates to shard 1, which
+    // shows up as one rotation and one steal.
+    let prefill = 5;
+    let total = 2 * per + prefill;
     let consumed = Arc::new(AtomicU64::new(0));
 
     let before = q.metrics();
+    let mut h = q.register();
+    for v in 1..=prefill {
+        q.enqueue(&mut h, v).expect("capacity 8 holds the prefill");
+    }
     std::thread::scope(|s| {
         for _ in 0..2 {
             let q = Arc::clone(&q);
@@ -77,9 +85,6 @@ fn sharded_phase(per: u64) {
                 }
             });
         }
-        // Mid-traffic quarantine: producers homed on shard 0 reroute,
-        // which shows up as steals; the flag itself is `quarantines  1`.
-        q.quarantine(0);
     });
 
     let after = q.metrics();

@@ -203,16 +203,14 @@ fn sharded_optimal_is_theta_s_t() {
     assert_linear_in_t(QueueKind::ShardedOptimal);
 
     // The structural breakdown, numerically: S × ovh(OptimalQueue(C/S, T))
-    // plus the 24-byte directory (boxed-slice fat pointer + tid counter)
-    // plus the fault-containment state (a fat pointer to one 8-byte
-    // quarantine flag per shard, and the quarantined count — DESIGN.md
-    // §13), at several (S, T) points.
+    // plus the 24-byte directory (boxed-slice fat pointer + tid counter),
+    // at several (S, T) points.
     for (c, s, t) in [(1024usize, 4usize, 8usize), (4096, 8, 4), (256, 2, 16)] {
         let sharded = ShardedQueue::<OptimalQueue>::optimal(c, s, t);
         let single = OptimalQueue::with_capacity_and_threads(c / s, t);
         assert_eq!(
             sharded.overhead_bytes(),
-            s * single.overhead_bytes() + 24 + (16 + s * 8 + 8),
+            s * single.overhead_bytes() + 24,
             "S={s}, T={t}: Θ(S·T) breakdown must be exactly S sub-queue overheads + directory"
         );
         assert_eq!(

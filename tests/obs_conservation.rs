@@ -280,9 +280,7 @@ fn metrics_name_lists_are_pinned() {
         names.iter().map(|n| format!("{prefix}{n}")).collect()
     };
     let optimal = prefixed("", &QUEUE_NAMES);
-    let mut sharded = prefixed("", &["steals", "rotations", "quarantines"]);
-    sharded.push("quarantined_count".into());
-    sharded.extend(prefixed("", &["shard0.quarantined", "shard1.quarantined"]));
+    let mut sharded = prefixed("", &["steals", "rotations"]);
     sharded.extend(prefixed("shard0.", &QUEUE_NAMES));
     sharded.extend(prefixed("shard1.", &QUEUE_NAMES));
     let mut blocking = sharded.clone();

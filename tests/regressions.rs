@@ -152,3 +152,96 @@ fn sim_crate_has_no_wallclock_or_ambient_randomness() {
     }
     assert!(scanned >= 4, "scan found only {scanned} source files");
 }
+
+// ---------------------------------------------------------------------------
+// The explorer's pin table (DESIGN.md §11.2)
+// ---------------------------------------------------------------------------
+
+/// The integers of a pin literal or a table cell, in order: `11_272`,
+/// `(139, 66, 73)` and `11 272` (digits grouped by spaces) all read as
+/// one number per comma-separated part.
+fn pin_numbers(text: &str) -> Vec<u64> {
+    text.trim_matches(|c: char| c == '(' || c == ')' || c.is_whitespace())
+        .split(',')
+        .map(|part| {
+            let digits: String = part
+                .chars()
+                .filter(|c| !c.is_whitespace() && *c != '_')
+                .collect();
+            digits
+                .parse()
+                .unwrap_or_else(|_| panic!("not a pin number: {part:?}"))
+        })
+        .collect()
+}
+
+/// Every `*_PINNED` constant in `explore_real.rs` has one row in DESIGN.md
+/// §11.2's pin table and every row names a constant, with the same
+/// numbers: the cells' when full and smoke agree, else `(full, smoke)`.
+/// `MUTANT_PINNED` is a table of its own and is cited by name.
+#[test]
+fn pin_table_matches_the_explorer_constants() {
+    let root = env!("CARGO_MANIFEST_DIR");
+    let read = |f: &str| std::fs::read_to_string(format!("{root}/{f}")).unwrap();
+    let is_pin = |name: &str| name.ends_with("_PINNED") || name.ends_with("_PINNED_EXECUTIONS");
+
+    let mut pins = std::collections::BTreeMap::new();
+    for line in read("crates/sim/tests/explore_real.rs").lines() {
+        let Some(rest) = line.strip_prefix("const ") else {
+            continue;
+        };
+        let name = &rest[..rest.find(':').unwrap()];
+        if is_pin(name) {
+            let value = rest[rest.find('=').unwrap() + 1..].trim_end_matches(';');
+            let numbers = (name != "MUTANT_PINNED").then(|| pin_numbers(value));
+            assert!(
+                pins.insert(name.to_string(), numbers).is_none(),
+                "{name} twice"
+            );
+        }
+    }
+    assert!(pins.len() >= 10, "found only {} pins", pins.len());
+
+    let design = read("DESIGN.md");
+    let mut rows = std::collections::BTreeMap::new();
+    for line in design.lines() {
+        let cells: Vec<&str> = line.split('|').map(str::trim).collect();
+        let [_, name, _, full, smoke, _] = cells[..] else {
+            continue;
+        };
+        let Some(name) = name.strip_prefix('`').and_then(|n| n.strip_suffix('`')) else {
+            continue;
+        };
+        if is_pin(name) {
+            assert!(
+                rows.insert(name.to_string(), (full, smoke)).is_none(),
+                "{name} twice"
+            );
+        }
+    }
+
+    for (name, numbers) in &pins {
+        let (full, smoke) = rows
+            .get(name)
+            .unwrap_or_else(|| panic!("{name} has no row in DESIGN.md §11.2's pin table"));
+        let Some(numbers) = numbers else {
+            continue;
+        };
+        let (full, smoke) = (pin_numbers(full), pin_numbers(smoke));
+        let expect = if full == smoke {
+            full
+        } else {
+            [full, smoke].concat()
+        };
+        assert_eq!(
+            numbers, &expect,
+            "{name}: explore_real.rs and DESIGN.md §11.2's pin table differ"
+        );
+    }
+    for name in rows.keys() {
+        assert!(
+            pins.contains_key(name),
+            "DESIGN.md §11.2 pins {name}, which explore_real.rs does not define"
+        );
+    }
+}
