@@ -202,8 +202,9 @@ pub struct OptimalQueue {
     /// (DESIGN.md §10): descriptor references were already
     /// position-independent packed `(index, seq)` words, so the board
     /// relocates wholesale. Its atomics carry all cross-thread
-    /// communication; all are `SeqCst` but a descriptor's `e` and `x`
-    /// stores, which are `Release` (DESIGN.md §7.3).
+    /// communication. Its RMWs are `SeqCst`; its writes nobody can race —
+    /// a descriptor's `e` and `x`, the free, the pre-mark, the announce and
+    /// the failure clean — are `Release` stores (DESIGN.md §7.2–§7.3).
     board: RelocBox<AnnounceBoard>,
     next_tid: SimAtomicUsize,
     /// Observability counter block (DESIGN.md §14). A ZST with `obs`
@@ -234,16 +235,16 @@ pub enum HelpMode {
 }
 
 /// A weakened ordering, planted for the schedule explorer's
-/// happens-before check to find (DESIGN.md §11.4): each names one `SeqCst`
-/// access that publishes one of the three `Release` stores to the threads
-/// that use what they wrote. Only the explorer can select one; outside it
-/// the type only names the access to `site_ord`.
+/// happens-before check to find (DESIGN.md §11.4): each names one access
+/// that publishes the `Release` stores of `e`, `x` or a cell to the
+/// threads that use what they wrote. Only the explorer can select one;
+/// outside it the type only names the access to `site_ord`.
 #[cfg_attr(not(feature = "sim-explore"), allow(dead_code))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OrderingMutant {
     /// The shipped orderings.
     Shipped,
-    /// `put_op`'s announce CAS `Relaxed`: a reader that finds the
+    /// `put_op`'s announce store `Relaxed`: a reader that finds the
     /// descriptor in the slot no longer acquires its `e`/`x` stores.
     RelaxedAnnounce,
     /// `read_op`'s slot load `Relaxed`: the reader no longer acquires the
@@ -332,16 +333,16 @@ impl OptimalQueue {
         self
     }
 
-    /// The ordering of the access `mutant` weakens: `SeqCst` as shipped,
+    /// The ordering of the access `mutant` weakens: `shipped`, or
     /// `Relaxed` when the explorer planted `mutant`.
     #[inline]
-    fn site_ord(&self, mutant: OrderingMutant) -> Ordering {
+    fn site_ord(&self, mutant: OrderingMutant, shipped: Ordering) -> Ordering {
         #[cfg(feature = "sim-explore")]
         if self.mutant == mutant {
             return Ordering::Relaxed;
         }
         let _ = mutant;
-        Ordering::SeqCst
+        shipped
     }
 
     /// The addresses of the `C` value-locations and of the `T`
@@ -368,7 +369,7 @@ impl OptimalQueue {
     // ---- descriptor pool -------------------------------------------------
 
     /// Claim a free descriptor and write incarnation fields for `(e, x)`.
-    /// The two stores are `Release`, not `SeqCst`: the announce CAS (or a
+    /// The two stores are `Release`, not `SeqCst`: the announce store (or a
     /// replacement CAS) publishes them to whoever finds the descriptor in
     /// a slot, the `active_op` CAS to whoever finds it there, and `Release`
     /// keeps them after the claim CAS for `view_packed`'s validation
@@ -417,19 +418,23 @@ impl OptimalQueue {
     /// Return a descriptor to the pool. The caller must be the unique
     /// remover (see the freeing discipline in the module docs), which also
     /// makes it the one thread that knows the verdict `state` the
-    /// incarnation ended in: nobody decides a descriptor twice.
+    /// incarnation ended in: nobody decides a descriptor twice. A plain
+    /// `Release` store, not a CAS: while the remover holds the word (odd
+    /// `seq`, decided or never shown) no claim and no stale `decide` can
+    /// match it, and the next claimant's CAS reads this store, so the
+    /// remover's loads of `e`/`x` happen-before the next incarnation's
+    /// stores (DESIGN.md §7.2–§7.3).
     fn free_desc(&self, view: OpView, state: u64) {
-        let ok = self
-            .desc(view)
-            .word
-            .compare_exchange(
-                pack_word(view.seq, state),
-                pack_word(next_seq(view.seq), ST_UNDECIDED),
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            )
-            .is_ok();
-        debug_assert!(ok, "double free of descriptor {}", view.index);
+        let word = &self.desc(view).word;
+        debug_assert!(
+            word.raw().load(Ordering::Relaxed) == pack_word(view.seq, state),
+            "double free of descriptor {}",
+            view.index
+        );
+        word.store(
+            pack_word(next_seq(view.seq), ST_UNDECIDED),
+            Ordering::Release,
+        );
     }
 
     /// Reconstruct a validated view from a packed reference. `None` means
@@ -472,7 +477,8 @@ impl OptimalQueue {
     /// opposite of what this returns (the race of DESIGN.md §7.1).
     /// `read_op`/`put_op`/`complete_op` therefore read the word directly
     /// and handle the ended case explicitly; this helper remains only for
-    /// debug assertions on descriptors the caller provably still owns.
+    /// tests on descriptors the caller provably still owns.
+    #[cfg(test)]
     fn verdict(&self, view: OpView) -> Option<bool> {
         let w = self.desc(view).word.load(Ordering::SeqCst);
         if w >> 2 != view.seq {
@@ -506,7 +512,7 @@ impl OptimalQueue {
             let p = self
                 .board
                 .op(slot)
-                .load(self.site_ord(OrderingMutant::RelaxedSlotLoad));
+                .load(self.site_ord(OrderingMutant::RelaxedSlotLoad, Ordering::SeqCst));
             if p == 0 {
                 return None;
             }
@@ -595,16 +601,21 @@ impl OptimalQueue {
     /// its verdict under `active_op`, and report it (on failure the slot is
     /// cleaned). The paper probes for an empty slot; here `slot` is the
     /// caller's own, which is always empty (DESIGN.md §7.2: a thread leaves
-    /// `put_op`/`complete_op` only once its clearing CAS won, and nobody
-    /// else fills an empty slot).
+    /// `put_op`/`complete_op` only once its clearing write landed, and
+    /// nobody else fills an empty slot). So the announcement is a `Release` store,
+    /// not a CAS: it heads the release sequence that a replacer's CAS and
+    /// the clearing CAS continue (DESIGN.md §7.3).
     fn put_op(&self, slot: usize, view: OpView) -> bool {
-        let announce = self.site_ord(OrderingMutant::RelaxedAnnounce);
-        let announced = self
-            .board
-            .op(slot)
-            .compare_exchange(0, view.packed, announce, announce)
-            .is_ok();
-        assert!(announced, "own announcement slot {slot} is occupied");
+        let op = self.board.op(slot);
+        // A raw load: the check adds no explorer scheduling point.
+        assert!(
+            op.raw().load(Ordering::Relaxed) == 0,
+            "own announcement slot {slot} is occupied"
+        );
+        op.store(
+            view.packed,
+            self.site_ord(OrderingMutant::RelaxedAnnounce, Ordering::Release),
+        );
         self.start_put_op(view);
         // The logical addition.
         self.try_put(view);
@@ -624,13 +635,13 @@ impl OptimalQueue {
         let w = self.desc(view).word.load(Ordering::SeqCst);
         if w == pack_word(view.seq, ST_FAILURE) {
             // Clean the slot. Unsuccessful descriptors are never replaced
-            // or completed by others, so this CAS is ours to win.
-            let cleaned = self
-                .board
-                .op(slot)
-                .compare_exchange(view.packed, 0, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok();
-            debug_assert!(cleaned, "foreign clear of an unsuccessful descriptor");
+            // or completed by others, so the slot is still ours: a store,
+            // which publishes nothing a reader of the empty slot uses.
+            debug_assert!(
+                op.raw().load(Ordering::Relaxed) == view.packed,
+                "foreign clear of an unsuccessful descriptor"
+            );
+            op.store(0, Ordering::Release);
             return false;
         }
         debug_assert!(
@@ -670,7 +681,7 @@ impl OptimalQueue {
                 Ordering::SeqCst,
                 Ordering::SeqCst,
             );
-            let clear = self.site_ord(OrderingMutant::RelaxedClear);
+            let clear = self.site_ord(OrderingMutant::RelaxedClear, Ordering::SeqCst);
             if self
                 .board
                 .op(slot)
@@ -710,9 +721,16 @@ impl OptimalQueue {
                 }
                 // `cur` is a previous-round operation whose element was
                 // already extracted; replace it with ours, pre-marked
-                // successful (paper lines 89–92).
-                self.decide(view, true);
-                debug_assert_eq!(self.verdict(view), Some(true));
+                // successful (paper lines 89–92). The mark is a store: the
+                // incarnation was just claimed and nobody has been shown
+                // it, and the replacement CAS below publishes it.
+                let word = &self.desc(view).word;
+                debug_assert!(
+                    word.raw().load(Ordering::Relaxed) == pack_word(view.seq, ST_UNDECIDED),
+                    "pre-mark of a shown descriptor {}",
+                    view.index
+                );
+                word.store(pack_word(view.seq, ST_SUCCESS), Ordering::Release);
                 if self
                     .board
                     .op(slot)
@@ -806,7 +824,7 @@ impl ConcurrentQueue for OptimalQueue {
     fn register(&self) -> OptimalHandle {
         // `SeqCst`: `find_op` bounds its scan by this counter, and a scan
         // that must see this thread's announcement reads the counter after
-        // the announcing CAS, which is after this increment (DESIGN.md §7.2).
+        // the announcing store, which is after this increment (DESIGN.md §7.2).
         let tid = self.next_tid.fetch_add(1, Ordering::SeqCst);
         assert!(
             tid < self.board.threads(),
@@ -1531,6 +1549,32 @@ mod tests {
         assert_eq!(q.view_packed(live.packed).unwrap().state, ST_FAILURE);
         q.free_desc(live, ST_FAILURE);
         assert_eq!(claimed(&q), [0usize; 0]);
+    }
+
+    /// The announcement is a store, not a CAS (DESIGN.md §7.2): the check
+    /// the CAS carried stays a release-mode `assert!`, so a ref planted in
+    /// the caller's own slot stops the enqueue instead of being
+    /// overwritten.
+    #[test]
+    #[should_panic(expected = "own announcement slot 0 is occupied")]
+    fn enqueue_into_an_occupied_own_slot_panics() {
+        let q = OptimalQueue::with_capacity_and_threads(4, 2);
+        let mut h = q.register();
+        let planted = q.claim_desc(1, 0, 7);
+        q.board.op(0).store(planted.packed, Ordering::SeqCst);
+        let _ = q.enqueue(&mut h, 9);
+    }
+
+    /// The free is a store, not a CAS: freeing one incarnation twice would
+    /// hand the descriptor to two claimants, and the debug check says so.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "double free of descriptor 0")]
+    fn second_free_of_one_view_panics() {
+        let q = OptimalQueue::with_capacity_and_threads(4, 2);
+        let view = q.claim_desc(0, 0, 7);
+        q.free_desc(view, ST_UNDECIDED);
+        q.free_desc(view, ST_UNDECIDED);
     }
 
     /// `MAX_TOKEN` through both of a dequeue's sources: the cell

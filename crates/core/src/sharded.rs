@@ -124,11 +124,6 @@ impl<Q: ConcurrentQueue> ShardedQueue<Q> {
         Self::from_shards(shards)
     }
 
-    /// The shard count `S`.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Borrow shard `i` (tests and accounting).
     pub fn shard(&self, i: usize) -> &Q {
         &self.shards[i]
@@ -322,20 +317,37 @@ mod tests {
         ShardedQueue::<OptimalQueue>::optimal(c, s, t)
     }
 
+    /// The footprint of `S` shards: every row but the directory is summed
+    /// `across S shards`, and the rows add up to `S` times one shard's
+    /// overhead (all shards of `q` have the same `T`) plus the directory.
+    fn assert_footprint_of_shards(q: &ShardedQueue<OptimalQueue>, s: usize) {
+        let fp = q.footprint();
+        let (dir, rows) = fp.overhead.split_last().expect("directory row");
+        assert!(dir.label.starts_with("shard directory"), "{}", dir.label);
+        let across = format!("across {s} shards: ");
+        assert!(
+            rows.iter().all(|e| e.label.starts_with(&across)),
+            "{rows:?}"
+        );
+        let one = q.shard(0).footprint().overhead_bytes();
+        assert_eq!(fp.overhead_bytes(), s * one + dir.bytes);
+    }
+
     #[test]
     fn capacity_splits_exactly() {
         let q = sharded(10, 4, 1);
-        assert_eq!(q.shard_count(), 4);
         assert_eq!(q.capacity(), 10);
         let caps: Vec<usize> = (0..4).map(|i| q.shard(i).capacity()).collect();
         assert_eq!(caps, vec![3, 3, 2, 2]);
+        assert_footprint_of_shards(&q, 4);
     }
 
     #[test]
     fn shard_count_clamped_to_capacity() {
         let q = sharded(2, 8, 1);
-        assert_eq!(q.shard_count(), 2);
         assert_eq!(q.capacity(), 2);
+        assert_eq!([q.shard(0).capacity(), q.shard(1).capacity()], [1, 1]);
+        assert_footprint_of_shards(&q, 2);
     }
 
     #[test]

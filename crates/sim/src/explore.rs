@@ -307,6 +307,9 @@ mod engine {
     pub struct Report {
         /// Executions actually run.
         pub executions: u64,
+        /// Scheduling points those executions ran, summed: the explorer's
+        /// unit of work, each a hand-off between two OS threads.
+        pub steps: u64,
         /// Children skipped by the visited-state heuristic.
         pub pruned: u64,
         /// Children skipped by the conflict (persistent-set) filter.
@@ -1248,6 +1251,7 @@ mod engine {
             let pool = pool.get_or_insert_with(|| Pool::new(spec.bodies.len()));
             let r = run_one(pool, &prefix, None, spec);
             report.executions += 1;
+            report.steps += r.trace.len() as u64;
             if r.sliced {
                 report.sliced += 1;
             }

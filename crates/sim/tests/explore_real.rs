@@ -17,7 +17,7 @@ use std::future::Future;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::task::{Context, Poll, Wake, Waker};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bq_baselines::TwoNullQueue;
 use bq_core::{
@@ -43,6 +43,23 @@ fn cfg(preemption_bound: usize) -> ExploreConfig {
             preemption_bound
         },
     }
+}
+
+/// [`explore`], printing the explorer's own price on stderr: executions,
+/// steps (scheduling points) and wall seconds, with both rates. It gates
+/// nothing; `--nocapture` shows it.
+fn explore_priced(what: &str, cfg: &ExploreConfig, mk: impl FnMut() -> RunSpec) -> Report {
+    let start = Instant::now();
+    let report = explore(cfg, mk);
+    let secs = start.elapsed().as_secs_f64();
+    eprintln!(
+        "explorer price: {what}: {} executions, {} steps, {secs:.2} s, {:.0} executions/s, {:.0} steps/s",
+        report.executions,
+        report.steps,
+        report.executions as f64 / secs,
+        report.steps as f64 / secs,
+    );
+    report
 }
 
 /// The config of a test that pins an execution count: fixed, so the pin
@@ -129,7 +146,7 @@ fn engine_finds_planted_lost_update() {
             }),
         }
     };
-    let report = explore(&cfg(1), mk);
+    let report = explore_priced("engine_finds_planted_lost_update", &cfg(1), mk);
     let failure = report
         .failure
         .as_ref()
@@ -222,7 +239,11 @@ fn optimal_2p1c_spec() -> RunSpec {
 /// bounds in both explorer lanes.
 #[test]
 fn optimal_2p1c_all_interleavings_to_bound3() {
-    let report = explore(&cfg(3), optimal_2p1c_spec);
+    let report = explore_priced(
+        "optimal_2p1c_all_interleavings_to_bound3",
+        &cfg(3),
+        optimal_2p1c_spec,
+    );
     assert_passed(&report, "OptimalQueue 2P+1C");
     assert!(
         !report.hit_execution_cap,
@@ -275,9 +296,11 @@ const OPTIMAL_2P1C_PINNED_EXECUTIONS: (u64, u64) = (11_272, 5_879);
 /// (The 2P+1C sweep rejects the same mutant: its handles cache 1, 2 and 3.)
 #[test]
 fn optimal_late_registration_races_the_bounded_scan() {
-    let report = explore(&pinned_cfg(3), || {
-        optimal_2p1c(1, true, OrderingMutant::Shipped)
-    });
+    let report = explore_priced(
+        "optimal_late_registration_races_the_bounded_scan",
+        &pinned_cfg(3),
+        || optimal_2p1c(1, true, OrderingMutant::Shipped),
+    );
     assert_passed(&report, "OptimalQueue late registration");
     assert!(!report.hit_execution_cap, "truncated: {report:?}");
     eprintln!(
@@ -390,7 +413,9 @@ fn optimal_run_vs_rival(mutant: OrderingMutant) -> RunSpec {
 /// ```
 #[test]
 fn optimal_run_dequeue_races_a_single_rival() {
-    let report = explore(&cfg(3), || optimal_run_vs_rival(OrderingMutant::Shipped));
+    let report = explore_priced("optimal_run_dequeue_races_a_single_rival", &cfg(3), || {
+        optimal_run_vs_rival(OrderingMutant::Shipped)
+    });
     assert_passed(&report, "OptimalQueue run dequeue");
     assert!(!report.hit_execution_cap, "truncated: {report:?}");
     eprintln!(
@@ -481,9 +506,11 @@ fn optimal_short_run(mutant: OrderingMutant) -> RunSpec {
 /// ```
 #[test]
 fn optimal_short_run_reads_empty_before_returning_short() {
-    let report = explore(&pinned_cfg(3), || {
-        optimal_short_run(OrderingMutant::Shipped)
-    });
+    let report = explore_priced(
+        "optimal_short_run_reads_empty_before_returning_short",
+        &pinned_cfg(3),
+        || optimal_short_run(OrderingMutant::Shipped),
+    );
     assert_passed(&report, "OptimalQueue short run");
     assert!(!report.hit_execution_cap, "truncated: {report:?}");
     eprintln!(
@@ -506,7 +533,7 @@ const SHORT_RUN_PINNED_EXECUTIONS: u64 = 88;
 /// rejection — after exactly `pinned` executions at preemption bound 2,
 /// and the printed artifact must replay to the same panic.
 fn assert_unpublished_found(what: &str, pinned: u64, mk: impl Fn() -> RunSpec) {
-    let report = explore(&pinned_cfg(2), &mk);
+    let report = explore_priced(what, &pinned_cfg(2), &mk);
     let failure = report.failure.as_ref().unwrap_or_else(|| {
         panic!(
             "{what}: all {} executions passed, an unpublished read was expected",
@@ -536,7 +563,7 @@ fn assert_unpublished_found(what: &str, pinned: u64, mk: impl Fn() -> RunSpec) {
 }
 
 /// Teeth for the happens-before check (DESIGN.md §11.4). Listing 5's
-/// descriptor `e`/`x` stores are `Release`, published by the announce CAS
+/// descriptor `e`/`x` stores are `Release`, published by the announce store
 /// and acquired by `read_op`'s slot load; weaken either end to `Relaxed`
 /// and every `OptimalQueue` scenario here finds a reader that used `e`/`x`
 /// values no synchronization delivered. The cell write-back is `Release`
@@ -707,7 +734,7 @@ fn obs_counters_add_no_scheduling_points() {
             }),
         }
     };
-    let report = explore(&cfg, mk);
+    let report = explore_priced("obs_counters_add_no_scheduling_points", &cfg, mk);
     assert_passed(&report, "obs invariance 1P+1C");
     assert_eq!(
         report.executions, OBS_INVARIANCE_PINNED_EXECUTIONS,
@@ -837,7 +864,7 @@ fn dcss3(c: usize) -> DcssQueue {
 /// a panic or a deadlock — after exactly `pinned` executions, and the
 /// printed artifact must replay to the same rejection.
 fn assert_found(what: &str, pinned: u64, mk: impl Fn() -> RunSpec) {
-    let report = explore(&pinned_cfg(2), &mk);
+    let report = explore_priced(what, &pinned_cfg(2), &mk);
     let failure = report.failure.as_ref().unwrap_or_else(|| {
         panic!(
             "{what}: all {} executions passed, a violation was expected",
@@ -866,7 +893,7 @@ fn assert_found(what: &str, pinned: u64, mk: impl Fn() -> RunSpec) {
 
 /// Every execution up to preemption bound 2 must pass, `pinned` of them.
 fn assert_all_pass(what: &str, pinned: u64, mk: impl Fn() -> RunSpec) {
-    let report = explore(&pinned_cfg(2), mk);
+    let report = explore_priced(what, &pinned_cfg(2), mk);
     assert_passed(&report, what);
     eprintln!("{what}: {} executions pass", report.executions);
     assert_eq!(report.executions, pinned, "{what}: execution count drifted");
@@ -1116,7 +1143,11 @@ fn ring_grant_reserve_preempt_commit_vs_reader() {
             }),
         }
     };
-    let report = explore(&pinned_cfg(2), mk);
+    let report = explore_priced(
+        "ring_grant_reserve_preempt_commit_vs_reader",
+        &pinned_cfg(2),
+        mk,
+    );
     assert_passed(&report, "RelocRing grant reserve/commit vs reader");
     eprintln!(
         "ring grants: {} executions, {} pruned",
@@ -1181,7 +1212,11 @@ fn ring_read_grant_borrows_only_committed_prefixes() {
             }),
         }
     };
-    let report = explore(&pinned_cfg(2), mk);
+    let report = explore_priced(
+        "ring_read_grant_borrows_only_committed_prefixes",
+        &pinned_cfg(2),
+        mk,
+    );
     assert_passed(&report, "RelocRing read grants vs producers");
     eprintln!(
         "ring read grants: {} executions, {} pruned",
@@ -1262,7 +1297,11 @@ fn eventcount_waiters_never_park_past_the_publish() {
             }),
         }
     };
-    let report = explore(&pinned_cfg(3), mk);
+    let report = explore_priced(
+        "eventcount_waiters_never_park_past_the_publish",
+        &pinned_cfg(3),
+        mk,
+    );
     assert_passed(&report, "EventCount announce/park protocol");
     eprintln!(
         "EventCount protocol: {} executions, {} pruned",
@@ -1359,7 +1398,11 @@ fn eventcount_teeth_wake_before_publish_is_caught() {
             check: Box::new(|_h| Ok(())),
         }
     };
-    let report = explore(&cfg(2), mk);
+    let report = explore_priced(
+        "eventcount_teeth_wake_before_publish_is_caught",
+        &cfg(2),
+        mk,
+    );
     let failure = report
         .failure
         .as_ref()
@@ -1417,7 +1460,7 @@ fn blocking_close_always_wakes_a_parked_receiver() {
             }),
         }
     };
-    let report = explore(&cfg(3), mk);
+    let report = explore_priced("blocking_close_always_wakes_a_parked_receiver", &cfg(3), mk);
     assert_passed(&report, "close() vs parked receiver");
 }
 
@@ -1493,7 +1536,11 @@ fn timed_recv_vs_send_enumerates_both_outcomes() {
             }
         }
     };
-    let report = explore(&pinned_cfg(2), &mk);
+    let report = explore_priced(
+        "timed_recv_vs_send_enumerates_both_outcomes",
+        &pinned_cfg(2),
+        &mk,
+    );
     assert_passed(&report, "timed recv vs send");
     assert!(
         timeouts.load(Ordering::SeqCst) > 0,
@@ -1649,7 +1696,7 @@ fn async_recv_cancel_never_swallows_the_wake() {
             }),
         }
     };
-    let report = explore(&cfg(2), mk);
+    let report = explore_priced("async_recv_cancel_never_swallows_the_wake", &cfg(2), mk);
     assert_passed(&report, "async recv cancellation");
     eprintln!(
         "async cancel: {} executions, {} pruned",
@@ -1744,7 +1791,7 @@ fn registered_task_is_always_woken() {
             }),
         }
     };
-    let report = explore(&cfg(3), mk);
+    let report = explore_priced("registered_task_is_always_woken", &cfg(3), mk);
     assert_passed(&report, "registered task vs sender");
     eprintln!(
         "registered task: {} executions, {} pruned",
@@ -1807,7 +1854,7 @@ fn segment_queue_1p1c_bound2() {
             }),
         }
     };
-    let report = explore(&pinned_cfg(2), mk);
+    let report = explore_priced("segment_queue_1p1c_bound2", &pinned_cfg(2), mk);
     assert_passed(&report, "SegmentQueue 1P+1C");
     eprintln!(
         "SegmentQueue 1P+1C: {} executions, {} pruned",
@@ -1886,7 +1933,11 @@ fn sharded_queue_2threads_pool_spec_bound2() {
             }),
         }
     };
-    let report = explore(&pinned_cfg(2), mk);
+    let report = explore_priced(
+        "sharded_queue_2threads_pool_spec_bound2",
+        &pinned_cfg(2),
+        mk,
+    );
     assert_passed(&report, "ShardedQueue 2-thread pool spec");
     eprintln!(
         "ShardedQueue: {} executions, {} pruned",
