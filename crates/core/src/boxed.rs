@@ -12,9 +12,10 @@
 //! allocation leaves zero. A single `enqueue` boxes a run of one; a batch
 //! (`enqueue_many`, `send_all`) boxes runs of up to 16, so `n` values cost
 //! at most ⌈n/16⌉ allocations. Taking a value moves it out, and the last
-//! value taken frees the run — or, for a full-length run, parks it in one
-//! of the queue's few run slots, where the next batch picks it up instead
-//! of allocating.
+//! value taken parks the run in one of the queue's four run slots if it is
+//! full-length or a run of one — a run of one in the last slot only — where
+//! the next run of its length picks it up instead of allocating. Any other
+//! run, and any run that finds no slot empty, is freed.
 //!
 //! Only **value-independent** queues may carry pointers: the allocator can
 //! hand the same address out twice (free → malloc), so the underlying queue
@@ -75,8 +76,15 @@ const RUN: usize = 16;
 /// per value.
 const RUN_PAGE: usize = 4096;
 
-/// Emptied full-length runs a queue keeps for its next batches.
+/// Emptied runs a queue keeps for its next runs of the same length.
 const RUN_SLOTS: usize = 4;
+
+/// The tag of a parked full-length run. A slot word is the run's address
+/// OR'd with its tag, in the low bits a run's 16-byte alignment leaves zero.
+const TAG_FULL: usize = 0;
+
+/// The tag of a parked run of one, which parks in the last slot only.
+const TAG_ONE: usize = 1;
 
 /// The header of a run; its values follow it in the same allocation.
 #[repr(C)]
@@ -105,30 +113,60 @@ fn run_layout<T>(len: usize) -> (Layout, usize) {
     (layout.align_to(RUN).expect(fit).pad_to_align(), offset)
 }
 
-/// Take a parked run out of `slots`, if one is parked. The `Acquire` swap
-/// pairs with the `Release` CAS that parked the run, so every read of its
-/// old values happens before the caller writes new ones.
-fn unpark(slots: &[AtomicPtr<u8>]) -> Option<*mut u8> {
-    slots
-        .iter()
-        .filter(|slot| !slot.load(Ordering::Relaxed).is_null())
-        .map(|slot| slot.swap(ptr::null_mut(), Ordering::Acquire))
-        .find(|run| !run.is_null())
+/// The class of a run of `len` values of `T`: full-length runs and runs of
+/// one park, any other length has no tag and is freed. A run of one that is
+/// full-length (`run_cap` is 1 for payloads of a page or more) is
+/// `TAG_FULL`.
+fn run_tag<T>(len: usize) -> Option<usize> {
+    if len == run_cap::<T>() {
+        Some(TAG_FULL)
+    } else if len == 1 {
+        Some(TAG_ONE)
+    } else {
+        None
+    }
 }
 
-/// Park an emptied run in an empty slot; `false` when every slot is full.
-fn park(run: *mut u8, slots: &[AtomicPtr<u8>]) -> bool {
-    slots.iter().any(|slot| {
+/// The slots a run of class `tag` may park in: every slot for a full run,
+/// the last alone for a run of one, so full runs keep three to themselves.
+fn tag_slots(tag: usize, slots: &[AtomicPtr<u8>]) -> &[AtomicPtr<u8>] {
+    match tag {
+        TAG_FULL => slots,
+        _ => &slots[slots.len().saturating_sub(1)..],
+    }
+}
+
+/// Take a parked run of class `tag` out of `slots`, if one is parked. The
+/// `Acquire` CAS pairs with the `Release` CAS that parked the run, so every
+/// read of its old values happens before the caller writes new ones; the
+/// CAS, not a swap, so a run of another class stays where it is.
+fn unpark(slots: &[AtomicPtr<u8>], tag: usize) -> Option<*mut u8> {
+    tag_slots(tag, slots).iter().find_map(|slot| {
+        let word = slot.load(Ordering::Relaxed);
+        if word.is_null() || word as usize % RUN != tag {
+            return None;
+        }
+        slot.compare_exchange(word, ptr::null_mut(), Ordering::Acquire, Ordering::Relaxed)
+            .ok()
+            .map(|word| word.wrapping_sub(tag))
+    })
+}
+
+/// Park an emptied run of class `tag` in an empty slot it may use; `false`
+/// when every such slot is full.
+fn park(run: *mut u8, tag: usize, slots: &[AtomicPtr<u8>]) -> bool {
+    let word = run.wrapping_add(tag);
+    tag_slots(tag, slots).iter().any(|slot| {
         slot.load(Ordering::Relaxed).is_null()
             && slot
-                .compare_exchange(ptr::null_mut(), run, Ordering::Release, Ordering::Relaxed)
+                .compare_exchange(ptr::null_mut(), word, Ordering::Release, Ordering::Relaxed)
                 .is_ok()
     })
 }
 
 /// Move the value of `token` out of its run. The run's last taker parks it
-/// in `slots` if it is full-length and a slot is empty, and frees it
-/// otherwise; a taker with no queue in hand passes no slots.
+/// in `slots` if its length has a tag and a slot for it is empty, and frees
+/// it otherwise; a taker with no queue in hand passes no slots.
 ///
 /// # Safety
 /// `token` was boxed by a [`BoxedQueue<T, _>`], `slots` hold runs of `T`
@@ -145,14 +183,15 @@ unsafe fn take<T>(token: u64, slots: &[AtomicPtr<u8>]) -> T {
     // Each taker's read is done before its `Release` half; the last one's
     // `Acquire` half orders every read before the park or the free.
     let emptied = len == 1 || hdr.live.fetch_sub(1, Ordering::AcqRel) == 1;
-    if emptied && (len != run_cap::<T>() || !park(run, slots)) {
+    if emptied && !run_tag::<T>(len).is_some_and(|tag| park(run, tag, slots)) {
         unsafe { alloc::dealloc(run, layout) };
     }
     value
 }
 
-/// Move the values of `tokens` out, in order: emptied full-length runs park
-/// in `q`'s slots, and every run is freed when no queue is in hand.
+/// Move the values of `tokens` out, in order: emptied runs park in `q`'s
+/// slots as [`take`] parks them, and every run is freed when no queue is in
+/// hand.
 ///
 /// # Safety
 /// Each token was boxed by a [`BoxedQueue<T, _>`], and none is taken twice.
@@ -168,8 +207,9 @@ pub(crate) unsafe fn take_all<T, Q: PointerCapable>(
 /// A bounded queue of owned `T` values over a pointer-capable token queue.
 pub struct BoxedQueue<T, Q: PointerCapable> {
     inner: Q,
-    /// Emptied full-length runs, parked for the next batch to box into.
-    /// Plain `std` atomics, like a run's `live`: off the explorer's seam.
+    /// Emptied runs, parked for the next run of their length to box into:
+    /// each word is a run's address OR'd with its tag. Plain `std` atomics,
+    /// like a run's `live`: off the explorer's seam.
     run_slots: [AtomicPtr<u8>; RUN_SLOTS],
     _marker: PhantomData<fn(T) -> T>,
 }
@@ -250,16 +290,13 @@ impl<T: Send, Q: PointerCapable> BoxedQueue<T, Q> {
 
     /// Move the next `len` values of `values` (`1..=run_cap::<T>()` of them)
     /// into one run and return the first one's token; value `i` of the run
-    /// is that token plus `i`. A full-length run reuses a parked run when
-    /// one is parked; any other run is a new allocation.
+    /// is that token plus `i`. A full-length run or a run of one reuses a
+    /// parked run of its length when one is parked; any other run is a new
+    /// allocation.
     fn box_run(&self, values: &mut impl Iterator<Item = T>, len: usize) -> u64 {
         debug_assert!((1..=run_cap::<T>()).contains(&len));
         let (layout, offset) = run_layout::<T>(len);
-        let parked = if len == run_cap::<T>() {
-            unpark(&self.run_slots)
-        } else {
-            None
-        };
+        let parked = run_tag::<T>(len).and_then(|tag| unpark(&self.run_slots, tag));
         let run = parked.unwrap_or_else(|| {
             // SAFETY: the layout is non-empty (the header alone is 8 bytes).
             let run = unsafe { alloc::alloc(layout) };
@@ -268,9 +305,9 @@ impl<T: Send, Q: PointerCapable> BoxedQueue<T, Q> {
             }
             run
         });
-        // SAFETY: `run` is this thread's alone — fresh, or swapped out of its
-        // slot — and has `layout` (a parked run is full-length): the header
-        // at 0 and `len` aligned `T` slots from `offset`.
+        // SAFETY: `run` is this thread's alone — fresh, or taken out of its
+        // slot — and has `layout` (a parked run of this tag has this
+        // length): the header at 0 and `len` aligned `T` slots from `offset`.
         unsafe {
             run.cast::<RunHdr>().write(RunHdr {
                 live: AtomicU32::new(len as u32),
@@ -351,7 +388,7 @@ impl<T, Q: PointerCapable + MemoryFootprint> MemoryFootprint for BoxedQueue<T, Q
         // the slots themselves carry the pointers.
         b.element_bytes += self.inner.len() * std::mem::size_of::<T>();
         b.overhead.push(bq_memtrack::FootprintEntry::new(
-            format!("run headers (8 bytes per run of <= 16 values), parked runs (<= {RUN_SLOTS} full runs) and the allocator's (allocator-dependent)"),
+            format!("run headers (8 bytes per run of <= 16 values), parked runs (<= {RUN_SLOTS}, none larger than a full run) and the allocator's (allocator-dependent)"),
             0,
             OverheadClass::Other,
         ));
@@ -372,13 +409,14 @@ impl<T, Q: PointerCapable> Drop for BoxedQueue<T, Q> {
             // SAFETY: as in `dequeue`; passing no slots frees every run.
             drop(unsafe { take::<T>(token, &[]) });
         }
-        let (layout, _) = run_layout::<T>(run_cap::<T>());
         for slot in &mut self.run_slots {
-            let run = *slot.get_mut();
-            if !run.is_null() {
-                // SAFETY: a parked run is an emptied full-length run of `T`
-                // that nothing else names.
-                unsafe { alloc::dealloc(run, layout) };
+            let word = *slot.get_mut();
+            if !word.is_null() {
+                let tag = word as usize % RUN;
+                let len = if tag == TAG_FULL { run_cap::<T>() } else { 1 };
+                // SAFETY: a parked run is an emptied run of `T` of the
+                // length its tag names, and nothing else names it.
+                unsafe { alloc::dealloc(word.wrapping_sub(tag), run_layout::<T>(len).0) };
             }
         }
     }
@@ -730,6 +768,130 @@ mod tests {
         struct Line(u64);
         second_round_through_a_parked_run(|_| ());
         second_round_through_a_parked_run(Line);
+    }
+
+    /// The four slot words of `q`: a parked run's address OR'd with its tag.
+    fn slot_words<T, Q: PointerCapable>(q: &BoxedQueue<T, Q>) -> [usize; RUN_SLOTS] {
+        q.run_slots
+            .each_ref()
+            .map(|slot| slot.load(Ordering::SeqCst) as usize)
+    }
+
+    /// A run of one parks tagged in the last slot and the next single value
+    /// reuses it; three emptied full runs park beside it and a fourth is
+    /// freed; and a run of one that finds the last slot holding a full run
+    /// is freed, even with the other three empty.
+    #[test]
+    fn a_run_of_one_parks_in_the_last_slot_only() {
+        let q: BoxedQueue<u64, OptimalQueue> =
+            BoxedQueue::new(OptimalQueue::with_capacity_and_threads(1, 1));
+        // SAFETY (every `take` below): each token is taken once.
+        let take_each = |tokens: Vec<u64>| {
+            for t in tokens {
+                let _ = unsafe { take::<u64>(t, &q.run_slots) };
+            }
+        };
+        let one = q.box_all(vec![7])[0];
+        let full = q.box_all((0..64).collect());
+        assert_eq!(unsafe { take::<u64>(one, &q.run_slots) }, 7);
+        assert_eq!(slot_words(&q), [0, 0, 0, one as usize + TAG_ONE]);
+        take_each(full.clone());
+        let runs = [full[0], full[16], full[32]].map(|t| t as usize);
+        assert_eq!(
+            slot_words(&q),
+            [runs[0], runs[1], runs[2], one as usize + TAG_ONE]
+        );
+
+        let again = q.box_all(vec![8]);
+        assert_eq!(again, [one], "the parked run of one, reused");
+        assert_eq!(slot_words(&q)[RUN_SLOTS - 1], 0);
+        // Four full runs, three of them parked ones: emptied, they park in
+        // all four slots. Three full runs then empty slots 0 to 2.
+        let four = q.box_all((0..64).collect());
+        take_each(four);
+        let words = slot_words(&q);
+        assert!(words.iter().all(|w| w % RUN == TAG_FULL && *w != 0));
+        let three = q.box_all((0..48).collect());
+        assert_eq!(slot_words(&q), [0, 0, 0, words[3]]);
+        take_each(again);
+        assert_eq!(slot_words(&q), [0, 0, 0, words[3]], "freed, not parked");
+        take_each(three);
+        assert_eq!(slot_words(&q), words);
+    }
+
+    /// Payload whose `Drop` runs are counted, and which occupies no bytes.
+    struct Nothing;
+    static NOTHING_DROPS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    impl Drop for Nothing {
+        fn drop(&mut self) {
+            NOTHING_DROPS.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        }
+    }
+
+    /// A producer sends single values into a queue of capacity 1 while a
+    /// consumer takes them: a refused send parks its run and the retry
+    /// unparks it, each taken value's run parks for the next send, and
+    /// every value is dropped exactly once. Runs of one park in the last
+    /// slot only, tagged, unless a run of one is full-length.
+    fn refused_single_sends_drop_every_value_once<T: Send>(
+        make: impl Fn() -> T + Sync,
+        drops: &std::sync::atomic::AtomicUsize,
+    ) {
+        const N: usize = 2_000;
+        let before = dropped(drops);
+        {
+            let q: BoxedQueue<T, OptimalQueue> =
+                BoxedQueue::new(OptimalQueue::with_capacity_and_threads(1, 2));
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    let mut h = q.register();
+                    for _ in 0..N {
+                        let mut value = make();
+                        while let Err(back) = q.enqueue(&mut h, value) {
+                            value = back;
+                            std::thread::yield_now();
+                        }
+                    }
+                });
+                let mut h = q.register();
+                let mut got = 0;
+                while got < N {
+                    match q.dequeue(&mut h) {
+                        Some(v) => {
+                            drop(v);
+                            got += 1;
+                        }
+                        None => std::thread::yield_now(),
+                    }
+                }
+            });
+            assert_eq!(dropped(drops) - before, N);
+            let words = slot_words(&q);
+            if run_cap::<T>() == 1 {
+                assert!(words.iter().all(|w| w % RUN == TAG_FULL));
+                assert!(words.iter().any(|&w| w != 0));
+            } else {
+                assert_eq!(words[..RUN_SLOTS - 1], [0; RUN_SLOTS - 1]);
+                assert_eq!(words[RUN_SLOTS - 1] % RUN, TAG_ONE);
+            }
+        }
+        assert_eq!(dropped(drops) - before, N, "the queue dropped nothing more");
+    }
+
+    #[test]
+    fn refused_single_sends_of_odd_payloads_drop_every_value_once() {
+        #[repr(align(64))]
+        struct Line(#[allow(dead_code)] Counter);
+        struct Page(#[allow(dead_code)] [u8; 4096], #[allow(dead_code)] Counter);
+        assert_eq!(std::mem::size_of::<Nothing>(), 0);
+        assert_eq!(run_cap::<Page>(), 1);
+        refused_single_sends_drop_every_value_once(|| Nothing, &NOTHING_DROPS);
+        let (drops, _) = counters(0);
+        refused_single_sends_drop_every_value_once(|| Line(Counter(Arc::clone(&drops))), &drops);
+        refused_single_sends_drop_every_value_once(
+            || Page([0; 4096], Counter(Arc::clone(&drops))),
+            &drops,
+        );
     }
 
     #[test]
