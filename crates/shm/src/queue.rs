@@ -16,7 +16,7 @@
 //! so the slot word *names the process that must finish the transition* —
 //! that is what makes orphaned operations reclaimable. The linearization
 //! points are chosen for crash-consistency: an **enqueue linearizes at its
-//! publish CAS (W4)**, a **dequeue at its claim CAS (V1)**. Everything a
+//! publish store (W4)**, a **dequeue at its claim CAS (V1)**. Everything a
 //! process does between claiming and publishing is private-until-published,
 //! so a death in the window aborts the op cleanly instead of tearing it.
 //!
@@ -36,7 +36,7 @@
 //! | W1 claim CAS `FREE(t)→CLAIMED(t,me)` | slot claimed, `tail` possibly still `t` | any producer seeing `round == tail` helps `tail → t+1`; the claim is orphaned (next row) |
 //! | W2 tail help CAS `t→t+1` | orphaned `CLAIMED(t,me)` | a consumer reaching `head == t` (or a producer seeing the slot one round later) asks the liveness oracle; dead owner ⇒ reclaim CAS `CLAIMED(t)→FREE(t+C)` + help `head → t+1`. The enqueue never linearized: no element is lost *from the queue* — the value died unpublished with its producer |
 //! | W3 value write | same as W2 — the payload bytes are unreachable while the word says `CLAIMED`, so the torn/complete value is never observed | same reclaim as W2 |
-//! | W4 publish CAS `CLAIMED→PUB(t,me)` | a fully published element | ordinary dequeues; the producer's death after its linearization point is invisible |
+//! | W4 publish store `PUB(t,me)` over `CLAIMED(t,me)` | a fully published element | ordinary dequeues; the producer's death after its linearization point is invisible |
 //!
 //! The dequeue path mirrors it: death between the claim (V1, linearization)
 //! and the release (V4) leaves `CONSUMING(h,me)`; a producer arriving one
@@ -50,12 +50,17 @@
 //! Reclaim fires only when the liveness oracle
 //! ([`ShmSegment::proc_is_dead`]) answers *dead*, and both its sources
 //! (parent-set flag after `waitpid`; `kill(pid,0) == ESRCH`) are one-sided:
-//! a process reported dead executes no further instruction. Hence the
-//! "delayed W3" hazard — a reclaimed-then-reused slot receiving a stale
-//! value write — cannot arise. Defensively, every ownership transition is
-//! still a CAS (never a blind store): if the oracle were ever wrong, the
-//! wrongly-reclaimed owner's publish/release CAS would fail and the
-//! operation retries instead of tearing.
+//! a process reported dead executes no further instruction. That
+//! one-sidedness carries the whole W1–W4 and V1–V4 window, because W3 and
+//! V3 are plain accesses to the payload: a false verdict against a live
+//! owner lets the slot's next owner race them, tearing or duplicating an
+//! element, and no CAS after them could undo that. So W4, the producer's
+//! last write to a word nobody else may touch, is a `Release` store, as
+//! the heap ring's publish is, and debug builds assert that the word still
+//! holds the claim. V4 could be a store for the same reason, but as one it
+//! measured slower on `shm_procs` (`ledger/README.md`, PR 52), so it stays
+//! a CAS, and debug builds assert that it succeeds. Every transition that
+//! can meet a rival (the claims, the help CASes, every reclaim) is a CAS.
 //!
 //! ## Element bounds
 //!
@@ -312,7 +317,7 @@ impl<T: Pod> ShmQueue<T> {
     /// still held by the previous round's consumer reports full).
     ///
     /// Shared writes, in order: **W1** claim CAS, **W2** tail help CAS,
-    /// **W3** value write, **W4** publish CAS (the linearization point).
+    /// **W3** value write, **W4** publish store (the linearization point).
     /// The crash gate in `h` fires after each.
     #[inline]
     pub fn enqueue(&self, h: &mut ShmHandle, v: T) -> Result<(), T> {
@@ -360,26 +365,24 @@ impl<T: Pod> ShmQueue<T> {
                     unsafe { self.ring.val_write(slot, v) };
                     // W3 done: bytes written, still unreachable (CLAIMED).
                     h.crash_gate();
-                    if self
-                        .ring
-                        .seq(slot)
-                        .compare_exchange(
-                            pack(t, CLAIMED, h.proc_idx),
-                            pack(t, PUB, h.proc_idx),
-                            Ordering::SeqCst,
-                            Ordering::SeqCst,
-                        )
-                        .is_ok()
-                    {
-                        // W4 done: linearized.
-                        h.crash_gate();
-                        return Ok(());
-                    }
-                    // Publish failed: our claim was reclaimed. Only a
-                    // false "dead" verdict can cause this (the oracle
-                    // precludes it for live processes); retry defensively
-                    // — the enqueue has not happened.
-                    continue;
+                    // W4: publish. A `Release` store, not a CAS: only a
+                    // reclaim writes a slot we claimed, and only on a
+                    // "dead" verdict against us, which the one-sided
+                    // oracle never gives a live process (under a false
+                    // one W3 already raced the slot's next owner; module
+                    // docs). The consumer's V1 CAS reads this store, so
+                    // W3's bytes happen-before its V3.
+                    let seq = self.ring.seq(slot);
+                    // A raw load: the check adds no explorer scheduling
+                    // point, and release builds keep no load here.
+                    debug_assert!(
+                        seq.raw().load(Ordering::Relaxed) == pack(t, CLAIMED, h.proc_idx),
+                        "publish of a claim reclaimed from a live owner at position {t}"
+                    );
+                    seq.store(pack(t, PUB, h.proc_idx), Ordering::Release);
+                    // W4 done: linearized.
+                    h.crash_gate();
+                    return Ok(());
                 }
                 continue; // lost the claim race
             }
@@ -473,15 +476,20 @@ impl<T: Pod> ShmQueue<T> {
                             let v = unsafe { self.ring.val_read(slot) };
                             // V3 done: bytes read, slot still CONSUMING.
                             h.crash_gate();
-                            // V4: release. A failure means a (necessarily
-                            // false-dead-verdict) reclaim already moved
-                            // the slot to exactly this target state; the
-                            // value we read stays valid either way.
-                            let _ = self.ring.seq(slot).compare_exchange(
+                            // V4: release. Only a false "dead" verdict
+                            // can fail this CAS, and V3 would already
+                            // have raced the next producer then (module
+                            // docs). A `Release` store here measured
+                            // slower on `shm_procs`, so it stays a CAS.
+                            let released = self.ring.seq(slot).compare_exchange(
                                 pack(hd, CONSUMING, h.proc_idx),
                                 pack(hd + c, FREE, 0),
                                 Ordering::SeqCst,
                                 Ordering::SeqCst,
+                            );
+                            debug_assert!(
+                                released.is_ok(),
+                                "release of a claim reclaimed from a live owner at position {hd}"
                             );
                             // V4 done: slot recycled.
                             h.crash_gate();
@@ -1026,5 +1034,69 @@ mod tests {
             )
             .unwrap();
         assert_eq!(q.dequeue(&mut h), Some(77));
+    }
+
+    /// Run `op` on a fresh live handle whose fault plan sleeps after step
+    /// 1 and after step 3 of its operation (gates fire at entry and after
+    /// each step, so a period of 2). Once slot 0 holds the handle's
+    /// `state` claim at position 0, plant a false "dead" verdict against
+    /// it and reclaim the claim with `recover`. Returns the panic message
+    /// `op` ended with.
+    #[cfg(debug_assertions)]
+    fn false_dead_verdict_mid_op(
+        q: &ShmQueue<u64>,
+        state: u64,
+        op: impl FnOnce(&ShmQueue<u64>, &mut ShmHandle) + Send + 'static,
+    ) -> String {
+        use std::time::{Duration, Instant};
+        let mut victim = q.register();
+        let idx = victim.proc_idx();
+        victim.apply_plan(&crate::FaultPlan {
+            delay_period: 2,
+            delay_micros: 250_000,
+            ..crate::FaultPlan::default()
+        });
+        let qv = q.clone();
+        let th = std::thread::spawn(move || op(&qv, &mut victim));
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while q.ring.seq(0).load(Ordering::SeqCst) != pack(0, state, idx) {
+            assert!(Instant::now() < deadline, "the claim never showed");
+            std::thread::yield_now();
+        }
+        q.segment().mark_dead(idx);
+        assert_eq!(q.recover(), 1, "the live claim was reclaimed");
+        let payload = th.join().expect_err("the owner finished over a reclaim");
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default()
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn publish_over_a_reclaimed_claim_trips_the_w4_assert() {
+        let q = ShmQueue::<u64>::create_anon(2).unwrap();
+        let msg = false_dead_verdict_mid_op(&q, CLAIMED, |q, h| {
+            let _ = q.enqueue(h, 7);
+        });
+        assert!(
+            msg.contains("publish of a claim reclaimed from a live owner at position 0"),
+            "{msg:?}"
+        );
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn release_over_a_reclaimed_claim_trips_the_v4_assert() {
+        let q = ShmQueue::<u64>::create_anon(2).unwrap();
+        let mut h = q.register();
+        q.enqueue(&mut h, 5).unwrap();
+        let msg = false_dead_verdict_mid_op(&q, CONSUMING, |q, h| {
+            let _ = q.dequeue(h);
+        });
+        assert!(
+            msg.contains("release of a claim reclaimed from a live owner at position 0"),
+            "{msg:?}"
+        );
     }
 }

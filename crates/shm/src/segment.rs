@@ -349,13 +349,19 @@ impl ShmSegment {
     }
 
     /// The pid registered in slot `idx` (0 = free).
-    pub fn proc_pid(&self, idx: usize) -> u32 {
+    fn proc_pid(&self, idx: usize) -> u32 {
         self.hdr().procs[idx].pid.load(Ordering::Acquire) as u32
     }
 
     /// Authoritatively mark slot `idx` dead. Call only once the process
     /// is known to execute no further instruction (e.g. after `waitpid`
-    /// reaped it) — the queue's reclaim safety rests on this.
+    /// reaped it) — the queue's reclaim safety rests on this. A false
+    /// verdict against a live owner lets a survivor reclaim the owner's
+    /// in-flight claim. An element can then be torn or duplicated, and
+    /// the owner's late publish, a store over the word the reclaim left,
+    /// can set the slot back a round so that a dequeue spins on it. Debug
+    /// builds panic at that publish or at the failed release CAS
+    /// (DESIGN.md §10.3).
     pub fn mark_dead(&self, idx: usize) {
         self.hdr().procs[idx].dead.store(1, Ordering::Release);
     }
@@ -476,7 +482,7 @@ impl ShmSegment {
 
     /// `(attempts, claims, reclaims)` recorded by slot `idx` — readable
     /// by any attached process, including after the slot's owner died.
-    pub fn proc_stats(&self, idx: usize) -> (u64, u64, u64) {
+    fn proc_stats(&self, idx: usize) -> (u64, u64, u64) {
         let slot = &self.hdr().procs[idx];
         (
             slot.attempts.load(Ordering::Relaxed),

@@ -1,10 +1,11 @@
 //! Crash injection: a process is `SIGKILL`ed **at every point in the
 //! enqueue write sequence** (before any shared write, and after each of
-//! W1 claim / W2 tail-help / W3 value write / W4 publish) and **at every
-//! point in the dequeue access sequence** (before any access, and after
-//! each of V1 claim / V2 head-help / V3 value read / V4 release), and the
-//! survivors must keep the queue fully operational — no wedge, no lost or
-//! duplicated elements beyond the killed op's own fate.
+//! W1 claim CAS / W2 tail-help CAS / W3 value write / W4 publish store)
+//! and **at every point in the dequeue access sequence** (before any
+//! access, and after each of V1 claim CAS / V2 head-help CAS / V3 value
+//! read / V4 release CAS), and the survivors must keep the queue fully
+//! operational — no wedge, no lost or duplicated elements beyond the
+//! killed op's own fate.
 //!
 //! The killed op's fate is exactly determined by its kill point (solo
 //! producer/consumer, so the path is deterministic): an enqueue

@@ -118,7 +118,7 @@ fn main() {
     }
     println!(
         "  survivors drained {:?} — the killed enqueue (value 3) died before\n\
-         its publish CAS, so it never linearized; the queue is empty and usable",
+         its publish store, so it never linearized; the queue is empty and usable",
         drained
     );
     assert_eq!(drained, vec![1, 2]);

@@ -3,9 +3,10 @@
 # constraints): a parent tree and a change tree, in sibling directories, run
 # the frozen benchmark's driver form on one workload in alternating pairs —
 # the same fresh seed on both sides of a pair, the side that runs first
-# swapped every pair. Prints one row per run (the seven end-to-end metrics,
-# `failed` and `attempted`), then each side's median and quartiles per
-# metric and the pair wins.
+# swapped every pair. Prints the code-placement witness of the two trees
+# (`ledger/witness.sh`) first, then one row per run (the seven end-to-end
+# metrics, `failed` and `attempted`), then each side's median and quartiles
+# per metric and the pair wins.
 #
 #   bash ledger/pairs.sh <parent-dir> <change-dir> <workload> [n=10] [seconds=10] [first-seed]
 #
@@ -16,7 +17,7 @@
 set -euo pipefail
 
 if [[ $# -lt 3 ]]; then
-  sed -n '2,13p' "${BASH_SOURCE[0]}" >&2
+  sed -n '2,16p' "${BASH_SOURCE[0]}" >&2
   exit 2
 fi
 parent="$(cd "$1" && pwd)"
@@ -52,6 +53,11 @@ run() {
   fi
   echo "$row"
 }
+
+# Which hot-path symbols moved between the two binaries, above the table:
+# the witness builds both sides where the runs below use them.
+bash "$(dirname "${BASH_SOURCE[0]}")/witness.sh" "$parent" "$change"
+echo
 
 # Build both sides and check the workload runs before anything is timed.
 for dir in "$parent" "$change"; do
